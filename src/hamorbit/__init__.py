@@ -7,6 +7,8 @@ deformation, then :func:`synthesize` the physical orbit and check its
 residuals.
 """
 
+import types as _types
+
 from .errors import (
     BadIndexError,
     BaseThroughOriginError,
@@ -23,10 +25,8 @@ from .errors import (
     ZeroLoopError,
 )
 from .functional import (
-    NEHARI,
     CpsRecord,
     GradientSphere,
-    NehariConstraint,
     ProblemSpec,
     action,
     action_gradient,
@@ -49,10 +49,12 @@ from .loopspace import (
     resample,
     shift,
     sobolev_precondition,
+    speed,
     velocity,
     zero_loop,
 )
-from .orbit import OrbitResult, closure_gap, orbit_period, orbit_residuals, synthesize
+from .orbit import (OrbitResult, closure_gap, orbit_period, orbit_residuals, synthesize,
+                    verify_orbit)
 from .potentials import (
     ExpressionPotential,
     HypothesisReport,
@@ -76,4 +78,6 @@ from .solvers import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Everything imported above, but not the submodules themselves.
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _types.ModuleType))

@@ -9,6 +9,7 @@ byte-identical across repeats.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import re
@@ -21,8 +22,8 @@ from .errors import (
     OrbitFileError,
 )
 from .functional import GradientSphere, ProblemSpec
-from .loopspace import circle_loop, zero_loop
-from .orbit import RK_STEPS_PER_NODE, closure_gap, orbit_residuals, synthesize
+from .loopspace import SYMMETRY_CLASSES, circle_loop, zero_loop
+from .orbit import synthesize, verify_orbit
 from .potentials import (
     PotentialModel,
     PowerLawPotential,
@@ -31,9 +32,30 @@ from .potentials import (
     parse_potential,
 )
 from .reportio import render_report, write_orbit_table, read_orbit_table
-from .solvers import SolveOptions, build_endpoint, minimize_on_nehari, mountain_pass
+from .solvers import (
+    INITIAL_LOOPS,
+    SolveOptions,
+    build_endpoint,
+    minimize_on_nehari,
+    mountain_pass,
+)
 
 _POWER_LAW_RE = re.compile(r"power_law\s*\((.*)\)\s*\Z")
+
+ROUTES = ("constrained_min", "mountain_pass")
+
+# Option keys that set SolveOptions and SamplerConfig fields, in report order;
+# both share the one --seed.  A key names its field unless FIELD_NAMES says.
+SOLVE_KEYS = ("seed", "max_iterations", "gradient_tolerance", "step_shrink", "armijo",
+              "path_points", "init")
+CHECK_KEYS = ("samples", "r_min", "r_max", "radii", "tolerance", "seed")
+FIELD_NAMES = {"init": "initial_loop"}
+
+
+def _field_defaults(cls, keys) -> dict:
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {key: defaults[FIELD_NAMES.get(key, key)] for key in keys}
+
 
 DEFAULTS = {
     "mu1": None,  # resolved from the potential when possible
@@ -41,22 +63,12 @@ DEFAULTS = {
     "symmetry": "e1",
     "route": "constrained_min",
     "nodes": 256,
-    "seed": 0,
-    "max_iterations": 5000,
-    "gradient_tolerance": 1e-6,
-    "step_shrink": 0.5,
-    "armijo": 1e-4,
-    "path_points": 16,
-    "init": "circle",
+    **_field_defaults(SolveOptions, SOLVE_KEYS),
     "mp_radius": None,
     "ode_tol": 1e-2,
     "energy_tol": 1e-2,
     "closure_tol": None,
-    "samples": 200,
-    "r_min": 0.1,
-    "r_max": 10.0,
-    "radii": 128,
-    "tolerance": 1e-9,
+    **_field_defaults(SamplerConfig, CHECK_KEYS),
     "report": None,
     "orbit": None,
     "no_timestamp": False,
@@ -139,6 +151,13 @@ def _merged(args: argparse.Namespace) -> dict:
     return out
 
 
+def _build_options(cls, keys, opts: dict):
+    """Construct ``cls`` from merged options, casting each value to the type
+    of its field's default (config files may give 1 for 1.0)."""
+    return cls(**{FIELD_NAMES.get(key, key): type(default)(opts[key])
+                  for key, default in _field_defaults(cls, keys).items()})
+
+
 def _build_problem(opts: dict) -> tuple[ProblemSpec, float, float]:
     if opts["potential"] is None:
         raise ConfigError("a potential is required (flag --potential or config)")
@@ -191,14 +210,7 @@ def _emit(text: str, path):
 def cmd_check(args) -> int:
     opts = _merged(args)
     spec, mu1, mu2 = _build_problem(opts)
-    cfg = SamplerConfig(
-        samples=int(opts["samples"]),
-        r_min=float(opts["r_min"]),
-        r_max=float(opts["r_max"]),
-        radii=int(opts["radii"]),
-        tolerance=float(opts["tolerance"]),
-        seed=int(opts["seed"]),
-    )
+    cfg = _build_options(SamplerConfig, CHECK_KEYS, opts)
     reports = check_hypotheses(spec.potential, spec.h, mu1, mu2, cfg)
     for rep in reports:
         print(rep.line())
@@ -217,51 +229,47 @@ def cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _solve_route(spec: ProblemSpec, opts: dict):
-    solve_opts = SolveOptions(
-        max_iterations=int(opts["max_iterations"]),
-        gradient_tolerance=float(opts["gradient_tolerance"]),
-        step_shrink=float(opts["step_shrink"]),
-        armijo=float(opts["armijo"]),
-        path_points=int(opts["path_points"]),
-        seed=int(opts["seed"]),
-        initial_loop=opts["init"],
-    )
+def _solve_route(spec: ProblemSpec, solve_opts: SolveOptions, opts: dict):
     nodes = int(opts["nodes"])
     if opts["route"] == "constrained_min":
-        return minimize_on_nehari(spec, solve_opts, n_nodes=nodes), None
+        return minimize_on_nehari(spec, solve_opts, n_nodes=nodes)
     z0 = zero_loop(nodes, spec.n)
     z1 = build_endpoint(spec, circle_loop(nodes, spec.n))
     sphere = None
     if opts["mp_radius"] is not None:
         sphere = GradientSphere(float(opts["mp_radius"]))
-    report = mountain_pass(spec, z0, z1, solve_opts, sphere=sphere)
-    return report, sphere
+    return mountain_pass(spec, z0, z1, solve_opts, sphere=sphere)
 
 
 def cmd_solve(args) -> int:
     opts = _merged(args)
     spec, _, _ = _build_problem(opts)
-    if opts["route"] not in ("constrained_min", "mountain_pass"):
+    if opts["route"] not in ROUTES:
         raise ConfigError(f"unknown route {opts['route']!r}")
     if opts["route"] == "constrained_min" and spec.symmetry not in ("e1", "e2"):
         raise ConfigError("constrained_min route needs symmetry e1 or e2")
+    solve_opts = _build_options(SolveOptions, SOLVE_KEYS, opts)
 
-    failure_message = ""
+    # Every cause of failure, the solver's first.
+    failures = []
     try:
-        solve, _ = _solve_route(spec, opts)
+        solve = _solve_route(spec, solve_opts, opts)
     except OddNodeCountError:
         raise  # grid/symmetry mismatch is a configuration error
     except HamorbitError as err:
         solve = None
-        failure_message = f"{err.code}: {err}"
+        failures.append(f"{err.code}: {err}")
+    else:
+        if solve.message:
+            failures.append(solve.message)
 
     orbit = None
     if solve is not None:
         try:
             orbit = synthesize(solve.loop, spec)
         except HamorbitError as err:
-            failure_message = f"{err.code}: {err}"
+            failures.append(f"{err.code}: {err}")
+    failure_message = "; ".join(failures)
 
     nan = float("nan")
     run_items = [
@@ -269,7 +277,7 @@ def cmd_solve(args) -> int:
         ("route", opts["route"]),
         ("termination", solve.termination if solve else "hypothesis_violation"),
         ("iterations", solve.iterations if solve else 0),
-        ("message", (solve.message if solve else "") or failure_message),
+        ("message", failure_message),
         ("f_star", solve.f_value if solve else nan),
         ("period", orbit.period if orbit else nan),
         ("ode_sup", orbit.ode_sup if orbit else nan),
@@ -283,13 +291,7 @@ def cmd_solve(args) -> int:
         ("run", _run_section(opts, run_items)),
         ("problem", _problem_section(spec, opts)),
         ("options", [
-            ("seed", int(opts["seed"])),
-            ("max_iterations", int(opts["max_iterations"])),
-            ("gradient_tolerance", float(opts["gradient_tolerance"])),
-            ("step_shrink", float(opts["step_shrink"])),
-            ("armijo", float(opts["armijo"])),
-            ("path_points", int(opts["path_points"])),
-            ("init", opts["init"]),
+            *((key, getattr(solve_opts, FIELD_NAMES.get(key, key))) for key in SOLVE_KEYS),
             ("mp_radius", float(opts["mp_radius"]) if opts["mp_radius"] is not None else "auto"),
         ]),
     ]
@@ -298,10 +300,7 @@ def cmd_solve(args) -> int:
         trace=solve.trace if solve else [],
         gamma_history=solve.gamma_history if solve else None,
     )
-    if opts["report"]:
-        _emit(text, opts["report"])
-    else:
-        sys.stdout.write(text)
+    _emit(text, opts["report"])
 
     if orbit is not None and opts["orbit"]:
         write_orbit_table(opts["orbit"], orbit.times, orbit.positions, orbit.period)
@@ -336,11 +335,7 @@ def cmd_verify(args) -> int:
         raise OrbitFileError(
             f"orbit has dimension {positions.shape[1]}, spec has {spec.n}", line=1
         )
-    N = positions.shape[0]
-    ode_sup, energy_sup = orbit_residuals(positions, period, spec.potential, spec.h)
-    v0 = (positions[1] - positions[-1]) / (2.0 * period / N)
-    closure = closure_gap(positions[0], v0, period, spec.potential,
-                          steps=RK_STEPS_PER_NODE * N)
+    ode_sup, energy_sup, closure = verify_orbit(positions, period, spec.potential, spec.h)
     print(f"period={period:.9g} ode_sup={ode_sup:.6g} energy_sup={energy_sup:.6g} "
           f"closure={closure:.6g}")
     ok = ode_sup <= float(opts["ode_tol"]) and energy_sup <= float(opts["energy_tol"])
@@ -385,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve by a critical-point route, then verify")
     _add_problem_flags(p_solve)
-    p_solve.add_argument("--symmetry", choices=("none", "e1", "e2"))
-    p_solve.add_argument("--route", choices=("constrained_min", "mountain_pass"))
+    p_solve.add_argument("--symmetry", choices=SYMMETRY_CLASSES)
+    p_solve.add_argument("--route", choices=ROUTES)
     p_solve.add_argument("--nodes", type=int, help="loop discretization size N")
     p_solve.add_argument("--max-iterations", type=int, dest="max_iterations")
     p_solve.add_argument("--gradient-tolerance", type=float, dest="gradient_tolerance")
@@ -394,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--armijo", type=float)
     p_solve.add_argument("--path-points", type=int, dest="path_points",
                          help="mountain-pass path resolution")
-    p_solve.add_argument("--init", choices=("circle", "random_bandlimited"))
+    p_solve.add_argument("--init", choices=INITIAL_LOOPS)
     p_solve.add_argument("--mp-radius", type=float, dest="mp_radius",
                          help="derivative-sphere radius (default: half the far endpoint)")
     p_solve.add_argument("--orbit", help="write the orbit sample table here")

@@ -29,6 +29,7 @@ from .loopspace import (
     dirichlet_energy,
     h1_norm,
     integrate,
+    speed,
 )
 from .potentials import PotentialModel, hessian_ray
 
@@ -168,29 +169,23 @@ def scaling_root(u: LoopPath, spec: ProblemSpec, return_loop: bool = False):
 # constraint-set descriptors and diagnostics
 
 @dataclass(frozen=True)
-class NehariConstraint:
-    """The ray constraint set {u : mean(V(u) + grad V(u).u / 2) = h}."""
-
-
-@dataclass(frozen=True)
 class GradientSphere:
     """The derivative sphere {u : ||u'||_{L2} = radius}."""
 
     radius: float
 
 
-NEHARI = NehariConstraint()
-
-
-def constraint_distance(u: LoopPath, where, spec: ProblemSpec) -> float:
+def constraint_distance(u: LoopPath, where: GradientSphere | None,
+                        spec: ProblemSpec) -> float:
     """Computable stand-in for the distance from u to the constraint set.
 
-    For the ray constraint this is the gap along the ray,
-    |1 - scaling_root(u)| * ||u||, an upper bound that vanishes exactly on
-    the set; for the derivative sphere it is the exact radial gap.
+    ``where=None`` is the ray constraint {u : mean(V(u) + grad V(u).u / 2) = h};
+    the stand-in is the gap along the ray, |1 - scaling_root(u)| * ||u||, an
+    upper bound that vanishes exactly on the set.  For a derivative sphere it
+    is the exact radial gap.
     """
-    if isinstance(where, GradientSphere):
-        return abs(math.sqrt(2.0 * dirichlet_energy(u)) - where.radius)
+    if where is not None:
+        return abs(speed(u) - where.radius)
     return abs(1.0 - scaling_root(u, spec)) * h1_norm(u)
 
 
@@ -228,12 +223,12 @@ class CpsRecord:
             raise ValueError("diagnostic record has non-finite entries")
 
 
-def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, where,
-               iteration: int) -> CpsRecord:
-    """Append a diagnostic record for the current iterate and return it."""
+def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, where: GradientSphere | None,
+               iteration: int, grad: np.ndarray) -> CpsRecord:
+    """Append a diagnostic record for the current iterate and return it;
+    ``grad`` is the iterate's :func:`action_gradient`, which the solver holds."""
     if trace and iteration <= trace[-1].iteration:
         raise ValueError("iteration indices must be strictly increasing")
-    grad = action_gradient(u, spec)
     residual = abs(constraint_value(u, spec) - spec.h)
     try:
         proxy = constraint_distance(u, where, spec)

@@ -24,6 +24,7 @@ from scipy.linalg import solve_banded
 from .errors import OddNodeCountError
 
 SYMMETRY_CLASSES = ("none", "e1", "e2")
+NONCONSTANT_SPEED = 1e-6  # acceptance gate on ||u'||_{L2}
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,11 @@ def dirichlet_energy(u: LoopPath) -> float:
     return 0.5 * u.N * math.fsum((d * d).ravel())
 
 
+def speed(u: LoopPath) -> float:
+    """L2 norm of the derivative, ||u'||_{L2} = sqrt(2 * dirichlet_energy(u))."""
+    return math.sqrt(2.0 * dirichlet_energy(u))
+
+
 def loop_mean(u: LoopPath) -> np.ndarray:
     """Mean position of the loop, one component per coordinate."""
     return np.array([math.fsum(u.nodes[:, i]) for i in range(u.n)]) / u.N
@@ -98,7 +104,7 @@ def h1_norm(u: LoopPath) -> float:
     On the antisymmetric subspaces the mean vanishes and this reduces to the
     derivative seminorm, which is a genuine norm there.
     """
-    return math.sqrt(2.0 * dirichlet_energy(u)) + float(np.linalg.norm(loop_mean(u)))
+    return speed(u) + float(np.linalg.norm(loop_mean(u)))
 
 
 def shift(u: LoopPath, j: int) -> LoopPath:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BlowupError, NonpositiveActionError
 from .functional import ProblemSpec
-from .loopspace import LoopPath, dirichlet_energy, integrate
+from .loopspace import NONCONSTANT_SPEED, LoopPath, dirichlet_energy, integrate, speed
 from .potentials import PotentialModel
 
 BLOWUP_LIMIT = 1e8
@@ -98,29 +98,37 @@ def closure_gap(q0, v0, period: float, potential: PotentialModel,
     return float(np.linalg.norm(q - q_start) + np.linalg.norm(v - v_start))
 
 
+def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel,
+                 h: float) -> tuple[float, float, float]:
+    """(ode_sup, energy_sup, closure) of a sampled orbit q_k = q(k T / N).
+
+    The closure test starts from (q_0, central-difference velocity at q_0)
+    and takes 8N integrator steps, so the integrator error sits well below
+    the differencing error being certified.
+    """
+    q = np.asarray(positions, dtype=float)
+    N = q.shape[0]
+    ode_sup, energy_sup = orbit_residuals(q, period, potential, h)
+    v0 = (q[1] - q[-1]) / (2.0 * period / N)
+    closure = closure_gap(q[0], v0, period, potential, steps=RK_STEPS_PER_NODE * N)
+    return ode_sup, energy_sup, closure
+
+
 def synthesize(u: LoopPath, spec: ProblemSpec) -> OrbitResult:
     """Build the physical orbit from a critical loop and verify it.
 
-    Samples q_k = u_k at times k T / N, computes both differencing residuals,
-    and runs the return-map closure test from (q_0, Dq_0) with 8N integrator
-    steps so the integrator error sits well below the differencing error
-    being certified.
+    Samples q_k = u_k at times k T / N and runs :func:`verify_orbit` on them.
     """
     T = orbit_period(u, spec)
     q = np.array(u.nodes)
-    N = u.N
-    times = np.arange(N) * (T / N)
-    ode_sup, energy_sup = orbit_residuals(q, T, spec.potential, spec.h)
-    v0 = (q[1] - q[-1]) / (2.0 * T / N)
-    closure = closure_gap(q[0], v0, T, spec.potential, steps=RK_STEPS_PER_NODE * N)
-    nonconstant = math.sqrt(2.0 * dirichlet_energy(u)) >= 1e-6
+    ode_sup, energy_sup, closure = verify_orbit(q, T, spec.potential, spec.h)
     return OrbitResult(
         period=T,
-        times=times,
+        times=np.arange(u.N) * (T / u.N),
         positions=q,
         f_value=dirichlet_energy(u) * integrate(spec.h - spec.potential.value(u.nodes)),
         ode_sup=ode_sup,
         energy_sup=energy_sup,
         closure=closure,
-        nonconstant=nonconstant,
+        nonconstant=speed(u) >= NONCONSTANT_SPEED,
     )

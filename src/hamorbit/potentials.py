@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expressions
 from .errors import DomainError
-from .loopspace import dirichlet_energy, integrate, random_loop
+from .loopspace import integrate, random_loop, speed
 
 
 class PotentialModel:
@@ -117,26 +117,12 @@ def parse_potential(src: str, n: int) -> ExpressionPotential:
     return ExpressionPotential(src, n)
 
 
-def second_radial(p: PotentialModel, q) -> float:
-    """Directional second derivative along the ray, (V''(q) q) . q.
-
-    Central finite difference of s -> grad V(q + s q) . q at s = 0, with the
-    spatial step 1e-4 * (1 + |q|).  Undefined at the origin.
-    """
-    pts, single = _batched(q, p.n)
-    r = np.linalg.norm(pts, axis=1)
-    if np.any(r == 0.0):
-        raise DomainError("radial second derivative is undefined at the origin")
-    s = 1e-4 * (1.0 + r) / r
-    gp = p.gradient(pts * (1.0 + s)[:, None])
-    gm = p.gradient(pts * (1.0 - s)[:, None])
-    out = np.sum((gp - gm) * pts, axis=1) / (2.0 * s)
-    return float(out[0]) if single else out
-
-
 def hessian_ray(p: PotentialModel, q) -> np.ndarray:
-    """Hessian applied to the position ray, V''(q) q, by the same central
-    difference rule as :func:`second_radial`; zero rows at the origin."""
+    """Hessian applied to the position ray, V''(q) q; zero rows at the origin.
+
+    Central finite difference of s -> grad V(q + s q) at s = 0, with the
+    spatial step 1e-4 * (1 + |q|).
+    """
     pts, single = _batched(q, p.n)
     r = np.linalg.norm(pts, axis=1)
     out = np.zeros_like(pts)
@@ -148,6 +134,16 @@ def hessian_ray(p: PotentialModel, q) -> np.ndarray:
         gm = p.gradient(sub * (1.0 - s)[:, None])
         out[mask] = (gp - gm) / (2.0 * s)[:, None]
     return out[0] if single else out
+
+
+def second_radial(p: PotentialModel, q) -> float:
+    """Directional second derivative along the ray, (V''(q) q) . q, from
+    :func:`hessian_ray`.  Undefined at the origin."""
+    pts, single = _batched(q, p.n)
+    if np.any(np.linalg.norm(pts, axis=1) == 0.0):
+        raise DomainError("radial second derivative is undefined at the origin")
+    out = np.sum(hessian_ray(p, pts) * pts, axis=1)
+    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +202,16 @@ class HypothesisReport:
         return " ".join(parts)
 
 
-def _sample_points(rng, count, dim, r_min, r_max):
+def _unit_directions(rng, count, dim):
     dirs = rng.standard_normal((count, dim))
     norms = np.linalg.norm(dirs, axis=1)
     norms[norms == 0.0] = 1.0
-    radii = rng.uniform(r_min, r_max, size=count)
-    return dirs / norms[:, None] * radii[:, None]
+    return dirs / norms[:, None]
+
+
+def _sample_points(rng, count, dim, r_min, r_max):
+    dirs = _unit_directions(rng, count, dim)
+    return dirs * rng.uniform(r_min, r_max, size=count)[:, None]
 
 
 def _check_evenness(p, pts, tol):
@@ -233,10 +233,7 @@ def _check_coercivity(p, h, rng, cfg):
     minima = np.empty(cfg.radii)
     worst_pts = np.empty((cfg.radii, p.n))
     for i, r in enumerate(radii):
-        dirs = rng.standard_normal((cfg.samples, p.n))
-        norms = np.linalg.norm(dirs, axis=1)
-        norms[norms == 0.0] = 1.0
-        pts = dirs / norms[:, None] * r
+        pts = _unit_directions(rng, cfg.samples, p.n) * r
         vals = p.value(pts)
         j = int(np.argmin(vals))
         minima[i] = vals[j]
@@ -284,9 +281,9 @@ def _check_loop_sphere(p, h, rng, cfg):
     base_loops = []
     for _ in range(cfg.samples):
         u = random_loop(cfg.loop_nodes, p.n, rng)
-        speed = np.sqrt(2.0 * dirichlet_energy(u))
-        if speed > 0.0:
-            base_loops.append(u.nodes / speed)
+        s = speed(u)
+        if s > 0.0:
+            base_loops.append(u.nodes / s)
     best_r, best_est = None, -np.inf
     worst_overall = np.inf
     for r in radii:

@@ -32,7 +32,6 @@ from .errors import (
     ZeroLoopError,
 )
 from .functional import (
-    NEHARI,
     CpsRecord,
     GradientSphere,
     ProblemSpec,
@@ -46,20 +45,20 @@ from .functional import (
     weighted_gradient_norm,
 )
 from .loopspace import (
+    NONCONSTANT_SPEED,
     LoopPath,
     circle_loop,
-    dirichlet_energy,
     integrate,
     project_symmetric,
     random_loop,
     sobolev_precondition,
+    speed,
     symmetry_defect,
 )
 
-NONCONSTANT_SPEED = 1e-6  # acceptance gate on ||u'||_{L2}
 _MIN_STEP = 1e-18
 
-INITIAL_LOOPS = ("circle", "random_bandlimited", "user")
+INITIAL_LOOPS = ("circle", "random_bandlimited")
 
 
 @dataclass(frozen=True)
@@ -114,10 +113,6 @@ def make_initial_loop(spec: ProblemSpec, opts: SolveOptions, n_nodes: int) -> Lo
     return project_symmetric(u, spec.symmetry)
 
 
-def _speed(u: LoopPath) -> float:
-    return math.sqrt(2.0 * dirichlet_energy(u))
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
 
@@ -159,7 +154,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     prev_nodes = prev_grad = None
     for it in range(opts.max_iterations + 1):
         grad = action_gradient(u, spec)
-        rec = cps_append(trace, u, spec, NEHARI, it)
+        rec = cps_append(trace, u, spec, None, it, grad)
         ggrad = constraint_gradient(u, spec)
         gg = _dot(ggrad, ggrad)
         if gg > 0.0:
@@ -168,7 +163,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
             tangential = grad
         w_tan = weighted_gradient_norm(u, tangential)
         if max(rec.weighted_gradient, w_tan) <= opts.gradient_tolerance:
-            if f_cur <= 0.0 or _speed(u) < NONCONSTANT_SPEED:
+            if f_cur <= 0.0 or speed(u) < NONCONSTANT_SPEED:
                 return report(u, f_cur, "hypothesis_violation", trace, it,
                               "stationary point is constant or has nonpositive level",
                               drift_max)
@@ -255,15 +250,16 @@ def build_endpoint(spec: ProblemSpec, base: LoopPath) -> LoopPath:
     )
 
 
-def separation_check(z0: LoopPath, z1: LoopPath, where, spec: ProblemSpec):
-    """Check that the descriptor set separates the endpoints.
+def separation_check(z0: LoopPath, z1: LoopPath, where: GradientSphere | None,
+                     spec: ProblemSpec):
+    """Check that a constraint set separates the endpoints.
 
-    Returns (ok, certificate): for a derivative sphere the certificate holds
-    the two derivative norms; for the ray constraint the two constraint
-    values against h.
+    ``where=None`` is the ray constraint.  Returns (ok, certificate): for a
+    derivative sphere the certificate holds the two derivative norms; for the
+    ray constraint the two constraint values against h.
     """
-    if isinstance(where, GradientSphere):
-        s0, s1 = _speed(z0), _speed(z1)
+    if where is not None:
+        s0, s1 = speed(z0), speed(z1)
         lo, hi = min(s0, s1), max(s0, s1)
         return bool(lo < where.radius < hi), {"speed_z0": s0, "speed_z1": s1,
                                               "radius": where.radius}
@@ -401,7 +397,7 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
             f"endpoints must have nonpositive values, got {f0:.6g} and {f1:.6g}"
         )
     if sphere is None:
-        sphere = GradientSphere(0.5 * _speed(z1))
+        sphere = GradientSphere(0.5 * speed(z1))
     ok, cert = separation_check(z0, z1, sphere, spec)
     if not ok:
         raise PathCollapseError(f"derivative sphere does not separate the endpoints: {cert}")
@@ -433,9 +429,10 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
             return report(u, gamma, "hypothesis_violation", sweep,
                           "E_COLLAPSE: path maximum fell to the endpoint level; "
                           "separation failed numerically")
-        rec = cps_append(trace, u, spec, sphere, sweep)
+        grad = action_gradient(u, spec)
+        rec = cps_append(trace, u, spec, sphere, sweep, grad)
         if rec.weighted_gradient <= opts.gradient_tolerance:
-            if _speed(u) < NONCONSTANT_SPEED:
+            if speed(u) < NONCONSTANT_SPEED:
                 return report(u, gamma, "hypothesis_violation", sweep,
                               "stationary point is constant")
             return report(u, gamma, "converged", sweep)
@@ -446,7 +443,6 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         j = i if tau < 0.5 else i + 1
         j = min(max(j, 1), m - 1)
 
-        grad = action_gradient(u, spec)
         direction = sobolev_precondition(grad)
         slope = _dot(grad, direction)
         t = step

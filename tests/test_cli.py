@@ -160,3 +160,30 @@ def test_config_file_errors(tmp_path):
     bad.write_text('{"nodes": 64, "bogus_key": 1}')
     assert run("solve", "--config", str(bad)) == 2
     assert run("solve", "--nodes", "64") == 2  # no potential given
+
+
+def test_config_unknown_initial_loop_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"potential": "power_law(a=0.5,mu1=2,mu2=0)", "n": 2, "energy": 1,'
+        ' "nodes": 64, "init": "user"}'
+    )
+    rep = tmp_path / "r.txt"
+    assert run("solve", "--config", str(cfg), "--no-timestamp", "--report", str(rep)) == 2
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("argv, codes", [
+    (["--potential", "0.5*|q|^2 - 0.1*|q|^4", "--n", "2", "--energy", "1"],
+     ("E_NO_BRACKET", "E_BLOWUP")),
+    (["--potential", "log(q1)", "--n", "2", "--energy", "1"], ("E_DOMAIN",)),
+    ([*HARMONIC, "--route", "mountain_pass", "--mp-radius", "50"], ("E_COLLAPSE",)),
+], ids=["no_bracket", "domain_error", "collapse"])
+def test_solve_failure_names_every_cause(tmp_path, capsys, argv, codes):
+    rep = tmp_path / "r.txt"
+    assert run("solve", *argv, "--nodes", "64", "--no-timestamp", "--report", str(rep)) == 1
+    message = parse_report(rep.read_text())["run"]["message"]
+    err = capsys.readouterr().err
+    for text in (message, err):
+        where = [text.find(code) for code in codes]
+        assert min(where) >= 0 and where == sorted(where), (codes, text)

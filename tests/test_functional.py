@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hamorbit import (
-    NEHARI,
     GradientSphere,
     LoopPath,
     NoBracketError,
@@ -117,29 +116,32 @@ def test_scaling_root_homogeneity():
 
 def test_constraint_distance(harmonic_spec):
     u = circle_loop(256, 2)
-    assert constraint_distance(u, NEHARI, harmonic_spec) <= 1e-10
+    assert constraint_distance(u, None, harmonic_spec) <= 1e-10
     two = LoopPath(2.0 * u.nodes)
     expected = 0.5 * h1_norm(two)
-    assert constraint_distance(two, NEHARI, harmonic_spec) == pytest.approx(expected, rel=1e-10)
+    assert constraint_distance(two, None, harmonic_spec) == pytest.approx(expected, rel=1e-10)
     gap = constraint_distance(u, GradientSphere(2 * math.pi), harmonic_spec)
     assert gap == pytest.approx(abs(2 * 256 * math.sin(math.pi / 256) - 2 * math.pi), rel=1e-10)
     assert gap < 1e-3
     with pytest.raises(ZeroLoopError):
-        constraint_distance(zero_loop(16, 2), NEHARI, harmonic_spec)
+        constraint_distance(zero_loop(16, 2), None, harmonic_spec)
 
 
 def test_cps_records(harmonic_spec):
+    def record(trace, u, iteration):
+        return cps_append(trace, u, harmonic_spec, None, iteration,
+                          action_gradient(u, harmonic_spec))
+
     trace = []
-    rec = cps_append(trace, zero_loop(16, 2), harmonic_spec, NEHARI, 0)
+    rec = record(trace, zero_loop(16, 2), 0)
     assert rec.f_value == 0.0
     assert rec.loop_norm == 0.0
     assert rec.weighted_gradient == 0.0
-    rec2 = cps_append(trace, circle_loop(16, 2), harmonic_spec, NEHARI, 1)
+    rec2 = record(trace, circle_loop(16, 2), 1)
     assert rec2.weighted_gradient >= 0.0
     with pytest.raises(ValueError):
-        cps_append(trace, circle_loop(16, 2), harmonic_spec, NEHARI, 1)
-    crit = []
-    rec3 = cps_append(crit, circle_loop(256, 2), harmonic_spec, NEHARI, 0)
+        record(trace, circle_loop(16, 2), 1)
+    rec3 = record([], circle_loop(256, 2), 0)
     assert rec3.weighted_gradient <= 1e-6
 
 

@@ -8,7 +8,6 @@ from hamorbit import (
     EndpointGrowthError,
     GradientSphere,
     LoopPath,
-    NEHARI,
     PathCollapseError,
     PowerLawPotential,
     ProblemSpec,
@@ -155,11 +154,11 @@ def test_build_endpoint_errors(harmonic_spec):
 def test_separation_certificates(harmonic_spec):
     z0 = zero_loop(256, 2)
     two = LoopPath(2.0 * circle_loop(256, 2).nodes)
-    ok, cert = separation_check(z0, two, NEHARI, harmonic_spec)
+    ok, cert = separation_check(z0, two, None, harmonic_spec)
     assert ok
     assert cert["constraint_z0"] == pytest.approx(0.0, abs=1e-14)
     assert cert["constraint_z1"] == pytest.approx(4.0, rel=1e-12)
-    same, _ = separation_check(two, two, NEHARI, harmonic_spec)
+    same, _ = separation_check(two, two, None, harmonic_spec)
     assert not same
     ok_sphere, cert = separation_check(z0, two, GradientSphere(2 * math.pi), harmonic_spec)
     assert ok_sphere
