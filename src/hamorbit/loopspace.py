@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import OddNodeCountError
 
@@ -145,40 +144,15 @@ def sobolev_precondition(g: np.ndarray) -> np.ndarray:
     L acts componentwise as N^2 (w_{k+1} - 2 w_k + w_{k-1}) with indices mod
     N.  The operator is symmetric positive definite, so the solve is a linear,
     symmetric, positive-definite map: the Riesz representation of a nodewise
-    gradient in the discrete H^1 inner product.  Implemented as a cyclic
-    tridiagonal elimination (banded solve plus a rank-one correction for the
-    periodic corners).
+    gradient in the discrete H^1 inner product.  The operator is circulant,
+    so the discrete Fourier modes diagonalize it: mode m is divided by its
+    eigenvalue 1 + 4 N^2 sin^2(pi m / N).
     """
     g = np.asarray(g, dtype=float)
-    squeeze = g.ndim == 1
-    if squeeze:
-        g = g[:, None]
     N = g.shape[0]
-    s = float(N) * float(N)
-    diag = 1.0 + 2.0 * s
-    off = -s
-
-    # Remove the periodic corners with a rank-one update A = T + outer(uv, vv).
-    gamma = -diag
-    d = np.full(N, diag)
-    d[0] -= gamma
-    d[-1] -= off * off / gamma
-    ab = np.zeros((3, N))
-    ab[0, 1:] = off
-    ab[1] = d
-    ab[2, :-1] = off
-
-    uv = np.zeros(N)
-    uv[0] = gamma
-    uv[-1] = off
-    vv = np.zeros(N)
-    vv[0] = 1.0
-    vv[-1] = off / gamma
-
-    y = solve_banded((1, 1), ab, g)
-    z = solve_banded((1, 1), ab, uv)
-    w = y - np.outer(z, vv @ y) / (1.0 + vv @ z)
-    return w[:, 0] if squeeze else w
+    lam = 1.0 + 4.0 * N * N * np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
+    lam = lam.reshape((-1,) + (1,) * (g.ndim - 1))
+    return np.fft.irfft(np.fft.rfft(g, axis=0) / lam, n=N, axis=0)
 
 
 def resample(u: LoopPath, new_n_nodes: int) -> LoopPath:

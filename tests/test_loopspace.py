@@ -171,7 +171,7 @@ def test_precondition_cosine_eigenvector():
     assert np.allclose(w, dense, atol=1e-12)
 
 
-@pytest.mark.parametrize("N", [8, 64, 256, 1024])
+@pytest.mark.parametrize("N", [8, 63, 64, 256, 1024])
 def test_precondition_residual(N):
     rng = np.random.default_rng(N)
     g = rng.standard_normal((N, 2))
