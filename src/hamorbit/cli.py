@@ -263,8 +263,9 @@ def cmd_solve(args) -> int:
         if solve.message:
             failures.append(solve.message)
 
+    # A hypothesis violation leaves no candidate orbit to integrate.
     orbit = None
-    if solve is not None:
+    if solve is not None and solve.termination != "hypothesis_violation":
         try:
             orbit = synthesize(solve.loop, spec)
         except HamorbitError as err:

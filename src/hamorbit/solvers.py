@@ -1,10 +1,11 @@
 """The two critical-point routes.
 
-Constrained minimization: preconditioned projected descent of the loop
-functional on the ray constraint inside a symmetry subspace.  Each iterate
-is symmetrized, rescaled onto the constraint, moved along the preconditioned
-gradient with its constraint-normal component removed, and re-projected; an
-Armijo backtracking search guarantees monotone decrease of the on-constraint
+Constrained minimization: preconditioned descent of the loop functional on
+the ray constraint inside a symmetry subspace.  The ray constraint is the
+Nehari set of the functional, so the full gradient needs no projection: each
+iterate moves along the preconditioned gradient and is symmetrized and
+rescaled back onto the set along its ray (a retraction); an Armijo
+backtracking search guarantees monotone decrease of the on-constraint
 values.
 
 Mountain pass: deform a discrete path between two low points separated by a
@@ -37,12 +38,10 @@ from .functional import (
     ProblemSpec,
     action,
     action_gradient,
-    constraint_gradient,
     constraint_value,
     cps_append,
     h1_norm,
     scaling_root,
-    weighted_gradient_norm,
 )
 from .loopspace import (
     NONCONSTANT_SPEED,
@@ -122,17 +121,17 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     """Minimize the loop functional on the ray constraint in a symmetry class.
 
     The symmetry class must be e1 or e2: constants are then excluded from the
-    constraint set, which is what makes the minimal level positive.  Returns
-    a report whose termination is ``converged`` only when the Cerami-weighted
-    gradient (full and constraint-tangential) sits below the tolerance and
-    the minimizer is non-constant with positive functional value.
+    constraint set, which is what makes the minimal level positive.  The ray
+    constraint is the Nehari set of the functional (grad f(u).u vanishes on
+    it), so each step descends along the preconditioned full gradient and
+    the ray projection retracts the trial back onto the set.  Returns a
+    report whose termination is ``converged`` only when the Cerami-weighted
+    gradient sits below the tolerance and the minimizer is non-constant with
+    positive functional value.
     """
     opts = opts or SolveOptions()
     if spec.symmetry not in ("e1", "e2"):
         raise ValueError("constrained minimization needs symmetry e1 or e2")
-
-    def report(u, f, term, trace, it, msg, drift):
-        return SolveReport("constrained_min", u, f, term, trace, it, msg, drift)
 
     if initial is None:
         u = make_initial_loop(spec, opts, n_nodes)
@@ -143,11 +142,18 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
 
     trace: list[CpsRecord] = []
     drift_max = 0.0
+
+    def report(loop, f_value, termination, iterations, message=""):
+        return SolveReport(route="constrained_min", loop=loop, f_value=f_value,
+                           termination=termination, trace=trace,
+                           iterations=iterations, message=message,
+                           max_symmetry_drift=drift_max)
+
     try:
         _, u = scaling_root(u, spec, return_loop=True)
     except NoBracketError as err:
-        return report(u, action(u, spec), "hypothesis_violation", trace, 0,
-                      f"{err.code}: {err}", drift_max)
+        return report(u, action(u, spec), "hypothesis_violation", 0,
+                      f"{err.code}: {err}")
 
     f_cur = action(u, spec)
     step = 1.0
@@ -155,31 +161,16 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     for it in range(opts.max_iterations + 1):
         grad = action_gradient(u, spec)
         rec = cps_append(trace, u, spec, None, it, grad)
-        ggrad = constraint_gradient(u, spec)
-        gg = _dot(ggrad, ggrad)
-        if gg > 0.0:
-            tangential = grad - (_dot(grad, ggrad) / gg) * ggrad
-        else:
-            tangential = grad
-        w_tan = weighted_gradient_norm(u, tangential)
-        if max(rec.weighted_gradient, w_tan) <= opts.gradient_tolerance:
+        if rec.weighted_gradient <= opts.gradient_tolerance:
             if f_cur <= 0.0 or speed(u) < NONCONSTANT_SPEED:
-                return report(u, f_cur, "hypothesis_violation", trace, it,
-                              "stationary point is constant or has nonpositive level",
-                              drift_max)
-            return report(u, f_cur, "converged", trace, it, "", drift_max)
+                return report(u, f_cur, "hypothesis_violation", it,
+                              "stationary point is constant or has nonpositive level")
+            return report(u, f_cur, "converged", it)
         if it == opts.max_iterations:
             break
 
-        pf = sobolev_precondition(grad)
-        pg = sobolev_precondition(ggrad)
-        denom = _dot(ggrad, pg)
-        direction = pf - (_dot(ggrad, pf) / denom) * pg if denom > 0.0 else pf
+        direction = sobolev_precondition(grad)
         slope = _dot(grad, direction)
-        if slope <= 0.0:
-            # Preconditioned tangential direction degenerated; fall back.
-            direction = pf
-            slope = _dot(grad, pf)
 
         # Spectral (Barzilai-Borwein) initial step in the preconditioned
         # metric; the Armijo backtracking below keeps descent monotone.
@@ -216,16 +207,16 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
             t *= opts.step_shrink
         if not accepted:
             if bracket_failure is not None:
-                return report(u, f_cur, "hypothesis_violation", trace, it,
-                              f"{bracket_failure.code}: {bracket_failure}", drift_max)
-            return report(u, f_cur, "max_iter", trace, it,
-                          "line search stalled below machine step", drift_max)
+                return report(u, f_cur, "hypothesis_violation", it,
+                              f"{bracket_failure.code}: {bracket_failure}")
+            return report(u, f_cur, "max_iter", it,
+                          "line search stalled below machine step")
         drift_max = max(drift_max, drift)
         u, f_cur = trial, f_new
         step = t
 
-    return report(u, f_cur, "max_iter", trace, opts.max_iterations,
-                  "iteration budget exhausted", drift_max)
+    return report(u, f_cur, "max_iter", opts.max_iterations,
+                  "iteration budget exhausted")
 
 
 def build_endpoint(spec: ProblemSpec, base: LoopPath) -> LoopPath:
@@ -414,9 +405,12 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
     drift_max = 0.0
     step = 1.0
 
-    def report(u, f, term, it, msg=""):
-        return SolveReport("mountain_pass", u, f, term, trace, it, msg,
-                           drift_max, gammas, (z0, z1))
+    def report(loop, f_value, termination, iterations, message=""):
+        return SolveReport(route="mountain_pass", loop=loop, f_value=f_value,
+                           termination=termination, trace=trace,
+                           iterations=iterations, message=message,
+                           max_symmetry_drift=drift_max, gamma_history=gammas,
+                           endpoints=(z0, z1))
 
     for sweep in range(opts.max_iterations + 1):
         i = int(np.argmax(seg_vals))

@@ -22,6 +22,11 @@ def quartic_spec():
 
 def fd_action_gradient(u, spec, step=1e-6):
     """Central finite differences of the loop functional, node by node."""
+    return fd_gradient(action, u, spec, step)
+
+
+def fd_gradient(fn, u, spec, step=1e-6):
+    """Central finite differences of ``fn(loop, spec)``, node by node."""
     nodes = np.array(u.nodes)
     out = np.zeros_like(nodes)
     for k in range(nodes.shape[0]):
@@ -31,7 +36,7 @@ def fd_action_gradient(u, spec, step=1e-6):
             plus[k, i] += h
             minus = nodes.copy()
             minus[k, i] -= h
-            out[k, i] = (action(LoopPath(plus), spec) - action(LoopPath(minus), spec)) / (2 * h)
+            out[k, i] = (fn(LoopPath(plus), spec) - fn(LoopPath(minus), spec)) / (2 * h)
     return out
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -175,15 +177,19 @@ def test_config_unknown_initial_loop_exits_2(tmp_path):
 
 @pytest.mark.parametrize("argv, codes", [
     (["--potential", "0.5*|q|^2 - 0.1*|q|^4", "--n", "2", "--energy", "1"],
-     ("E_NO_BRACKET", "E_BLOWUP")),
+     ("E_NO_BRACKET",)),
     (["--potential", "log(q1)", "--n", "2", "--energy", "1"], ("E_DOMAIN",)),
     ([*HARMONIC, "--route", "mountain_pass", "--mp-radius", "50"], ("E_COLLAPSE",)),
 ], ids=["no_bracket", "domain_error", "collapse"])
 def test_solve_failure_names_every_cause(tmp_path, capsys, argv, codes):
     rep = tmp_path / "r.txt"
     assert run("solve", *argv, "--nodes", "64", "--no-timestamp", "--report", str(rep)) == 1
-    message = parse_report(rep.read_text())["run"]["message"]
+    run_section = parse_report(rep.read_text())["run"]
+    message = run_section["message"]
     err = capsys.readouterr().err
     for text in (message, err):
         where = [text.find(code) for code in codes]
         assert min(where) >= 0 and where == sorted(where), (codes, text)
+        # A failed solve leaves no candidate orbit, so nothing is integrated.
+        assert "E_BLOWUP" not in text
+    assert math.isnan(float(run_section["period"]))

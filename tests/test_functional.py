@@ -14,8 +14,10 @@ from hamorbit import (
     action_gradient,
     circle_loop,
     constraint_distance,
+    constraint_gradient,
     constraint_value,
     cps_append,
+    dirichlet_energy,
     h1_norm,
     parse_potential,
     project_symmetric,
@@ -25,7 +27,7 @@ from hamorbit import (
     weighted_gradient_norm,
     zero_loop,
 )
-from conftest import fd_action_gradient, random_admissible_spec
+from conftest import fd_action_gradient, fd_gradient, random_admissible_spec
 
 
 def test_admissibility_is_strict(harmonic_spec):
@@ -72,6 +74,32 @@ def test_gradient_matches_finite_differences():
         fd = fd_action_gradient(u, spec)
         scale = np.abs(grad).max() + 1e-12
         assert np.abs(grad - fd).max() / scale < 1e-6
+
+
+def test_ray_constraint_is_the_nehari_set():
+    # grad f(u).u = 2 A(u) (h - g(u)) for every discrete loop: on the ray
+    # constraint grad f(u).u = 0, so the constrained route may descend along
+    # the full gradient and retract along the ray.
+    rng = np.random.default_rng(107)
+    for _ in range(40):
+        spec = random_admissible_spec(rng)
+        u = random_loop(int(rng.choice([16, 32, 64])), spec.n, rng,
+                        mean_scale=float(rng.uniform(0.0, 0.5)))
+        lhs = float(np.vdot(action_gradient(u, spec), u.nodes))
+        rhs = 2.0 * dirichlet_energy(u) * (spec.h - constraint_value(u, spec))
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+def test_constraint_gradient_matches_finite_differences():
+    # The 1e-4 ray step of hessian_ray leaves errors up to ~3.2e-9 of the
+    # largest entry on these loops; the outer differences add ~5e-11.
+    rng = np.random.default_rng(103)
+    for _ in range(12):
+        spec = random_admissible_spec(rng)
+        u = random_loop(16, spec.n, rng, mean_scale=0.3)
+        grad = constraint_gradient(u, spec)
+        fd = fd_gradient(constraint_value, u, spec, step=1e-5)
+        assert np.abs(grad - fd).max() / np.abs(grad).max() < 5e-9
 
 
 def test_constraint_value_examples(harmonic_spec, quartic_spec):

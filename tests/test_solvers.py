@@ -44,6 +44,18 @@ def test_minimize_requires_symmetry(harmonic_spec):
         minimize_on_nehari(free)
 
 
+def test_minimize_needs_no_ray_hessian(monkeypatch):
+    # The ray constraint is the Nehari set, so descent never differentiates it.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("hessian_ray called by the constrained solve")
+
+    monkeypatch.setattr("hamorbit.functional.hessian_ray", forbidden)
+    spec = ProblemSpec(PowerLawPotential(0.5, 3, 0, n=3), 3, 1.0, 3.0, 0.0, "e2")
+    rep = minimize_on_nehari(
+        spec, SolveOptions(initial_loop="random_bandlimited", seed=1), n_nodes=64)
+    assert rep.converged and rep.f_value > 0.0
+
+
 def test_minimize_harmonic_circle_init(harmonic_spec):
     rep = minimize_on_nehari(harmonic_spec, SolveOptions(), n_nodes=256)
     assert rep.converged
