@@ -103,12 +103,18 @@ def constraint_gradient(u: LoopPath, spec: ProblemSpec) -> np.ndarray:
     return (1.5 * grad + 0.5 * hessian_ray(spec.potential, nodes)) / u.N
 
 
-def scaling_root(u: LoopPath, spec: ProblemSpec, return_loop: bool = False):
-    """Scale a > 0 placing a*u on the ray constraint, by bracketing + bisection.
+def scaling_root(u: LoopPath, spec: ProblemSpec) -> float:
+    """Scale a > 0 placing a*u on the ray constraint g(a u) = h, by a
+    one-way bracket and bisection.
 
-    Searches scales in [1e-8, 1e8] starting from a = 1; relies on strict
-    monotonicity of a -> constraint_value(a u) (radial nondegeneracy).  The
-    root satisfies |constraint_value(a u) - h| <= 1e-12 * (1 + |h|).
+    Under B2-B4, a -> g(a u) increases: at each node d/dr g is
+    (r^3 dV/dr)' / (2 r^2), B4 makes r^3 dV/dr strictly monotone from 0, and
+    were it to fall, grad V.q < 0 and B2 would give V < mu2/mu1 < h on the
+    whole ray, which B3 rules out.  So the sign of g(u) - h picks the
+    direction: the bracket doubles a from 1 while g < h and halves it while
+    g > h, within [1e-8, 1e8]; bisection then meets
+    |g(a u) - h| <= 1e-12 * (1 + |h|).  :class:`NoBracketError` holds the
+    probes of the one direction searched.
     """
     if not np.any(u.nodes):
         raise ZeroLoopError("ray scaling is undefined for the zero loop")
@@ -117,51 +123,37 @@ def scaling_root(u: LoopPath, spec: ProblemSpec, return_loop: bool = False):
     def phi(a: float) -> float:
         return constraint_value(LoopPath(a * u.nodes), spec) - spec.h
 
-    samples = []
-
     f1 = phi(1.0)
-    samples.append((1.0, f1 + spec.h))
+    samples = [(1.0, f1 + spec.h)]
     if abs(f1) <= tol:
-        return (1.0, LoopPath(u.nodes)) if return_loop else 1.0
+        return 1.0
 
-    lo = hi = 1.0
-    flo = f1
-    found = False
-    for direction in (2.0, 0.5):
-        a, fa = 1.0, f1
-        while ROOT_SCALE_MIN <= a * direction <= ROOT_SCALE_MAX:
-            b = a * direction
-            fb = phi(b)
-            samples.append((b, fb + spec.h))
-            if abs(fb) <= tol:
-                return (b, LoopPath(b * u.nodes)) if return_loop else b
-            if (fa < 0.0) != (fb < 0.0):
-                lo, hi = (a, b) if a < b else (b, a)
-                flo = fa if a < b else fb
-                found = True
-                break
-            a, fa = b, fb
-        if found:
-            break
-    if not found:
-        raise NoBracketError(
-            "no sign change of the constraint along the ray in [1e-8, 1e8]; "
-            "growth hypotheses likely fail for this potential",
-            samples,
-        )
+    direction = 2.0 if f1 < 0.0 else 0.5
+    a = b = 1.0
+    fb = f1
+    while (fb < 0.0) == (f1 < 0.0):
+        a, b = b, b * direction
+        if not ROOT_SCALE_MIN <= b <= ROOT_SCALE_MAX:
+            raise NoBracketError(
+                "no sign change of the constraint along the ray in [1e-8, 1e8]; "
+                "growth hypotheses likely fail for this potential",
+                samples,
+            )
+        fb = phi(b)
+        samples.append((b, fb + spec.h))
+        if abs(fb) <= tol:
+            return b
 
-    mid = 0.5 * (lo + hi)
+    lo, hi = min(a, b), max(a, b)
     for _ in range(ROOT_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         fm = phi(mid)
         if abs(fm) <= tol:
             break
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
+        if fm < 0.0:
+            lo = mid
         else:
             hi = mid
-    if return_loop:
-        return mid, LoopPath(mid * u.nodes)
     return mid
 
 

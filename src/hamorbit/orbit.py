@@ -31,7 +31,6 @@ class OrbitResult:
     period: float
     times: np.ndarray  # (N,), t_k = k T / N
     positions: np.ndarray  # (N, n)
-    f_value: float
     ode_sup: float
     energy_sup: float
     closure: float
@@ -126,7 +125,6 @@ def synthesize(u: LoopPath, spec: ProblemSpec) -> OrbitResult:
         period=T,
         times=np.arange(u.N) * (T / u.N),
         positions=q,
-        f_value=dirichlet_energy(u) * integrate(spec.h - spec.potential.value(u.nodes)),
         ode_sup=ode_sup,
         energy_sup=energy_sup,
         closure=closure,

@@ -242,7 +242,6 @@ def _check_coercivity(p, h, rng, cfg):
     # Smallest tested radius beyond which every sampled sphere stays >= h.
     suffix_ok = np.flip(np.logical_and.accumulate(np.flip(ok)))
     if not suffix_ok.any():
-        j = int(np.argmin(minima))
         return HypothesisReport(
             "B3", "fail", float(minima[-1] - h), cfg.radii * cfg.samples,
             cfg.tolerance, worst_pts[-1], radius=float(radii[-1]),

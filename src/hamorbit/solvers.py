@@ -38,7 +38,6 @@ from .functional import (
     ProblemSpec,
     action,
     action_gradient,
-    constraint_value,
     cps_append,
     h1_norm,
     scaling_root,
@@ -150,7 +149,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
                            max_symmetry_drift=drift_max)
 
     try:
-        _, u = scaling_root(u, spec, return_loop=True)
+        u = LoopPath(scaling_root(u, spec) * u.nodes)
     except NoBracketError as err:
         return report(u, action(u, spec), "hypothesis_violation", 0,
                       f"{err.code}: {err}")
@@ -192,7 +191,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
             try:
                 drift = symmetry_defect(raw, spec.symmetry)
                 trial = project_symmetric(LoopPath(raw), spec.symmetry)
-                _, trial = scaling_root(trial, spec, return_loop=True)
+                trial = LoopPath(scaling_root(trial, spec) * trial.nodes)
                 f_new = action(trial, spec)
             except NoBracketError as err:
                 bracket_failure = err
@@ -241,24 +240,18 @@ def build_endpoint(spec: ProblemSpec, base: LoopPath) -> LoopPath:
     )
 
 
-def separation_check(z0: LoopPath, z1: LoopPath, where: GradientSphere | None,
+def separation_check(z0: LoopPath, z1: LoopPath, sphere: GradientSphere,
                      spec: ProblemSpec):
-    """Check that a constraint set separates the endpoints.
+    """Check that a derivative sphere separates the endpoints.
 
-    ``where=None`` is the ray constraint.  Returns (ok, certificate): for a
-    derivative sphere the certificate holds the two derivative norms; for the
-    ray constraint the two constraint values against h.
+    Returns (ok, certificate), the certificate holding the two derivative
+    norms and the radius.  ``spec`` is not read: the sphere is independent
+    of the potential.
     """
-    if where is not None:
-        s0, s1 = speed(z0), speed(z1)
-        lo, hi = min(s0, s1), max(s0, s1)
-        return bool(lo < where.radius < hi), {"speed_z0": s0, "speed_z1": s1,
-                                              "radius": where.radius}
-    g0 = constraint_value(z0, spec)
-    g1 = constraint_value(z1, spec)
-    lo, hi = min(g0, g1), max(g0, g1)
-    return bool(lo < spec.h < hi), {"constraint_z0": g0, "constraint_z1": g1,
-                                    "h": spec.h}
+    s0, s1 = speed(z0), speed(z1)
+    lo, hi = min(s0, s1), max(s0, s1)
+    return bool(lo < sphere.radius < hi), {"speed_z0": s0, "speed_z1": s1,
+                                           "radius": sphere.radius}
 
 
 def _redistribute(path: list[np.ndarray]) -> list[np.ndarray]:
@@ -292,10 +285,13 @@ class _PathMax:
     sees every barrier crossing, so the level estimate cannot collapse while
     the endpoints stay separated.
 
-    A coarse grid localizes the maximum; bisection on the exact tangential
-    derivative then pins it to machine precision (value-only refinement could
-    not get closer than the square root of rounding near a flat maximum,
-    which would leave a spurious gradient floor at the located top).
+    A coarse grid localizes the maximum.  When the exact tangential
+    derivative changes sign across the best grid point's neighbours,
+    bisection on it pins the interior maximum to machine precision
+    (value-only refinement could not get closer than the square root of
+    rounding near a flat maximum, which would leave a spurious gradient floor
+    at the located top).  Otherwise the grid maximum itself is returned: any
+    other grid point is already in the grid and no higher.
     """
 
     GRID = np.linspace(0.0, 1.0, 9)
@@ -329,25 +325,18 @@ class _PathMax:
         lo = self.GRID[max(k - 1, 0)]
         hi = self.GRID[min(k + 1, len(self.GRID) - 1)]
         dlo, dhi = dval(lo), dval(hi)
-        if dlo is None or dhi is None:
+        if dlo is None or dhi is None or not dlo > 0.0 > dhi:
             return float(coarse[k]), float(self.GRID[k])
-        if dlo > 0.0 > dhi:
-            for _ in range(self.BISECTIONS):
-                mid = 0.5 * (lo + hi)
-                dmid = dval(mid)
-                if dmid is None or hi - lo < 1e-14:
-                    break
-                if dmid > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            tau = 0.5 * (lo + hi)
-        elif dlo > 0.0 and dhi > 0.0:
-            tau = hi
-        elif dlo < 0.0 and dhi < 0.0:
-            tau = lo
-        else:
-            tau = lo if val(lo) >= val(hi) else hi
+        for _ in range(self.BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            dmid = dval(mid)
+            if dmid is None or hi - lo < 1e-14:
+                break
+            if dmid > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        tau = 0.5 * (lo + hi)
         value = val(tau)
         if coarse[k] > value:
             return float(coarse[k]), float(self.GRID[k])

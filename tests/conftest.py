@@ -40,6 +40,19 @@ def fd_gradient(fn, u, spec, step=1e-6):
     return out
 
 
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call; returns the call list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_admissible_spec(rng, dim=None):
     """Random power-law or expression spec with h safely above mu2/mu1."""
     n = int(dim if dim is not None else rng.integers(1, 4))

@@ -175,6 +175,16 @@ def test_config_unknown_initial_loop_exits_2(tmp_path):
     assert not rep.exists()
 
 
+def test_solve_potential_that_overflows_far_out(tmp_path):
+    # exp overflows far out on every ray; the ray search must not go there.
+    argv = ["--potential", "exp(0.5*|q|^2) - 1", "--n", "2", "--energy", "1"]
+    rep, orb = tmp_path / "r.txt", tmp_path / "o.csv"
+    assert run("solve", *argv, "--nodes", "64", "--no-timestamp",
+               "--report", str(rep), "--orbit", str(orb)) == 0
+    assert parse_report(rep.read_text())["run"]["termination"] == "converged"
+    assert run("verify", str(orb), *argv) == 0
+
+
 @pytest.mark.parametrize("argv, codes", [
     (["--potential", "0.5*|q|^2 - 0.1*|q|^4", "--n", "2", "--energy", "1"],
      ("E_NO_BRACKET",)),

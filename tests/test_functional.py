@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hamorbit import functional
 from hamorbit import (
     GradientSphere,
     LoopPath,
@@ -27,7 +28,7 @@ from hamorbit import (
     weighted_gradient_norm,
     zero_loop,
 )
-from conftest import fd_action_gradient, fd_gradient, random_admissible_spec
+from conftest import count_calls, fd_action_gradient, fd_gradient, random_admissible_spec
 
 
 def test_admissibility_is_strict(harmonic_spec):
@@ -132,6 +133,40 @@ def test_scaling_root_errors(harmonic_spec):
     assert len(err.value.samples) > 3
 
 
+def test_scaling_root_searches_one_direction(monkeypatch):
+    # The sign of g(u) - h picks the bracket's direction, so a loop just off
+    # the set costs about the same on either side.
+    spec = ProblemSpec(PowerLawPotential(0.5, 3, 0, n=3), 3, 1.0, 3.0, 0.0, "e2")
+    u = project_symmetric(random_loop(256, 3, np.random.default_rng(0)), "e2")
+    on_set = scaling_root(u, spec) * u.nodes
+    calls = count_calls(monkeypatch, functional, "constraint_value")
+    for lam in (1.02, 0.98):
+        calls.clear()
+        a = scaling_root(LoopPath(lam * on_set), spec)
+        assert a == pytest.approx(1.0 / lam, rel=1e-10)
+        assert len(calls) <= 45
+
+
+def test_scaling_root_stays_below_overflow():
+    # g(u) > h on the unit circle, and exp overflows far out on the ray: the
+    # bracket shrinks the scale and never probes out there.
+    spec = ProblemSpec(parse_potential("exp(0.5*|q|^2) - 1", 2), 2, 1.0, 2.0, 0.0, "e1")
+    u = circle_loop(64, 2)
+    a = scaling_root(u, spec)
+    assert abs(constraint_value(LoopPath(a * u.nodes), spec) - spec.h) <= 1e-12 * (1 + spec.h)
+
+
+def test_scaling_root_on_a_decreasing_ray():
+    # 3 - |q|^2 fails B3: g(a u) = 3 - 2a^2 falls along the ray, so from
+    # g(u) = 1 < h the bracket grows the scale and never meets the root at
+    # a = 1/sqrt(2).
+    spec = ProblemSpec(parse_potential("3 - |q|^2", 2), 2, 2.0, 2.0, 0.0)
+    with pytest.raises(NoBracketError) as err:
+        scaling_root(circle_loop(16, 2), spec)
+    scales = [a for a, _ in err.value.samples]
+    assert all(a < b for a, b in zip(scales, scales[1:]))
+
+
 def test_scaling_root_homogeneity():
     rng = np.random.default_rng(7)
     spec = ProblemSpec(PowerLawPotential(0.6, 3, 0, n=2), 2, 1.3, 3.0, 0.0)
@@ -213,6 +248,6 @@ def test_constrained_level_positive_on_random_loops():
         u = project_symmetric(random_loop(32, 2, rng), sym)
         if not np.any(u.nodes):
             continue
-        _, on_set = scaling_root(u, spec, return_loop=True)
+        on_set = LoopPath(scaling_root(u, spec) * u.nodes)
         assert action(on_set, spec) > 0.0
         count += 1

@@ -72,7 +72,7 @@ def test_synthesize_quartic(quartic_spec):
 def test_verifier_rejects_quartic_impostor(quartic_spec):
     # 2:1 ellipse scaled onto the constraint is not a quartic orbit
     ellipse = mode_one_loop(256, (2.0, 1.0))
-    _, on_set = scaling_root(ellipse, quartic_spec, return_loop=True)
+    on_set = LoopPath(scaling_root(ellipse, quartic_spec) * ellipse.nodes)
     orb = synthesize(on_set, quartic_spec)
     assert orb.ode_sup >= 0.1
 
@@ -81,7 +81,7 @@ def test_harmonic_ellipse_is_a_true_orbit(harmonic_spec):
     # For the isotropic oscillator every correctly scaled first-mode ellipse
     # solves the dynamics at the right energy, so the verifier accepts it.
     ellipse = mode_one_loop(256, (2.0, 1.0))
-    _, on_set = scaling_root(ellipse, harmonic_spec, return_loop=True)
+    on_set = LoopPath(scaling_root(ellipse, harmonic_spec) * ellipse.nodes)
     orb = synthesize(on_set, harmonic_spec)
     assert orb.ode_sup <= 1e-9
     assert orb.energy_sup <= 1e-3

@@ -24,7 +24,9 @@ from hamorbit import (
     synthesize,
     zero_loop,
 )
-from conftest import mode_one_loop
+from hamorbit import solvers
+from hamorbit.solvers import _PathMax
+from conftest import count_calls, mode_one_loop
 
 
 def test_options_validation():
@@ -166,12 +168,6 @@ def test_build_endpoint_errors(harmonic_spec):
 def test_separation_certificates(harmonic_spec):
     z0 = zero_loop(256, 2)
     two = LoopPath(2.0 * circle_loop(256, 2).nodes)
-    ok, cert = separation_check(z0, two, None, harmonic_spec)
-    assert ok
-    assert cert["constraint_z0"] == pytest.approx(0.0, abs=1e-14)
-    assert cert["constraint_z1"] == pytest.approx(4.0, rel=1e-12)
-    same, _ = separation_check(two, two, None, harmonic_spec)
-    assert not same
     ok_sphere, cert = separation_check(z0, two, GradientSphere(2 * math.pi), harmonic_spec)
     assert ok_sphere
     # both endpoints inside a radius-10 sphere: no separation, with certificate
@@ -179,6 +175,23 @@ def test_separation_certificates(harmonic_spec):
     ok_small, cert = separation_check(z0, half, GradientSphere(10.0), harmonic_spec)
     assert not ok_small
     assert cert["speed_z0"] < 10.0 and cert["speed_z1"] < 10.0
+
+
+def test_segment_max_grid_or_bisect(harmonic_spec, monkeypatch):
+    real = solvers.action
+    calls = count_calls(monkeypatch, solvers, "action")
+    pmax = _PathMax(harmonic_spec)
+    circle = circle_loop(64, 2).nodes
+    zero = np.zeros_like(circle)
+    # Rising to the far end: the grid maximum is the answer, with no
+    # evaluation past the grid.
+    value, tau = pmax.segment_max(zero, 0.5 * circle)
+    assert tau == 1.0 and len(calls) == 9
+    assert value == real(LoopPath(0.5 * circle), harmonic_spec)
+    # An interior top at radius sqrt(h) = 1 is bisected on the derivative.
+    value, tau = pmax.segment_max(zero, 3.0 * circle)
+    assert abs(tau - 1.0 / 3.0) <= 1e-12
+    assert value == pytest.approx(math.pi**2, rel=1e-3)
 
 
 @pytest.mark.parametrize("m", [15, 16])
