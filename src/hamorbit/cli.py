@@ -15,6 +15,8 @@ import json
 import re
 import sys
 
+import numpy as np
+
 from .errors import (
     ExpressionParseError,
     HamorbitError,
@@ -412,7 +414,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every overflow, division or invalid value that matters fails a
+        # finite check with a named cause; numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -12,17 +12,35 @@ Grammar (whitespace-insensitive, 1-based character positions in errors)::
 is ``-(q1^2)`` and ``2^-1`` is ``0.5``.  Functions: exp, log, sin, cos,
 sqrt, abs.
 
-Evaluation is vectorized over a batch of points.  Gradients come from a
-single forward pass with dual numbers whose derivative part is the full
-(batch, dim) Jacobian row block, so one tree traversal yields all partial
-derivatives.  At q = 0 the norm primitive ``|q|`` uses the subgradient 0,
-matching the usual convention for abs.
+Each tree is compiled once (:func:`compile_expression`) into a nest of
+closures, one per node, so evaluation never dispatches on node type.  Every
+node has a plain closure, giving values on a (M, n) batch of points, and a
+dual one, giving the pair (values, (M, n) Jacobian block) of forward-mode
+differentiation, so one pass yields all partial derivatives.  At q = 0 the
+norm primitive ``|q|`` uses the subgradient 0, matching the usual
+convention for abs.
+
+Compiling folds every subtree without q into its number, unless folding
+raises a :class:`DomainError` or gives a non-finite value; such a subtree
+stays a closure and fails at evaluation, as the tree walk did.  A folded
+exponent settles at compile time which base checks of ``^`` can fire: an
+integer exponent drops the non-integer-exponent check, and a non-negative
+one the zero-base check; ``x^2`` is one multiply, with the bits of
+``np.power``.  Kept at every evaluation: the zero-divisor, log, sqrt and
+variable-exponent checks, the finiteness of the power rule's coefficient,
+and the final finiteness gates of :func:`evaluate` and
+:func:`evaluate_gradient`.  No rewrite changes rounding: operands keep
+their order and every other power goes through ``np.power``, so values and
+gradients are bit-identical to a walk of the tree.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -243,201 +261,350 @@ def parse_expression(src: str, dim: int):
 
 
 # ---------------------------------------------------------------------------
-# evaluation: plain arrays or dual numbers
+# compilation: one closure per node, built once
 
-class Dual:
-    """Value/Jacobian pair: ``val`` has shape (M,), ``der`` shape (M, n)."""
-
-    __slots__ = ("val", "der")
-
-    # Make numpy defer to the reflected operators instead of coercing.
-    __array_ufunc__ = None
-
-    def __init__(self, val, der):
-        self.val = val
-        self.der = der
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.der + other.der)
-        return Dual(self.val + other, self.der)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val - other.val, self.der - other.der)
-        return Dual(self.val - other, self.der)
-
-    def __rsub__(self, other):
-        return Dual(other - self.val, -self.der)
-
-    def __neg__(self):
-        return Dual(-self.val, -self.der)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.val * other.val,
-                self.der * other.val[:, None] + other.der * self.val[:, None],
-            )
-        return Dual(self.val * other, self.der * np.asarray(other)[..., None])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            _nonzero(other.val, "division by zero")
-            inv = 1.0 / other.val
-            val = self.val * inv
-            return Dual(val, (self.der - other.der * val[:, None]) * inv[:, None])
-        other = np.asarray(other, dtype=float)
-        _nonzero(other, "division by zero")
-        return Dual(self.val / other, self.der / other[..., None])
-
-    def __rtruediv__(self, other):
-        _nonzero(self.val, "division by zero")
-        val = other / self.val
-        return Dual(val, -self.der * (val / self.val)[:, None])
+_NEGATIVE_BASE = "negative base with non-integer exponent"
+_ZERO_BASE = "zero base with negative exponent"
+_VARIABLE_EXPONENT = "power with variable exponent needs positive base"
+_DIVISION = "division by zero"
 
 
-def _value(x):
-    return x.val if isinstance(x, Dual) else x
+class Program(NamedTuple):
+    """A compiled expression: ``value(points)`` gives shape (M,) and
+    ``gradient(points)`` shape (M, n) at a (M, n) batch of points."""
+
+    value: Callable
+    gradient: Callable
 
 
-def _nonzero(arr, message):
-    if np.any(np.asarray(arr) == 0.0):
+class _Code(NamedTuple):
+    """One compiled node.  ``plain(points)`` gives its values and
+    ``dual(points)`` the pair ``(val, der)``, der of shape (M, n).  A node
+    without q (``constant``) gives the same scalar from both; ``folded`` is
+    that scalar when it was computed at compile time, else None."""
+
+    plain: Callable
+    dual: Callable
+    constant: bool
+    folded: object = None
+
+
+def _require(ok, message):
+    if not ok.all():
         raise DomainError(message)
 
 
-def _check(cond, message):
-    if not np.all(cond):
-        raise DomainError(message)
+def _fold(code: _Code) -> _Code:
+    """Evaluate a q-free node once.  If that raises or is not finite the node
+    stays a closure, so it fails at evaluation with its own message."""
+    try:
+        with np.errstate(all="ignore"):
+            k = code.plain(None)
+    except DomainError:
+        return code
+    if not np.isfinite(k):
+        return code
+
+    def const(points):
+        return k
+
+    return _Code(const, const, True, k)
 
 
-def _pow(base, expo):
-    bval = _value(base)
-    eval_ = _value(expo)
-    if isinstance(expo, Dual):
-        # Variable exponent: route through exp(e * log(b)), which needs b > 0.
-        _check(np.asarray(bval) > 0.0, "power with variable exponent needs positive base")
-        return _exp(expo * _log(base))
-    e = np.asarray(eval_, dtype=float)
-    b = np.asarray(bval, dtype=float)
-    fractional = e != np.floor(e)
-    _check(~((b < 0.0) & fractional), "negative base with non-integer exponent")
-    _check(~((b == 0.0) & (e < 0.0)), "zero base with negative exponent")
-    val = np.power(bval, eval_)
-    if not isinstance(base, Dual):
-        return val
+def _var(i: int) -> _Code:
+    def plain(points):
+        return points[:, i]
+
+    def dual(points):
+        der = np.zeros(points.shape, points.dtype)
+        der[:, i] = 1.0
+        return points[:, i], der
+
+    return _Code(plain, dual, False)
+
+
+def _norm_plain(points):
+    return np.linalg.norm(points, axis=1)
+
+
+def _norm_dual(points):
+    r = np.linalg.norm(points, axis=1)
+    positive = r > 0.0
+    if positive.all():
+        return r, points / r[:, None]
+    der = points / np.where(positive, r, 1.0)[:, None]
+    der[r == 0.0] = 0.0  # subgradient choice at the origin
+    return r, der
+
+
+def _neg(a: _Code) -> _Code:
+    f, d = a.plain, a.dual
+
+    def plain(points):
+        return np.negative(f(points))
+
+    def dual(points):
+        v, dv = d(points)
+        return -v, -dv
+
+    return _Code(plain, plain if a.constant else dual, a.constant)
+
+
+def _binary(a: _Code, b: _Code, op, vv, vc, cv) -> _Code:
+    """Node ``op(a, b)``; its dual applies ``vv(v, dv, w, dw)``,
+    ``vc(v, dv, c)`` or ``cv(c, w, dw)`` by which operands hold q.  The left
+    operand is always evaluated first."""
+    fa, fb, da, db = a.plain, b.plain, a.dual, b.dual
+
+    def plain(points):
+        return op(fa(points), fb(points))
+
+    if a.constant and b.constant:
+        return _Code(plain, plain, True)
+    if b.constant:
+        def dual(points):
+            v, dv = da(points)
+            return vc(v, dv, fb(points))
+    elif a.constant:
+        def dual(points):
+            c = fa(points)
+            return cv(c, *db(points))
+    else:
+        def dual(points):
+            v, dv = da(points)
+            return vv(v, dv, *db(points))
+    return _Code(plain, dual, False)
+
+
+def _add(a, b):
+    return _binary(
+        a, b, operator.add,
+        lambda v, dv, w, dw: (v + w, dv + dw),
+        lambda v, dv, c: (v + c, dv),
+        lambda c, w, dw: (w + c, dw),
+    )
+
+
+def _sub(a, b):
+    return _binary(
+        a, b, operator.sub,
+        lambda v, dv, w, dw: (v - w, dv - dw),
+        lambda v, dv, c: (v - c, dv),
+        lambda c, w, dw: (c - w, -dw),
+    )
+
+
+def _mul(a, b):
+    return _binary(
+        a, b, operator.mul,
+        lambda v, dv, w, dw: (v * w, dv * w[:, None] + dw * v[:, None]),
+        lambda v, dv, c: (v * c, dv * c),
+        lambda c, w, dw: (w * c, dw * c),
+    )
+
+
+def _divide(x, y):
+    _require(np.asarray(y) != 0.0, _DIVISION)
+    return x / y
+
+
+def _div_vv(v, dv, w, dw):
+    _require(w != 0.0, _DIVISION)
+    inv = 1.0 / w
+    val = v * inv
+    return val, (dv - dw * val[:, None]) * inv[:, None]
+
+
+def _div_vc(v, dv, c):
+    _require(np.asarray(c) != 0.0, _DIVISION)
+    return v / c, dv / c
+
+
+def _div_cv(c, w, dw):
+    _require(w != 0.0, _DIVISION)
+    val = c / w
+    return val, -dw * (val / w)[:, None]
+
+
+def _div(a, b):
+    return _binary(a, b, _divide, _div_vv, _div_vc, _div_cv)
+
+
+def _power(base, expo):
+    """base ^ expo on plain values, with every domain check."""
+    b = np.asarray(base, dtype=float)
+    e = np.asarray(expo, dtype=float)
+    _require(~((b < 0.0) & (e != np.floor(e))), _NEGATIVE_BASE)
+    _require(~((b == 0.0) & (e < 0.0)), _ZERO_BASE)
+    return np.power(base, expo)
+
+
+def _pow_vv(v, dv, e, de):
+    # Variable exponent: b^e = exp(e * log(b)), which needs b > 0.
+    _require(v > 0.0, _VARIABLE_EXPONENT)
+    log_v = np.log(v)
+    val = np.exp(e * log_v)
+    return val, (de * log_v[:, None] + dv / v[:, None] * e[:, None]) * val[:, None]
+
+
+def _pow_vc(v, dv, e):
     # Constant exponent: the power rule, valid for negative bases too.
-    dcoef = eval_ * np.power(bval, eval_ - 1.0)
-    _check(np.isfinite(dcoef), "power not differentiable here")
-    return Dual(val, base.der * np.asarray(dcoef)[..., None])
+    val = _power(v, e)
+    dcoef = e * np.power(v, e - 1.0)
+    _require(np.isfinite(dcoef), "power not differentiable here")
+    return val, dv * dcoef[:, None]
 
 
-def _exp(x):
-    if isinstance(x, Dual):
-        v = np.exp(x.val)
-        return Dual(v, x.der * v[:, None])
-    return np.exp(x)
+def _pow_cv(c, e, de):
+    _require(np.asarray(c) > 0.0, _VARIABLE_EXPONENT)
+    log_c = np.log(c)
+    val = np.exp(e * log_c)
+    return val, de * log_c * val[:, None]
 
 
-def _log(x):
-    v = _value(x)
-    _check(np.asarray(v) > 0.0, "log of a non-positive value")
-    if isinstance(x, Dual):
-        return Dual(np.log(x.val), x.der / x.val[:, None])
-    return np.log(x)
+def _pow_folded(a: _Code, k) -> _Code:
+    """``a ^ k`` for a folded exponent k and a base with q.  The base checks
+    that k rules out are dropped here, once; ``v * v`` has the bits of
+    ``np.power(v, 2.0)`` and ``k * v`` those of ``k * np.power(v, 1.0)``."""
+    f, d = a.plain, a.dual
+    fractional = k != math.floor(k)
+    negative = k < 0.0
+    square = k == 2.0
+    k1 = k - 1.0
+
+    def power(v):
+        if fractional:
+            _require(~(v < 0.0), _NEGATIVE_BASE)
+        if negative:
+            _require(v != 0.0, _ZERO_BASE)
+        return v * v if square else np.power(v, k)
+
+    def plain(points):
+        return power(f(points))
+
+    def dual(points):
+        v, dv = d(points)
+        val = power(v)
+        dcoef = k * v if square else k * np.power(v, k1)
+        _require(np.isfinite(dcoef), "power not differentiable here")
+        return val, dv * dcoef[:, None]
+
+    return _Code(plain, dual, False)
 
 
-def _sin(x):
-    if isinstance(x, Dual):
-        return Dual(np.sin(x.val), x.der * np.cos(x.val)[:, None])
-    return np.sin(x)
+def _pow(a, b):
+    if b.folded is not None and not a.constant:
+        return _pow_folded(a, b.folded)
+    return _binary(a, b, _power, _pow_vv, _pow_vc, _pow_cv)
 
 
-def _cos(x):
-    if isinstance(x, Dual):
-        return Dual(np.cos(x.val), -x.der * np.sin(x.val)[:, None])
-    return np.cos(x)
+def _log(v):
+    _require(np.asarray(v) > 0.0, "log of a non-positive value")
+    return np.log(v)
 
 
-def _sqrt(x):
-    v = _value(x)
-    _check(np.asarray(v) >= 0.0, "sqrt of a negative value")
-    if isinstance(x, Dual):
-        _check(np.asarray(x.val) > 0.0, "sqrt not differentiable at zero")
-        r = np.sqrt(x.val)
-        return Dual(r, x.der * (0.5 / r)[:, None])
-    return np.sqrt(x)
+def _log_dual(v, dv):
+    _require(v > 0.0, "log of a non-positive value")
+    return np.log(v), dv / v[:, None]
 
 
-def _abs(x):
-    if isinstance(x, Dual):
-        return Dual(np.abs(x.val), x.der * np.sign(x.val)[:, None])
-    return np.abs(x)
+def _sqrt(v):
+    _require(np.asarray(v) >= 0.0, "sqrt of a negative value")
+    return np.sqrt(v)
 
 
-_FUNCS = {"exp": _exp, "log": _log, "sin": _sin, "cos": _cos, "sqrt": _sqrt, "abs": _abs}
+def _sqrt_dual(v, dv):
+    _require(v >= 0.0, "sqrt of a negative value")
+    _require(v > 0.0, "sqrt not differentiable at zero")
+    r = np.sqrt(v)
+    return r, dv * (0.5 / r)[:, None]
 
 
-def _eval(node, points: np.ndarray, dual: bool):
+def _exp_dual(v, dv):
+    e = np.exp(v)
+    return e, dv * e[:, None]
+
+
+# name: (plain function, dual function of (val, der))
+_FUNCS = {
+    "exp": (np.exp, _exp_dual),
+    "log": (_log, _log_dual),
+    "sin": (np.sin, lambda v, dv: (np.sin(v), dv * np.cos(v)[:, None])),
+    "cos": (np.cos, lambda v, dv: (np.cos(v), -dv * np.sin(v)[:, None])),
+    "sqrt": (_sqrt, _sqrt_dual),
+    "abs": (np.abs, lambda v, dv: (np.abs(v), dv * np.sign(v)[:, None])),
+}
+
+
+def _call(func: str, a: _Code) -> _Code:
+    fn, fn_dual = _FUNCS[func]
+    f, d = a.plain, a.dual
+
+    def plain(points):
+        return fn(f(points))
+
+    def dual(points):
+        return fn_dual(*d(points))
+
+    return _Code(plain, plain if a.constant else dual, a.constant)
+
+
+_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
+
+
+def _compile(node) -> _Code:
     if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        col = points[:, node.index - 1]
-        if not dual:
-            return col
-        der = np.zeros_like(points)
-        der[:, node.index - 1] = 1.0
-        return Dual(col, der)
-    if isinstance(node, Norm):
-        r = np.linalg.norm(points, axis=1)
-        if not dual:
-            return r
-        safe = np.where(r > 0.0, r, 1.0)
-        der = points / safe[:, None]
-        der[r == 0.0] = 0.0  # subgradient choice at the origin
-        return Dual(r, der)
-    if isinstance(node, Neg):
-        child = _eval(node.child, points, dual)
-        return -child if isinstance(child, Dual) else np.negative(child)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, points, dual)
-        right = _eval(node.right, points, dual)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if not isinstance(left, Dual) and not isinstance(right, Dual):
-                _nonzero(right, "division by zero")
-            return left / right  # Dual operands check their own domain
-        return _pow(left, right)
-    if isinstance(node, Call):
-        return _FUNCS[node.func](_eval(node.arg, points, dual))
-    raise TypeError(f"not an expression node: {node!r}")
+        k = node.value
+        code = _Code(lambda points: k, lambda points: k, True)
+    elif isinstance(node, Var):
+        return _var(node.index - 1)
+    elif isinstance(node, Norm):
+        return _Code(_norm_plain, _norm_dual, False)
+    elif isinstance(node, Neg):
+        code = _neg(_compile(node.child))
+    elif isinstance(node, BinOp):
+        code = _BINARY[node.op](_compile(node.left), _compile(node.right))
+    elif isinstance(node, Call):
+        code = _call(node.func, _compile(node.arg))
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    return _fold(code) if code.constant else code
 
 
-def evaluate(node, points: np.ndarray) -> np.ndarray:
-    """Evaluate the tree at a (M, n) batch of points, returning shape (M,)."""
-    out = _eval(node, points, dual=False)
-    out = np.broadcast_to(np.asarray(out, dtype=float), points.shape[:1]).copy()
-    if not np.all(np.isfinite(out)):
+def compile_expression(node) -> Program:
+    """Compile a syntax tree once into the program that :func:`evaluate`
+    and :func:`evaluate_gradient` run."""
+    code = _compile(node)
+    f, d = code.plain, code.dual
+    if code.constant:
+        def value(points):
+            return np.broadcast_to(np.asarray(f(points), dtype=float), points.shape[:1]).copy()
+
+        def gradient(points):
+            f(points)  # an unfolded constant fails here as in value
+            return np.zeros_like(points)
+
+        return Program(value, gradient)
+
+    def gradient(points):
+        return d(points)[1]
+
+    if isinstance(node, Var):  # a bare column would alias the points
+        return Program(lambda points: f(points).copy(), gradient)
+    return Program(f, gradient)
+
+
+def evaluate(program: Program, points: np.ndarray) -> np.ndarray:
+    """Values at a (M, n) batch of points, returning shape (M,)."""
+    out = program.value(points)
+    if not np.isfinite(out).all():
         raise DomainError("expression evaluated to a non-finite value")
     return out
 
 
-def evaluate_gradient(node, points: np.ndarray) -> np.ndarray:
+def evaluate_gradient(program: Program, points: np.ndarray) -> np.ndarray:
     """Forward-mode gradient at a (M, n) batch of points, returning (M, n)."""
-    out = _eval(node, points, dual=True)
-    if isinstance(out, Dual):
-        grad = np.asarray(out.der, dtype=float)
-    else:  # constant expression
-        grad = np.zeros_like(points)
-    if not np.all(np.isfinite(grad)):
+    grad = program.gradient(points)
+    if not np.isfinite(grad).all():
         raise DomainError("gradient evaluated to a non-finite value")
     return grad

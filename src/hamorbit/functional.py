@@ -103,6 +103,11 @@ def constraint_gradient(u: LoopPath, spec: ProblemSpec) -> np.ndarray:
     return (1.5 * grad + 0.5 * hessian_ray(spec.potential, nodes)) / u.N
 
 
+def root_tolerance(spec: ProblemSpec) -> float:
+    """How close g(u) must come to h for u to count as on the ray constraint."""
+    return 1e-12 * (1.0 + abs(spec.h))
+
+
 def scaling_root(u: LoopPath, spec: ProblemSpec) -> float:
     """Scale a > 0 placing a*u on the ray constraint g(a u) = h, by a
     one-way bracket and bisection.
@@ -113,12 +118,12 @@ def scaling_root(u: LoopPath, spec: ProblemSpec) -> float:
     whole ray, which B3 rules out.  So the sign of g(u) - h picks the
     direction: the bracket doubles a from 1 while g < h and halves it while
     g > h, within [1e-8, 1e8]; bisection then meets
-    |g(a u) - h| <= 1e-12 * (1 + |h|).  :class:`NoBracketError` holds the
+    |g(a u) - h| <= :func:`root_tolerance`.  :class:`NoBracketError` holds the
     probes of the one direction searched.
     """
     if not np.any(u.nodes):
         raise ZeroLoopError("ray scaling is undefined for the zero loop")
-    tol = 1e-12 * (1.0 + abs(spec.h))
+    tol = root_tolerance(spec)
 
     def phi(a: float) -> float:
         return constraint_value(LoopPath(a * u.nodes), spec) - spec.h
@@ -222,10 +227,13 @@ def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, where: GradientSpher
     if trace and iteration <= trace[-1].iteration:
         raise ValueError("iteration indices must be strictly increasing")
     residual = abs(constraint_value(u, spec) - spec.h)
-    try:
-        proxy = constraint_distance(u, where, spec)
-    except ZeroLoopError:
-        proxy = residual  # ray projection undefined at 0; fall back
+    if where is None and residual <= root_tolerance(spec) and np.any(u.nodes):
+        proxy = 0.0  # on the set already: scaling_root would return 1
+    else:
+        try:
+            proxy = constraint_distance(u, where, spec)
+        except ZeroLoopError:
+            proxy = residual  # ray projection undefined at 0; fall back
     rec = CpsRecord(
         iteration=iteration,
         f_value=action(u, spec),

@@ -96,16 +96,17 @@ class ExpressionPotential(PotentialModel):
     def __init__(self, source: str, n: int):
         self.source = source
         self.n = int(n)
-        self.ast = expressions.parse_expression(source, self.n)
+        self.program = expressions.compile_expression(
+            expressions.parse_expression(source, self.n))
 
     def value(self, q):
         pts, single = _batched(q, self.n)
-        out = expressions.evaluate(self.ast, pts)
+        out = expressions.evaluate(self.program, pts)
         return float(out[0]) if single else out
 
     def gradient(self, q):
         pts, single = _batched(q, self.n)
-        out = expressions.evaluate_gradient(self.ast, pts)
+        out = expressions.evaluate_gradient(self.program, pts)
         return out[0] if single else out
 
     def describe(self) -> str:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hamorbit
 from hamorbit.cli import ConfigError, main, make_potential
 from hamorbit.reportio import parse_report, read_orbit_table, write_orbit_table
 
@@ -39,6 +43,19 @@ def test_parse_error_exits_2(capsys):
     code = run("check", "--potential", "0.5*(|q|^2", "--n", "2", "--energy", "1")
     assert code == 2
     assert "position" in capsys.readouterr().err
+
+
+def test_domain_failure_prints_only_its_error_line():
+    # exp overflows at the sampled points: the cause is named once, with no
+    # numpy RuntimeWarning and source line ahead of it on stderr.
+    src = os.path.dirname(os.path.dirname(hamorbit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "hamorbit.cli", "check", "--potential",
+         "exp(0.5*q1^4) + q2^2", "--n", "2", "--energy", "1"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert out.returncode == 1
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: E_DOMAIN: "), out.stderr
 
 
 def test_solve_report_and_verify_roundtrip(tmp_path, capsys):

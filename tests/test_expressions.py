@@ -1,8 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from hamorbit import BadIndexError, DomainError, ExpressionParseError, parse_potential
-from hamorbit.expressions import evaluate, evaluate_gradient, parse_expression, to_source
+from conftest import count_calls
+from hamorbit import BadIndexError, DomainError, ExpressionParseError, expressions, parse_potential
+from hamorbit.expressions import (
+    compile_expression,
+    evaluate,
+    evaluate_gradient,
+    parse_expression,
+    to_source,
+)
 
 
 def ev(src, n, point):
@@ -128,11 +137,63 @@ def test_roundtrip_through_source():
         tree = parse_expression(src, 2)
         again = parse_expression(to_source(tree), 2)
         pts = rng.uniform(0.2, 1.5, size=(50, 2))
-        a = evaluate(tree, pts)
-        b = evaluate(again, pts)
+        a = evaluate(compile_expression(tree), pts)
+        b = evaluate(compile_expression(again), pts)
         assert np.abs(a - b).max() <= 1e-12 * (1 + np.abs(a).max())
 
 
 def test_gradient_of_constant_expression_is_zero():
-    g = evaluate_gradient(parse_expression("3.5", 2), np.ones((4, 2)))
+    g = evaluate_gradient(compile_expression(parse_expression("3.5", 2)), np.ones((4, 2)))
     assert np.all(g == 0.0)
+
+
+@pytest.mark.parametrize(
+    "src,value_sum,gradient_sum",
+    [
+        ("0.5*|q|^2 + 0.1*q1^4", "0x1.4b62d74a6d621p+5", "0x1.3338f43a038ddp+3"),
+        ("|q|^3 - 0.25*|q|^4 + q1*q2", "0x1.e3b6de9cd7877p+5", "0x1.60c158a924edcp+4"),
+        ("exp(q1)*sin(q2) + log(2 + |q|)", "0x1.b02c89a8e27a0p+5", "0x1.b7ed041321db6p+5"),
+        ("1/(1 + |q|^2)", "0x1.7eba4d887647ep+4", "-0x1.a24093354b95ep+1"),
+        ("2^q1", "0x1.01a4067dd4d7bp+6", "0x1.652a774e12626p+5"),
+    ],
+)
+def test_compiled_bits_are_pinned(src, value_sum, gradient_sum):
+    # Sums of the tree-walking evaluator's values and gradients, to the bit.
+    pot = parse_potential(src, 2)
+    pts = np.random.default_rng(31).uniform(-1.5, 1.5, size=(50, 2))
+    assert float.hex(math.fsum(pot.value(pts))) == value_sum
+    assert float.hex(math.fsum(pot.gradient(pts).ravel())) == gradient_sum
+
+
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        ("q1^2 + 1/0", "division by zero"),
+        ("q1^2 + log(0-1)", "log of a non-positive value"),
+        ("q1^2 + exp(1000)", "expression evaluated to a non-finite value"),
+    ],
+)
+def test_constant_that_fails_to_fold_fails_at_evaluation(src, message):
+    pot = parse_potential(src, 1)  # builds: folding leaves the failing part alone
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match=message):
+        pot.value(np.array([0.5]))
+
+
+def test_integer_powers():
+    cube = parse_potential("q1^3", 1)
+    assert cube.value(np.array([-2.0])) == -8.0
+    assert cube.gradient(np.array([-2.0]))[0] == 12.0
+    inverse = parse_potential("q1^-2", 1)
+    assert inverse.value(np.array([2.0])) == 0.25
+    with pytest.raises(DomainError, match="zero base with negative exponent"):
+        inverse.value(np.array([0.0]))
+
+
+def test_expression_compiles_once(monkeypatch):
+    calls = count_calls(monkeypatch, expressions, "compile_expression")
+    pot = parse_potential("0.5*|q|^2 + 0.1*q1^4", 2)
+    pts = np.ones((8, 2))
+    for _ in range(3):
+        pot.value(pts)
+        pot.gradient(pts)
+    assert len(calls) == 1

@@ -208,6 +208,24 @@ def test_cps_records(harmonic_spec):
     assert rec3.weighted_gradient <= 1e-6
 
 
+def test_cps_record_on_the_set_needs_no_root(monkeypatch, harmonic_spec):
+    # On the set, the residual's one constraint evaluation also settles the
+    # distance proxy; off the set the proxy is still the gap along the ray.
+    u = circle_loop(64, 2)
+    on_set = LoopPath(scaling_root(u, harmonic_spec) * u.nodes)
+    off_set = LoopPath(1.5 * on_set.nodes)
+    grads = [action_gradient(v, harmonic_spec) for v in (on_set, off_set)]
+    roots = count_calls(monkeypatch, functional, "scaling_root")
+    evals = count_calls(monkeypatch, functional, "constraint_value")
+    rec = cps_append([], on_set, harmonic_spec, None, 0, grads[0])
+    assert rec.distance_proxy == 0.0
+    assert rec.constraint_residual <= functional.root_tolerance(harmonic_spec)
+    assert (len(roots), len(evals)) == (0, 1)
+    rec = cps_append([], off_set, harmonic_spec, None, 0, grads[1])
+    assert len(roots) == 1
+    assert rec.distance_proxy == constraint_distance(off_set, None, harmonic_spec) > 0.0
+
+
 @pytest.mark.parametrize("sym", ["e1", "e2"])
 def test_gradient_stays_in_symmetry_subspace(sym, harmonic_spec):
     rng = np.random.default_rng(31)
