@@ -286,6 +286,7 @@ def cmd_solve(args) -> int:
         ("ode_sup", orbit.ode_sup if orbit else nan),
         ("energy_sup", orbit.energy_sup if orbit else nan),
         ("closure", orbit.closure if orbit else nan),
+        ("closure_err", orbit.closure_err if orbit else nan),
         ("nonconstant", orbit.nonconstant if orbit else False),
         ("ode_tol", float(opts["ode_tol"])),
         ("energy_tol", float(opts["energy_tol"])),
@@ -338,9 +339,10 @@ def cmd_verify(args) -> int:
         raise OrbitFileError(
             f"orbit has dimension {positions.shape[1]}, spec has {spec.n}", line=1
         )
-    ode_sup, energy_sup, closure = verify_orbit(positions, period, spec.potential, spec.h)
+    ode_sup, energy_sup, closure, closure_err = verify_orbit(positions, period,
+                                                             spec.potential, spec.h)
     print(f"period={period:.9g} ode_sup={ode_sup:.6g} energy_sup={energy_sup:.6g} "
-          f"closure={closure:.6g}")
+          f"closure={closure:.6g} closure_err={closure_err:.6g}")
     ok = ode_sup <= float(opts["ode_tol"]) and energy_sup <= float(opts["energy_tol"])
     if opts["closure_tol"] is not None:
         ok = ok and closure <= float(opts["closure_tol"])

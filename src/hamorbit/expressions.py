@@ -27,7 +27,8 @@ exponent settles at compile time which base checks of ``^`` can fire: an
 integer exponent drops the non-integer-exponent check, and a non-negative
 one the zero-base check; ``x^2`` is one multiply, with the bits of
 ``np.power``.  Kept at every evaluation: the zero-divisor, log, sqrt and
-variable-exponent checks, the finiteness of the power rule's coefficient,
+variable-exponent checks (an exponent with q needs a positive base, in
+values and gradients alike), the finiteness of the power rule's coefficient,
 and the final finiteness gates of :func:`evaluate` and
 :func:`evaluate_gradient`.  No rewrite changes rounding: operands keep
 their order and every other power goes through ``np.power``, so values and
@@ -439,6 +440,12 @@ def _power(base, expo):
     return np.power(base, expo)
 
 
+def _power_variable(base, expo):
+    """base ^ expo for an exponent with q: positive bases only, as in the dual."""
+    _require(np.asarray(base) > 0.0, _VARIABLE_EXPONENT)
+    return np.power(base, expo)
+
+
 def _pow_vv(v, dv, e, de):
     # Variable exponent: b^e = exp(e * log(b)), which needs b > 0.
     _require(v > 0.0, _VARIABLE_EXPONENT)
@@ -495,7 +502,8 @@ def _pow_folded(a: _Code, k) -> _Code:
 def _pow(a, b):
     if b.folded is not None and not a.constant:
         return _pow_folded(a, b.folded)
-    return _binary(a, b, _power, _pow_vv, _pow_vc, _pow_cv)
+    op = _power if b.constant else _power_variable
+    return _binary(a, b, op, _pow_vv, _pow_vc, _pow_cv)
 
 
 def _log(v):

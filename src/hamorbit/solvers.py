@@ -240,13 +240,11 @@ def build_endpoint(spec: ProblemSpec, base: LoopPath) -> LoopPath:
     )
 
 
-def separation_check(z0: LoopPath, z1: LoopPath, sphere: GradientSphere,
-                     spec: ProblemSpec):
+def separation_check(z0: LoopPath, z1: LoopPath, sphere: GradientSphere):
     """Check that a derivative sphere separates the endpoints.
 
     Returns (ok, certificate), the certificate holding the two derivative
-    norms and the radius.  ``spec`` is not read: the sphere is independent
-    of the potential.
+    norms and the radius.
     """
     s0, s1 = speed(z0), speed(z1)
     lo, hi = min(s0, s1), max(s0, s1)
@@ -378,7 +376,7 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         )
     if sphere is None:
         sphere = GradientSphere(0.5 * speed(z1))
-    ok, cert = separation_check(z0, z1, sphere, spec)
+    ok, cert = separation_check(z0, z1, sphere)
     if not ok:
         raise PathCollapseError(f"derivative sphere does not separate the endpoints: {cert}")
 

@@ -129,6 +129,28 @@ def test_determinism_byte_identical(tmp_path):
     assert o1.read_bytes() == o2.read_bytes()
 
 
+def test_closure_err_reported_after_closure(tmp_path, capsys):
+    rep, orb = tmp_path / "r.txt", tmp_path / "o.csv"
+    assert run("solve", *HARMONIC, "--nodes", "64", "--no-timestamp",
+               "--report", str(rep), "--orbit", str(orb)) == 0
+    run_section = parse_report(rep.read_text())["run"]
+    keys = list(run_section)
+    assert keys[keys.index("closure") + 1] == "closure_err"
+    closure, closure_err = float(run_section["closure"]), float(run_section["closure_err"])
+    assert 0.0 <= closure_err <= 1e-3 * closure
+    capsys.readouterr()
+    assert run("verify", str(orb), *HARMONIC) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("closure_err=")[1].split()[0]) == pytest.approx(closure_err,
+                                                                           rel=1e-5)
+    # No orbit, no closure and no estimate.
+    assert run("solve", *HARMONIC, "--route", "mountain_pass", "--nodes", "64",
+               "--mp-radius", "50", "--no-timestamp", "--report", str(rep)) == 1
+    run_section = parse_report(rep.read_text())["run"]
+    assert math.isnan(float(run_section["closure"]))
+    assert math.isnan(float(run_section["closure_err"]))
+
+
 def test_verify_rejects_scaled_orbit(tmp_path, capsys):
     orb = tmp_path / "orbit.csv"
     assert run("solve", *HARMONIC, "--symmetry", "e1", "--nodes", "256",

@@ -117,11 +117,18 @@ def test_gradient_matches_finite_differences(src, n, low, high):
         ("1/q1", [0.0]),
         ("q1^0.5", [-2.0]),
         ("(0-2)^q1", [0.5]),
+        ("(0-2)^q1", [2.0]),
+        ("q1^q2", [-2.0, 2.0]),
+        ("0^q1", [1.0]),
     ],
 )
 def test_domain_errors(src, point):
+    # The value and the gradient reject the same points.
+    pot = parse_potential(src, len(point))
     with pytest.raises(DomainError):
-        parse_potential(src, 1).value(np.asarray(point))
+        pot.value(np.asarray(point))
+    with pytest.raises(DomainError):
+        pot.gradient(np.asarray(point))
 
 
 def test_roundtrip_through_source():

@@ -7,6 +7,8 @@ from hamorbit import (
     BlowupError,
     LoopPath,
     NonpositiveActionError,
+    PowerLawPotential,
+    ProblemSpec,
     circle_loop,
     closure_gap,
     dirichlet_energy,
@@ -15,7 +17,9 @@ from hamorbit import (
     parse_potential,
     scaling_root,
     synthesize,
+    verify_orbit,
 )
+from hamorbit import orbit
 from hamorbit.orbit import orbit_residuals
 from conftest import mode_one_loop
 
@@ -119,3 +123,80 @@ def test_cross_oracle_agreement_on_accepted_orbits(harmonic_spec, quartic_spec):
         orb = synthesize(circle_loop(256, 2), spec)
         assert orb.ode_sup <= gate
         assert orb.closure <= 10.0 * gate * orb.period
+
+
+def cubic_circle_orbit(N):
+    """The exact cubic circle in n=3, put on the set: samples and period."""
+    spec = ProblemSpec(PowerLawPotential(0.5, 3, 0, n=3), 3, 1.0, 3.0, 0.0, "e2")
+    circle = circle_loop(N, 3)
+    u = LoopPath(scaling_root(circle, spec) * circle.nodes)
+    return u.nodes, orbit_period(u, spec), spec
+
+
+def count_steps(monkeypatch):
+    """Patch ``orbit.closure_gap`` to record the steps of each call."""
+    steps = []
+    real = orbit.closure_gap
+
+    def counted(*args, **kwargs):
+        steps.append(kwargs["steps"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orbit, "closure_gap", counted)
+    return steps
+
+
+@pytest.mark.parametrize("N,budget", [(1024, 1024), (4096, 2048)])
+def test_closure_ladder_steps_grow_slower_than_nodes(monkeypatch, N, budget):
+    q, T, spec = cubic_circle_orbit(N)
+    steps = count_steps(monkeypatch)
+    *_, closure, closure_err = verify_orbit(q, T, spec.potential, spec.h)
+    assert sum(steps) <= budget
+    assert steps[0] == 32 and all(b == 2 * a for a, b in zip(steps, steps[1:]))
+    assert closure_err <= 1e-3 * closure
+
+
+def test_closure_ladder_estimate_bounds_the_error():
+    N = 256
+    q, T, spec = cubic_circle_orbit(N)
+    *_, closure, closure_err = verify_orbit(q, T, spec.potential, spec.h)
+    assert 0.0 < closure_err <= 1e-3 * closure
+    v0 = (q[1] - q[-1]) / (2.0 * T / N)
+    fine = closure_gap(q[0], v0, T, spec.potential, steps=32 * N)
+    assert abs(closure - fine) <= 2.0 * closure_err
+
+
+def test_closure_ladder_climbs_past_coarse_blowups(monkeypatch):
+    q, T, spec = cubic_circle_orbit(64)
+    real = orbit.closure_gap
+
+    def fragile(*args, steps):
+        if steps < 128:
+            raise BlowupError("coarse rung escaped")
+        return real(*args, steps=steps)
+
+    monkeypatch.setattr(orbit, "closure_gap", fragile)
+    *_, closure, closure_err = verify_orbit(q, T, spec.potential, spec.h)
+    assert math.isfinite(closure) and math.isfinite(closure_err)
+
+
+def test_closure_ladder_blowup_at_the_cap():
+    runaway = parse_potential("0 - |q|^2", 2)
+    with pytest.raises(BlowupError):
+        verify_orbit(exact_harmonic_samples(16), 16.0, runaway, 1.0)
+
+
+def test_closure_ladder_ends_on_the_cap(monkeypatch):
+    # c(s) = 1 + 100 (32/s)^4 has an exact Richardson estimate and needs more
+    # than the cap of 8N = 320 steps, which is no doubling of 32.
+    rungs = []
+
+    def model(*args, steps):
+        rungs.append(steps)
+        return 1.0 + 100.0 * (32.0 / steps) ** 4
+
+    monkeypatch.setattr(orbit, "closure_gap", model)
+    *_, closure, closure_err = verify_orbit(exact_harmonic_samples(40), 2 * math.pi,
+                                            parse_potential("0.5*|q|^2", 2), 1.0)
+    assert rungs == [32, 64, 128, 256, 320]
+    assert closure_err == pytest.approx(closure - 1.0, rel=1e-9)

@@ -165,14 +165,14 @@ def test_build_endpoint_errors(harmonic_spec):
         build_endpoint(bounded, circle_loop(32, 2))
 
 
-def test_separation_certificates(harmonic_spec):
+def test_separation_certificates():
     z0 = zero_loop(256, 2)
     two = LoopPath(2.0 * circle_loop(256, 2).nodes)
-    ok_sphere, cert = separation_check(z0, two, GradientSphere(2 * math.pi), harmonic_spec)
+    ok_sphere, cert = separation_check(z0, two, GradientSphere(2 * math.pi))
     assert ok_sphere
     # both endpoints inside a radius-10 sphere: no separation, with certificate
     half = LoopPath(0.5 * circle_loop(256, 2).nodes)
-    ok_small, cert = separation_check(z0, half, GradientSphere(10.0), harmonic_spec)
+    ok_small, cert = separation_check(z0, half, GradientSphere(10.0))
     assert not ok_small
     assert cert["speed_z0"] < 10.0 and cert["speed_z1"] < 10.0
 
