@@ -12,7 +12,8 @@ line searches hold to rounding, not just asymptotically.
 
 The ray constraint fixes mean_k (V(u_k) + grad V(u_k).u_k / 2) = h; under the
 radial nondegeneracy hypothesis every open ray {a u : a > 0} crosses it
-exactly once, so projection is a one-dimensional root find.
+exactly once, so projection is a one-dimensional root find (Illinois regula
+falsi on a one-way bracket).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .potentials import PotentialModel, hessian_ray
 
 ROOT_SCALE_MIN = 1e-8
 ROOT_SCALE_MAX = 1e8
-ROOT_MAX_BISECTIONS = 200
+ROOT_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -110,16 +111,17 @@ def root_tolerance(spec: ProblemSpec) -> float:
 
 def scaling_root(u: LoopPath, spec: ProblemSpec) -> float:
     """Scale a > 0 placing a*u on the ray constraint g(a u) = h, by a
-    one-way bracket and bisection.
+    one-way bracket and Illinois regula falsi (Dowell & Jarratt 1971).
 
     Under B2-B4, a -> g(a u) increases: at each node d/dr g is
     (r^3 dV/dr)' / (2 r^2), B4 makes r^3 dV/dr strictly monotone from 0, and
     were it to fall, grad V.q < 0 and B2 would give V < mu2/mu1 < h on the
     whole ray, which B3 rules out.  So the sign of g(u) - h picks the
     direction: the bracket doubles a from 1 while g < h and halves it while
-    g > h, within [1e-8, 1e8]; bisection then meets
-    |g(a u) - h| <= :func:`root_tolerance`.  :class:`NoBracketError` holds the
-    probes of the one direction searched.
+    g > h, within [1e-8, 1e8].  Regula falsi then runs until
+    |g(a u) - h| <= :func:`root_tolerance` or its next point is not strictly
+    inside the bracket.  :class:`NoBracketError` holds the probes of the one
+    direction searched.
     """
     if not np.any(u.nodes):
         raise ZeroLoopError("ray scaling is undefined for the zero loop")
@@ -135,9 +137,9 @@ def scaling_root(u: LoopPath, spec: ProblemSpec) -> float:
 
     direction = 2.0 if f1 < 0.0 else 0.5
     a = b = 1.0
-    fb = f1
+    fa = fb = f1
     while (fb < 0.0) == (f1 < 0.0):
-        a, b = b, b * direction
+        a, fa, b = b, fb, b * direction
         if not ROOT_SCALE_MIN <= b <= ROOT_SCALE_MAX:
             raise NoBracketError(
                 "no sign change of the constraint along the ray in [1e-8, 1e8]; "
@@ -149,17 +151,21 @@ def scaling_root(u: LoopPath, spec: ProblemSpec) -> float:
         if abs(fb) <= tol:
             return b
 
-    lo, hi = min(a, b), max(a, b)
-    for _ in range(ROOT_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        fm = phi(mid)
-        if abs(fm) <= tol:
+    # Illinois regula falsi: b is the newest point and [a, b] brackets the
+    # root; the value stored at an end kept twice in a row is halved.
+    for _ in range(ROOT_MAX_STEPS):
+        c = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
             break
-        if fm < 0.0:
-            lo = mid
+        fc = phi(c)
+        if (fc < 0.0) != (fb < 0.0):
+            a, fa = b, fb
         else:
-            hi = mid
-    return mid
+            fa *= 0.5
+        b, fb = c, fc
+        if abs(fb) <= tol:
+            break
+    return b
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""The two critical-point routes.
+"""The two critical-point routes, which share one Armijo backtracking
+sequence and one step rule (:func:`_trials`).
 
 Constrained minimization: preconditioned descent of the loop functional on
 the ray constraint inside a symmetry subspace.  The ray constraint is the
 Nehari set of the functional, so the full gradient needs no projection: each
 iterate moves along the preconditioned gradient and is symmetrized and
-rescaled back onto the set along its ray (a retraction); an Armijo
-backtracking search guarantees monotone decrease of the on-constraint
-values.
+rescaled back onto the set along its ray (a retraction).
 
 Mountain pass: deform a discrete path between two low points separated by a
 derivative sphere.  Each sweep locates the path maximum over segment
@@ -55,6 +54,7 @@ from .loopspace import (
 )
 
 _MIN_STEP = 1e-18
+_MAX_STEP = 1e6
 
 INITIAL_LOOPS = ("circle", "random_bandlimited")
 
@@ -95,7 +95,6 @@ class SolveReport:
     message: str = ""
     max_symmetry_drift: float = 0.0
     gamma_history: list[float] | None = None
-    endpoints: tuple[LoopPath, LoopPath] | None = None
 
     @property
     def converged(self) -> bool:
@@ -115,6 +114,28 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
 
 
+def _trials(x: np.ndarray, direction: np.ndarray, step: float, symmetry: str,
+            opts: SolveOptions):
+    """The one backtracking sequence of both routes' Armijo searches: yields
+    (t, trial, drift) for t = step, step * step_shrink, ... above _MIN_STEP,
+    trial being x - t * direction projected onto the symmetry class and drift
+    its symmetry defect.  A trial that is no loop is skipped.  The one step
+    rule: after accepting t, the next search starts at min(2 t, _MAX_STEP),
+    or at the Barzilai-Borwein step where the constrained route has one.
+    """
+    t = step
+    while t > _MIN_STEP:
+        raw = x - t * direction
+        try:
+            drift = symmetry_defect(raw, symmetry)
+            trial = project_symmetric(LoopPath(raw), symmetry)
+        except ValueError:
+            pass
+        else:
+            yield t, trial, drift
+        t *= opts.step_shrink
+
+
 def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
                        n_nodes: int = 256, initial: LoopPath | None = None) -> SolveReport:
     """Minimize the loop functional on the ray constraint in a symmetry class.
@@ -123,10 +144,11 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     constraint set, which is what makes the minimal level positive.  The ray
     constraint is the Nehari set of the functional (grad f(u).u vanishes on
     it), so each step descends along the preconditioned full gradient and
-    the ray projection retracts the trial back onto the set.  Returns a
-    report whose termination is ``converged`` only when the Cerami-weighted
-    gradient sits below the tolerance and the minimizer is non-constant with
-    positive functional value.
+    the ray projection retracts each trial back onto the set.  A search
+    starts at the Barzilai-Borwein step when s.y > 0, else at twice the last
+    accepted step.  Returns a report whose termination is ``converged`` only
+    when the Cerami-weighted gradient sits below the tolerance and the
+    minimizer is non-constant with positive functional value.
     """
     opts = opts or SolveOptions()
     if spec.symmetry not in ("e1", "e2"):
@@ -171,8 +193,6 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
         direction = sobolev_precondition(grad)
         slope = _dot(grad, direction)
 
-        # Spectral (Barzilai-Borwein) initial step in the preconditioned
-        # metric; the Armijo backtracking below keeps descent monotone.
         if prev_nodes is not None:
             s = u.nodes - prev_nodes
             y = grad - prev_grad
@@ -180,31 +200,22 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
             if sy > 0.0:
                 y_my = _dot(y, sobolev_precondition(y))
                 if y_my > 0.0:
-                    step = min(max(sy / y_my, 1e-8), 1e6)
+                    step = min(max(sy / y_my, 1e-8), _MAX_STEP)
         prev_nodes, prev_grad = u.nodes, grad
 
-        t = step
-        accepted = False
         bracket_failure = None
-        while t > _MIN_STEP:
-            raw = u.nodes - t * direction
+        for t, trial, drift in _trials(u.nodes, direction, step, spec.symmetry, opts):
             try:
-                drift = symmetry_defect(raw, spec.symmetry)
-                trial = project_symmetric(LoopPath(raw), spec.symmetry)
                 trial = LoopPath(scaling_root(trial, spec) * trial.nodes)
                 f_new = action(trial, spec)
             except NoBracketError as err:
                 bracket_failure = err
-                t *= opts.step_shrink
                 continue
             except (DomainError, ZeroLoopError, ValueError):
-                t *= opts.step_shrink
                 continue
             if f_new <= f_cur - opts.armijo * t * slope:
-                accepted = True
                 break
-            t *= opts.step_shrink
-        if not accepted:
+        else:
             if bracket_failure is not None:
                 return report(u, f_cur, "hypothesis_violation", it,
                               f"{bracket_failure.code}: {bracket_failure}")
@@ -212,7 +223,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
                           "line search stalled below machine step")
         drift_max = max(drift_max, drift)
         u, f_cur = trial, f_new
-        step = t
+        step = min(2.0 * t, _MAX_STEP)
 
     return report(u, f_cur, "max_iter", opts.max_iterations,
                   "iteration budget exhausted")
@@ -396,8 +407,7 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         return SolveReport(route="mountain_pass", loop=loop, f_value=f_value,
                            termination=termination, trace=trace,
                            iterations=iterations, message=message,
-                           max_symmetry_drift=drift_max, gamma_history=gammas,
-                           endpoints=(z0, z1))
+                           max_symmetry_drift=drift_max, gamma_history=gammas)
 
     for sweep in range(opts.max_iterations + 1):
         i = int(np.argmax(seg_vals))
@@ -426,31 +436,20 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
 
         direction = sobolev_precondition(grad)
         slope = _dot(grad, direction)
-        t = step
-        accepted = False
-        while t > _MIN_STEP:
-            raw = top - t * direction
-            try:
-                drift = symmetry_defect(raw, spec.symmetry)
-                moved = project_symmetric(LoopPath(raw), spec.symmetry).nodes
-            except (DomainError, ValueError):
-                t *= opts.step_shrink
-                continue
-            left = pmax.segment_max(path[j - 1], moved)
-            right = pmax.segment_max(moved, path[j + 1])
+        for t, trial, drift in _trials(top, direction, step, spec.symmetry, opts):
+            left = pmax.segment_max(path[j - 1], trial.nodes)
+            right = pmax.segment_max(trial.nodes, path[j + 1])
             hi = max(left[0], right[0])
             if math.isfinite(hi) and hi <= gamma - opts.armijo * t * slope:
-                accepted = True
                 break
-            t *= opts.step_shrink
-        if not accepted:
+        else:
             return report(u, gamma, "max_iter", sweep,
                           "line search stalled at the path maximum")
         drift_max = max(drift_max, drift)
-        path[j] = moved
+        path[j] = trial.nodes
         seg_vals[j - 1], seg_taus[j - 1] = left
         seg_vals[j], seg_taus[j] = right
-        step = min(t * 2.0, 1e6)
+        step = min(2.0 * t, _MAX_STEP)
 
         # Arc-length re-equidistribution, skipped if it would raise the max.
         candidate = _redistribute(path)

@@ -20,6 +20,11 @@ def quartic_spec():
     return ProblemSpec(PowerLawPotential(0.25, 4, 0, n=2), 2, 0.75, 4.0, 0.0, "e1")
 
 
+@pytest.fixture
+def cubic_spec():
+    return ProblemSpec(PowerLawPotential(0.5, 3, 0, n=3), 3, 1.0, 3.0, 0.0, "e2")
+
+
 def fd_action_gradient(u, spec, step=1e-6):
     """Central finite differences of the loop functional, node by node."""
     return fd_gradient(action, u, spec, step)

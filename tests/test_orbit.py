@@ -7,8 +7,6 @@ from hamorbit import (
     BlowupError,
     LoopPath,
     NonpositiveActionError,
-    PowerLawPotential,
-    ProblemSpec,
     circle_loop,
     closure_gap,
     dirichlet_energy,
@@ -125,12 +123,11 @@ def test_cross_oracle_agreement_on_accepted_orbits(harmonic_spec, quartic_spec):
         assert orb.closure <= 10.0 * gate * orb.period
 
 
-def cubic_circle_orbit(N):
+def cubic_circle_orbit(spec, N):
     """The exact cubic circle in n=3, put on the set: samples and period."""
-    spec = ProblemSpec(PowerLawPotential(0.5, 3, 0, n=3), 3, 1.0, 3.0, 0.0, "e2")
     circle = circle_loop(N, 3)
     u = LoopPath(scaling_root(circle, spec) * circle.nodes)
-    return u.nodes, orbit_period(u, spec), spec
+    return u.nodes, orbit_period(u, spec)
 
 
 def count_steps(monkeypatch):
@@ -147,27 +144,27 @@ def count_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("N,budget", [(1024, 1024), (4096, 2048)])
-def test_closure_ladder_steps_grow_slower_than_nodes(monkeypatch, N, budget):
-    q, T, spec = cubic_circle_orbit(N)
+def test_closure_ladder_steps_grow_slower_than_nodes(monkeypatch, cubic_spec, N, budget):
+    q, T = cubic_circle_orbit(cubic_spec, N)
     steps = count_steps(monkeypatch)
-    *_, closure, closure_err = verify_orbit(q, T, spec.potential, spec.h)
+    *_, closure, closure_err = verify_orbit(q, T, cubic_spec.potential, cubic_spec.h)
     assert sum(steps) <= budget
     assert steps[0] == 32 and all(b == 2 * a for a, b in zip(steps, steps[1:]))
     assert closure_err <= 1e-3 * closure
 
 
-def test_closure_ladder_estimate_bounds_the_error():
+def test_closure_ladder_estimate_bounds_the_error(cubic_spec):
     N = 256
-    q, T, spec = cubic_circle_orbit(N)
-    *_, closure, closure_err = verify_orbit(q, T, spec.potential, spec.h)
+    q, T = cubic_circle_orbit(cubic_spec, N)
+    *_, closure, closure_err = verify_orbit(q, T, cubic_spec.potential, cubic_spec.h)
     assert 0.0 < closure_err <= 1e-3 * closure
     v0 = (q[1] - q[-1]) / (2.0 * T / N)
-    fine = closure_gap(q[0], v0, T, spec.potential, steps=32 * N)
+    fine = closure_gap(q[0], v0, T, cubic_spec.potential, steps=32 * N)
     assert abs(closure - fine) <= 2.0 * closure_err
 
 
-def test_closure_ladder_climbs_past_coarse_blowups(monkeypatch):
-    q, T, spec = cubic_circle_orbit(64)
+def test_closure_ladder_climbs_past_coarse_blowups(monkeypatch, cubic_spec):
+    q, T = cubic_circle_orbit(cubic_spec, 64)
     real = orbit.closure_gap
 
     def fragile(*args, steps):
@@ -176,7 +173,7 @@ def test_closure_ladder_climbs_past_coarse_blowups(monkeypatch):
         return real(*args, steps=steps)
 
     monkeypatch.setattr(orbit, "closure_gap", fragile)
-    *_, closure, closure_err = verify_orbit(q, T, spec.potential, spec.h)
+    *_, closure, closure_err = verify_orbit(q, T, cubic_spec.potential, cubic_spec.h)
     assert math.isfinite(closure) and math.isfinite(closure_err)
 
 

@@ -46,16 +46,46 @@ def test_minimize_requires_symmetry(harmonic_spec):
         minimize_on_nehari(free)
 
 
-def test_minimize_needs_no_ray_hessian(monkeypatch):
+def test_minimize_needs_no_ray_hessian(monkeypatch, cubic_spec):
     # The ray constraint is the Nehari set, so descent never differentiates it.
     def forbidden(*args, **kwargs):
         raise AssertionError("hessian_ray called by the constrained solve")
 
     monkeypatch.setattr("hamorbit.functional.hessian_ray", forbidden)
-    spec = ProblemSpec(PowerLawPotential(0.5, 3, 0, n=3), 3, 1.0, 3.0, 0.0, "e2")
     rep = minimize_on_nehari(
-        spec, SolveOptions(initial_loop="random_bandlimited", seed=1), n_nodes=64)
+        cubic_spec, SolveOptions(initial_loop="random_bandlimited", seed=1), n_nodes=64)
     assert rep.converged and rep.f_value > 0.0
+
+
+def test_constrained_iterations_do_not_grow_with_n(cubic_spec):
+    # Each search starts at twice the last accepted step, so a short step
+    # does not cap the later ones and the count stays flat as N grows.
+    for seed in range(4):
+        opts = SolveOptions(initial_loop="random_bandlimited", seed=seed, max_iterations=60)
+        coarse = minimize_on_nehari(cubic_spec, opts, n_nodes=64)
+        fine = minimize_on_nehari(cubic_spec, opts, n_nodes=1024)
+        assert coarse.converged and fine.converged
+        assert fine.iterations <= 1.5 * coarse.iterations
+
+
+def test_constrained_converges_from_floor_starts(cubic_spec):
+    # From these starts the line search once stalled with the weighted
+    # gradient just above the tolerance; bisected roots, whose residuals sit
+    # near the root tolerance, were part of the cause.
+    for seed in (876, 1328, 1660):
+        opts = SolveOptions(initial_loop="random_bandlimited", seed=seed)
+        assert minimize_on_nehari(cubic_spec, opts, n_nodes=64).converged
+
+
+def test_level_converges_at_second_order(cubic_spec):
+    # Successive level differences over N = 64, 256, 1024 shrink by 4^2.
+    expression = ProblemSpec(parse_potential("0.5*|q|^2 + 0.1*q1^4", 2),
+                             2, 1.0, 2.0, 0.0, "e1")
+    for spec in (expression, cubic_spec):
+        reps = [minimize_on_nehari(spec, SolveOptions(), n_nodes=N) for N in (64, 256, 1024)]
+        assert all(rep.converged for rep in reps)
+        f64, f256, f1024 = (rep.f_value for rep in reps)
+        assert 15.0 <= (f256 - f64) / (f1024 - f256) <= 17.0
 
 
 def test_minimize_harmonic_circle_init(harmonic_spec):
