@@ -315,6 +315,25 @@ class _PathMax:
         except (DomainError, ValueError):
             return -np.inf
 
+    def grid(self, a, b) -> np.ndarray:
+        """The functional at the grid points (1-t) a + t b, in one potential
+        call; each value has the bits :meth:`value` gives.  If the batch
+        fails, the points are evaluated one by one, so only those outside
+        the domain are -inf."""
+        t = self.GRID[:, None, None]
+        points = (1.0 - t) * a + t * b
+        try:
+            if not np.isfinite(points).all():
+                raise ValueError("grid points must be finite")
+            potential = self.spec.potential.value(points.reshape(-1, a.shape[1]))
+        except (DomainError, ValueError):
+            return np.array([self.value(p) for p in points])
+        gaps = self.spec.h - potential.reshape(len(self.GRID), -1)
+        d = np.roll(points, -1, axis=1) - points
+        d *= d
+        return np.array([0.5 * len(a) * math.fsum(dk.ravel()) * integrate(gk)
+                         for dk, gk in zip(d, gaps)])
+
     def segment_max(self, a, b):
         """(value, tau) of the max of the functional on the segment [a, b]."""
         seg = b - a
@@ -329,7 +348,7 @@ class _PathMax:
                 return None
             return float(np.vdot(g, seg))
 
-        coarse = np.array([val(t) for t in self.GRID])
+        coarse = self.grid(a, b)
         k = int(np.argmax(coarse))
         lo = self.GRID[max(k - 1, 0)]
         hi = self.GRID[min(k + 1, len(self.GRID) - 1)]

@@ -20,6 +20,7 @@ from hamorbit import (
     mountain_pass,
     parse_potential,
     project_symmetric,
+    random_loop,
     separation_check,
     synthesize,
     zero_loop,
@@ -207,21 +208,63 @@ def test_separation_certificates():
     assert cert["speed_z0"] < 10.0 and cert["speed_z1"] < 10.0
 
 
-def test_segment_max_grid_or_bisect(harmonic_spec, monkeypatch):
-    real = solvers.action
-    calls = count_calls(monkeypatch, solvers, "action")
+def test_segment_max_grid_or_root(harmonic_spec, monkeypatch):
+    sizes = []
+    real_value = PowerLawPotential.value
+
+    def counted(self, q):
+        sizes.append(len(q))
+        return real_value(self, q)
+
+    monkeypatch.setattr(PowerLawPotential, "value", counted)
+    derivatives = count_calls(monkeypatch, solvers, "action_gradient")
     pmax = _PathMax(harmonic_spec)
     circle = circle_loop(64, 2).nodes
     zero = np.zeros_like(circle)
-    # Rising to the far end: the grid maximum is the answer, with no
-    # evaluation past the grid.
+    # Rising to the far end: the grid is one potential call and its maximum
+    # is the answer; past the grid only the two bracket ends are evaluated.
     value, tau = pmax.segment_max(zero, 0.5 * circle)
-    assert tau == 1.0 and len(calls) == 9
-    assert value == real(LoopPath(0.5 * circle), harmonic_spec)
-    # An interior top at radius sqrt(h) = 1 is bisected on the derivative.
+    assert tau == 1.0 and sizes == [9 * 64, 64, 64] and len(derivatives) == 2
+    assert value == action(LoopPath(0.5 * circle), harmonic_spec)
+    # An interior top at radius sqrt(h) = 1 is a root of the derivative.
+    del derivatives[:]
     value, tau = pmax.segment_max(zero, 3.0 * circle)
-    assert abs(tau - 1.0 / 3.0) <= 1e-12
+    assert abs(tau - 1.0 / 3.0) <= 1e-12 and len(derivatives) <= 48
     assert value == pytest.approx(math.pi**2, rel=1e-3)
+
+
+def _segment_ends(n, seed):
+    rng = np.random.default_rng(seed)
+    a = 0.3 * random_loop(64, n, rng).nodes
+    b = 2.0 * random_loop(64, n, rng).nodes
+    return a, b
+
+
+@pytest.mark.parametrize("source,n", [("0.5*|q|^2 + 0.1*q1^4", 2),
+                                      ("power_law(a=0.5,mu1=3)", 3)])
+def test_segment_grid_matches_pointwise_action(source, n):
+    pot = PowerLawPotential(0.5, 3, n=n) if source.startswith("power_law") \
+        else parse_potential(source, n)
+    spec = ProblemSpec(pot, n, 1.0, 2.0)
+    pmax = _PathMax(spec)
+    for seed in range(3):
+        a, b = _segment_ends(n, seed)
+        batched = pmax.grid(a, b)
+        single = [action(LoopPath((1.0 - t) * a + t * b), spec) for t in _PathMax.GRID]
+        assert batched.tolist() == single  # bit for bit
+
+
+def test_segment_grid_fails_only_outside_the_domain():
+    spec = ProblemSpec(parse_potential("0.5*|q|^2 + 0.1*sqrt(4 - |q|^2)", 2),
+                       2, 1.0, 2.0, 0.0, "e1")
+    pmax = _PathMax(spec)
+    circle = circle_loop(64, 2).nodes
+    a, b = 0.5 * circle, 3.0 * circle  # radius 0.5 + 2.5 t crosses 2 at t = 0.6
+    values = pmax.grid(a, b)
+    inside = _PathMax.GRID <= 0.6
+    assert np.all(values[~inside] == -np.inf) and inside.sum() == 5
+    assert values[inside].tolist() == [
+        action(LoopPath((1.0 - t) * a + t * b), spec) for t in _PathMax.GRID[inside]]
 
 
 @pytest.mark.parametrize("m", [15, 16])
