@@ -151,19 +151,30 @@ def scaling_root(u: LoopPath, spec: ProblemSpec) -> float:
         if abs(fb) <= tol:
             return b
 
-    # Illinois regula falsi: b is the newest point and [a, b] brackets the
-    # root; the value stored at an end kept twice in a row is halved.
+    return _illinois(phi, a, fa, b, fb, tol=tol)
+
+
+def _illinois(phi, a, fa, b, fb, tol=0.0, min_step=0.0):
+    """Illinois regula falsi (Dowell & Jarratt 1971) on a bracket [a, b] of
+    a sign change of phi, b being the newest point: the value stored at an
+    end kept twice in a row is halved.  At most ROOT_MAX_STEPS steps; stops
+    once |phi(b)| <= tol, a step moves b by less than min_step, the next
+    point is not strictly inside the bracket, or phi returns None (no value
+    there).  Returns b."""
     for _ in range(ROOT_MAX_STEPS):
         c = b - fb * (b - a) / (fb - fa)
         if not min(a, b) < c < max(a, b):
             break
         fc = phi(c)
+        if fc is None:
+            break
         if (fc < 0.0) != (fb < 0.0):
             a, fa = b, fb
         else:
             fa *= 0.5
+        step = abs(c - b)
         b, fb = c, fc
-        if abs(fb) <= tol:
+        if abs(fb) <= tol or step < min_step:
             break
     return b
 

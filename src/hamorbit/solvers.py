@@ -35,6 +35,7 @@ from .functional import (
     CpsRecord,
     GradientSphere,
     ProblemSpec,
+    _illinois,
     action,
     action_gradient,
     cps_append,
@@ -304,7 +305,6 @@ class _PathMax:
     """
 
     GRID = np.linspace(0.0, 1.0, 9)
-    BISECTIONS = 48
 
     def __init__(self, spec):
         self.spec = spec
@@ -338,9 +338,6 @@ class _PathMax:
         """(value, tau) of the max of the functional on the segment [a, b]."""
         seg = b - a
 
-        def val(t):
-            return self.value((1.0 - t) * a + t * b)
-
         def dval(t):
             try:
                 g = action_gradient(LoopPath((1.0 - t) * a + t * b), self.spec)
@@ -355,17 +352,8 @@ class _PathMax:
         dlo, dhi = dval(lo), dval(hi)
         if dlo is None or dhi is None or not dlo > 0.0 > dhi:
             return float(coarse[k]), float(self.GRID[k])
-        for _ in range(self.BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            dmid = dval(mid)
-            if dmid is None or hi - lo < 1e-14:
-                break
-            if dmid > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        tau = 0.5 * (lo + hi)
-        value = val(tau)
+        tau = _illinois(dval, lo, dlo, hi, dhi, min_step=1e-14)
+        value = self.value((1.0 - tau) * a + tau * b)
         if coarse[k] > value:
             return float(coarse[k]), float(self.GRID[k])
         return float(value), float(tau)
