@@ -9,7 +9,8 @@ rescaled back onto the set along its ray (a retraction).
 
 Mountain pass: deform a discrete path between two low points separated by a
 derivative sphere.  Each sweep locates the path maximum over segment
-interiors (node-only evaluation could tunnel through the barrier), relaxes
+interiors (node-only evaluation could tunnel through the barrier) by a
+batched grid and Illinois regula falsi on the tangential derivative, relaxes
 it one preconditioned descent step accepted on the modified segments'
 maxima, and re-equidistributes the interior points in loop-space arc length
 when that does not raise the maximum, which keeps the level estimates
@@ -295,13 +296,15 @@ class _PathMax:
     sees every barrier crossing, so the level estimate cannot collapse while
     the endpoints stay separated.
 
-    A coarse grid localizes the maximum.  When the exact tangential
-    derivative changes sign across the best grid point's neighbours,
-    bisection on it pins the interior maximum to machine precision
-    (value-only refinement could not get closer than the square root of
-    rounding near a flat maximum, which would leave a spurious gradient floor
-    at the located top).  Otherwise the grid maximum itself is returned: any
-    other grid point is already in the grid and no higher.
+    A coarse grid, evaluated in one potential call, localizes the maximum.
+    When the exact tangential derivative changes sign across the best grid
+    point's neighbours, Illinois regula falsi on it (the loop of
+    :func:`scaling_root`) pins the interior maximum to machine precision in
+    about ten derivative evaluations (value-only refinement could not get
+    closer than the square root of rounding near a flat maximum, which would
+    leave a spurious gradient floor at the located top).  Otherwise the grid
+    maximum itself is returned: any other grid point is already in the grid
+    and no higher.
     """
 
     GRID = np.linspace(0.0, 1.0, 9)
@@ -323,8 +326,6 @@ class _PathMax:
         t = self.GRID[:, None, None]
         points = (1.0 - t) * a + t * b
         try:
-            if not np.isfinite(points).all():
-                raise ValueError("grid points must be finite")
             potential = self.spec.potential.value(points.reshape(-1, a.shape[1]))
         except (DomainError, ValueError):
             return np.array([self.value(p) for p in points])

@@ -21,6 +21,11 @@ def quartic_spec():
 
 
 @pytest.fixture
+def expression_spec():
+    return ProblemSpec(parse_potential("0.5*|q|^2 + 0.1*q1^4", 2), 2, 1.0, 2.0, 0.0, "e1")
+
+
+@pytest.fixture
 def cubic_spec():
     return ProblemSpec(PowerLawPotential(0.5, 3, 0, n=3), 3, 1.0, 3.0, 0.0, "e2")
 

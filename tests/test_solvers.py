@@ -78,11 +78,9 @@ def test_constrained_converges_from_floor_starts(cubic_spec):
         assert minimize_on_nehari(cubic_spec, opts, n_nodes=64).converged
 
 
-def test_level_converges_at_second_order(cubic_spec):
+def test_level_converges_at_second_order(expression_spec, cubic_spec):
     # Successive level differences over N = 64, 256, 1024 shrink by 4^2.
-    expression = ProblemSpec(parse_potential("0.5*|q|^2 + 0.1*q1^4", 2),
-                             2, 1.0, 2.0, 0.0, "e1")
-    for spec in (expression, cubic_spec):
+    for spec in (expression_spec, cubic_spec):
         reps = [minimize_on_nehari(spec, SolveOptions(), n_nodes=N) for N in (64, 256, 1024)]
         assert all(rep.converged for rep in reps)
         f64, f256, f1024 = (rep.f_value for rep in reps)
@@ -233,25 +231,15 @@ def test_segment_max_grid_or_root(harmonic_spec, monkeypatch):
     assert value == pytest.approx(math.pi**2, rel=1e-3)
 
 
-def _segment_ends(n, seed):
-    rng = np.random.default_rng(seed)
-    a = 0.3 * random_loop(64, n, rng).nodes
-    b = 2.0 * random_loop(64, n, rng).nodes
-    return a, b
-
-
-@pytest.mark.parametrize("source,n", [("0.5*|q|^2 + 0.1*q1^4", 2),
-                                      ("power_law(a=0.5,mu1=3)", 3)])
-def test_segment_grid_matches_pointwise_action(source, n):
-    pot = PowerLawPotential(0.5, 3, n=n) if source.startswith("power_law") \
-        else parse_potential(source, n)
-    spec = ProblemSpec(pot, n, 1.0, 2.0)
-    pmax = _PathMax(spec)
-    for seed in range(3):
-        a, b = _segment_ends(n, seed)
-        batched = pmax.grid(a, b)
-        single = [action(LoopPath((1.0 - t) * a + t * b), spec) for t in _PathMax.GRID]
-        assert batched.tolist() == single  # bit for bit
+def test_segment_grid_matches_pointwise_action(expression_spec, cubic_spec):
+    rng = np.random.default_rng(0)
+    for spec in (expression_spec, cubic_spec):
+        pmax = _PathMax(spec)
+        for _ in range(3):
+            a = 0.3 * random_loop(64, spec.n, rng).nodes
+            b = 2.0 * random_loop(64, spec.n, rng).nodes
+            single = [action(LoopPath((1.0 - t) * a + t * b), spec) for t in _PathMax.GRID]
+            assert pmax.grid(a, b).tolist() == single  # bit for bit
 
 
 def test_segment_grid_fails_only_outside_the_domain():
@@ -302,12 +290,11 @@ def test_mountain_pass_deforms_to_offpath_critical_point(quartic_spec):
     assert orb.nonconstant
 
 
-def test_mountain_pass_descends_on_the_expression():
-    # The benchmark's mountain pass: the path leaves the initial segment and
-    # the top is located to rounding on the way down.
-    spec = ProblemSpec(parse_potential("0.5*|q|^2 + 0.1*q1^4", 2), 2, 1.0, 2.0, 0.0, "e1")
-    z1 = build_endpoint(spec, circle_loop(64, 2))
-    rep = mountain_pass(spec, zero_loop(64, 2), z1, SolveOptions())
+def test_mountain_pass_descends_on_the_expression(expression_spec):
+    # The path leaves the initial segment, and the top is located to
+    # rounding all the way down to the critical level.
+    z1 = build_endpoint(expression_spec, circle_loop(64, 2))
+    rep = mountain_pass(expression_spec, zero_loop(64, 2), z1, SolveOptions())
     assert rep.converged and rep.iterations <= 35
     assert abs(rep.f_value - 7.9861812435587654) <= 1e-9
     gs = rep.gamma_history
