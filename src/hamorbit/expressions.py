@@ -325,11 +325,11 @@ def _var(i: int) -> _Code:
 
 
 def _norm_plain(points):
-    return np.linalg.norm(points, axis=1)
+    return np.sqrt(np.add.reduce(points * points, axis=1))
 
 
 def _norm_dual(points):
-    r = np.linalg.norm(points, axis=1)
+    r = _norm_plain(points)
     positive = r > 0.0
     if positive.all():
         return r, points / r[:, None]

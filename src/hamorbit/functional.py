@@ -27,7 +27,6 @@ from .errors import NoBracketError, ZeroLoopError
 from .loopspace import (
     LoopPath,
     check_symmetry,
-    dirichlet_energy,
     h1_norm,
     integrate,
     speed,
@@ -66,23 +65,51 @@ class ProblemSpec:
             )
 
 
-def action(u: LoopPath, spec: ProblemSpec) -> float:
-    """dirichlet_energy(u) times the mean energy gap mean(h - V(u))."""
-    gap = integrate(spec.h - spec.potential.value(u.nodes))
-    return dirichlet_energy(u) * gap
+def _factors(loops: np.ndarray, spec: ProblemSpec):
+    """Dirichlet energies A and mean energy gaps B of an (L, N, n) stack of
+    loops, with one potential call; each pair has the bits of
+    :func:`~hamorbit.loopspace.dirichlet_energy` and ``integrate(h - V)`` on
+    that loop alone."""
+    L, N, n = loops.shape
+    gaps = spec.h - spec.potential.value(loops.reshape(L * N, n)).reshape(L, N)
+    d = np.roll(loops, -1, axis=1) - loops
+    d *= d
+    A = np.array([0.5 * N * math.fsum(dk.ravel()) for dk in d])
+    B = np.array([integrate(gk) for gk in gaps])
+    return A, B
 
 
-def action_gradient(u: LoopPath, spec: ProblemSpec) -> np.ndarray:
-    """Exact nodewise gradient of :func:`action` as an (N, n) array.
+def stacked_action(loops: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """:func:`action` of each loop in an (L, N, n) stack, shape (L,), with
+    one potential call; each entry has the bits of the single-loop call."""
+    A, B = _factors(loops, spec)
+    return A * B
+
+
+def stacked_action_gradient(loops: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """:func:`action_gradient` of each loop in an (L, N, n) stack, shape
+    (L, N, n), with one value and one gradient call of the potential; each
+    entry has the bits of the single-loop call.
 
     grad_k = B * N (2u_k - u_{k+1} - u_{k-1}) - (A/N) grad V(u_k), with
     A the Dirichlet energy and B the mean energy gap.
     """
-    nodes = u.nodes
-    A = dirichlet_energy(u)
-    B = integrate(spec.h - spec.potential.value(nodes))
-    lap = 2.0 * nodes - np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)
-    return B * u.N * lap - (A / u.N) * spec.potential.gradient(nodes)
+    L, N, n = loops.shape
+    A, B = _factors(loops, spec)
+    lap = 2.0 * loops - np.roll(loops, -1, axis=1) - np.roll(loops, 1, axis=1)
+    grad = spec.potential.gradient(loops.reshape(L * N, n)).reshape(L, N, n)
+    return (B * N)[:, None, None] * lap - (A / N)[:, None, None] * grad
+
+
+def action(u: LoopPath, spec: ProblemSpec) -> float:
+    """dirichlet_energy(u) times the mean energy gap mean(h - V(u))."""
+    return float(stacked_action(u.nodes[None], spec)[0])
+
+
+def action_gradient(u: LoopPath, spec: ProblemSpec) -> np.ndarray:
+    """Exact nodewise gradient of :func:`action` as an (N, n) array; see
+    :func:`stacked_action_gradient`."""
+    return stacked_action_gradient(u.nodes[None], spec)[0]
 
 
 def constraint_value(u: LoopPath, spec: ProblemSpec) -> float:
@@ -238,9 +265,10 @@ class CpsRecord:
 
 
 def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, where: GradientSphere | None,
-               iteration: int, grad: np.ndarray) -> CpsRecord:
+               iteration: int, grad: np.ndarray, f_value: float) -> CpsRecord:
     """Append a diagnostic record for the current iterate and return it;
-    ``grad`` is the iterate's :func:`action_gradient`, which the solver holds."""
+    ``grad`` is the iterate's :func:`action_gradient` and ``f_value`` its
+    :func:`action`, both of which the solver holds."""
     if trace and iteration <= trace[-1].iteration:
         raise ValueError("iteration indices must be strictly increasing")
     residual = abs(constraint_value(u, spec) - spec.h)
@@ -253,7 +281,7 @@ def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, where: GradientSpher
             proxy = residual  # ray projection undefined at 0; fall back
     rec = CpsRecord(
         iteration=iteration,
-        f_value=action(u, spec),
+        f_value=f_value,
         loop_norm=h1_norm(u),
         weighted_gradient=weighted_gradient_norm(u, grad),
         distance_proxy=proxy,

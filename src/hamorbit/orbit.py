@@ -88,24 +88,26 @@ def closure_gap(q0, v0, period: float, potential: PotentialModel,
     """
     if period <= 0.0:
         raise ValueError("period must be positive")
-    q = np.asarray(q0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    q_start, v_start = q.copy(), v.copy()
+    q = np.asarray(q0, dtype=float)
+    n = q.shape[0]
+    start = np.concatenate((q, np.asarray(v0, dtype=float)))
     dt = period / steps
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    def acc(point):
-        return -potential.gradient(point)
+    def rate(y):  # (q, v)' = (v, -grad V(q))
+        return np.concatenate((y[n:], -potential.gradient(y[:n])))
 
+    y = start
     for _ in range(steps):
-        k1q, k1v = v, acc(q)
-        k2q, k2v = v + 0.5 * dt * k1v, acc(q + 0.5 * dt * k1q)
-        k3q, k3v = v + 0.5 * dt * k2v, acc(q + 0.5 * dt * k2q)
-        k4q, k4v = v + dt * k3v, acc(q + dt * k3q)
-        q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if max(np.abs(q).max(), np.abs(v).max()) > BLOWUP_LIMIT:
+        k1 = rate(y)
+        k2 = rate(y + half * k1)
+        k3 = rate(y + half * k2)
+        k4 = rate(y + dt * k3)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.abs(y).max() > BLOWUP_LIMIT:
             raise BlowupError("trajectory escaped during the closure integration")
-    return float(np.linalg.norm(q - q_start) + np.linalg.norm(v - v_start))
+    gap = y - start
+    return float(np.linalg.norm(gap[:n]) + np.linalg.norm(gap[n:]))
 
 
 def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel,

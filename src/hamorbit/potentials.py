@@ -68,13 +68,13 @@ class PowerLawPotential(PotentialModel):
 
     def value(self, q):
         pts, single = _batched(q, self.n)
-        r = np.linalg.norm(pts, axis=1)
+        r = np.sqrt(np.add.reduce(pts * pts, axis=1))
         out = self.a * r**self.mu1 + self.mu2 / self.mu1
         return float(out[0]) if single else out
 
     def gradient(self, q):
         pts, single = _batched(q, self.n)
-        r = np.linalg.norm(pts, axis=1)
+        r = np.sqrt(np.add.reduce(pts * pts, axis=1))
         # r**(mu1-2) is 1 at r=0 when mu1 == 2 and 0 when mu1 > 2; both give
         # the correct limit once multiplied by q.
         coef = self.a * self.mu1 * r ** (self.mu1 - 2.0)

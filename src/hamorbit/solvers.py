@@ -9,12 +9,13 @@ rescaled back onto the set along its ray (a retraction).
 
 Mountain pass: deform a discrete path between two low points separated by a
 derivative sphere.  Each sweep locates the path maximum over segment
-interiors (node-only evaluation could tunnel through the barrier) by a
-batched grid and Illinois regula falsi on the tangential derivative, relaxes
-it one preconditioned descent step accepted on the modified segments'
-maxima, and re-equidistributes the interior points in loop-space arc length
-when that does not raise the maximum, which keeps the level estimates
-monotone.
+interiors (node-only evaluation could tunnel through the barrier): every
+segment's grid in one potential call, the bracket ends of all segments in
+at most two batched derivative passes, and each bracketed top by Illinois
+regula falsi on the tangential derivative.  It relaxes the maximum one
+preconditioned descent step accepted on the modified segments' maxima, and
+re-equidistributes the interior points in loop-space arc length when that
+does not raise the maximum, which keeps the level estimates monotone.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .functional import (
     cps_append,
     h1_norm,
     scaling_root,
+    stacked_action,
+    stacked_action_gradient,
 )
 from .loopspace import (
     NONCONSTANT_SPEED,
@@ -183,7 +186,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     prev_nodes = prev_grad = None
     for it in range(opts.max_iterations + 1):
         grad = action_gradient(u, spec)
-        rec = cps_append(trace, u, spec, None, it, grad)
+        rec = cps_append(trace, u, spec, None, it, grad, f_cur)
         if rec.weighted_gradient <= opts.gradient_tolerance:
             if f_cur <= 0.0 or speed(u) < NONCONSTANT_SPEED:
                 return report(u, f_cur, "hypothesis_violation", it,
@@ -296,15 +299,20 @@ class _PathMax:
     sees every barrier crossing, so the level estimate cannot collapse while
     the endpoints stay separated.
 
-    A coarse grid, evaluated in one potential call, localizes the maximum.
-    When the exact tangential derivative changes sign across the best grid
-    point's neighbours, Illinois regula falsi on it (the loop of
-    :func:`scaling_root`) pins the interior maximum to machine precision in
-    about ten derivative evaluations (value-only refinement could not get
-    closer than the square root of rounding near a flat maximum, which would
-    leave a spurious gradient floor at the located top).  Otherwise the grid
-    maximum itself is returned: any other grid point is already in the grid
-    and no higher.
+    :meth:`segment_max` treats a whole node list at once.  A coarse grid on
+    every segment, all in one potential call, localizes each maximum.  One
+    batched derivative pass then evaluates, for every segment, the bracket
+    end beside its grid maximum, and a second one the other end, only where
+    the first left an interior top possible.  When the exact tangential
+    derivative changes sign across the bracket, Illinois regula falsi on it
+    (the loop of :func:`scaling_root`), one top at a time, pins the interior
+    maximum to machine precision in about ten derivative evaluations
+    (value-only refinement could not get closer than the square root of
+    rounding near a flat maximum, which would leave a spurious gradient floor
+    at the located top).  Otherwise the grid maximum itself is the answer:
+    any other grid point is already in the grid and no higher.  Every value
+    and derivative has the bits of the single-loop :func:`action` and
+    :func:`action_gradient`.
     """
 
     GRID = np.linspace(0.0, 1.0, 9)
@@ -312,60 +320,78 @@ class _PathMax:
     def __init__(self, spec):
         self.spec = spec
 
-    def value(self, nodes) -> float:
+    def _each(self, form, loops) -> list:
+        """``form(stack, spec)`` for the loops in ``loops`` (shape (..., N, n)),
+        one entry per loop in one call.  A batch that raises is redone one
+        leading index at a time, down to single loops, so only the loops
+        outside the domain give None."""
+        while loops.ndim > 2 and len(loops) == 1:
+            loops = loops[0]
         try:
-            return action(LoopPath(nodes), self.spec)
+            return list(form(loops.reshape(-1, *loops.shape[-2:]), self.spec))
         except (DomainError, ValueError):
-            return -np.inf
+            if loops.ndim == 2:
+                return [None]
+            return [x for part in loops for x in self._each(form, part)]
 
-    def grid(self, a, b) -> np.ndarray:
-        """The functional at the grid points (1-t) a + t b, in one potential
-        call; each value has the bits :meth:`value` gives.  If the batch
-        fails, the points are evaluated one by one, so only those outside
-        the domain are -inf."""
+    def _values(self, loops) -> np.ndarray:
+        """The functional at each loop of ``loops``; -inf outside the domain."""
+        return np.array([-np.inf if v is None else v
+                         for v in self._each(stacked_action, loops)])
+
+    def grids(self, nodes) -> np.ndarray:
+        """The functional at the grid points (1-t) a + t b of every segment
+        [a, b] of a node list, shape (segments, len(GRID))."""
+        nodes = np.asarray(nodes)
         t = self.GRID[:, None, None]
-        points = (1.0 - t) * a + t * b
-        try:
-            potential = self.spec.potential.value(points.reshape(-1, a.shape[1]))
-        except (DomainError, ValueError):
-            return np.array([self.value(p) for p in points])
-        gaps = self.spec.h - potential.reshape(len(self.GRID), -1)
-        d = np.roll(points, -1, axis=1) - points
-        d *= d
-        return np.array([0.5 * len(a) * math.fsum(dk.ravel()) * integrate(gk)
-                         for dk, gk in zip(d, gaps)])
+        points = (1.0 - t) * nodes[:-1, None] + t * nodes[1:, None]
+        return self._values(points).reshape(len(nodes) - 1, -1)
 
-    def segment_max(self, a, b):
-        """(value, tau) of the max of the functional on the segment [a, b]."""
-        seg = b - a
+    def _slopes(self, a, b, t) -> list:
+        """Tangential derivatives d/dt f((1-t) a + t b) for stacks of segment
+        ends a, b and one t each; None outside the domain."""
+        if not len(t):
+            return []
+        tt = t[:, None, None]
+        grads = self._each(stacked_action_gradient, (1.0 - tt) * a + tt * b)
+        return [None if g is None else float(np.vdot(g, bk - ak))
+                for g, ak, bk in zip(grads, a, b)]
 
-        def dval(t):
-            try:
-                g = action_gradient(LoopPath((1.0 - t) * a + t * b), self.spec)
-            except (DomainError, ValueError):
-                return None
-            return float(np.vdot(g, seg))
+    def segment_max(self, nodes):
+        """(values, taus) of the max of the functional on each segment
+        [nodes[i], nodes[i+1]] of a node list, tau locating it at
+        (1 - tau) nodes[i] + tau nodes[i+1]."""
+        nodes = np.asarray(nodes)
+        a, b = nodes[:-1], nodes[1:]
+        coarse = self.grids(nodes)
+        k = np.argmax(coarse, axis=1)
+        values, taus = coarse[np.arange(len(k)), k], self.GRID[k]
+        last = len(self.GRID) - 1
+        lo, hi = self.GRID[np.maximum(k - 1, 0)], self.GRID[np.minimum(k + 1, last)]
+        # The end beside the grid maximum first (hi only when that is t = 1):
+        # f falling from lo, or rising into hi, rules out an interior top.
+        at_end = k == last
+        d_near = self._slopes(a, b, np.where(at_end, hi, lo))
+        open_ = [s for s, d in enumerate(d_near)
+                 if d is not None and (d < 0.0 if at_end[s] else d > 0.0)]
+        d_far = self._slopes(a[open_], b[open_], np.where(at_end, lo, hi)[open_])
+        for s, d in zip(open_, d_far):
+            dlo, dhi = (d, d_near[s]) if at_end[s] else (d_near[s], d)
+            if d is None or not dlo > 0.0 > dhi:
+                continue
 
-        coarse = self.grid(a, b)
-        k = int(np.argmax(coarse))
-        lo = self.GRID[max(k - 1, 0)]
-        hi = self.GRID[min(k + 1, len(self.GRID) - 1)]
-        dlo, dhi = dval(lo), dval(hi)
-        if dlo is None or dhi is None or not dlo > 0.0 > dhi:
-            return float(coarse[k]), float(self.GRID[k])
-        tau = _illinois(dval, lo, dlo, hi, dhi, min_step=1e-14)
-        value = self.value((1.0 - tau) * a + tau * b)
-        if coarse[k] > value:
-            return float(coarse[k]), float(self.GRID[k])
-        return float(value), float(tau)
+            def dval(t, s=s):
+                return self._slopes(a[s:s + 1], b[s:s + 1], np.array([t]))[0]
+
+            tau = _illinois(dval, lo[s], dlo, hi[s], dhi, min_step=1e-14)
+            value = self._values((1.0 - tau) * a[s] + tau * b[s])[0]
+            if not coarse[s, k[s]] > value:
+                values[s], taus[s] = value, tau
+        return values, taus
 
     def refresh(self, path):
         """Per-segment maxima (values, taus) for the whole path."""
-        vals = np.empty(len(path) - 1)
-        taus = np.empty(len(path) - 1)
-        for i in range(len(path) - 1):
-            vals[i], taus[i] = self.segment_max(path[i], path[i + 1])
-        return vals, taus
+        return self.segment_max(path)
 
 
 def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
@@ -429,7 +455,7 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
                           "E_COLLAPSE: path maximum fell to the endpoint level; "
                           "separation failed numerically")
         grad = action_gradient(u, spec)
-        rec = cps_append(trace, u, spec, sphere, sweep, grad)
+        rec = cps_append(trace, u, spec, sphere, sweep, grad, gamma)
         if rec.weighted_gradient <= opts.gradient_tolerance:
             if speed(u) < NONCONSTANT_SPEED:
                 return report(u, gamma, "hypothesis_violation", sweep,
@@ -445,9 +471,8 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         direction = sobolev_precondition(grad)
         slope = _dot(grad, direction)
         for t, trial, drift in _trials(top, direction, step, spec.symmetry, opts):
-            left = pmax.segment_max(path[j - 1], trial.nodes)
-            right = pmax.segment_max(trial.nodes, path[j + 1])
-            hi = max(left[0], right[0])
+            vals, taus = pmax.segment_max([path[j - 1], trial.nodes, path[j + 1]])
+            hi = vals.max()
             if math.isfinite(hi) and hi <= gamma - opts.armijo * t * slope:
                 break
         else:
@@ -455,8 +480,7 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
                           "line search stalled at the path maximum")
         drift_max = max(drift_max, drift)
         path[j] = trial.nodes
-        seg_vals[j - 1], seg_taus[j - 1] = left
-        seg_vals[j], seg_taus[j] = right
+        seg_vals[j - 1:j + 1], seg_taus[j - 1:j + 1] = vals, taus
         step = min(2.0 * t, _MAX_STEP)
 
         # Arc-length re-equidistribution, skipped if it would raise the max.

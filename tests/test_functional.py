@@ -192,7 +192,7 @@ def test_constraint_distance(harmonic_spec):
 def test_cps_records(harmonic_spec):
     def record(trace, u, iteration):
         return cps_append(trace, u, harmonic_spec, None, iteration,
-                          action_gradient(u, harmonic_spec))
+                          action_gradient(u, harmonic_spec), action(u, harmonic_spec))
 
     trace = []
     rec = record(trace, zero_loop(16, 2), 0)
@@ -214,13 +214,14 @@ def test_cps_record_on_the_set_needs_no_root(monkeypatch, harmonic_spec):
     on_set = LoopPath(scaling_root(u, harmonic_spec) * u.nodes)
     off_set = LoopPath(1.5 * on_set.nodes)
     grads = [action_gradient(v, harmonic_spec) for v in (on_set, off_set)]
+    levels = [action(v, harmonic_spec) for v in (on_set, off_set)]
     roots = count_calls(monkeypatch, functional, "scaling_root")
     evals = count_calls(monkeypatch, functional, "constraint_value")
-    rec = cps_append([], on_set, harmonic_spec, None, 0, grads[0])
+    rec = cps_append([], on_set, harmonic_spec, None, 0, grads[0], levels[0])
     assert rec.distance_proxy == 0.0
     assert rec.constraint_residual <= functional.root_tolerance(harmonic_spec)
     assert (len(roots), len(evals)) == (0, 1)
-    rec = cps_append([], off_set, harmonic_spec, None, 0, grads[1])
+    rec = cps_append([], off_set, harmonic_spec, None, 0, grads[1], levels[1])
     assert len(roots) == 1
     assert rec.distance_proxy == constraint_distance(off_set, None, harmonic_spec) > 0.0
 

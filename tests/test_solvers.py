@@ -206,29 +206,65 @@ def test_separation_certificates():
     assert cert["speed_z0"] < 10.0 and cert["speed_z1"] < 10.0
 
 
-def test_segment_max_grid_or_root(harmonic_spec, monkeypatch):
+def _point_counts(monkeypatch, cls, name):
+    """Patch the potential method ``cls.name`` to record the number of
+    points of each call; returns that list."""
     sizes = []
-    real_value = PowerLawPotential.value
+    real = getattr(cls, name)
 
     def counted(self, q):
         sizes.append(len(q))
-        return real_value(self, q)
+        return real(self, q)
 
-    monkeypatch.setattr(PowerLawPotential, "value", counted)
-    derivatives = count_calls(monkeypatch, solvers, "action_gradient")
+    monkeypatch.setattr(cls, name, counted)
+    return sizes
+
+
+def test_segment_max_grid_or_root(harmonic_spec, monkeypatch):
+    sizes = _point_counts(monkeypatch, PowerLawPotential, "value")
+    gradients = _point_counts(monkeypatch, PowerLawPotential, "gradient")
     pmax = _PathMax(harmonic_spec)
     circle = circle_loop(64, 2).nodes
     zero = np.zeros_like(circle)
     # Rising to the far end: the grid is one potential call and its maximum
-    # is the answer; past the grid only the two bracket ends are evaluated.
-    value, tau = pmax.segment_max(zero, 0.5 * circle)
-    assert tau == 1.0 and sizes == [9 * 64, 64, 64] and len(derivatives) == 2
+    # is the answer; past the grid only the far bracket end is evaluated.
+    (value,), (tau,) = pmax.segment_max([zero, 0.5 * circle])
+    assert tau == 1.0 and sizes == [9 * 64, 64] and gradients == [64]
     assert value == action(LoopPath(0.5 * circle), harmonic_spec)
     # An interior top at radius sqrt(h) = 1 is a root of the derivative.
-    del derivatives[:]
-    value, tau = pmax.segment_max(zero, 3.0 * circle)
-    assert abs(tau - 1.0 / 3.0) <= 1e-12 and len(derivatives) <= 12
+    del gradients[:]
+    (value,), (tau,) = pmax.segment_max([zero, 3.0 * circle])
+    assert abs(tau - 1.0 / 3.0) <= 1e-12 and len(gradients) <= 12
     assert value == pytest.approx(math.pi**2, rel=1e-3)
+
+
+def _random_path(spec, rng, radii):
+    return [r * random_loop(64, spec.n, rng).nodes for r in radii]
+
+
+def test_batched_segment_maxima_match_segment_by_segment(expression_spec, cubic_spec):
+    rng = np.random.default_rng(3)
+    for spec in (expression_spec, cubic_spec):
+        pmax = _PathMax(spec)
+        for _ in range(3):
+            path = _random_path(spec, rng, np.linspace(0.2, 2.5, 9))
+            values, taus = pmax.segment_max(path)
+            single = [pmax.segment_max(path[i:i + 2]) for i in range(len(path) - 1)]
+            assert values.tolist() == [v[0] for v, _ in single]  # bit for bit
+            assert taus.tolist() == [t[0] for _, t in single]
+            assert values.tolist() == [
+                action(LoopPath((1.0 - t) * a + t * b), spec)
+                for t, a, b in zip(taus, path, path[1:])]
+            assert not set(taus.tolist()) <= set(_PathMax.GRID.tolist())  # a refined top
+
+
+def test_refresh_makes_one_grid_call(monkeypatch, cubic_spec):
+    sizes = _point_counts(monkeypatch, PowerLawPotential, "value")
+    path = _random_path(cubic_spec, np.random.default_rng(4), np.linspace(0.2, 2.5, 17))
+    _PathMax(cubic_spec).refresh(path)
+    # The grids, then the ends beside the grid maxima, then the other ends
+    # where needed, then the tops one loop at a time.
+    assert sizes[0] == 16 * 9 * 64 and max(sizes[1:]) <= 16 * 64
 
 
 def test_segment_grid_matches_pointwise_action(expression_spec, cubic_spec):
@@ -239,20 +275,61 @@ def test_segment_grid_matches_pointwise_action(expression_spec, cubic_spec):
             a = 0.3 * random_loop(64, spec.n, rng).nodes
             b = 2.0 * random_loop(64, spec.n, rng).nodes
             single = [action(LoopPath((1.0 - t) * a + t * b), spec) for t in _PathMax.GRID]
-            assert pmax.grid(a, b).tolist() == single  # bit for bit
+            assert pmax.grids([a, b])[0].tolist() == single  # bit for bit
+
+
+def _domain_spec():
+    return ProblemSpec(parse_potential("0.5*|q|^2 + 0.1*sqrt(4 - |q|^2)", 2),
+                       2, 1.0, 2.0, 0.0, "e1")
 
 
 def test_segment_grid_fails_only_outside_the_domain():
-    spec = ProblemSpec(parse_potential("0.5*|q|^2 + 0.1*sqrt(4 - |q|^2)", 2),
-                       2, 1.0, 2.0, 0.0, "e1")
+    spec = _domain_spec()
     pmax = _PathMax(spec)
     circle = circle_loop(64, 2).nodes
     a, b = 0.5 * circle, 3.0 * circle  # radius 0.5 + 2.5 t crosses 2 at t = 0.6
-    values = pmax.grid(a, b)
+    values = pmax.grids([a, b])[0]
     inside = _PathMax.GRID <= 0.6
     assert np.all(values[~inside] == -np.inf) and inside.sum() == 5
     assert values[inside].tolist() == [
         action(LoopPath((1.0 - t) * a + t * b), spec) for t in _PathMax.GRID[inside]]
+
+
+def test_only_the_segment_leaving_the_domain_falls_back(monkeypatch):
+    spec = _domain_spec()
+    pmax = _PathMax(spec)
+    circle = circle_loop(64, 2).nodes
+    path = [r * circle for r in (0.2, 0.8, 1.2, 3.0)]  # only the last leaves
+    batched = pmax.grids(path)
+    sizes = _point_counts(monkeypatch, type(spec.potential), "value")
+    values, taus = pmax.segment_max(path)
+    # The whole batch, then one batch per segment, then the last segment's
+    # grid loop by loop.
+    assert sizes[:13] == [3 * 9 * 64] + [9 * 64] * 3 + [64] * 9
+    # Radius 1.2 + 1.8 t crosses 2 at t = 4/9.
+    assert np.isneginf(batched[2]).tolist() == [False] * 4 + [True] * 5
+    assert np.isfinite(batched[:2]).all()
+    for i in range(3):
+        assert batched[i].tolist() == pmax.grids(path[i:i + 2])[0].tolist()
+        assert (values[i], taus[i]) == tuple(x[0] for x in pmax.segment_max(path[i:i + 2]))
+
+
+def test_trace_levels_are_the_action_of_each_iterate(monkeypatch, expression_spec):
+    loops = []
+    real = solvers.cps_append
+
+    def recorded(trace, u, *args):
+        loops.append(u)
+        return real(trace, u, *args)
+
+    monkeypatch.setattr(solvers, "cps_append", recorded)
+    opts = SolveOptions(initial_loop="random_bandlimited", seed=2, max_iterations=6)
+    nehari = minimize_on_nehari(expression_spec, opts, n_nodes=64)
+    z1 = build_endpoint(expression_spec, circle_loop(64, 2))
+    mp = mountain_pass(expression_spec, zero_loop(64, 2), z1, opts)
+    trace = nehari.trace + mp.trace
+    assert len(trace) == len(loops) == 14
+    assert [r.f_value for r in trace] == [action(u, expression_spec) for u in loops]
 
 
 @pytest.mark.parametrize("m", [15, 16])
