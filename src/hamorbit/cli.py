@@ -48,8 +48,7 @@ ROUTES = ("constrained_min", "mountain_pass")
 
 # Option keys that set SolveOptions and SamplerConfig fields, in report order;
 # both share the one --seed.  A key names its field unless FIELD_NAMES says.
-SOLVE_KEYS = ("seed", "max_iterations", "gradient_tolerance", "step_shrink", "armijo",
-              "path_points", "init")
+SOLVE_KEYS = ("seed", "max_iterations", "gradient_tolerance", "path_points", "init")
 CHECK_KEYS = ("samples", "r_min", "r_max", "radii", "tolerance", "seed")
 FIELD_NAMES = {"init": "initial_loop"}
 
@@ -248,8 +247,6 @@ def cmd_solve(args) -> int:
     spec, _, _ = _build_problem(opts)
     if opts["route"] not in ROUTES:
         raise ConfigError(f"unknown route {opts['route']!r}")
-    if opts["route"] == "constrained_min" and spec.symmetry not in ("e1", "e2"):
-        raise ConfigError("constrained_min route needs symmetry e1 or e2")
     solve_opts = _build_options(SolveOptions, SOLVE_KEYS, opts)
 
     # Every cause of failure, the solver's first.
@@ -360,8 +357,12 @@ def _add_problem_flags(p):
     p.add_argument("--energy", type=float, help="prescribed energy level h")
     p.add_argument("--mu1", type=float, help="growth exponent (default: from the potential)")
     p.add_argument("--mu2", type=float, help="growth offset (default: from the potential)")
-    p.add_argument("--seed", type=int, help="seed for all randomness")
     p.add_argument("--config", help="JSON config file; explicit flags win")
+
+
+def _add_run_flags(p):
+    """check and solve only: verify draws nothing and writes no report."""
+    p.add_argument("--seed", type=int, help="seed for all randomness")
     p.add_argument("--report", help="write the machine-readable report here")
     p.add_argument("--no-timestamp", action="store_true", default=None,
                    dest="no_timestamp", help="omit the created timestamp from reports")
@@ -376,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="sample-check the growth hypotheses")
     _add_problem_flags(p_check)
+    _add_run_flags(p_check)
     p_check.add_argument("--samples", type=int, help="points per hypothesis sample")
     p_check.add_argument("--r-min", type=float, dest="r_min", help="smallest sampled radius")
     p_check.add_argument("--r-max", type=float, dest="r_max", help="largest sampled radius")
@@ -385,13 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve by a critical-point route, then verify")
     _add_problem_flags(p_solve)
+    _add_run_flags(p_solve)
     p_solve.add_argument("--symmetry", choices=SYMMETRY_CLASSES)
     p_solve.add_argument("--route", choices=ROUTES)
     p_solve.add_argument("--nodes", type=int, help="loop discretization size N")
     p_solve.add_argument("--max-iterations", type=int, dest="max_iterations")
     p_solve.add_argument("--gradient-tolerance", type=float, dest="gradient_tolerance")
-    p_solve.add_argument("--step-shrink", type=float, dest="step_shrink")
-    p_solve.add_argument("--armijo", type=float)
     p_solve.add_argument("--path-points", type=int, dest="path_points",
                          help="mountain-pass path resolution")
     p_solve.add_argument("--init", choices=INITIAL_LOOPS)

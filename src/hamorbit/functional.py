@@ -56,6 +56,9 @@ class ProblemSpec:
             raise ValueError(
                 f"spec dimension {self.n} does not match potential dimension {self.potential.n}"
             )
+        for name in ("h", "mu1", "mu2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu1 <= 0 or self.mu2 < 0:
             raise ValueError("growth parameters need mu1 > 0 and mu2 >= 0")
         # Strict admissibility; equality degenerates the ray scaling.

@@ -130,12 +130,9 @@ def project_symmetric(u: LoopPath, symmetry: str) -> LoopPath:
     return LoopPath(0.5 * (u.nodes - u.nodes[idx]))
 
 
-def symmetry_defect(nodes: np.ndarray, symmetry: str) -> float:
+def symmetry_defect(nodes: np.ndarray, projected: np.ndarray) -> float:
     """Sup-norm distance of raw nodes from their symmetry projection."""
-    if symmetry == "none":
-        return 0.0
-    proj = project_symmetric(LoopPath(nodes), symmetry)
-    return float(np.abs(nodes - proj.nodes).max())
+    return float(np.abs(nodes - projected).max())
 
 
 def sobolev_precondition(g: np.ndarray) -> np.ndarray:

@@ -55,6 +55,8 @@ class PowerLawPotential(PotentialModel):
     kind = "power_law"
 
     def __init__(self, a: float, mu1: float, mu2: float = 0.0, n: int = 2):
+        if not n >= 1:
+            raise ValueError("power law needs dimension n >= 1")
         if not a > 0:
             raise ValueError("power law needs a > 0")
         if not mu1 >= 2:
@@ -150,31 +152,34 @@ def second_radial(p: PotentialModel, q) -> float:
 # ---------------------------------------------------------------------------
 # hypothesis checking
 
+# The loop-sphere check (B5) scans this many derivative-norm levels with
+# band-limited loops on this many nodes.
+SPHERE_RADII = 16
+LOOP_NODES = 64
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Sampling plan for the hypothesis checkers.
 
     ``samples`` points are drawn with uniform random directions and radii
     uniform in [r_min, r_max]; the coercivity scan uses ``radii`` concentric
-    spheres; the loop-sphere check draws band-limited loops on ``loop_nodes``
-    nodes and scans ``sphere_radii`` derivative-norm levels.
+    spheres; the loop-sphere check draws ``samples`` loops.
     """
 
     samples: int = 200
     r_min: float = 0.1
     r_max: float = 10.0
     radii: int = 128
-    sphere_radii: int = 16
-    loop_nodes: int = 64
     tolerance: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1 or self.radii < 2 or self.sphere_radii < 1:
+        if self.samples < 1 or self.radii < 2:
             raise ValueError("sampler counts must be positive (radii >= 2)")
         if not 0 < self.r_min < self.r_max:
             raise ValueError("need 0 < r_min < r_max")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
 
@@ -231,14 +236,12 @@ def _check_superlinearity(p, pts, mu1, mu2, tol):
 
 def _check_coercivity(p, h, rng, cfg):
     radii = np.linspace(cfg.r_min, cfg.r_max, cfg.radii)
-    minima = np.empty(cfg.radii)
-    worst_pts = np.empty((cfg.radii, p.n))
-    for i, r in enumerate(radii):
-        pts = _unit_directions(rng, cfg.samples, p.n) * r
-        vals = p.value(pts)
-        j = int(np.argmin(vals))
-        minima[i] = vals[j]
-        worst_pts[i] = pts[j]
+    dirs = _unit_directions(rng, cfg.radii * cfg.samples, p.n)
+    pts = dirs.reshape(cfg.radii, cfg.samples, p.n) * radii[:, None, None]
+    vals = p.value(pts.reshape(-1, p.n)).reshape(cfg.radii, cfg.samples)
+    rows = np.arange(cfg.radii)
+    j = np.argmin(vals, axis=1)
+    minima, worst_pts = vals[rows, j], pts[rows, j]
     ok = minima >= h
     # Smallest tested radius beyond which every sampled sphere stays >= h.
     suffix_ok = np.flip(np.logical_and.accumulate(np.flip(ok)))
@@ -277,20 +280,20 @@ def _check_loop_sphere(p, h, rng, cfg):
     negative; anything else is inconclusive.
     """
     margin = cfg.tolerance * (1.0 + abs(h))
-    radii = np.linspace(cfg.r_min, cfg.r_max, cfg.sphere_radii)
+    radii = np.linspace(cfg.r_min, cfg.r_max, SPHERE_RADII)
     base_loops = []
     for _ in range(cfg.samples):
-        u = random_loop(cfg.loop_nodes, p.n, rng)
+        u = random_loop(LOOP_NODES, p.n, rng)
         s = speed(u)
         if s > 0.0:
             base_loops.append(u.nodes / s)
+    loops = radii[:, None, None, None] * np.reshape(base_loops, (-1, LOOP_NODES, p.n))
+    values = p.value(loops.reshape(-1, p.n))
+    gaps = (h - values).reshape(SPHERE_RADII, len(base_loops), LOOP_NODES)
     best_r, best_est = None, -np.inf
     worst_overall = np.inf
-    for r in radii:
-        est = np.inf
-        for nodes in base_loops:
-            gap = integrate(h - p.value(r * nodes))
-            est = min(est, gap)
+    for r, row in zip(radii, gaps):
+        est = min((integrate(gap) for gap in row), default=np.inf)
         if est > best_est:
             best_r, best_est = float(r), est
         worst_overall = min(worst_overall, est)

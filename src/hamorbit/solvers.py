@@ -60,6 +60,8 @@ from .loopspace import (
 
 _MIN_STEP = 1e-18
 _MAX_STEP = 1e6
+_STEP_SHRINK = 0.5  # backtracking factor
+_ARMIJO = 1e-4  # sufficient-decrease constant
 
 INITIAL_LOOPS = ("circle", "random_bandlimited")
 
@@ -68,8 +70,6 @@ INITIAL_LOOPS = ("circle", "random_bandlimited")
 class SolveOptions:
     max_iterations: int = 5000
     gradient_tolerance: float = 1e-6
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
     path_points: int = 16
     seed: int = 0
     initial_loop: str = "circle"
@@ -77,12 +77,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.gradient_tolerance <= 0:
+        if not self.gradient_tolerance > 0:
             raise ValueError("gradient_tolerance must be positive")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if not 0.0 < self.armijo < 0.5:
-            raise ValueError("armijo constant must lie in (0, 1/2)")
         if self.path_points < 8:
             raise ValueError("path_points must be >= 8")
         if self.initial_loop not in INITIAL_LOOPS:
@@ -119,10 +115,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
 
 
-def _trials(x: np.ndarray, direction: np.ndarray, step: float, symmetry: str,
-            opts: SolveOptions):
+def _trials(x: np.ndarray, direction: np.ndarray, step: float, symmetry: str):
     """The one backtracking sequence of both routes' Armijo searches: yields
-    (t, trial, drift) for t = step, step * step_shrink, ... above _MIN_STEP,
+    (t, trial, drift) for t = step, step * _STEP_SHRINK, ... above _MIN_STEP,
     trial being x - t * direction projected onto the symmetry class and drift
     its symmetry defect.  A trial that is no loop is skipped.  The one step
     rule: after accepting t, the next search starts at min(2 t, _MAX_STEP),
@@ -132,13 +127,12 @@ def _trials(x: np.ndarray, direction: np.ndarray, step: float, symmetry: str,
     while t > _MIN_STEP:
         raw = x - t * direction
         try:
-            drift = symmetry_defect(raw, symmetry)
             trial = project_symmetric(LoopPath(raw), symmetry)
         except ValueError:
             pass
         else:
-            yield t, trial, drift
-        t *= opts.step_shrink
+            yield t, trial, symmetry_defect(raw, trial.nodes)
+        t *= _STEP_SHRINK
 
 
 def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
@@ -193,7 +187,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
                               "stationary point is constant or has nonpositive level")
             return report(u, f_cur, "converged", it)
         if it == opts.max_iterations:
-            break
+            return report(u, f_cur, "max_iter", it, "iteration budget exhausted")
 
         direction = sobolev_precondition(grad)
         slope = _dot(grad, direction)
@@ -209,7 +203,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
         prev_nodes, prev_grad = u.nodes, grad
 
         bracket_failure = None
-        for t, trial, drift in _trials(u.nodes, direction, step, spec.symmetry, opts):
+        for t, trial, drift in _trials(u.nodes, direction, step, spec.symmetry):
             try:
                 trial = LoopPath(scaling_root(trial, spec) * trial.nodes)
                 f_new = action(trial, spec)
@@ -218,7 +212,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
                 continue
             except (DomainError, ZeroLoopError, ValueError):
                 continue
-            if f_new <= f_cur - opts.armijo * t * slope:
+            if f_new <= f_cur - _ARMIJO * t * slope:
                 break
         else:
             if bracket_failure is not None:
@@ -229,9 +223,6 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
         drift_max = max(drift_max, drift)
         u, f_cur = trial, f_new
         step = min(2.0 * t, _MAX_STEP)
-
-    return report(u, f_cur, "max_iter", opts.max_iterations,
-                  "iteration budget exhausted")
 
 
 def build_endpoint(spec: ProblemSpec, base: LoopPath) -> LoopPath:
@@ -462,7 +453,7 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
                               "stationary point is constant")
             return report(u, gamma, "converged", sweep)
         if sweep == opts.max_iterations:
-            break
+            return report(u, gamma, "max_iter", sweep, "sweep budget exhausted")
 
         # The path maximum becomes a node: replace the nearest interior one.
         j = i if tau < 0.5 else i + 1
@@ -470,10 +461,10 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
 
         direction = sobolev_precondition(grad)
         slope = _dot(grad, direction)
-        for t, trial, drift in _trials(top, direction, step, spec.symmetry, opts):
+        for t, trial, drift in _trials(top, direction, step, spec.symmetry):
             vals, taus = pmax.segment_max([path[j - 1], trial.nodes, path[j + 1]])
             hi = vals.max()
-            if math.isfinite(hi) and hi <= gamma - opts.armijo * t * slope:
+            if math.isfinite(hi) and hi <= gamma - _ARMIJO * t * slope:
                 break
         else:
             return report(u, gamma, "max_iter", sweep,
@@ -488,9 +479,3 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         cand_vals, cand_taus = pmax.refresh(candidate)
         if cand_vals.max() <= seg_vals.max():
             path, seg_vals, seg_taus = candidate, cand_vals, cand_taus
-
-    i = int(np.argmax(seg_vals))
-    tau = seg_taus[i]
-    top = (1.0 - tau) * path[i] + tau * path[i + 1]
-    return report(LoopPath(top), float(seg_vals[i]), "max_iter",
-                  opts.max_iterations, "sweep budget exhausted")

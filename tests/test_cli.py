@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import hamorbit
-from hamorbit.cli import ConfigError, main, make_potential
+from hamorbit.cli import ConfigError, build_parser, main, make_potential
 from hamorbit.reportio import parse_report, read_orbit_table, write_orbit_table
 
 
@@ -242,3 +243,65 @@ def test_solve_failure_names_every_cause(tmp_path, capsys, argv, codes):
         # A failed solve leaves no candidate orbit, so nothing is integrated.
         assert "E_BLOWUP" not in text
     assert math.isnan(float(run_section["period"]))
+
+
+PROBLEM_DESTS = ["potential", "n", "energy", "mu1", "mu2", "config"]
+RUN_DESTS = ["seed", "report", "no_timestamp"]
+
+
+def test_subcommand_flags_are_the_ones_read():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {name: [a.dest for a in sub._actions if a.dest != "help"]
+             for name, sub in subparsers.choices.items()}
+    assert dests == {
+        "check": PROBLEM_DESTS + RUN_DESTS + ["samples", "r_min", "r_max", "radii",
+                                              "tolerance"],
+        "solve": PROBLEM_DESTS + RUN_DESTS + [
+            "symmetry", "route", "nodes", "max_iterations", "gradient_tolerance",
+            "path_points", "init", "mp_radius", "orbit", "ode_tol", "energy_tol"],
+        "verify": ["orbit_file"] + PROBLEM_DESTS + ["ode_tol", "energy_tol", "closure_tol"],
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "o.csv", *HARMONIC, "--report", "r.txt"],
+    ["verify", "o.csv", *HARMONIC, "--seed", "1"],
+    ["verify", "o.csv", *HARMONIC, "--no-timestamp"],
+    ["solve", *HARMONIC, "--armijo", "0.1"],
+    ["solve", *HARMONIC, "--step-shrink", "0.3"],
+], ids=["verify_report", "verify_seed", "verify_no_timestamp", "armijo", "step_shrink"])
+def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_removed_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"potential": "power_law(a=0.5,mu1=2,mu2=0)", "n": 2, "energy": 1,'
+                   ' "armijo": 0.1}')
+    assert run("solve", "--config", str(cfg), "--nodes", "64") == 2
+    assert "armijo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["check", *HARMONIC, "--tolerance", "nan"], "tolerance"),
+    (["solve", *HARMONIC, "--gradient-tolerance", "nan"], "gradient_tolerance"),
+    (["solve", "--potential", "power_law(a=0.5,mu1=2,mu2=0)", "--n", "2",
+      "--energy", "inf"], "h must be finite"),
+    (["check", "--potential", "power_law(a=0.5,mu1=2,mu2=0)", "--n", "2",
+      "--energy", "1", "--mu1", "nan"], "mu1 must be finite"),
+    (["solve", "--potential", "power_law(a=0.5,mu1=2,mu2=0)", "--n", "0",
+      "--energy", "1"], "dimension n"),
+], ids=["check_tolerance_nan", "gradient_tolerance_nan", "energy_inf", "mu1_nan",
+        "power_law_n0"])
+def test_invalid_settings_exit_2_naming_them(tmp_path, capsys, argv, setting):
+    rep = tmp_path / "r.txt"
+    assert run(*argv, "--nodes" if argv[0] == "solve" else "--samples", "64",
+               "--report", str(rep)) == 2
+    assert setting in capsys.readouterr().err
+    assert not rep.exists()

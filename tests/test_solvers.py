@@ -32,10 +32,6 @@ from conftest import count_calls, mode_one_loop
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        SolveOptions(armijo=0.7)
-    with pytest.raises(ValueError):
-        SolveOptions(step_shrink=1.0)
-    with pytest.raises(ValueError):
         SolveOptions(path_points=4)
     with pytest.raises(ValueError):
         SolveOptions(initial_loop="spiral")
@@ -173,6 +169,18 @@ def test_minimize_max_iter(harmonic_spec):
     )
     assert rep.termination == "max_iter"
     assert rep.iterations == 2
+
+
+def test_each_trial_projects_once(monkeypatch, harmonic_spec):
+    projections = count_calls(monkeypatch, solvers, "project_symmetric")
+    trials = count_calls(monkeypatch, solvers, "symmetry_defect")
+    minimize_on_nehari(
+        harmonic_spec,
+        SolveOptions(initial_loop="random_bandlimited", seed=1, max_iterations=5),
+        n_nodes=64,
+    )
+    # The start, then one projection per line-search trial.
+    assert len(trials) >= 5 and len(projections) == len(trials) + 1
 
 
 def test_build_endpoint_doubling(harmonic_spec, quartic_spec):
