@@ -159,6 +159,13 @@ def _build_options(cls, keys, opts: dict):
                   for key, default in _field_defaults(cls, keys).items()})
 
 
+def _require_positive(opts: dict, keys):
+    """Each of ``keys`` that is set must be a positive number; NaN is not."""
+    for key in keys:
+        if opts[key] is not None and not float(opts[key]) > 0:
+            raise ConfigError(f"{key} must be positive, got {opts[key]}")
+
+
 def _build_problem(opts: dict) -> tuple[ProblemSpec, float, float]:
     if opts["potential"] is None:
         raise ConfigError("a potential is required (flag --potential or config)")
@@ -244,6 +251,7 @@ def _solve_route(spec: ProblemSpec, solve_opts: SolveOptions, opts: dict):
 
 def cmd_solve(args) -> int:
     opts = _merged(args)
+    _require_positive(opts, ("ode_tol", "energy_tol", "mp_radius"))
     spec, _, _ = _build_problem(opts)
     if opts["route"] not in ROUTES:
         raise ConfigError(f"unknown route {opts['route']!r}")
@@ -330,6 +338,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     opts = _merged(args)
+    _require_positive(opts, ("ode_tol", "energy_tol", "closure_tol"))
     spec, _, _ = _build_problem(opts)
     times, positions, period = read_orbit_table(args.orbit_file)
     if positions.shape[1] != spec.n:

@@ -13,6 +13,11 @@ rungs agree.  Their difference over 2^4 - 1 estimates the error of the finer
 closure (Richardson extrapolation, Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I*, II.4); the ladder stops once that
 estimate is at most 1e-3 of the closure, or at the cap of 8 steps per node.
+All rungs are integrated together, each as a row of one batched RK4 state
+with its own step, so an iteration costs four ``gradient`` calls however many
+rungs are still running; rungs are read in order as they finish, the stop
+rule is applied to each, and the rows above the stopping rung are dropped.
+Every value is bit for bit the one a rung integrated alone would give.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, NonpositiveActionError
+from .errors import BlowupError, DomainError, NonpositiveActionError
 from .functional import ProblemSpec
 from .loopspace import NONCONSTANT_SPEED, LoopPath, dirichlet_energy, integrate, speed
 from .potentials import PotentialModel
@@ -78,36 +83,92 @@ def orbit_residuals(positions: np.ndarray, period: float, potential: PotentialMo
     return float(ode.max()), float(np.abs(energy).max())
 
 
-def closure_gap(q0, v0, period: float, potential: PotentialModel,
-                steps: int = 2048) -> float:
-    """Return-map gap |q(T) - q(0)| + |v(T) - v(0)| of the true dynamics.
+def _rungs(cap: int) -> list[int]:
+    """Step counts of the closure ladder: min(32, cap // 2), doubling, ending on the cap."""
+    steps = min(RK_FIRST_RUNG, cap // 2)
+    rungs = [steps]
+    while steps < cap:
+        steps = min(2 * steps, cap)
+        rungs.append(steps)
+    return rungs
 
-    Integrates q'' = -grad V(q) with the classical fourth-order one-step
-    scheme at fixed step T/steps from the given initial data.  The phase
-    point must stay below norm 1e8 or the test aborts as a blowup.
+
+def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
+    """Yield (steps, closure) for each of the increasing step counts ``rungs``.
+
+    Every rung is one row of a single (R, 2n) RK4 integration with its own
+    step T/steps, so one iteration makes four ``gradient`` calls for all the
+    rows still running.  Row r finishes after rungs[r] iterations and is
+    yielded then, in rung order, so a consumer that stops early stops the
+    integration.  The arithmetic is elementwise and in the order of a single
+    row, so each closure has the bits of ``closure_gap(steps=s)``.
+
+    A row whose phase point passes norm 1e8 is frozen at the start (its step
+    set to 0) and yields nan, except on the last rung, where it raises
+    :class:`BlowupError`.  A batch that raises ``DomainError`` or
+    ``ValueError`` is redone row by row, so such an error surfaces only when
+    its own rung is reached.
     """
     if period <= 0.0:
         raise ValueError("period must be positive")
     q = np.asarray(q0, dtype=float)
     n = q.shape[0]
     start = np.concatenate((q, np.asarray(v0, dtype=float)))
-    dt = period / steps
+    dt = period / np.array(rungs, dtype=float)[:, None]
     half, sixth = 0.5 * dt, dt / 6.0
+    y = np.tile(start, (len(rungs), 1))
+    escaped = set()  # rows frozen after a blowup, as indices into ``rungs``
+    lo = 0  # rows lo: are still running; y, dt, half and sixth hold only them
 
-    def rate(y):  # (q, v)' = (v, -grad V(q))
-        return np.concatenate((y[n:], -potential.gradient(y[:n])))
+    def rate(y):  # (q, v)' = (v, -grad V(q)), row by row
+        return np.concatenate((y[:, n:], -potential.gradient(y[:, :n])), axis=1)
 
-    y = start
-    for _ in range(steps):
-        k1 = rate(y)
-        k2 = rate(y + half * k1)
-        k3 = rate(y + half * k2)
-        k4 = rate(y + dt * k3)
+    for it in range(1, rungs[-1] + 1):
+        try:
+            k1 = rate(y)
+            k2 = rate(y + half * k1)
+            k3 = rate(y + half * k2)
+            k4 = rate(y + dt * k3)
+        except (DomainError, ValueError):
+            if lo == len(rungs) - 1:
+                raise
+            for r in range(lo, len(rungs)):
+                try:
+                    yield from _rung_closures(q0, v0, period, potential, rungs[r:r + 1])
+                except BlowupError:
+                    if r == len(rungs) - 1:
+                        raise
+                    yield rungs[r], math.nan
+            return
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if np.abs(y).max() > BLOWUP_LIMIT:
-            raise BlowupError("trajectory escaped during the closure integration")
-    gap = y - start
-    return float(np.linalg.norm(gap[:n]) + np.linalg.norm(gap[n:]))
+            for j in np.flatnonzero(np.abs(y).max(axis=1) > BLOWUP_LIMIT):
+                escaped.add(lo + j)
+                y[j], dt[j], half[j], sixth[j] = start, 0.0, 0.0, 0.0
+        while lo < len(rungs) and (lo in escaped or rungs[lo] == it):
+            if lo in escaped:
+                if lo == len(rungs) - 1:
+                    raise BlowupError("trajectory escaped during the closure integration")
+                closure = math.nan
+            else:
+                gap = y[0] - start
+                closure = float(np.linalg.norm(gap[:n]) + np.linalg.norm(gap[n:]))
+            yield rungs[lo], closure
+            y, dt, half, sixth = y[1:], dt[1:], half[1:], sixth[1:]
+            lo += 1
+
+
+def closure_gap(q0, v0, period: float, potential: PotentialModel,
+                steps: int = 2048) -> float:
+    """Return-map gap |q(T) - q(0)| + |v(T) - v(0)| of the true dynamics.
+
+    Integrates q'' = -grad V(q) with the classical fourth-order one-step
+    scheme at fixed step T/steps from the given initial data: the ladder's
+    integrator with the single rung ``steps``.  The phase point must stay
+    below norm 1e8 or the test aborts as a blowup.
+    """
+    ((_, closure),) = _rung_closures(q0, v0, period, potential, [steps])
+    return closure
 
 
 def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel,
@@ -116,36 +177,30 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
     q_k = q(k T / N).
 
     The closure test starts from (q_0, central-difference velocity at q_0).
-    It runs :func:`closure_gap` at ``min(32, cap // 2)`` steps and doubles,
-    never past the cap of 8N steps.  After each rung with a finite
+    Its rungs run ``min(32, cap // 2)`` steps and double, never past the cap
+    of 8N steps; all of them are integrated together, as the rows of one
+    batch, and read in rung order.  After each rung with a finite
     predecessor, closure_err = |c(s) - c(s')| / ((s/s')^4 - 1), which is
     over 15 for a doubling, estimates the integrator error of c(s); the
-    ladder stops when closure_err <= 1e-3 c(s), or at the cap.  A blowup
-    below the cap moves on to the next rung, one at the cap propagates.  A
-    nan closure never passes, and closure_err is nan when the cap rung has no
-    finite predecessor.
+    ladder stops when closure_err <= 1e-3 c(s), or at the cap, and the rows
+    above stop with it.  A blowup below the cap moves on to the next rung,
+    one at the cap propagates.  A nan closure never passes, and closure_err
+    is nan when the cap rung has no finite predecessor.  Values and errors
+    are those of running :func:`closure_gap` at each rung in turn.
     """
     q = np.asarray(positions, dtype=float)
     N = q.shape[0]
     ode_sup, energy_sup = orbit_residuals(q, period, potential, h)
     v0 = (q[1] - q[-1]) / (2.0 * period / N)
     cap = RK_STEPS_PER_NODE * N
-    steps = min(RK_FIRST_RUNG, cap // 2)
     coarse, coarse_steps = math.nan, 0
-    while True:
-        try:
-            closure = closure_gap(q[0], v0, period, potential, steps=steps)
-        except BlowupError:
-            if steps >= cap:
-                raise
-            closure = math.nan
+    for steps, closure in _rung_closures(q[0], v0, period, potential, _rungs(cap)):
         closure_err = math.nan
         if coarse_steps:
             closure_err = abs(closure - coarse) / ((steps / coarse_steps) ** RK_ORDER - 1.0)
         if steps >= cap or closure_err <= CLOSURE_REL_ERR * closure:
             return ode_sup, energy_sup, closure, closure_err
         coarse, coarse_steps = closure, steps
-        steps = min(2 * steps, cap)
 
 
 def synthesize(u: LoopPath, spec: ProblemSpec) -> OrbitResult:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hamorbit
+from hamorbit import cli
 from hamorbit.cli import ConfigError, build_parser, main, make_potential
 from hamorbit.reportio import parse_report, read_orbit_table, write_orbit_table
 
@@ -305,3 +306,32 @@ def test_invalid_settings_exit_2_naming_them(tmp_path, capsys, argv, setting):
                "--report", str(rep)) == 2
     assert setting in capsys.readouterr().err
     assert not rep.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--ode-tol", "nan"), ("--energy-tol", "0"),
+                                         ("--mp-radius", "nan"), ("--mp-radius", "-1")])
+def test_solve_nonpositive_tolerance_exits_2_before_solving(tmp_path, capsys, monkeypatch,
+                                                             flag, value):
+    def no_solve(*args):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(cli, "_solve_route", no_solve)
+    rep = tmp_path / "r.txt"
+    assert run("solve", *HARMONIC, "--route", "mountain_pass", "--nodes", "64",
+               flag, value, "--report", str(rep)) == 2
+    assert f"{flag[2:].replace('-', '_')} must be positive" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("setting, value", [("ode_tol", "nan"), ("energy_tol", "-1"),
+                                            ("closure_tol", "nan"), ("closure_tol", "0")])
+def test_verify_nonpositive_tolerance_exits_2(tmp_path, capsys, setting, value):
+    orb = tmp_path / "orbit.csv"
+    assert run("solve", *HARMONIC, "--nodes", "64", "--no-timestamp", "--orbit", str(orb)) == 0
+    capsys.readouterr()
+    assert run("verify", str(orb), *HARMONIC, f"--{setting.replace('_', '-')}", value) == 2
+    assert f"{setting} must be positive" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{setting}": {value}}}'.replace("nan", "NaN"))
+    assert run("verify", str(orb), *HARMONIC, "--config", str(cfg)) == 2
+    assert f"{setting} must be positive" in capsys.readouterr().err

@@ -5,8 +5,11 @@ import pytest
 
 from hamorbit import (
     BlowupError,
+    DomainError,
     LoopPath,
     NonpositiveActionError,
+    PotentialModel,
+    ProblemSpec,
     circle_loop,
     closure_gap,
     dirichlet_energy,
@@ -19,7 +22,7 @@ from hamorbit import (
 )
 from hamorbit import orbit
 from hamorbit.orbit import orbit_residuals
-from conftest import mode_one_loop
+from conftest import count_calls, mode_one_loop
 
 
 def exact_harmonic_samples(N):
@@ -130,26 +133,80 @@ def cubic_circle_orbit(spec, N):
     return u.nodes, orbit_period(u, spec)
 
 
-def count_steps(monkeypatch):
-    """Patch ``orbit.closure_gap`` to record the steps of each call."""
-    steps = []
-    real = orbit.closure_gap
+def ladder_start(q, T):
+    """The closure test's initial data: q_0 and the central-difference velocity."""
+    return q[0], (q[1] - q[-1]) / (2.0 * T / q.shape[0])
 
-    def counted(*args, **kwargs):
-        steps.append(kwargs["steps"])
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(orbit, "closure_gap", counted)
-    return steps
+def single_point_rk4(q0, v0, T, potential, steps):
+    """Closure of classical RK4 on one (2n,) state vector, a reference for
+    the bits of the batched integrator."""
+    n = len(q0)
+    start = np.concatenate((q0, v0))
+    dt = T / steps
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def rate(y):
+        return np.concatenate((y[n:], -potential.gradient(y[:n])))
+
+    y = start
+    for _ in range(steps):
+        k1 = rate(y)
+        k2 = rate(y + half * k1)
+        k3 = rate(y + half * k2)
+        k4 = rate(y + dt * k3)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.abs(y).max() > 1e8:
+            raise BlowupError("escaped")
+    gap = y - start
+    return float(np.linalg.norm(gap[:n]) + np.linalg.norm(gap[n:]))
+
+
+def sequential_ladder(q, T, potential):
+    """The closure ladder run one rung after another on a single point:
+    (closure, closure_err, rungs reached)."""
+    q0, v0 = ladder_start(q, T)
+    cap = 8 * q.shape[0]
+    steps = min(32, cap // 2)
+    coarse, coarse_steps, reached = math.nan, 0, []
+    while True:
+        reached.append(steps)
+        try:
+            closure = single_point_rk4(q0, v0, T, potential, steps)
+        except BlowupError:
+            if steps >= cap:
+                raise
+            closure = math.nan
+        closure_err = math.nan
+        if coarse_steps:
+            closure_err = abs(closure - coarse) / ((steps / coarse_steps) ** 4 - 1.0)
+        if steps >= cap or closure_err <= 1e-3 * closure:
+            return closure, closure_err, reached
+        coarse, coarse_steps = closure, steps
+        steps = min(2 * steps, cap)
+
+
+def record_rungs(monkeypatch):
+    """Patch the ladder's batched integrator to record each rung it yields."""
+    reached = []
+    real = orbit._rung_closures
+
+    def recorded(*args):
+        for steps, closure in real(*args):
+            reached.append(steps)
+            yield steps, closure
+
+    monkeypatch.setattr(orbit, "_rung_closures", recorded)
+    return reached
 
 
 @pytest.mark.parametrize("N,budget", [(1024, 1024), (4096, 2048)])
 def test_closure_ladder_steps_grow_slower_than_nodes(monkeypatch, cubic_spec, N, budget):
     q, T = cubic_circle_orbit(cubic_spec, N)
-    steps = count_steps(monkeypatch)
+    reached = record_rungs(monkeypatch)
     *_, closure, closure_err = verify_orbit(q, T, cubic_spec.potential, cubic_spec.h)
-    assert sum(steps) <= budget
-    assert steps[0] == 32 and all(b == 2 * a for a, b in zip(steps, steps[1:]))
+    assert sum(reached) <= budget
+    assert reached[0] == 32 and all(b == 2 * a for a, b in zip(reached, reached[1:]))
     assert closure_err <= 1e-3 * closure
 
 
@@ -163,18 +220,21 @@ def test_closure_ladder_estimate_bounds_the_error(cubic_spec):
     assert abs(closure - fine) <= 2.0 * closure_err
 
 
-def test_closure_ladder_climbs_past_coarse_blowups(monkeypatch, cubic_spec):
-    q, T = cubic_circle_orbit(cubic_spec, 64)
-    real = orbit.closure_gap
-
-    def fragile(*args, steps):
-        if steps < 128:
-            raise BlowupError("coarse rung escaped")
-        return real(*args, steps=steps)
-
-    monkeypatch.setattr(orbit, "closure_gap", fragile)
-    *_, closure, closure_err = verify_orbit(q, T, cubic_spec.potential, cubic_spec.h)
+def test_closure_ladder_climbs_past_coarse_blowups(monkeypatch):
+    # A stiff second mode (frequency 40) that RK4 cannot hold at T/32 or
+    # T/64 (|40 dt| > 2.8) but damps at T/128: the two coarse rungs blow up.
+    stiff = parse_potential("0.5*q1^2 + 800*q2^2", 2)
+    N, T = 64, 2 * math.pi
+    q = np.stack([np.cos(T * np.arange(N) / N), np.full(N, 1e-6)], axis=1)
+    q0, v0 = ladder_start(q, T)
+    for steps in (32, 64):
+        with pytest.raises(BlowupError):
+            closure_gap(q0, v0, T, stiff, steps=steps)
+    reached = record_rungs(monkeypatch)
+    *_, closure, closure_err = verify_orbit(q, T, stiff, 0.5)
+    assert reached[:3] == [32, 64, 128]
     assert math.isfinite(closure) and math.isfinite(closure_err)
+    assert (closure, closure_err) == sequential_ladder(q, T, stiff)[:2]
 
 
 def test_closure_ladder_blowup_at_the_cap():
@@ -188,12 +248,121 @@ def test_closure_ladder_ends_on_the_cap(monkeypatch):
     # than the cap of 8N = 320 steps, which is no doubling of 32.
     rungs = []
 
-    def model(*args, steps):
-        rungs.append(steps)
-        return 1.0 + 100.0 * (32.0 / steps) ** 4
+    def model(q0, v0, period, potential, ladder):
+        for steps in ladder:
+            rungs.append(steps)
+            yield steps, 1.0 + 100.0 * (32.0 / steps) ** 4
 
-    monkeypatch.setattr(orbit, "closure_gap", model)
+    monkeypatch.setattr(orbit, "_rung_closures", model)
     *_, closure, closure_err = verify_orbit(exact_harmonic_samples(40), 2 * math.pi,
                                             parse_potential("0.5*|q|^2", 2), 1.0)
     assert rungs == [32, 64, 128, 256, 320]
     assert closure_err == pytest.approx(closure - 1.0, rel=1e-9)
+
+
+LADDER_POTENTIALS = [
+    (None, 3),  # the cubic power law of ``cubic_spec``
+    ("0.5*|q|^2 + 0.05*sin(q1)^2", 2),
+    ("exp(0.5*|q|^2) - 1", 2),
+    ("|q|^2*(1 + 0.1*log(1 + q1^2))", 2),
+]
+
+
+@pytest.mark.parametrize("source,n", LADDER_POTENTIALS,
+                         ids=["power_law", "sin", "exp", "log"])
+def test_each_rung_is_closure_gap_bit_for_bit(cubic_spec, source, n):
+    spec = cubic_spec if source is None else ProblemSpec(
+        parse_potential(source, n), n, 1.0, 2.0, 0.0, "e1")
+    N = 64
+    circle = circle_loop(N, n)
+    on_set = scaling_root(circle, spec) * circle.nodes
+    rng = np.random.default_rng(3)
+    for q in (on_set, on_set * (1.0 + 0.02 * rng.standard_normal(on_set.shape))):
+        T = orbit_period(LoopPath(q), spec)
+        q0, v0 = ladder_start(q, T)
+        rungs = orbit._rungs(8 * N)
+        assert [s for s, _ in orbit._rung_closures(q0, v0, T, spec.potential, rungs)] == rungs
+        for steps, closure in orbit._rung_closures(q0, v0, T, spec.potential, rungs):
+            assert closure == closure_gap(q0, v0, T, spec.potential, steps=steps)
+            assert closure == single_point_rk4(q0, v0, T, spec.potential, steps)
+        *_, closure, closure_err = verify_orbit(q, T, spec.potential, spec.h)
+        assert (closure, closure_err) == sequential_ladder(q, T, spec.potential)[:2]
+
+
+class Faulty(PotentialModel):
+    """``inner`` with a fault at the second RK4 stage point of the first
+    step of each rung in ``rungs``: the gradient there raises DomainError
+    (``fault="domain"``) or is 1e12, which escapes in that step
+    (``fault="blowup"``).  ``hits`` counts the calls that met a fault."""
+
+    def __init__(self, inner, q, T, rungs, fault):
+        self.inner, self.n, self.fault, self.hits = inner, inner.n, fault, 0
+        q0, v0 = ladder_start(q, T)
+        self.points = np.array([q0 + (0.5 * (T / s)) * v0 for s in rungs])
+
+    def value(self, q):
+        return self.inner.value(q)
+
+    def gradient(self, q):
+        g = self.inner.gradient(q)
+        pts = np.atleast_2d(q)
+        hit = (pts[:, None, :] == self.points[None, :, :]).all(axis=2).any(axis=1)
+        if not hit.any():
+            return g
+        self.hits += 1
+        if self.fault == "domain":
+            raise DomainError("faulty stage point")
+        return np.where(hit[:, None], 1e12, np.atleast_2d(g)).reshape(g.shape)
+
+
+def stopping_case(spec, N=256):
+    """The cubic circle at N: samples, period, its clean verify tuple and the
+    rungs the ladder reaches, which stop below the cap."""
+    q, T = cubic_circle_orbit(spec, N)
+    clean = verify_orbit(q, T, spec.potential, spec.h)
+    reached = sequential_ladder(q, T, spec.potential)[2]
+    assert reached[-1] < 8 * N
+    return q, T, clean, reached
+
+
+@pytest.mark.parametrize("fault", ["domain", "blowup"])
+def test_fault_above_the_stopping_rung_does_not_surface(cubic_spec, fault):
+    q, T, clean, reached = stopping_case(cubic_spec)
+    above = [s for s in orbit._rungs(8 * q.shape[0]) if s > reached[-1]]
+    faulty = Faulty(cubic_spec.potential, q, T, above, fault)
+    assert verify_orbit(q, T, faulty, cubic_spec.h) == clean
+    assert faulty.hits > 0
+
+
+def test_domain_error_at_a_reached_rung_surfaces(cubic_spec):
+    q, T, _, reached = stopping_case(cubic_spec)
+    faulty = Faulty(cubic_spec.potential, q, T, [reached[-1]], "domain")
+    with pytest.raises(DomainError):
+        verify_orbit(q, T, faulty, cubic_spec.h)
+
+
+def test_blowup_at_a_reached_rung_moves_on(cubic_spec):
+    q, T, clean, reached = stopping_case(cubic_spec)
+    faulty = Faulty(cubic_spec.potential, q, T, [reached[-1]], "blowup")
+    closure, closure_err, later = sequential_ladder(q, T, faulty)
+    assert later[-1] > reached[-1]
+    assert verify_orbit(q, T, faulty, cubic_spec.h)[2:] == (closure, closure_err)
+    assert (closure, closure_err) != clean[2:]
+
+
+@pytest.mark.parametrize("fault,error", [("domain", DomainError), ("blowup", BlowupError)])
+def test_fault_on_every_rung_surfaces(cubic_spec, fault, error):
+    # A domain error stops the first rung; blowups are passed over up to the cap.
+    q, T = cubic_circle_orbit(cubic_spec, 64)
+    faulty = Faulty(cubic_spec.potential, q, T, orbit._rungs(8 * 64), fault)
+    with pytest.raises(error):
+        verify_orbit(q, T, faulty, cubic_spec.h)
+
+
+def test_ladder_makes_four_gradient_calls_per_finest_step(monkeypatch, cubic_spec):
+    # One call for the residuals, then four per iteration of the batch, whose
+    # finest reached rung sets the iteration count; rows above add no calls.
+    q, T, _, reached = stopping_case(cubic_spec)
+    calls = count_calls(monkeypatch, cubic_spec.potential, "gradient")
+    verify_orbit(q, T, cubic_spec.potential, cubic_spec.h)
+    assert len(calls) == 1 + 4 * reached[-1]
