@@ -77,7 +77,7 @@ def _factors(loops: np.ndarray, spec: ProblemSpec):
     gaps = spec.h - spec.potential.value(loops.reshape(L * N, n)).reshape(L, N)
     d = np.roll(loops, -1, axis=1) - loops
     d *= d
-    A = np.array([0.5 * N * math.fsum(dk.ravel()) for dk in d])
+    A = np.array([0.5 * N * math.fsum(dk.ravel().tolist()) for dk in d])
     B = np.array([integrate(gk) for gk in gaps])
     return A, B
 
@@ -241,7 +241,7 @@ def gradient_dual_norm(grad: np.ndarray) -> float:
     the same thing at every resolution.
     """
     g = np.asarray(grad, dtype=float)
-    return math.sqrt(g.shape[0] * math.fsum((g * g).ravel()))
+    return math.sqrt(g.shape[0] * math.fsum((g * g).ravel().tolist()))
 
 
 def weighted_gradient_norm(u: LoopPath, grad: np.ndarray) -> float:
@@ -282,11 +282,12 @@ def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, where: GradientSpher
             proxy = constraint_distance(u, where, spec)
         except ZeroLoopError:
             proxy = residual  # ray projection undefined at 0; fall back
+    loop_norm = h1_norm(u)  # once: weighted_gradient_norm would take it again
     rec = CpsRecord(
         iteration=iteration,
         f_value=f_value,
-        loop_norm=h1_norm(u),
-        weighted_gradient=weighted_gradient_norm(u, grad),
+        loop_norm=loop_norm,
+        weighted_gradient=(1.0 + loop_norm) * gradient_dual_norm(grad),
         distance_proxy=proxy,
         constraint_residual=residual,
     )

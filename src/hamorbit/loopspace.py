@@ -10,7 +10,9 @@ limit.
 
 Sums that feed invariant checks (quadrature, Dirichlet energy) use
 ``math.fsum`` so they are exactly rounded and therefore invariant under
-circular shifts of the samples.
+circular shifts of the samples.  They pass it Python floats (``tolist``):
+iterating a numpy array would build one numpy scalar per element, for the
+same bits.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def integrate(samples) -> float:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1:
         raise ValueError("integrate expects a flat sequence of scalars")
-    return math.fsum(arr) / arr.shape[0]
+    return math.fsum(arr.tolist()) / arr.shape[0]
 
 
 def dirichlet_energy(u: LoopPath) -> float:
@@ -84,7 +86,7 @@ def dirichlet_energy(u: LoopPath) -> float:
     exactly rounded sum; shift-invariant and even in u to the last bit.
     """
     d = np.roll(u.nodes, -1, axis=0) - u.nodes
-    return 0.5 * u.N * math.fsum((d * d).ravel())
+    return 0.5 * u.N * math.fsum((d * d).ravel().tolist())
 
 
 def speed(u: LoopPath) -> float:
@@ -94,7 +96,7 @@ def speed(u: LoopPath) -> float:
 
 def loop_mean(u: LoopPath) -> np.ndarray:
     """Mean position of the loop, one component per coordinate."""
-    return np.array([math.fsum(u.nodes[:, i]) for i in range(u.n)]) / u.N
+    return np.array([math.fsum(column) for column in u.nodes.T.tolist()]) / u.N
 
 
 def h1_norm(u: LoopPath) -> float:

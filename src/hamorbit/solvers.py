@@ -15,7 +15,11 @@ at most two batched derivative passes, and each bracketed top by Illinois
 regula falsi on the tangential derivative.  It relaxes the maximum one
 preconditioned descent step accepted on the modified segments' maxima, and
 re-equidistributes the interior points in loop-space arc length when that
-does not raise the maximum, which keeps the level estimates monotone.
+does not raise the maximum, which keeps the level estimates monotone.  A
+re-equidistributed candidate is tested on its three segments around the top
+first, and most candidates are rejected there, without evaluating the
+others; the decisions, and so every result, are those of evaluating each
+candidate in full.
 """
 
 from __future__ import annotations
@@ -281,6 +285,13 @@ def _redistribute(path: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
+def _segment_ends(nodes, segments=slice(None)):
+    """Stacks (a, b) of the ends of the segments [a, b] of a node list that
+    ``segments`` indexes (all of them by default)."""
+    nodes = np.asarray(nodes)
+    return nodes[:-1][segments], nodes[1:][segments]
+
+
 class _PathMax:
     """Continuous maximization of the functional along a piecewise-linear path.
 
@@ -303,7 +314,11 @@ class _PathMax:
     at the located top).  Otherwise the grid maximum itself is the answer:
     any other grid point is already in the grid and no higher.  Every value
     and derivative has the bits of the single-loop :func:`action` and
-    :func:`action_gradient`.
+    :func:`action_gradient`, so a segment's maximum does not depend on the
+    other segments it is evaluated with.
+
+    :meth:`refresh` evaluates a whole path, or tests a candidate path
+    against a ceiling on the segments around the top before the rest.
     """
 
     GRID = np.linspace(0.0, 1.0, 9)
@@ -330,13 +345,14 @@ class _PathMax:
         return np.array([-np.inf if v is None else v
                          for v in self._each(stacked_action, loops)])
 
-    def grids(self, nodes) -> np.ndarray:
+    def grids(self, nodes, segments=slice(None)) -> np.ndarray:
         """The functional at the grid points (1-t) a + t b of every segment
-        [a, b] of a node list, shape (segments, len(GRID))."""
-        nodes = np.asarray(nodes)
+        [a, b] of a node list, or of the segments indexed by ``segments``,
+        shape (segments, len(GRID))."""
+        a, b = _segment_ends(nodes, segments)
         t = self.GRID[:, None, None]
-        points = (1.0 - t) * nodes[:-1, None] + t * nodes[1:, None]
-        return self._values(points).reshape(len(nodes) - 1, -1)
+        points = (1.0 - t) * a[:, None] + t * b[:, None]
+        return self._values(points).reshape(len(a), -1)
 
     def _slopes(self, a, b, t) -> list:
         """Tangential derivatives d/dt f((1-t) a + t b) for stacks of segment
@@ -348,13 +364,12 @@ class _PathMax:
         return [None if g is None else float(np.vdot(g, bk - ak))
                 for g, ak, bk in zip(grads, a, b)]
 
-    def segment_max(self, nodes):
+    def segment_max(self, nodes, segments=slice(None)):
         """(values, taus) of the max of the functional on each segment
-        [nodes[i], nodes[i+1]] of a node list, tau locating it at
-        (1 - tau) nodes[i] + tau nodes[i+1]."""
-        nodes = np.asarray(nodes)
-        a, b = nodes[:-1], nodes[1:]
-        coarse = self.grids(nodes)
+        [nodes[i], nodes[i+1]] of a node list, or on the segments i indexed
+        by ``segments``, tau locating it at (1 - tau) nodes[i] + tau nodes[i+1]."""
+        a, b = _segment_ends(nodes, segments)
+        coarse = self.grids(nodes, segments)
         k = np.argmax(coarse, axis=1)
         values, taus = coarse[np.arange(len(k)), k], self.GRID[k]
         last = len(self.GRID) - 1
@@ -380,9 +395,29 @@ class _PathMax:
                 values[s], taus[s] = value, tau
         return values, taus
 
-    def refresh(self, path):
-        """Per-segment maxima (values, taus) for the whole path."""
-        return self.segment_max(path)
+    def refresh(self, path, top=None, ceiling=None):
+        """Per-segment maxima (values, taus) for the whole path.
+
+        With a ``ceiling``, the path is a candidate that must not raise the
+        maximum above it, and None rejects it.  The segments top - 1, top and
+        top + 1 (those on the path) go first, and a maximum above the ceiling
+        there rejects the candidate without evaluating the others; the rest
+        then go in one more :meth:`segment_max` call, and the whole set is
+        held to the same rule.  A segment's maximum depends only on its two
+        ends, so the order decides how many segments are evaluated, never a
+        value or the outcome.
+        """
+        if ceiling is None:
+            return self.segment_max(path)
+        m = len(path) - 1
+        near = np.zeros(m, dtype=bool)
+        near[max(top - 1, 0):top + 2] = True
+        values, taus = np.empty(m), np.empty(m)
+        for part in (near, ~near):
+            values[part], taus[part] = self.segment_max(path, part)
+            if not values[part].max() <= ceiling:
+                return None
+        return values, taus
 
 
 def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
@@ -403,6 +438,10 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
     show sufficient decrease; interior nodes are then re-equidistributed in
     loop-space arc length unless that would raise the level estimate.  The
     recorded level estimates are therefore non-increasing by construction.
+    The re-equidistributed candidate's segments around the current top are
+    evaluated first, and a maximum above the level there rejects it without
+    the other segments (:meth:`_PathMax.refresh`); the results are those of
+    evaluating every candidate in full, bit for bit.
     """
     opts = opts or SolveOptions()
     f0, f1 = action(z0, spec), action(z1, spec)
@@ -476,6 +515,6 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
 
         # Arc-length re-equidistribution, skipped if it would raise the max.
         candidate = _redistribute(path)
-        cand_vals, cand_taus = pmax.refresh(candidate)
-        if cand_vals.max() <= seg_vals.max():
-            path, seg_vals, seg_taus = candidate, cand_vals, cand_taus
+        maxima = pmax.refresh(candidate, int(np.argmax(seg_vals)), seg_vals.max())
+        if maxima is not None:
+            path, (seg_vals, seg_taus) = candidate, maxima

@@ -207,6 +207,17 @@ def test_cps_records(harmonic_spec):
     assert rec3.weighted_gradient <= 1e-6
 
 
+def test_cps_record_takes_the_loop_norm_once(monkeypatch, expression_spec):
+    u = random_loop(64, 2, np.random.default_rng(5))
+    grad = action_gradient(u, expression_spec)
+    norms = count_calls(monkeypatch, functional, "h1_norm")
+    rec = cps_append([], u, expression_spec, GradientSphere(1.0), 0, grad,
+                     action(u, expression_spec))
+    assert len(norms) == 1
+    assert rec.loop_norm == h1_norm(u)
+    assert rec.weighted_gradient == weighted_gradient_norm(u, grad)  # bit for bit
+
+
 def test_cps_record_on_the_set_needs_no_root(monkeypatch, harmonic_spec):
     # On the set, the residual's one constraint evaluation also settles the
     # distance proxy; off the set the proxy is still the gap along the ray.

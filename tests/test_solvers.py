@@ -275,6 +275,29 @@ def test_refresh_makes_one_grid_call(monkeypatch, cubic_spec):
     assert sizes[0] == 16 * 9 * 64 and max(sizes[1:]) <= 16 * 64
 
 
+def test_refresh_holds_a_candidate_to_its_ceiling(monkeypatch, cubic_spec):
+    path = _random_path(cubic_spec, np.random.default_rng(4), np.linspace(0.2, 2.5, 17))
+    pmax = _PathMax(cubic_spec)
+    values, taus = pmax.refresh(path)
+    top = int(np.argmax(values))
+    far = (top + 8) % 16
+    window = values[far - 1:far + 2].max()
+    assert window < values.max()
+    # Accepted at the path's maximum, with every value and tau bit for bit.
+    accepted = pmax.refresh(path, far, values.max())
+    assert accepted[0].tolist() == values.tolist() and accepted[1].tolist() == taus.tolist()
+    # Between the window's maximum and the path's, only the rest rejects.
+    assert pmax.refresh(path, far, 0.5 * (window + values.max())) is None
+    # Below a window's maximum the window alone rejects: one grid call of
+    # three segments, or two at the end of the path.
+    sizes = _point_counts(monkeypatch, PowerLawPotential, "value")
+    assert pmax.refresh(path, far, window - 1.0) is None
+    assert sizes[0] == 3 * 9 * 64 and all(c <= 3 * 64 for c in sizes[1:])
+    del sizes[:]
+    assert pmax.refresh(path, 0, values[:2].max() - 1.0) is None
+    assert sizes[0] == 2 * 9 * 64 and all(c <= 2 * 64 for c in sizes[1:])
+
+
 def test_segment_grid_matches_pointwise_action(expression_spec, cubic_spec):
     rng = np.random.default_rng(0)
     for spec in (expression_spec, cubic_spec):
@@ -384,6 +407,68 @@ def test_mountain_pass_descends_on_the_expression(expression_spec):
     assert abs(rep.f_value - 7.9861812435587654) <= 1e-9
     gs = rep.gamma_history
     assert all(a >= b for a, b in zip(gs, gs[1:]))
+
+
+def _expression_pass(spec):
+    z1 = build_endpoint(spec, circle_loop(64, 2))
+    return mountain_pass(spec, zero_loop(64, 2), z1, SolveOptions())
+
+
+def _recorded_refresh(monkeypatch, refresh, sizes=()):
+    """Patch _PathMax.refresh with ``refresh``, recording for each candidate
+    whether it was accepted and the sizes of the potential calls it made
+    (from the list ``sizes`` that a counter fills)."""
+    candidates = []
+
+    def recorded(self, path, top=None, ceiling=None):
+        start = len(sizes)
+        maxima = refresh(self, path, top, ceiling)
+        if ceiling is not None:
+            candidates.append((maxima is not None, sizes[start:]))
+        return maxima
+
+    monkeypatch.setattr(_PathMax, "refresh", recorded)
+    return candidates
+
+
+def _refresh_in_full(self, path, top=None, ceiling=None):
+    # Every segment of the candidate, then the rule on all of them.
+    values, taus = self.segment_max(path)
+    if ceiling is not None and not values.max() <= ceiling:
+        return None
+    return values, taus
+
+
+def test_window_first_refresh_keeps_every_outcome(monkeypatch, expression_spec):
+    window_first = _recorded_refresh(monkeypatch, _PathMax.refresh)
+    rep = _expression_pass(expression_spec)
+    in_full = _recorded_refresh(monkeypatch, _refresh_in_full)
+    ref = _expression_pass(expression_spec)
+    decisions = [accepted for accepted, _ in window_first]
+    assert decisions == [accepted for accepted, _ in in_full]
+    assert True in decisions and False in decisions
+    assert rep.gamma_history == ref.gamma_history
+    assert rep.iterations == ref.iterations
+    assert rep.loop.nodes.tobytes() == ref.loop.nodes.tobytes()
+
+
+# potential.value points of the expression mountain pass at N=64 with the
+# window-first check (485,312 when every candidate is evaluated in full).
+EXPRESSION_PASS_VALUE_POINTS = 244_032
+
+
+def test_rejected_candidates_evaluate_three_segments(monkeypatch, expression_spec):
+    z1 = build_endpoint(expression_spec, circle_loop(64, 2))
+    sizes = _point_counts(monkeypatch, type(expression_spec.potential), "value")
+    candidates = _recorded_refresh(monkeypatch, _PathMax.refresh, sizes)
+    mountain_pass(expression_spec, zero_loop(64, 2), z1, SolveOptions())
+    rejected = [calls for accepted, calls in candidates if not accepted]
+    assert rejected
+    for calls in rejected:
+        # One grid call of at most three segments, then their bracket ends
+        # and tops.
+        assert calls[0] <= 3 * 9 * 64 and all(c <= 3 * 64 for c in calls[1:])
+    assert sum(sizes) <= 1.1 * EXPRESSION_PASS_VALUE_POINTS
 
 
 def test_mountain_pass_separation_failures(harmonic_spec):
