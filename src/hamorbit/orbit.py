@@ -7,17 +7,21 @@ uses central differences (second order, distinct from the solver's forward
 differencing) plus a Runge-Kutta return-map test, so a solution is only
 accepted when two unrelated discretizations agree.
 
-The return map is integrated by fixed-step RK4 (:func:`closure_gap`) on a
-ladder of step counts 32, 64, 128, ... that doubles until two successive
-rungs agree.  Their difference over 2^4 - 1 estimates the error of the finer
-closure (Richardson extrapolation, Hairer, Norsett & Wanner, *Solving
-Ordinary Differential Equations I*, II.4); the ladder stops once that
-estimate is at most 1e-3 of the closure, or at the cap of 8 steps per node.
-All rungs are integrated together, each as a row of one batched RK4 state
-with its own step, so an iteration costs four ``gradient`` calls however many
-rungs are still running; rungs are read in order as they finish, the stop
-rule is applied to each, and the rows above the stopping rung are dropped.
-Every value is bit for bit the one a rung integrated alone would give.
+The return map is integrated at a fixed step by the 12-stage 8th-order
+formula of Prince & Dormand (DOP853; Hairer, Norsett & Wanner, *Solving
+Ordinary Differential Equations I*, II.5) in :func:`closure_gap`, on a ladder
+of step counts 8, 16, 32, ... that doubles until two successive rungs agree.
+Their difference over 2^4 - 1 estimates the error of the finer closure
+(Richardson extrapolation, ibid. II.4); the ladder stops once that estimate
+is at most 1e-3 of the closure, or at the cap of 2 steps per node.  The
+estimate assumes 4th order, not the tableau's 8th: potentials need only be
+C^2 at the origin, and on orbits through it the error falls far slower than
+h^8, so an 8th-order divisor would understate it.  All rungs are integrated
+together, each as a row of one batched state with its own step, so an
+iteration costs twelve ``gradient`` calls however many rungs are still
+running; rungs are read in order as they finish, the stop rule is applied to
+each, and the rows above the stopping rung are dropped.  Every value is bit
+for bit the one a rung integrated alone would give.
 """
 
 from __future__ import annotations
@@ -33,10 +37,77 @@ from .loopspace import NONCONSTANT_SPEED, LoopPath, dirichlet_energy, integrate,
 from .potentials import PotentialModel
 
 BLOWUP_LIMIT = 1e8
-RK_STEPS_PER_NODE = 8  # the ladder's cap: its finest rung
-RK_FIRST_RUNG = 32
-RK_ORDER = 4
+RK_STEPS_PER_NODE = 2  # the ladder's cap: its finest rung
+RK_FIRST_RUNG = 8
+RK_ESTIMATE_ORDER = 4  # the order the Richardson estimate assumes
 CLOSURE_REL_ERR = 1e-3  # the ladder stops at closure_err <= this * closure
+
+# Dormand & Prince's 8th-order solution (DOP853): stage i is evaluated at
+# y + dt * sum_j a_ij k_j and the step is y + dt * sum_j b_j k_j, each row
+# written as its nonzero (j, a_ij) pairs.
+RK_A = (
+    (),
+    ((0, 5.26001519587677318785587544488e-2),),
+    ((0, 1.97250569845378994544595329183e-2),
+     (1, 5.91751709536136983633785987549e-2)),
+    ((0, 2.95875854768068491816892993775e-2),
+     (2, 8.87627564304205475450678981324e-2)),
+    ((0, 2.41365134159266685502369798665e-1),
+     (2, -8.84549479328286085344864962717e-1),
+     (3, 9.24834003261792003115737966543e-1)),
+    ((0, 3.7037037037037037037037037037e-2),
+     (3, 1.70828608729473871279604482173e-1),
+     (4, 1.25467687566822425016691814123e-1)),
+    ((0, 3.7109375e-2),
+     (3, 1.70252211019544039314978060272e-1),
+     (4, 6.02165389804559606850219397283e-2),
+     (5, -1.7578125e-2)),
+    ((0, 3.70920001185047927108779319836e-2),
+     (3, 1.70383925712239993810214054705e-1),
+     (4, 1.07262030446373284651809199168e-1),
+     (5, -1.53194377486244017527936158236e-2),
+     (6, 8.27378916381402288758473766002e-3)),
+    ((0, 6.24110958716075717114429577812e-1),
+     (3, -3.36089262944694129406857109825),
+     (4, -8.68219346841726006818189891453e-1),
+     (5, 2.75920996994467083049415600797e1),
+     (6, 2.01540675504778934086186788979e1),
+     (7, -4.34898841810699588477366255144e1)),
+    ((0, 4.77662536438264365890433908527e-1),
+     (3, -2.48811461997166764192642586468),
+     (4, -5.90290826836842996371446475743e-1),
+     (5, 2.12300514481811942347288949897e1),
+     (6, 1.52792336328824235832596922938e1),
+     (7, -3.32882109689848629194453265587e1),
+     (8, -2.03312017085086261358222928593e-2)),
+    ((0, -9.3714243008598732571704021658e-1),
+     (3, 5.18637242884406370830023853209),
+     (4, 1.09143734899672957818500254654),
+     (5, -8.14978701074692612513997267357),
+     (6, -1.85200656599969598641566180701e1),
+     (7, 2.27394870993505042818970056734e1),
+     (8, 2.49360555267965238987089396762),
+     (9, -3.0467644718982195003823669022)),
+    ((0, 2.27331014751653820792359768449),
+     (3, -1.05344954667372501984066689879e1),
+     (4, -2.00087205822486249909675718444),
+     (5, -1.79589318631187989172765950534e1),
+     (6, 2.79488845294199600508499808837e1),
+     (7, -2.85899827713502369474065508674),
+     (8, -8.87285693353062954433549289258),
+     (9, 1.23605671757943030647266201528e1),
+     (10, 6.43392746015763530355970484046e-1)),
+)
+RK_B = (
+    (0, 5.42937341165687622380535766363e-2),
+    (5, 4.45031289275240888144113950566),
+    (6, 1.89151789931450038304281599044),
+    (7, -5.8012039600105847814672114227),
+    (8, 3.1116436695781989440891606237e-1),
+    (9, -1.52160949662516078556178806805e-1),
+    (10, 2.01365400804030348374776537501e-1),
+    (11, 4.47106157277725905176885569043e-2),
+)
 
 
 @dataclass(frozen=True)
@@ -84,7 +155,7 @@ def orbit_residuals(positions: np.ndarray, period: float, potential: PotentialMo
 
 
 def _rungs(cap: int) -> list[int]:
-    """Step counts of the closure ladder: min(32, cap // 2), doubling, ending on the cap."""
+    """Step counts of the closure ladder: min(8, cap // 2), doubling, ending on the cap."""
     steps = min(RK_FIRST_RUNG, cap // 2)
     rungs = [steps]
     while steps < cap:
@@ -93,15 +164,25 @@ def _rungs(cap: int) -> list[int]:
     return rungs
 
 
+def _combine(pairs, ks):
+    """sum_j a_j k_j over the (j, a_j) pairs of a tableau row, left to right."""
+    (j, a), *rest = pairs
+    acc = a * ks[j]
+    for j, a in rest:
+        acc = acc + a * ks[j]
+    return acc
+
+
 def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
     """Yield (steps, closure) for each of the increasing step counts ``rungs``.
 
-    Every rung is one row of a single (R, 2n) RK4 integration with its own
-    step T/steps, so one iteration makes four ``gradient`` calls for all the
-    rows still running.  Row r finishes after rungs[r] iterations and is
-    yielded then, in rung order, so a consumer that stops early stops the
-    integration.  The arithmetic is elementwise and in the order of a single
-    row, so each closure has the bits of ``closure_gap(steps=s)``.
+    Every rung is one row of a single (R, 2n) DOP853 integration with its own
+    step T/steps, so one iteration makes twelve ``gradient`` calls, one per
+    stage, for all the rows still running.  Row r finishes after rungs[r]
+    iterations and is yielded then, in rung order, so a consumer that stops
+    early stops the integration.  The arithmetic is elementwise and in the
+    order of a single row, so each closure has the bits of
+    ``closure_gap(steps=s)``.
 
     A row whose phase point passes norm 1e8 is frozen at the start (its step
     set to 0) and yields nan, except on the last rung, where it raises
@@ -115,20 +196,18 @@ def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
     n = q.shape[0]
     start = np.concatenate((q, np.asarray(v0, dtype=float)))
     dt = period / np.array(rungs, dtype=float)[:, None]
-    half, sixth = 0.5 * dt, dt / 6.0
     y = np.tile(start, (len(rungs), 1))
     escaped = set()  # rows frozen after a blowup, as indices into ``rungs``
-    lo = 0  # rows lo: are still running; y, dt, half and sixth hold only them
+    lo = 0  # rows lo: are still running; y and dt hold only them
 
     def rate(y):  # (q, v)' = (v, -grad V(q)), row by row
         return np.concatenate((y[:, n:], -potential.gradient(y[:, :n])), axis=1)
 
     for it in range(1, rungs[-1] + 1):
         try:
-            k1 = rate(y)
-            k2 = rate(y + half * k1)
-            k3 = rate(y + half * k2)
-            k4 = rate(y + dt * k3)
+            ks = [rate(y)]
+            for row in RK_A[1:]:
+                ks.append(rate(y + dt * _combine(row, ks)))
         except (DomainError, ValueError):
             if lo == len(rungs) - 1:
                 raise
@@ -140,11 +219,11 @@ def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
                         raise
                     yield rungs[r], math.nan
             return
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + dt * _combine(RK_B, ks)
         if np.abs(y).max() > BLOWUP_LIMIT:
             for j in np.flatnonzero(np.abs(y).max(axis=1) > BLOWUP_LIMIT):
                 escaped.add(lo + j)
-                y[j], dt[j], half[j], sixth[j] = start, 0.0, 0.0, 0.0
+                y[j], dt[j] = start, 0.0
         while lo < len(rungs) and (lo in escaped or rungs[lo] == it):
             if lo in escaped:
                 if lo == len(rungs) - 1:
@@ -154,7 +233,7 @@ def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
                 gap = y[0] - start
                 closure = float(np.linalg.norm(gap[:n]) + np.linalg.norm(gap[n:]))
             yield rungs[lo], closure
-            y, dt, half, sixth = y[1:], dt[1:], half[1:], sixth[1:]
+            y, dt = y[1:], dt[1:]
             lo += 1
 
 
@@ -162,9 +241,9 @@ def closure_gap(q0, v0, period: float, potential: PotentialModel,
                 steps: int = 2048) -> float:
     """Return-map gap |q(T) - q(0)| + |v(T) - v(0)| of the true dynamics.
 
-    Integrates q'' = -grad V(q) with the classical fourth-order one-step
-    scheme at fixed step T/steps from the given initial data: the ladder's
-    integrator with the single rung ``steps``.  The phase point must stay
+    Integrates q'' = -grad V(q) with the 8th-order Dormand-Prince formula
+    (``RK_A``, ``RK_B``) at fixed step T/steps from the given initial data:
+    the ladder's integrator with the single rung ``steps``.  The phase point must stay
     below norm 1e8 or the test aborts as a blowup.
     """
     ((_, closure),) = _rung_closures(q0, v0, period, potential, [steps])
@@ -177,11 +256,13 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
     q_k = q(k T / N).
 
     The closure test starts from (q_0, central-difference velocity at q_0).
-    Its rungs run ``min(32, cap // 2)`` steps and double, never past the cap
-    of 8N steps; all of them are integrated together, as the rows of one
+    Its rungs run ``min(8, cap // 2)`` steps and double, never past the cap
+    of 2N steps; all of them are integrated together, as the rows of one
     batch, and read in rung order.  After each rung with a finite
     predecessor, closure_err = |c(s) - c(s')| / ((s/s')^4 - 1), which is
-    over 15 for a doubling, estimates the integrator error of c(s); the
+    over 15 for a doubling, estimates the integrator error of c(s): the
+    exponent is ``RK_ESTIMATE_ORDER``, below the tableau's 8, so that the
+    estimate still bounds the error where the potential is only C^2.  The
     ladder stops when closure_err <= 1e-3 c(s), or at the cap, and the rows
     above stop with it.  A blowup below the cap moves on to the next rung,
     one at the cap propagates.  A nan closure never passes, and closure_err
@@ -197,7 +278,7 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
     for steps, closure in _rung_closures(q[0], v0, period, potential, _rungs(cap)):
         closure_err = math.nan
         if coarse_steps:
-            closure_err = abs(closure - coarse) / ((steps / coarse_steps) ** RK_ORDER - 1.0)
+            closure_err = abs(closure - coarse) / ((steps / coarse_steps) ** RK_ESTIMATE_ORDER - 1.0)
         if steps >= cap or closure_err <= CLOSURE_REL_ERR * closure:
             return ode_sup, energy_sup, closure, closure_err
         coarse, coarse_steps = closure, steps

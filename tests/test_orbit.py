@@ -10,10 +10,12 @@ from hamorbit import (
     NonpositiveActionError,
     PotentialModel,
     ProblemSpec,
+    SolveOptions,
     circle_loop,
     closure_gap,
     dirichlet_energy,
     integrate,
+    minimize_on_nehari,
     orbit_period,
     parse_potential,
     scaling_root,
@@ -106,6 +108,33 @@ def test_closure_blowup():
         closure_gap((1.0, 0.0), (0.0, 0.0), 16.0, runaway, steps=512)
 
 
+# The nodes c_i of the 8th-order Dormand-Prince tableau, in closed form.
+DOP853_NODES = [0.0, (6 - math.sqrt(6)) * 2 / 135, (6 - math.sqrt(6)) / 45,
+                (6 - math.sqrt(6)) / 30, (6 + math.sqrt(6)) / 30, 1 / 3, 1 / 4, 4 / 13,
+                127 / 195, 3 / 5, 6 / 7, 1.0]
+
+
+def test_tableau_rows_sum_to_their_nodes():
+    # Each stage row sums to its node; the 1e-15 is relative to the row's
+    # size, since rows 8-11 hold coefficients up to 43 whose own rounding
+    # adds up to a few 1e-15.
+    assert len(orbit.RK_A) == len(DOP853_NODES) == 12
+    assert sum(len(row) for row in orbit.RK_A) == 50 and len(orbit.RK_B) == 8
+    for i, (row, c) in enumerate(zip(orbit.RK_A, DOP853_NODES)):
+        assert all(j < i for j, _ in row)  # explicit: stage i uses earlier stages only
+        scale = max(1.0, math.fsum(abs(a) for _, a in row))
+        assert abs(math.fsum(a for _, a in row) - c) <= 1e-15 * scale
+    assert abs(math.fsum(b for _, b in orbit.RK_B) - 1.0) <= 1e-15
+
+
+def test_closure_gap_converges_at_eighth_order():
+    # On the oscillator's exact orbit the closure is the integrator's error
+    # alone; a mistyped coefficient lowers the order and nothing else.
+    p = parse_potential("0.5*|q|^2", 2)
+    gaps = [closure_gap((1.0, 0.0), (0.0, 1.0), 2 * math.pi, p, steps=s) for s in (8, 16, 32)]
+    assert all(math.log2(a / b) >= 7.5 for a, b in zip(gaps, gaps[1:]))
+
+
 def test_residual_convergence_order(harmonic_spec):
     p = harmonic_spec.potential
     odes, ens = {}, {}
@@ -138,24 +167,29 @@ def ladder_start(q, T):
     return q[0], (q[1] - q[-1]) / (2.0 * T / q.shape[0])
 
 
-def single_point_rk4(q0, v0, T, potential, steps):
-    """Closure of classical RK4 on one (2n,) state vector, a reference for
-    the bits of the batched integrator."""
+def single_point_dop853(q0, v0, T, potential, steps):
+    """Closure of the 8th-order Dormand-Prince tableau on one (2n,) state
+    vector, each stage's sum taken left to right: a reference for the bits
+    of the batched integrator."""
     n = len(q0)
     start = np.concatenate((q0, v0))
     dt = T / steps
-    half, sixth = 0.5 * dt, dt / 6.0
 
     def rate(y):
         return np.concatenate((y[n:], -potential.gradient(y[:n])))
 
+    def weighted(pairs, ks):
+        acc = None
+        for j, a in pairs:
+            acc = a * ks[j] if acc is None else acc + a * ks[j]
+        return acc
+
     y = start
     for _ in range(steps):
-        k1 = rate(y)
-        k2 = rate(y + half * k1)
-        k3 = rate(y + half * k2)
-        k4 = rate(y + dt * k3)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ks = [rate(y)]
+        for row in orbit.RK_A[1:]:
+            ks.append(rate(y + dt * weighted(row, ks)))
+        y = y + dt * weighted(orbit.RK_B, ks)
         if np.abs(y).max() > 1e8:
             raise BlowupError("escaped")
     gap = y - start
@@ -166,13 +200,13 @@ def sequential_ladder(q, T, potential):
     """The closure ladder run one rung after another on a single point:
     (closure, closure_err, rungs reached)."""
     q0, v0 = ladder_start(q, T)
-    cap = 8 * q.shape[0]
-    steps = min(32, cap // 2)
+    cap = 2 * q.shape[0]
+    steps = min(8, cap // 2)
     coarse, coarse_steps, reached = math.nan, 0, []
     while True:
         reached.append(steps)
         try:
-            closure = single_point_rk4(q0, v0, T, potential, steps)
+            closure = single_point_dop853(q0, v0, T, potential, steps)
         except BlowupError:
             if steps >= cap:
                 raise
@@ -200,39 +234,64 @@ def record_rungs(monkeypatch):
     return reached
 
 
-@pytest.mark.parametrize("N,budget", [(1024, 1024), (4096, 2048)])
+@pytest.mark.parametrize("N,budget", [(1024, 385), (4096, 385)])
 def test_closure_ladder_steps_grow_slower_than_nodes(monkeypatch, cubic_spec, N, budget):
     q, T = cubic_circle_orbit(cubic_spec, N)
+    calls = count_calls(monkeypatch, cubic_spec.potential, "gradient")
     reached = record_rungs(monkeypatch)
     *_, closure, closure_err = verify_orbit(q, T, cubic_spec.potential, cubic_spec.h)
-    assert sum(reached) <= budget
-    assert reached[0] == 32 and all(b == 2 * a for a, b in zip(reached, reached[1:]))
+    assert len(calls) <= budget
+    assert reached[0] == 8 and all(b == 2 * a for a, b in zip(reached, reached[1:]))
     assert closure_err <= 1e-3 * closure
 
 
-def test_closure_ladder_estimate_bounds_the_error(cubic_spec):
-    N = 256
-    q, T = cubic_circle_orbit(cubic_spec, N)
-    *_, closure, closure_err = verify_orbit(q, T, cubic_spec.potential, cubic_spec.h)
-    assert 0.0 < closure_err <= 1e-3 * closure
-    v0 = (q[1] - q[-1]) / (2.0 * T / N)
-    fine = closure_gap(q[0], v0, T, cubic_spec.potential, steps=32 * N)
-    assert abs(closure - fine) <= 2.0 * closure_err
+def solved_orbit(spec, N, init="circle", seed=0):
+    """Samples and period of the orbit minimize_on_nehari finds from a start."""
+    rep = minimize_on_nehari(spec, SolveOptions(initial_loop=init, seed=seed), n_nodes=N)
+    assert rep.converged
+    return rep.loop.nodes, orbit_period(rep.loop, spec)
+
+
+def test_closure_ladder_estimate_bounds_the_error(cubic_spec, expression_spec):
+    # The estimate divides by 2^4 - 1 although the tableau is of order 8: on
+    # the expression the 8 -> 16 doubling is still pre-asymptotic, and cubic
+    # e2 orbits pass through the origin, where the potential is only C^2.
+    cases = [(cubic_spec, *cubic_circle_orbit(cubic_spec, 256))]
+    for N in (64, 256):
+        for init, seed in (("circle", 0), ("random_bandlimited", 0), ("random_bandlimited", 9)):
+            cases.append((expression_spec, *solved_orbit(expression_spec, N, init, seed)))
+    for N in (64, 1024):
+        cases.append((cubic_spec, *solved_orbit(cubic_spec, N)))
+    for spec, q, T in cases:
+        *_, closure, closure_err = verify_orbit(q, T, spec.potential, spec.h)
+        assert 0.0 < closure_err <= 1e-3 * closure
+        q0, v0 = ladder_start(q, T)
+        # All these ladders stop at 16 or 32 steps; at 1024 steps the closure
+        # agrees with 8N steps to 1e-14, far below every closure_err here.
+        fine = closure_gap(q0, v0, T, spec.potential, steps=1024)
+        assert abs(closure - fine) <= 2.0 * closure_err
+
+
+def stiff_case(N=64):
+    """A stiff second mode (frequency 40) that DOP853 cannot hold at T/32 or
+    coarser (|40 dt| > 7.8) but holds at T/64 (|40 dt| = 3.9): samples,
+    period and potential.  The rungs 8, 16 and 32 blow up."""
+    stiff = parse_potential("0.5*q1^2 + 800*q2^2", 2)
+    T = 2 * math.pi
+    q = np.stack([np.cos(T * np.arange(N) / N), np.full(N, 1e-6)], axis=1)
+    return q, T, stiff
 
 
 def test_closure_ladder_climbs_past_coarse_blowups(monkeypatch):
-    # A stiff second mode (frequency 40) that RK4 cannot hold at T/32 or
-    # T/64 (|40 dt| > 2.8) but damps at T/128: the two coarse rungs blow up.
-    stiff = parse_potential("0.5*q1^2 + 800*q2^2", 2)
-    N, T = 64, 2 * math.pi
-    q = np.stack([np.cos(T * np.arange(N) / N), np.full(N, 1e-6)], axis=1)
+    q, T, stiff = stiff_case()
     q0, v0 = ladder_start(q, T)
-    for steps in (32, 64):
+    for steps in (8, 16, 32):
         with pytest.raises(BlowupError):
             closure_gap(q0, v0, T, stiff, steps=steps)
+    assert math.isfinite(closure_gap(q0, v0, T, stiff, steps=64))
     reached = record_rungs(monkeypatch)
     *_, closure, closure_err = verify_orbit(q, T, stiff, 0.5)
-    assert reached[:3] == [32, 64, 128]
+    assert reached == [8, 16, 32, 64, 128]
     assert math.isfinite(closure) and math.isfinite(closure_err)
     assert (closure, closure_err) == sequential_ladder(q, T, stiff)[:2]
 
@@ -244,19 +303,19 @@ def test_closure_ladder_blowup_at_the_cap():
 
 
 def test_closure_ladder_ends_on_the_cap(monkeypatch):
-    # c(s) = 1 + 100 (32/s)^4 has an exact Richardson estimate and needs more
-    # than the cap of 8N = 320 steps, which is no doubling of 32.
+    # c(s) = 1 + 100 (8/s)^4 has an exact Richardson estimate and needs more
+    # than the cap of 2N = 80 steps, which is no doubling of 8.
     rungs = []
 
     def model(q0, v0, period, potential, ladder):
         for steps in ladder:
             rungs.append(steps)
-            yield steps, 1.0 + 100.0 * (32.0 / steps) ** 4
+            yield steps, 1.0 + 100.0 * (8.0 / steps) ** 4
 
     monkeypatch.setattr(orbit, "_rung_closures", model)
     *_, closure, closure_err = verify_orbit(exact_harmonic_samples(40), 2 * math.pi,
                                             parse_potential("0.5*|q|^2", 2), 1.0)
-    assert rungs == [32, 64, 128, 256, 320]
+    assert rungs == [8, 16, 32, 64, 80]
     assert closure_err == pytest.approx(closure - 1.0, rel=1e-9)
 
 
@@ -280,25 +339,27 @@ def test_each_rung_is_closure_gap_bit_for_bit(cubic_spec, source, n):
     for q in (on_set, on_set * (1.0 + 0.02 * rng.standard_normal(on_set.shape))):
         T = orbit_period(LoopPath(q), spec)
         q0, v0 = ladder_start(q, T)
-        rungs = orbit._rungs(8 * N)
+        rungs = orbit._rungs(2 * N)
         assert [s for s, _ in orbit._rung_closures(q0, v0, T, spec.potential, rungs)] == rungs
         for steps, closure in orbit._rung_closures(q0, v0, T, spec.potential, rungs):
             assert closure == closure_gap(q0, v0, T, spec.potential, steps=steps)
-            assert closure == single_point_rk4(q0, v0, T, spec.potential, steps)
+            assert closure == single_point_dop853(q0, v0, T, spec.potential, steps)
         *_, closure, closure_err = verify_orbit(q, T, spec.potential, spec.h)
         assert (closure, closure_err) == sequential_ladder(q, T, spec.potential)[:2]
 
 
 class Faulty(PotentialModel):
-    """``inner`` with a fault at the second RK4 stage point of the first
-    step of each rung in ``rungs``: the gradient there raises DomainError
+    """``inner`` with a fault at the second stage point of the first step of
+    each rung in ``rungs``, q0 + (T/s) (c2 v0) with c2 = a_21 of the
+    tableau: the gradient there raises DomainError
     (``fault="domain"``) or is 1e12, which escapes in that step
     (``fault="blowup"``).  ``hits`` counts the calls that met a fault."""
 
     def __init__(self, inner, q, T, rungs, fault):
         self.inner, self.n, self.fault, self.hits = inner, inner.n, fault, 0
         q0, v0 = ladder_start(q, T)
-        self.points = np.array([q0 + (0.5 * (T / s)) * v0 for s in rungs])
+        c2 = orbit.RK_A[1][0][1]
+        self.points = np.array([q0 + (T / s) * (c2 * v0) for s in rungs])
 
     def value(self, q):
         return self.inner.value(q)
@@ -317,18 +378,18 @@ class Faulty(PotentialModel):
 
 def stopping_case(spec, N=256):
     """The cubic circle at N: samples, period, its clean verify tuple and the
-    rungs the ladder reaches, which stop below the cap."""
+    rungs the ladder reaches, which stop at 16 steps, 1/32 of the cap."""
     q, T = cubic_circle_orbit(spec, N)
     clean = verify_orbit(q, T, spec.potential, spec.h)
     reached = sequential_ladder(q, T, spec.potential)[2]
-    assert reached[-1] < 8 * N
+    assert reached == [8, 16]
     return q, T, clean, reached
 
 
 @pytest.mark.parametrize("fault", ["domain", "blowup"])
 def test_fault_above_the_stopping_rung_does_not_surface(cubic_spec, fault):
     q, T, clean, reached = stopping_case(cubic_spec)
-    above = [s for s in orbit._rungs(8 * q.shape[0]) if s > reached[-1]]
+    above = [s for s in orbit._rungs(2 * q.shape[0]) if s > reached[-1]]
     faulty = Faulty(cubic_spec.potential, q, T, above, fault)
     assert verify_orbit(q, T, faulty, cubic_spec.h) == clean
     assert faulty.hits > 0
@@ -354,15 +415,26 @@ def test_blowup_at_a_reached_rung_moves_on(cubic_spec):
 def test_fault_on_every_rung_surfaces(cubic_spec, fault, error):
     # A domain error stops the first rung; blowups are passed over up to the cap.
     q, T = cubic_circle_orbit(cubic_spec, 64)
-    faulty = Faulty(cubic_spec.potential, q, T, orbit._rungs(8 * 64), fault)
+    faulty = Faulty(cubic_spec.potential, q, T, orbit._rungs(2 * 64), fault)
     with pytest.raises(error):
         verify_orbit(q, T, faulty, cubic_spec.h)
 
 
-def test_ladder_makes_four_gradient_calls_per_finest_step(monkeypatch, cubic_spec):
-    # One call for the residuals, then four per iteration of the batch, whose
-    # finest reached rung sets the iteration count; rows above add no calls.
+def test_ladder_makes_twelve_gradient_calls_per_finest_step(monkeypatch, cubic_spec):
+    # One call for the residuals, then one per stage, twelve per iteration of
+    # the batch, whose finest reached rung sets the iteration count; rows
+    # above add no calls.
     q, T, _, reached = stopping_case(cubic_spec)
     calls = count_calls(monkeypatch, cubic_spec.potential, "gradient")
     verify_orbit(q, T, cubic_spec.potential, cubic_spec.h)
-    assert len(calls) == 1 + 4 * reached[-1]
+    assert len(calls) == 1 + 12 * reached[-1]
+
+
+def test_ladder_that_ends_on_the_cap_makes_the_worst_case_calls(monkeypatch):
+    q, T, stiff = stiff_case()
+    N = q.shape[0]
+    calls = count_calls(monkeypatch, stiff, "gradient")
+    reached = record_rungs(monkeypatch)
+    verify_orbit(q, T, stiff, 0.5)
+    assert reached[-1] == 2 * N
+    assert len(calls) == 1 + 12 * 2 * N
