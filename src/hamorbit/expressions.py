@@ -20,6 +20,16 @@ differentiation, so one pass yields all partial derivatives.  At q = 0 the
 norm primitive ``|q|`` uses the subgradient 0, matching the usual
 convention for abs.
 
+The dual pass carries the values too, and :func:`evaluate_value_and_gradient`
+returns them with the gradient, so a caller that needs both makes one pass.
+At every node the dual value has the plain value's bits, except where a
+division has q on both sides (its dual computes ``v * (1/w)``) or a power
+has q in its exponent (``exp(e * log(b))``).  Whether a tree holds such a
+node is decided once, at compile time, from the syntax tree; such a tree
+takes its values from the plain pass and only the gradient from the dual
+one.  Either way the pair has the bits of :func:`evaluate` and
+:func:`evaluate_gradient`.
+
 Compiling folds every subtree without q into its number, unless folding
 raises a :class:`DomainError` or gives a non-finite value; such a subtree
 stays a closure and fails at evaluation, as the tree walk did.  A folded
@@ -271,11 +281,13 @@ _DIVISION = "division by zero"
 
 
 class Program(NamedTuple):
-    """A compiled expression: ``value(points)`` gives shape (M,) and
-    ``gradient(points)`` shape (M, n) at a (M, n) batch of points."""
+    """A compiled expression: ``value(points)`` gives shape (M,),
+    ``gradient(points)`` shape (M, n) and ``value_and_gradient(points)``
+    the two as a pair, at a (M, n) batch of points."""
 
     value: Callable
     gradient: Callable
+    value_and_gradient: Callable
 
 
 class _Code(NamedTuple):
@@ -579,9 +591,33 @@ def _compile(node) -> _Code:
     return _fold(code) if code.constant else code
 
 
+def _children(node) -> tuple:
+    if isinstance(node, Neg):
+        return (node.child,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
+
+
+def _has_q(node) -> bool:
+    return isinstance(node, (Var, Norm)) or any(map(_has_q, _children(node)))
+
+
+def _dual_values_exact(node) -> bool:
+    """Whether the dual pass gives the plain values' bits: False for a tree
+    with a division by q of q (``_div_vv`` takes ``v * (1/w)``) or a power
+    with q in its exponent (``_pow_vv`` and ``_pow_cv`` take ``exp(e log b)``)."""
+    if isinstance(node, BinOp) and _has_q(node.right) and (
+            node.op == "^" or node.op == "/" and _has_q(node.left)):
+        return False
+    return all(map(_dual_values_exact, _children(node)))
+
+
 def compile_expression(node) -> Program:
-    """Compile a syntax tree once into the program that :func:`evaluate`
-    and :func:`evaluate_gradient` run."""
+    """Compile a syntax tree once into the program that :func:`evaluate`,
+    :func:`evaluate_gradient` and :func:`evaluate_value_and_gradient` run."""
     code = _compile(node)
     f, d = code.plain, code.dual
     if code.constant:
@@ -592,14 +628,26 @@ def compile_expression(node) -> Program:
             f(points)  # an unfolded constant fails here as in value
             return np.zeros_like(points)
 
-        return Program(value, gradient)
+        def pair(points):
+            return value(points), np.zeros_like(points)
+
+        return Program(value, gradient, pair)
 
     def gradient(points):
         return d(points)[1]
 
+    value, pair = f, d
     if isinstance(node, Var):  # a bare column would alias the points
-        return Program(lambda points: f(points).copy(), gradient)
-    return Program(f, gradient)
+        def value(points):
+            return f(points).copy()
+
+        def pair(points):
+            v, dv = d(points)
+            return v.copy(), dv
+    elif not _dual_values_exact(node):
+        def pair(points):
+            return f(points), d(points)[1]
+    return Program(value, gradient, pair)
 
 
 def evaluate(program: Program, points: np.ndarray) -> np.ndarray:
@@ -616,3 +664,21 @@ def evaluate_gradient(program: Program, points: np.ndarray) -> np.ndarray:
     if not np.isfinite(grad).all():
         raise DomainError("gradient evaluated to a non-finite value")
     return grad
+
+
+def evaluate_value_and_gradient(program: Program, points: np.ndarray):
+    """Values (M,) and gradient (M, n) at a (M, n) batch of points from one
+    pass, with the bits of :func:`evaluate` and :func:`evaluate_gradient`.
+    It raises where those two, called in that order, would: the dual pass
+    checks the derivatives along with the values, so when it fails the
+    plain pass is rerun to raise the values' own error, if they have one."""
+    try:
+        val, grad = program.value_and_gradient(points)
+    except DomainError:
+        evaluate(program, points)
+        raise
+    if not np.isfinite(val).all():
+        raise DomainError("expression evaluated to a non-finite value")
+    if not np.isfinite(grad).all():
+        raise DomainError("gradient evaluated to a non-finite value")
+    return val, grad

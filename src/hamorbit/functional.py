@@ -14,12 +14,22 @@ The ray constraint fixes mean_k (V(u_k) + grad V(u_k).u_k / 2) = h; under the
 radial nondegeneracy hypothesis every open ray {a u : a > 0} crosses it
 exactly once, so projection is a one-dimensional root find (Illinois regula
 falsi on a one-way bracket).
+
+Each constraint evaluation is one fused potential pass (V and grad V at
+every node, :meth:`PotentialModel.value_and_gradient`), kept as a
+:class:`PotentialPass`.  The root search hands back the pass at the point
+it lands on (:func:`ray_landing`), and the functional, its gradient and the
+constraint value there come from that pass, with the bits of
+:func:`action`, :func:`action_gradient` and :func:`constraint_value`; so a
+solver on the ray constraint makes one pass per root evaluation and no
+other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,13 +78,16 @@ class ProblemSpec:
             )
 
 
-def _factors(loops: np.ndarray, spec: ProblemSpec):
+def _factors(loops: np.ndarray, spec: ProblemSpec, values=None):
     """Dirichlet energies A and mean energy gaps B of an (L, N, n) stack of
-    loops, with one potential call; each pair has the bits of
+    loops, with one potential call unless ``values`` holds V at its L * N
+    nodes; each pair has the bits of
     :func:`~hamorbit.loopspace.dirichlet_energy` and ``integrate(h - V)`` on
     that loop alone."""
     L, N, n = loops.shape
-    gaps = spec.h - spec.potential.value(loops.reshape(L * N, n)).reshape(L, N)
+    if values is None:
+        values = spec.potential.value(loops.reshape(L * N, n))
+    gaps = spec.h - values.reshape(L, N)
     d = np.roll(loops, -1, axis=1) - loops
     d *= d
     A = np.array([0.5 * N * math.fsum(dk.ravel().tolist()) for dk in d])
@@ -82,26 +95,30 @@ def _factors(loops: np.ndarray, spec: ProblemSpec):
     return A, B
 
 
-def stacked_action(loops: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+def stacked_action(loops: np.ndarray, spec: ProblemSpec, values=None) -> np.ndarray:
     """:func:`action` of each loop in an (L, N, n) stack, shape (L,), with
-    one potential call; each entry has the bits of the single-loop call."""
-    A, B = _factors(loops, spec)
+    one potential call, or none given ``values`` (V at the L * N nodes);
+    each entry has the bits of the single-loop call."""
+    A, B = _factors(loops, spec, values)
     return A * B
 
 
-def stacked_action_gradient(loops: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+def stacked_action_gradient(loops: np.ndarray, spec: ProblemSpec,
+                            values=None, grads=None) -> np.ndarray:
     """:func:`action_gradient` of each loop in an (L, N, n) stack, shape
-    (L, N, n), with one value and one gradient call of the potential; each
-    entry has the bits of the single-loop call.
+    (L, N, n), with one ``value_and_gradient`` call of the potential, or
+    none given ``values`` and ``grads`` (V and grad V at the L * N nodes);
+    each entry has the bits of the single-loop call.
 
     grad_k = B * N (2u_k - u_{k+1} - u_{k-1}) - (A/N) grad V(u_k), with
     A the Dirichlet energy and B the mean energy gap.
     """
     L, N, n = loops.shape
-    A, B = _factors(loops, spec)
+    if values is None:
+        values, grads = spec.potential.value_and_gradient(loops.reshape(L * N, n))
+    A, B = _factors(loops, spec, values)
     lap = 2.0 * loops - np.roll(loops, -1, axis=1) - np.roll(loops, 1, axis=1)
-    grad = spec.potential.gradient(loops.reshape(L * N, n)).reshape(L, N, n)
-    return (B * N)[:, None, None] * lap - (A / N)[:, None, None] * grad
+    return (B * N)[:, None, None] * lap - (A / N)[:, None, None] * grads.reshape(L, N, n)
 
 
 def action(u: LoopPath, spec: ProblemSpec) -> float:
@@ -115,12 +132,37 @@ def action_gradient(u: LoopPath, spec: ProblemSpec) -> np.ndarray:
     return stacked_action_gradient(u.nodes[None], spec)[0]
 
 
+class PotentialPass(NamedTuple):
+    """The loop ``scale * u`` with the one potential pass made at its nodes:
+    V (``values``), grad V (``grads``) and the constraint value ``g``."""
+
+    scale: float
+    loop: LoopPath
+    values: np.ndarray
+    grads: np.ndarray
+    g: float
+
+    def action(self, spec: ProblemSpec) -> float:
+        """:func:`action` of the loop, from the pass."""
+        return float(stacked_action(self.loop.nodes[None], spec, self.values)[0])
+
+    def action_gradient(self, spec: ProblemSpec) -> np.ndarray:
+        """:func:`action_gradient` of the loop, from the pass."""
+        return stacked_action_gradient(self.loop.nodes[None], spec,
+                                       self.values, self.grads)[0]
+
+
+def potential_pass(u: LoopPath, spec: ProblemSpec, scale: float = 1.0) -> PotentialPass:
+    """One ``value_and_gradient`` call at the nodes of ``scale * u``."""
+    loop = u if scale == 1.0 else LoopPath(scale * u.nodes)
+    values, grads = spec.potential.value_and_gradient(loop.nodes)
+    g = integrate(values + 0.5 * np.sum(grads * loop.nodes, axis=1))
+    return PotentialPass(scale, loop, values, grads, g)
+
+
 def constraint_value(u: LoopPath, spec: ProblemSpec) -> float:
     """Mean of V(u) + grad V(u).u / 2 over the loop."""
-    nodes = u.nodes
-    vals = spec.potential.value(nodes)
-    radial = np.sum(spec.potential.gradient(nodes) * nodes, axis=1)
-    return integrate(vals + 0.5 * radial)
+    return potential_pass(u, spec).g
 
 
 def constraint_gradient(u: LoopPath, spec: ProblemSpec) -> np.ndarray:
@@ -140,8 +182,16 @@ def root_tolerance(spec: ProblemSpec) -> float:
 
 
 def scaling_root(u: LoopPath, spec: ProblemSpec) -> float:
-    """Scale a > 0 placing a*u on the ray constraint g(a u) = h, by a
-    one-way bracket and Illinois regula falsi (Dowell & Jarratt 1971).
+    """Scale a > 0 placing a*u on the ray constraint g(a u) = h; the scale
+    of :func:`ray_landing`."""
+    return ray_landing(u, spec).scale
+
+
+def ray_landing(u: LoopPath, spec: ProblemSpec) -> PotentialPass:
+    """The :class:`PotentialPass` at a u, a > 0 placing a*u on the ray
+    constraint g(a u) = h, found by a one-way bracket and Illinois regula
+    falsi (Dowell & Jarratt 1971).  Each evaluation of g is one
+    :func:`potential_pass`, and the landing is the last of them.
 
     Under B2-B4, a -> g(a u) increases: at each node d/dr g is
     (r^3 dV/dr)' / (2 r^2), B4 makes r^3 dV/dr strictly monotone from 0, and
@@ -156,14 +206,17 @@ def scaling_root(u: LoopPath, spec: ProblemSpec) -> float:
     if not np.any(u.nodes):
         raise ZeroLoopError("ray scaling is undefined for the zero loop")
     tol = root_tolerance(spec)
+    landing = None
 
     def phi(a: float) -> float:
-        return constraint_value(LoopPath(a * u.nodes), spec) - spec.h
+        nonlocal landing
+        landing = potential_pass(u, spec, a)
+        return landing.g - spec.h
 
     f1 = phi(1.0)
     samples = [(1.0, f1 + spec.h)]
     if abs(f1) <= tol:
-        return 1.0
+        return landing
 
     direction = 2.0 if f1 < 0.0 else 0.5
     a = b = 1.0
@@ -179,9 +232,10 @@ def scaling_root(u: LoopPath, spec: ProblemSpec) -> float:
         fb = phi(b)
         samples.append((b, fb + spec.h))
         if abs(fb) <= tol:
-            return b
+            return landing
 
-    return _illinois(phi, a, fa, b, fb, tol=tol)
+    _illinois(phi, a, fa, b, fb, tol=tol)  # its b is the last scale phi took
+    return landing
 
 
 def _illinois(phi, a, fa, b, fb, tol=0.0, min_step=0.0):
@@ -190,7 +244,7 @@ def _illinois(phi, a, fa, b, fb, tol=0.0, min_step=0.0):
     end kept twice in a row is halved.  At most ROOT_MAX_STEPS steps; stops
     once |phi(b)| <= tol, a step moves b by less than min_step, the next
     point is not strictly inside the bracket, or phi returns None (no value
-    there).  Returns b."""
+    there).  Returns b, the last point at which phi gave a value."""
     for _ in range(ROOT_MAX_STEPS):
         c = b - fb * (b - a) / (fb - fa)
         if not min(a, b) < c < max(a, b):
@@ -268,13 +322,14 @@ class CpsRecord:
 
 
 def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, where: GradientSphere | None,
-               iteration: int, grad: np.ndarray, f_value: float) -> CpsRecord:
+               iteration: int, grad: np.ndarray, f_value: float, g: float) -> CpsRecord:
     """Append a diagnostic record for the current iterate and return it;
-    ``grad`` is the iterate's :func:`action_gradient` and ``f_value`` its
-    :func:`action`, both of which the solver holds."""
+    ``grad`` is the iterate's :func:`action_gradient`, ``f_value`` its
+    :func:`action` and ``g`` its :func:`constraint_value`, all of which the
+    solver holds."""
     if trace and iteration <= trace[-1].iteration:
         raise ValueError("iteration indices must be strictly increasing")
-    residual = abs(constraint_value(u, spec) - spec.h)
+    residual = abs(g - spec.h)
     if where is None and residual <= root_tolerance(spec) and np.any(u.nodes):
         proxy = 0.0  # on the set already: scaling_root would return 1
     else:

@@ -147,10 +147,11 @@ def orbit_residuals(positions: np.ndarray, period: float, potential: PotentialMo
     N = q.shape[0]
     dt = period / N
     fwd, bwd = np.roll(q, -1, axis=0), np.roll(q, 1, axis=0)
+    values, grads = potential.value_and_gradient(q)
     acc = (fwd - 2.0 * q + bwd) / dt**2
-    ode = np.linalg.norm(acc + potential.gradient(q), axis=1)
+    ode = np.linalg.norm(acc + grads, axis=1)
     vel = (fwd - bwd) / (2.0 * dt)
-    energy = 0.5 * np.sum(vel * vel, axis=1) + potential.value(q) - h
+    energy = 0.5 * np.sum(vel * vel, axis=1) + values - h
     return float(ode.max()), float(np.abs(energy).max())
 
 

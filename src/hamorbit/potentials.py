@@ -2,8 +2,12 @@
 
 Two model kinds share one interface: a built-in radial power law
 V(q) = a |q|^mu1 + mu2/mu1, and a parsed expression over q1..qn.  Both
-evaluate value and gradient on batches of points; the expression kind
-differentiates with one forward dual-number pass.
+evaluate value and gradient on batches of points, and both give the pair
+from one pass, ``value_and_gradient``, with the bits of the two separate
+calls: the power law takes |q| once, and the expression kind takes the
+values that its forward dual-number pass already carries.  A model that
+defines only ``value`` and ``gradient`` inherits a pair entry that calls
+the two.
 
 The hypothesis checkers are sampling-based: "pass" means no counterexample
 was found at the configured tolerance, never a proof.  Given the same seed
@@ -23,7 +27,8 @@ from .loopspace import integrate, random_loop, speed
 
 
 class PotentialModel:
-    """Shared interface: ``value(q)`` and ``gradient(q)`` on points or batches."""
+    """Shared interface: ``value(q)``, ``gradient(q)`` and their pair
+    ``value_and_gradient(q)`` on points or batches."""
 
     kind = "abstract"
     n = 0
@@ -33,6 +38,11 @@ class PotentialModel:
 
     def gradient(self, q):
         raise NotImplementedError
+
+    def value_and_gradient(self, q):
+        """``(value(q), gradient(q))``; a model that can share work between
+        the two overrides this with one pass of the same bits."""
+        return self.value(q), self.gradient(q)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -47,6 +57,10 @@ def _batched(q, n):
     if q.ndim != 2 or q.shape[1] != n:
         raise ValueError(f"expected points of dimension {n}, got shape {q.shape}")
     return q, False
+
+
+def _norms(pts):
+    return np.sqrt(np.add.reduce(pts * pts, axis=1))
 
 
 class PowerLawPotential(PotentialModel):
@@ -68,20 +82,30 @@ class PowerLawPotential(PotentialModel):
         self.mu2 = float(mu2)
         self.n = int(n)
 
+    def _values(self, r):
+        return self.a * r**self.mu1 + self.mu2 / self.mu1
+
+    def _gradients(self, pts, r):
+        # r**(mu1-2) is 1 at r=0 when mu1 == 2 and 0 when mu1 > 2; both give
+        # the correct limit once multiplied by q.
+        coef = self.a * self.mu1 * r ** (self.mu1 - 2.0)
+        return coef[:, None] * pts
+
     def value(self, q):
         pts, single = _batched(q, self.n)
-        r = np.sqrt(np.add.reduce(pts * pts, axis=1))
-        out = self.a * r**self.mu1 + self.mu2 / self.mu1
+        out = self._values(_norms(pts))
         return float(out[0]) if single else out
 
     def gradient(self, q):
         pts, single = _batched(q, self.n)
-        r = np.sqrt(np.add.reduce(pts * pts, axis=1))
-        # r**(mu1-2) is 1 at r=0 when mu1 == 2 and 0 when mu1 > 2; both give
-        # the correct limit once multiplied by q.
-        coef = self.a * self.mu1 * r ** (self.mu1 - 2.0)
-        out = coef[:, None] * pts
+        out = self._gradients(pts, _norms(pts))
         return out[0] if single else out
+
+    def value_and_gradient(self, q):
+        pts, single = _batched(q, self.n)
+        r = _norms(pts)
+        val, grad = self._values(r), self._gradients(pts, r)
+        return (float(val[0]), grad[0]) if single else (val, grad)
 
     def describe(self) -> str:
         return (
@@ -110,6 +134,11 @@ class ExpressionPotential(PotentialModel):
         pts, single = _batched(q, self.n)
         out = expressions.evaluate_gradient(self.program, pts)
         return out[0] if single else out
+
+    def value_and_gradient(self, q):
+        pts, single = _batched(q, self.n)
+        val, grad = expressions.evaluate_value_and_gradient(self.program, pts)
+        return (float(val[0]), grad[0]) if single else (val, grad)
 
     def describe(self) -> str:
         return self.source
@@ -228,7 +257,8 @@ def _check_evenness(p, pts, tol):
 
 
 def _check_superlinearity(p, pts, mu1, mu2, tol):
-    resid = np.sum(p.gradient(pts) * pts, axis=1) - mu1 * p.value(pts) + mu2
+    vals, grads = p.value_and_gradient(pts)
+    resid = np.sum(grads * pts, axis=1) - mu1 * vals + mu2
     worst = int(np.argmin(resid))
     verdict = "pass" if resid[worst] >= -tol else "fail"
     return HypothesisReport("B2", verdict, float(resid[worst]), len(pts), tol, pts[worst])

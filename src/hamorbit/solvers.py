@@ -5,7 +5,11 @@ Constrained minimization: preconditioned descent of the loop functional on
 the ray constraint inside a symmetry subspace.  The ray constraint is the
 Nehari set of the functional, so the full gradient needs no projection: each
 iterate moves along the preconditioned gradient and is symmetrized and
-rescaled back onto the set along its ray (a retraction).
+rescaled back onto the set along its ray (a retraction).  The rescaling
+hands back the potential pass at the point it lands on, and the trial's
+functional value, the next gradient and the record's constraint residual
+all come from that pass: a trial costs one potential pass per root
+evaluation and nothing more.
 
 Mountain pass: deform a discrete path between two low points separated by a
 derivative sphere.  Each sweep locates the path maximum over segment
@@ -43,10 +47,11 @@ from .functional import (
     ProblemSpec,
     _illinois,
     action,
-    action_gradient,
     cps_append,
     h1_norm,
-    scaling_root,
+    potential_pass,
+    ray_landing,
+    scaling_root,  # noqa: F401  (a binding perfbench's tracer test expects)
     stacked_action,
     stacked_action_gradient,
 )
@@ -174,17 +179,18 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
                            max_symmetry_drift=drift_max)
 
     try:
-        u = LoopPath(scaling_root(u, spec) * u.nodes)
+        here = ray_landing(u, spec)
     except NoBracketError as err:
         return report(u, action(u, spec), "hypothesis_violation", 0,
                       f"{err.code}: {err}")
 
-    f_cur = action(u, spec)
+    f_cur = here.action(spec)
     step = 1.0
     prev_nodes = prev_grad = None
     for it in range(opts.max_iterations + 1):
-        grad = action_gradient(u, spec)
-        rec = cps_append(trace, u, spec, None, it, grad, f_cur)
+        u = here.loop
+        grad = here.action_gradient(spec)
+        rec = cps_append(trace, u, spec, None, it, grad, f_cur, here.g)
         if rec.weighted_gradient <= opts.gradient_tolerance:
             if f_cur <= 0.0 or speed(u) < NONCONSTANT_SPEED:
                 return report(u, f_cur, "hypothesis_violation", it,
@@ -209,8 +215,8 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
         bracket_failure = None
         for t, trial, drift in _trials(u.nodes, direction, step, spec.symmetry):
             try:
-                trial = LoopPath(scaling_root(trial, spec) * trial.nodes)
-                f_new = action(trial, spec)
+                landing = ray_landing(trial, spec)
+                f_new = landing.action(spec)
             except NoBracketError as err:
                 bracket_failure = err
                 continue
@@ -225,7 +231,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
             return report(u, f_cur, "max_iter", it,
                           "line search stalled below machine step")
         drift_max = max(drift_max, drift)
-        u, f_cur = trial, f_new
+        here, f_cur = landing, f_new
         step = min(2.0 * t, _MAX_STEP)
 
 
@@ -484,8 +490,9 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
             return report(u, gamma, "hypothesis_violation", sweep,
                           "E_COLLAPSE: path maximum fell to the endpoint level; "
                           "separation failed numerically")
-        grad = action_gradient(u, spec)
-        rec = cps_append(trace, u, spec, sphere, sweep, grad, gamma)
+        here = potential_pass(u, spec)
+        grad = here.action_gradient(spec)
+        rec = cps_append(trace, u, spec, sphere, sweep, grad, gamma, here.g)
         if rec.weighted_gradient <= opts.gradient_tolerance:
             if speed(u) < NONCONSTANT_SPEED:
                 return report(u, gamma, "hypothesis_violation", sweep,

@@ -154,16 +154,28 @@ def test_gradient_of_constant_expression_is_zero():
     assert np.all(g == 0.0)
 
 
-@pytest.mark.parametrize(
-    "src,value_sum,gradient_sum",
-    [
-        ("0.5*|q|^2 + 0.1*q1^4", "0x1.4b62d74a6d621p+5", "0x1.3338f43a038ddp+3"),
-        ("|q|^3 - 0.25*|q|^4 + q1*q2", "0x1.e3b6de9cd7877p+5", "0x1.60c158a924edcp+4"),
-        ("exp(q1)*sin(q2) + log(2 + |q|)", "0x1.b02c89a8e27a0p+5", "0x1.b7ed041321db6p+5"),
-        ("1/(1 + |q|^2)", "0x1.7eba4d887647ep+4", "-0x1.a24093354b95ep+1"),
-        ("2^q1", "0x1.01a4067dd4d7bp+6", "0x1.652a774e12626p+5"),
-    ],
-)
+PINNED = [
+    ("0.5*|q|^2 + 0.1*q1^4", "0x1.4b62d74a6d621p+5", "0x1.3338f43a038ddp+3"),
+    ("|q|^3 - 0.25*|q|^4 + q1*q2", "0x1.e3b6de9cd7877p+5", "0x1.60c158a924edcp+4"),
+    ("exp(q1)*sin(q2) + log(2 + |q|)", "0x1.b02c89a8e27a0p+5", "0x1.b7ed041321db6p+5"),
+    ("1/(1 + |q|^2)", "0x1.7eba4d887647ep+4", "-0x1.a24093354b95ep+1"),
+    ("2^q1", "0x1.01a4067dd4d7bp+6", "0x1.652a774e12626p+5"),
+]
+
+# Trees whose dual pass rounds its values unlike the plain pass: a division
+# with q on both sides (v * (1/w)) and powers with q in the exponent
+# (exp(e * log(b))).
+INEXACT_DUALS = ["q1/(2 + q2^2)", "2^q1", "(2 + q1^2)^(0.5*q2)"]
+
+# One tree per remaining rule and operand kind, whose dual values are exact.
+EXACT_DUALS = [
+    "-q1 + 2", "2 - q2", "3 - |q|", "q1*q2 + q1*3 + 3*q2", "q1/3 + 3/(1 + q2^2)",
+    "|q|^2.5 + q1^3 + q2^-2", "sin(q1) + cos(q2) + exp(q1)", "log(1 + |q|) + sqrt(1 + q1^2)",
+    "abs(q1) - q2^2", "q1", "|q|", "(2 + 1)^0.5*q1",
+]
+
+
+@pytest.mark.parametrize("src,value_sum,gradient_sum", PINNED)
 def test_compiled_bits_are_pinned(src, value_sum, gradient_sum):
     # Sums of the tree-walking evaluator's values and gradients, to the bit.
     pot = parse_potential(src, 2)
@@ -204,3 +216,74 @@ def test_expression_compiles_once(monkeypatch):
         pot.value(pts)
         pot.gradient(pts)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("src", INEXACT_DUALS)
+def test_some_dual_rules_round_values_differently(src):
+    # So these trees take their values from the plain pass.
+    tree = parse_expression(src, 2)
+    code = expressions._compile(tree)
+    pts = np.random.default_rng(33).uniform(-1.5, 1.5, size=(5000, 2))
+    assert not expressions._dual_values_exact(tree)
+    assert (code.dual(pts)[0] != code.plain(pts)).mean() > 0.05
+
+
+@pytest.mark.parametrize("src", EXACT_DUALS + [src for src, _, _ in PINNED
+                                               if src not in INEXACT_DUALS])
+def test_other_dual_rules_give_the_plain_values(src):
+    tree = parse_expression(src, 2)
+    code = expressions._compile(tree)
+    pts = np.random.default_rng(34).uniform(0.1, 1.5, size=(5000, 2))
+    pts[::2] *= -1.0
+    assert expressions._dual_values_exact(tree)
+    assert code.dual(pts)[0].tobytes() == code.plain(pts).tobytes()
+
+
+@pytest.mark.parametrize("src", list(dict.fromkeys(
+    [src for src, _, _ in PINNED] + INEXACT_DUALS + EXACT_DUALS)))
+def test_value_and_gradient_has_the_bits_of_value_and_gradient(src):
+    pot = parse_potential(src, 2)
+    pts = np.random.default_rng(35).uniform(0.1, 1.5, size=(500, 2))
+    pts[::2] *= -1.0
+    val, grad = pot.value_and_gradient(pts)
+    assert val.tobytes() == pot.value(pts).tobytes()
+    assert grad.tobytes() == pot.gradient(pts).tobytes()
+    for q in pts[:4]:
+        v, g = pot.value_and_gradient(q)
+        assert type(v) is float and float.hex(v) == float.hex(pot.value(q))
+        assert g.shape == (2,) and g.tobytes() == pot.gradient(q).tobytes()
+
+
+def test_value_and_gradient_does_not_alias_the_points():
+    pot = parse_potential("q2", 2)
+    pts = np.ones((3, 2))
+    val, _ = pot.value_and_gradient(pts)
+    val[:] = 5.0
+    assert (pts == 1.0).all()
+
+
+@pytest.mark.parametrize(
+    "src,point,message",
+    [
+        ("log(q1)", (-1.0, 0.5), "log of a non-positive value"),
+        ("exp(q1^2)", (30.0, 0.5), "expression evaluated to a non-finite value"),
+        ("sqrt(q1^2 + q2^2)", (0.0, 0.0), "sqrt not differentiable at zero"),
+        ("|q|^0.5", (0.0, 0.0), "power not differentiable here"),
+        # the dual pass meets the sqrt first, the plain one fails at the log
+        ("sqrt(q1^2) + log(q2)", (0.0, -1.0), "log of a non-positive value"),
+        ("q1/q2", (1.0, 0.0), "division by zero"),
+        ("q1^q2", (-1.0, 1.0), "power with variable exponent needs positive base"),
+        ("(0-2)^q1", (2.0, 0.5), "power with variable exponent needs positive base"),
+    ],
+)
+def test_value_and_gradient_raises_where_value_then_gradient_does(src, point, message):
+    pot = parse_potential(src, 2)
+    q = np.array(point)
+    for batch in (q, q[None]):
+        with np.errstate(all="ignore"):
+            with pytest.raises(DomainError, match=message) as separate:
+                pot.value(batch)
+                pot.gradient(batch)
+            with pytest.raises(DomainError) as fused:
+                pot.value_and_gradient(batch)
+        assert str(fused.value) == str(separate.value)

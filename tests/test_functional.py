@@ -138,12 +138,12 @@ def test_scaling_root_searches_one_direction(monkeypatch, cubic_spec):
     # the set costs about the same on either side.
     u = project_symmetric(random_loop(256, 3, np.random.default_rng(0)), "e2")
     on_set = scaling_root(u, cubic_spec) * u.nodes
-    calls = count_calls(monkeypatch, functional, "constraint_value")
+    calls = count_calls(monkeypatch, functional, "potential_pass")  # one per root evaluation
     for lam in (1.02, 0.98):
         calls.clear()
         a = scaling_root(LoopPath(lam * on_set), cubic_spec)
         assert a == pytest.approx(1.0 / lam, rel=1e-10)
-        assert len(calls) <= 12
+        assert 2 <= len(calls) <= 12
 
 
 def test_scaling_root_stays_below_overflow():
@@ -192,7 +192,8 @@ def test_constraint_distance(harmonic_spec):
 def test_cps_records(harmonic_spec):
     def record(trace, u, iteration):
         return cps_append(trace, u, harmonic_spec, None, iteration,
-                          action_gradient(u, harmonic_spec), action(u, harmonic_spec))
+                          action_gradient(u, harmonic_spec), action(u, harmonic_spec),
+                          constraint_value(u, harmonic_spec))
 
     trace = []
     rec = record(trace, zero_loop(16, 2), 0)
@@ -210,29 +211,34 @@ def test_cps_records(harmonic_spec):
 def test_cps_record_takes_the_loop_norm_once(monkeypatch, expression_spec):
     u = random_loop(64, 2, np.random.default_rng(5))
     grad = action_gradient(u, expression_spec)
+    g = constraint_value(u, expression_spec)
     norms = count_calls(monkeypatch, functional, "h1_norm")
     rec = cps_append([], u, expression_spec, GradientSphere(1.0), 0, grad,
-                     action(u, expression_spec))
+                     action(u, expression_spec), g)
     assert len(norms) == 1
     assert rec.loop_norm == h1_norm(u)
     assert rec.weighted_gradient == weighted_gradient_norm(u, grad)  # bit for bit
 
 
 def test_cps_record_on_the_set_needs_no_root(monkeypatch, harmonic_spec):
-    # On the set, the residual's one constraint evaluation also settles the
-    # distance proxy; off the set the proxy is still the gap along the ray.
+    # On the set, the constraint value the solver holds settles both the
+    # residual and the distance proxy, with no potential pass; off the set
+    # the proxy is still the gap along the ray.
     u = circle_loop(64, 2)
     on_set = LoopPath(scaling_root(u, harmonic_spec) * u.nodes)
     off_set = LoopPath(1.5 * on_set.nodes)
-    grads = [action_gradient(v, harmonic_spec) for v in (on_set, off_set)]
-    levels = [action(v, harmonic_spec) for v in (on_set, off_set)]
+    loops = (on_set, off_set)
+    grads = [action_gradient(v, harmonic_spec) for v in loops]
+    levels = [action(v, harmonic_spec) for v in loops]
+    gs = [constraint_value(v, harmonic_spec) for v in loops]
     roots = count_calls(monkeypatch, functional, "scaling_root")
-    evals = count_calls(monkeypatch, functional, "constraint_value")
-    rec = cps_append([], on_set, harmonic_spec, None, 0, grads[0], levels[0])
+    passes = count_calls(monkeypatch, functional, "potential_pass")
+    rec = cps_append([], on_set, harmonic_spec, None, 0, grads[0], levels[0], gs[0])
     assert rec.distance_proxy == 0.0
     assert rec.constraint_residual <= functional.root_tolerance(harmonic_spec)
-    assert (len(roots), len(evals)) == (0, 1)
-    rec = cps_append([], off_set, harmonic_spec, None, 0, grads[1], levels[1])
+    assert (len(roots), len(passes)) == (0, 0)
+    rec = cps_append([], off_set, harmonic_spec, None, 0, grads[1], levels[1], gs[1])
+    assert rec.constraint_residual == abs(gs[1] - harmonic_spec.h)
     assert len(roots) == 1
     assert rec.distance_proxy == constraint_distance(off_set, None, harmonic_spec) > 0.0
 

@@ -421,20 +421,22 @@ def test_fault_on_every_rung_surfaces(cubic_spec, fault, error):
 
 
 def test_ladder_makes_twelve_gradient_calls_per_finest_step(monkeypatch, cubic_spec):
-    # One call for the residuals, then one per stage, twelve per iteration of
-    # the batch, whose finest reached rung sets the iteration count; rows
-    # above add no calls.
+    # One value_and_gradient call for the residuals, then one gradient call
+    # per stage, twelve per iteration of the batch, whose finest reached rung
+    # sets the iteration count; rows above add no calls.
     q, T, _, reached = stopping_case(cubic_spec)
+    pairs = count_calls(monkeypatch, cubic_spec.potential, "value_and_gradient")
     calls = count_calls(monkeypatch, cubic_spec.potential, "gradient")
     verify_orbit(q, T, cubic_spec.potential, cubic_spec.h)
-    assert len(calls) == 1 + 12 * reached[-1]
+    assert (len(pairs), len(calls)) == (1, 12 * reached[-1])
 
 
 def test_ladder_that_ends_on_the_cap_makes_the_worst_case_calls(monkeypatch):
     q, T, stiff = stiff_case()
     N = q.shape[0]
+    pairs = count_calls(monkeypatch, stiff, "value_and_gradient")
     calls = count_calls(monkeypatch, stiff, "gradient")
     reached = record_rungs(monkeypatch)
     verify_orbit(q, T, stiff, 0.5)
     assert reached[-1] == 2 * N
-    assert len(calls) == 1 + 12 * 2 * N
+    assert (len(pairs), len(calls)) == (1, 12 * 2 * N)

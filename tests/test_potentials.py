@@ -22,6 +22,20 @@ def test_power_law_parameter_validation():
         PowerLawPotential(1.0, 2, -1.0)
 
 
+@pytest.mark.parametrize("mu1", [2.0, 3.0])
+def test_power_law_value_and_gradient_has_the_bits_of_both(mu1):
+    p = PowerLawPotential(0.7, mu1, 0.3, n=3)
+    pts = np.random.default_rng(8).standard_normal((50, 3))
+    pts[:2] = 0.0  # r = 0, where r**(mu1 - 2) is 1 or 0
+    val, grad = p.value_and_gradient(pts)
+    assert val.tobytes() == p.value(pts).tobytes()
+    assert grad.tobytes() == p.gradient(pts).tobytes()
+    for q in pts[:4]:
+        v, g = p.value_and_gradient(q)
+        assert type(v) is float and float.hex(v) == float.hex(p.value(q))
+        assert g.shape == (3,) and g.tobytes() == p.gradient(q).tobytes()
+
+
 def test_power_law_values_and_gradient():
     p = PowerLawPotential(0.25, 4, 0, n=2)
     assert p.value(np.array([1.0, 0.0])) == pytest.approx(0.25)

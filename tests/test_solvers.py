@@ -9,6 +9,7 @@ from hamorbit import (
     GradientSphere,
     LoopPath,
     PathCollapseError,
+    PotentialModel,
     PowerLawPotential,
     ProblemSpec,
     SolveOptions,
@@ -25,7 +26,7 @@ from hamorbit import (
     synthesize,
     zero_loop,
 )
-from hamorbit import solvers
+from hamorbit import functional, solvers
 from hamorbit.solvers import _PathMax
 from conftest import count_calls, mode_one_loop
 
@@ -230,14 +231,15 @@ def _point_counts(monkeypatch, cls, name):
 
 def test_segment_max_grid_or_root(harmonic_spec, monkeypatch):
     sizes = _point_counts(monkeypatch, PowerLawPotential, "value")
-    gradients = _point_counts(monkeypatch, PowerLawPotential, "gradient")
+    gradients = _point_counts(monkeypatch, PowerLawPotential, "value_and_gradient")
     pmax = _PathMax(harmonic_spec)
     circle = circle_loop(64, 2).nodes
     zero = np.zeros_like(circle)
     # Rising to the far end: the grid is one potential call and its maximum
-    # is the answer; past the grid only the far bracket end is evaluated.
+    # is the answer; past the grid only the far bracket end is evaluated, in
+    # one fused pass.
     (value,), (tau,) = pmax.segment_max([zero, 0.5 * circle])
-    assert tau == 1.0 and sizes == [9 * 64, 64] and gradients == [64]
+    assert tau == 1.0 and sizes == [9 * 64] and gradients == [64]
     assert value == action(LoopPath(0.5 * circle), harmonic_spec)
     # An interior top at radius sqrt(h) = 1 is a root of the derivative.
     del gradients[:]
@@ -503,3 +505,46 @@ def test_symmetry_classes_find_distinct_orbits(quartic_spec):
     r2 = np.sort(np.linalg.norm(e2.loop.nodes, axis=1))
     assert np.abs(r1 - r2).max() > 0.1
     assert abs(e1.f_value - e2.f_value) > 0.5
+
+
+def test_nehari_solve_makes_one_potential_pass_per_root_evaluation(monkeypatch, cubic_spec):
+    # The trial's level, the next gradient and the record's residual all
+    # come from the pass at the point the ray root lands on.
+    pot = cubic_spec.potential
+    values = count_calls(monkeypatch, pot, "value")
+    gradients = count_calls(monkeypatch, pot, "gradient")
+    pairs = count_calls(monkeypatch, pot, "value_and_gradient")
+    evaluations = count_calls(monkeypatch, functional, "potential_pass")
+    opts = SolveOptions(initial_loop="random_bandlimited", seed=3)
+    rep = minimize_on_nehari(cubic_spec, opts, n_nodes=64)
+    assert rep.converged and rep.iterations > 10
+    assert values == [] and gradients == []
+    assert len(pairs) == len(evaluations) > rep.iterations
+
+
+class HandCubic(PotentialModel):
+    """0.5 |q|^3 in n=3 with only ``value`` and ``gradient``, in the
+    arithmetic of ``PowerLawPotential(0.5, 3)``."""
+
+    n = 3
+
+    def value(self, q):
+        q = np.asarray(q, dtype=float)
+        r = np.sqrt(np.add.reduce(q * q, axis=-1))
+        return 0.5 * r**3.0
+
+    def gradient(self, q):
+        q = np.asarray(q, dtype=float)
+        r = np.sqrt(np.add.reduce(q * q, axis=-1))
+        return (1.5 * r)[..., None] * q
+
+
+def test_model_with_only_value_and_gradient_solves_to_the_same_bits(cubic_spec):
+    hand = ProblemSpec(HandCubic(), 3, cubic_spec.h, cubic_spec.mu1, cubic_spec.mu2, "e2")
+    opts = SolveOptions(initial_loop="random_bandlimited", seed=3)
+    ref = minimize_on_nehari(cubic_spec, opts, n_nodes=64)
+    rep = minimize_on_nehari(hand, opts, n_nodes=64)
+    assert ref.converged and ref.iterations > 10
+    assert (rep.termination, rep.iterations) == (ref.termination, ref.iterations)
+    assert float.hex(rep.f_value) == float.hex(ref.f_value)
+    assert rep.loop.nodes.tobytes() == ref.loop.nodes.tobytes()
