@@ -392,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--r-max", type=float, dest="r_max", help="largest sampled radius")
     p_check.add_argument("--radii", type=int, help="radial grid size for the coercivity scan")
     p_check.add_argument("--tolerance", type=float, help="hypothesis tolerance")
-    p_check.set_defaults(func=cmd_check)
 
     p_solve = sub.add_parser("solve", help="solve by a critical-point route, then verify")
     _add_problem_flags(p_solve)
@@ -410,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--orbit", help="write the orbit sample table here")
     p_solve.add_argument("--ode-tol", type=float, dest="ode_tol")
     p_solve.add_argument("--energy-tol", type=float, dest="energy_tol")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="re-verify an orbit table from the file alone")
     p_verify.add_argument("orbit_file")
@@ -418,18 +416,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--ode-tol", type=float, dest="ode_tol")
     p_verify.add_argument("--energy-tol", type=float, dest="energy_tol")
     p_verify.add_argument("--closure-tol", type=float, dest="closure_tol")
-    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # Looked up per call, so a rebound cmd_* takes effect.
+    command = {"check": cmd_check, "solve": cmd_solve, "verify": cmd_verify}[args.command]
     try:
         # Every overflow, division or invalid value that matters fails a
         # finite check with a named cause; numpy's warnings would only repeat it.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return args.func(args)
+            return command(args)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

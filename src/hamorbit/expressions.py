@@ -22,13 +22,12 @@ convention for abs.
 
 The dual pass carries the values too, and :func:`evaluate_value_and_gradient`
 returns them with the gradient, so a caller that needs both makes one pass.
-At every node the dual value has the plain value's bits, except where a
-division has q on both sides (its dual computes ``v * (1/w)``) or a power
-has q in its exponent (``exp(e * log(b))``).  Whether a tree holds such a
-node is decided once, at compile time, from the syntax tree; such a tree
-takes its values from the plain pass and only the gradient from the dual
-one.  Either way the pair has the bits of :func:`evaluate` and
-:func:`evaluate_gradient`.
+Every dual rule computes its value as the plain rule does, so the pair has
+the bits of :func:`evaluate` and :func:`evaluate_gradient` for every tree.
+Where a derivative needs another intermediate, the rule computes it beside
+the value: a division with q on both sides returns ``v / w`` and takes
+``1/w`` for its derivative, and a power with q in its exponent returns
+``np.power(b, e)`` and takes ``exp(e * log(b))`` as its derivative's factor.
 
 Compiling folds every subtree without q into its number, unless folding
 raises a :class:`DomainError` or gives a non-finite value; such a subtree
@@ -41,8 +40,9 @@ variable-exponent checks (an exponent with q needs a positive base, in
 values and gradients alike), the finiteness of the power rule's coefficient,
 and the final finiteness gates of :func:`evaluate` and
 :func:`evaluate_gradient`.  No rewrite changes rounding: operands keep
-their order and every other power goes through ``np.power``, so values and
-gradients are bit-identical to a walk of the tree.
+their order and every other power goes through ``np.power``, so values are
+bit-identical to a walk of the tree, and so is each rule's derivative given
+its operands.
 """
 
 from __future__ import annotations
@@ -281,12 +281,12 @@ _DIVISION = "division by zero"
 
 
 class Program(NamedTuple):
-    """A compiled expression: ``value(points)`` gives shape (M,),
-    ``gradient(points)`` shape (M, n) and ``value_and_gradient(points)``
-    the two as a pair, at a (M, n) batch of points."""
+    """A compiled expression at a (M, n) batch of points: ``value(points)``
+    gives shape (M,) from the plain pass, and ``value_and_gradient(points)``
+    the pair of shapes (M,) and (M, n) from the dual pass, with the same
+    value bits."""
 
     value: Callable
-    gradient: Callable
     value_and_gradient: Callable
 
 
@@ -424,8 +424,7 @@ def _divide(x, y):
 def _div_vv(v, dv, w, dw):
     _require(w != 0.0, _DIVISION)
     inv = 1.0 / w
-    val = v * inv
-    return val, (dv - dw * val[:, None]) * inv[:, None]
+    return v / w, (dv - dw * (v * inv)[:, None]) * inv[:, None]
 
 
 def _div_vc(v, dv, c):
@@ -462,8 +461,8 @@ def _pow_vv(v, dv, e, de):
     # Variable exponent: b^e = exp(e * log(b)), which needs b > 0.
     _require(v > 0.0, _VARIABLE_EXPONENT)
     log_v = np.log(v)
-    val = np.exp(e * log_v)
-    return val, (de * log_v[:, None] + dv / v[:, None] * e[:, None]) * val[:, None]
+    factor = np.exp(e * log_v)
+    return np.power(v, e), (de * log_v[:, None] + dv / v[:, None] * e[:, None]) * factor[:, None]
 
 
 def _pow_vc(v, dv, e):
@@ -477,8 +476,7 @@ def _pow_vc(v, dv, e):
 def _pow_cv(c, e, de):
     _require(np.asarray(c) > 0.0, _VARIABLE_EXPONENT)
     log_c = np.log(c)
-    val = np.exp(e * log_c)
-    return val, de * log_c * val[:, None]
+    return np.power(c, e), de * log_c * np.exp(e * log_c)[:, None]
 
 
 def _pow_folded(a: _Code, k) -> _Code:
@@ -591,30 +589,6 @@ def _compile(node) -> _Code:
     return _fold(code) if code.constant else code
 
 
-def _children(node) -> tuple:
-    if isinstance(node, Neg):
-        return (node.child,)
-    if isinstance(node, BinOp):
-        return (node.left, node.right)
-    if isinstance(node, Call):
-        return (node.arg,)
-    return ()
-
-
-def _has_q(node) -> bool:
-    return isinstance(node, (Var, Norm)) or any(map(_has_q, _children(node)))
-
-
-def _dual_values_exact(node) -> bool:
-    """Whether the dual pass gives the plain values' bits: False for a tree
-    with a division by q of q (``_div_vv`` takes ``v * (1/w)``) or a power
-    with q in its exponent (``_pow_vv`` and ``_pow_cv`` take ``exp(e log b)``)."""
-    if isinstance(node, BinOp) and _has_q(node.right) and (
-            node.op == "^" or node.op == "/" and _has_q(node.left)):
-        return False
-    return all(map(_dual_values_exact, _children(node)))
-
-
 def compile_expression(node) -> Program:
     """Compile a syntax tree once into the program that :func:`evaluate`,
     :func:`evaluate_gradient` and :func:`evaluate_value_and_gradient` run."""
@@ -624,17 +598,10 @@ def compile_expression(node) -> Program:
         def value(points):
             return np.broadcast_to(np.asarray(f(points), dtype=float), points.shape[:1]).copy()
 
-        def gradient(points):
-            f(points)  # an unfolded constant fails here as in value
-            return np.zeros_like(points)
-
-        def pair(points):
+        def pair(points):  # an unfolded constant fails here as in value
             return value(points), np.zeros_like(points)
 
-        return Program(value, gradient, pair)
-
-    def gradient(points):
-        return d(points)[1]
+        return Program(value, pair)
 
     value, pair = f, d
     if isinstance(node, Var):  # a bare column would alias the points
@@ -644,10 +611,7 @@ def compile_expression(node) -> Program:
         def pair(points):
             v, dv = d(points)
             return v.copy(), dv
-    elif not _dual_values_exact(node):
-        def pair(points):
-            return f(points), d(points)[1]
-    return Program(value, gradient, pair)
+    return Program(value, pair)
 
 
 def evaluate(program: Program, points: np.ndarray) -> np.ndarray:
@@ -660,7 +624,7 @@ def evaluate(program: Program, points: np.ndarray) -> np.ndarray:
 
 def evaluate_gradient(program: Program, points: np.ndarray) -> np.ndarray:
     """Forward-mode gradient at a (M, n) batch of points, returning (M, n)."""
-    grad = program.gradient(points)
+    grad = program.value_and_gradient(points)[1]
     if not np.isfinite(grad).all():
         raise DomainError("gradient evaluated to a non-finite value")
     return grad

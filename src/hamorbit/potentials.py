@@ -256,8 +256,7 @@ def _check_evenness(p, pts, tol):
     return HypothesisReport("B1", verdict, float(gap[worst]), len(pts), tol, pts[worst])
 
 
-def _check_superlinearity(p, pts, mu1, mu2, tol):
-    vals, grads = p.value_and_gradient(pts)
+def _check_superlinearity(pts, vals, grads, mu1, mu2, tol):
     resid = np.sum(grads * pts, axis=1) - mu1 * vals + mu2
     worst = int(np.argmin(resid))
     verdict = "pass" if resid[worst] >= -tol else "fail"
@@ -289,8 +288,8 @@ def _check_coercivity(p, h, rng, cfg):
     )
 
 
-def _check_radial_nondegeneracy(p, pts, mu1, tol):
-    raw = 3.0 * np.sum(p.gradient(pts) * pts, axis=1) + second_radial(p, pts)
+def _check_radial_nondegeneracy(p, pts, grads, mu1, tol):
+    raw = 3.0 * np.sum(grads * pts, axis=1) + second_radial(p, pts)
     scale = 1.0 + np.linalg.norm(pts, axis=1) ** mu1
     scaled = np.abs(raw) / scale
     worst = int(np.argmin(scaled))
@@ -358,11 +357,13 @@ def check_hypotheses(p: PotentialModel, h: float, mu1: float, mu2: float,
     rng = np.random.default_rng(cfg.seed)
     pts = _sample_points(rng, cfg.samples, p.n, cfg.r_min, cfg.r_max)
     try:
+        evenness = _check_evenness(p, pts, cfg.tolerance)
+        vals, grads = p.value_and_gradient(pts)  # shared by B2 and B4
         return [
-            _check_evenness(p, pts, cfg.tolerance),
-            _check_superlinearity(p, pts, mu1, mu2, cfg.tolerance),
+            evenness,
+            _check_superlinearity(pts, vals, grads, mu1, mu2, cfg.tolerance),
             _check_coercivity(p, h, rng, cfg),
-            _check_radial_nondegeneracy(p, pts, mu1, cfg.tolerance),
+            _check_radial_nondegeneracy(p, pts, grads, mu1, cfg.tolerance),
             _check_loop_sphere(p, h, rng, cfg),
         ]
     except DomainError as err:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hamorbit
+from conftest import count_calls
 from hamorbit import cli
 from hamorbit.cli import ConfigError, build_parser, main, make_potential
 from hamorbit.reportio import parse_report, read_orbit_table, write_orbit_table
@@ -264,6 +265,15 @@ def test_subcommand_flags_are_the_ones_read():
             "path_points", "init", "mp_radius", "orbit", "ode_tol", "energy_tol"],
         "verify": ["orbit_file"] + PROBLEM_DESTS + ["ode_tol", "energy_tol", "closure_tol"],
     }
+
+
+def test_main_reuses_its_parser_and_runs_the_bound_command(monkeypatch):
+    built = count_calls(monkeypatch, cli, "build_parser")
+    ran = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: ran.append(args.orbit_file) or 0)
+    assert main(["verify", "a.csv", *HARMONIC]) == 0
+    assert main(["verify", "b.csv", *HARMONIC]) == 0
+    assert built == [] and ran == ["a.csv", "b.csv"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -90,6 +90,8 @@ def test_gradient_zero_at_origin_for_even_norm_powers():
         ("abs(q1)^3 / (1 + q2^2)", 2, 0.2, 2.0),
         ("2^q1", 1, -1.0, 1.0),
         ("|q|^3 - 0.25*|q|^4 + q1*q2", 2, 0.3, 1.5),
+        ("exp(q1/(2 + q2^2))", 2, -1.5, 1.5),
+        ("2^q1*q2 + |q|^2", 2, -1.5, 1.5),
     ],
 )
 def test_gradient_matches_finite_differences(src, n, low, high):
@@ -162,12 +164,7 @@ PINNED = [
     ("2^q1", "0x1.01a4067dd4d7bp+6", "0x1.652a774e12626p+5"),
 ]
 
-# Trees whose dual pass rounds its values unlike the plain pass: a division
-# with q on both sides (v * (1/w)) and powers with q in the exponent
-# (exp(e * log(b))).
-INEXACT_DUALS = ["q1/(2 + q2^2)", "2^q1", "(2 + q1^2)^(0.5*q2)"]
-
-# One tree per remaining rule and operand kind, whose dual values are exact.
+# One tree per dual rule and operand kind.
 EXACT_DUALS = [
     "-q1 + 2", "2 - q2", "3 - |q|", "q1*q2 + q1*3 + 3*q2", "q1/3 + 3/(1 + q2^2)",
     "|q|^2.5 + q1^3 + q2^-2", "sin(q1) + cos(q2) + exp(q1)", "log(1 + |q|) + sqrt(1 + q1^2)",
@@ -218,29 +215,35 @@ def test_expression_compiles_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("src", INEXACT_DUALS)
-def test_some_dual_rules_round_values_differently(src):
-    # So these trees take their values from the plain pass.
-    tree = parse_expression(src, 2)
-    code = expressions._compile(tree)
-    pts = np.random.default_rng(33).uniform(-1.5, 1.5, size=(5000, 2))
-    assert not expressions._dual_values_exact(tree)
-    assert (code.dual(pts)[0] != code.plain(pts)).mean() > 0.05
-
-
-@pytest.mark.parametrize("src", EXACT_DUALS + [src for src, _, _ in PINNED
-                                               if src not in INEXACT_DUALS])
-def test_other_dual_rules_give_the_plain_values(src):
-    tree = parse_expression(src, 2)
-    code = expressions._compile(tree)
-    pts = np.random.default_rng(34).uniform(0.1, 1.5, size=(5000, 2))
-    pts[::2] *= -1.0
-    assert expressions._dual_values_exact(tree)
-    assert code.dual(pts)[0].tobytes() == code.plain(pts).tobytes()
+# Trees whose rules compute their derivatives from intermediates of their
+# own: a division with q on both sides (1/w) and powers with q in the
+# exponent (exp(e * log(b))).  Their values are still the plain rules'.
+INEXACT_DUALS = ["q1/(2 + q2^2)", "2^q1", "(2 + q1^2)^(0.5*q2)"]
 
 
 @pytest.mark.parametrize("src", list(dict.fromkeys(
-    [src for src, _, _ in PINNED] + INEXACT_DUALS + EXACT_DUALS)))
+    EXACT_DUALS + INEXACT_DUALS + [src for src, _, _ in PINNED])))
+def test_other_dual_rules_give_the_plain_values(src):
+    code = expressions._compile(parse_expression(src, 2))
+    pts = np.random.default_rng(34).uniform(0.1, 1.5, size=(5000, 2))
+    pts[::2] *= -1.0
+    assert code.dual(pts)[0].tobytes() == code.plain(pts).tobytes()
+
+
+def test_value_and_gradient_makes_no_plain_pass(monkeypatch):
+    divisions = count_calls(monkeypatch, expressions, "_divide")
+    powers = count_calls(monkeypatch, expressions, "_power_variable")
+    pot = parse_potential("q1/(2 + q2^2) + 2^q1", 2)
+    pts = np.random.default_rng(36).uniform(-1.5, 1.5, size=(8, 2))
+    pot.value_and_gradient(pts)
+    assert (len(divisions), len(powers)) == (0, 0)
+    pot.value(pts)
+    assert (len(divisions), len(powers)) == (1, 1)
+
+
+@pytest.mark.parametrize("src", list(dict.fromkeys(
+    [src for src, _, _ in PINNED] + INEXACT_DUALS + EXACT_DUALS
+    + ["exp(q1/(2 + q2^2))", "2^q1*q2 + |q|^2"])))
 def test_value_and_gradient_has_the_bits_of_value_and_gradient(src):
     pot = parse_potential(src, 2)
     pts = np.random.default_rng(35).uniform(0.1, 1.5, size=(500, 2))

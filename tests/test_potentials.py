@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +130,20 @@ def test_quartic_radial_nondegeneracy_value():
     assert total == pytest.approx(6.0, abs=1e-4)
     reports = {r.hypothesis: r for r in check_hypotheses(p, 0.75, 4.0, 0.0, _cfg())}
     assert reports["B4"].verdict == "pass"
+
+
+def test_checker_takes_the_sample_gradient_once(monkeypatch):
+    # B2 and B4 share one pass; only hessian_ray's two stencil points remain.
+    callers = []
+    real = PowerLawPotential.gradient
+
+    def gradient(self, q):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(self, q)
+
+    monkeypatch.setattr(PowerLawPotential, "gradient", gradient)
+    check_hypotheses(PowerLawPotential(0.5, 3, 0, n=3), 1.0, 3.0, 0.0, _cfg())
+    assert callers == ["hessian_ray", "hessian_ray"]
 
 
 def test_checker_determinism():
