@@ -43,7 +43,6 @@ from .loopspace import (
     dirichlet_energy,
     h1_norm,
     integrate,
-    loop_mean,
     project_symmetric,
     random_loop,
     resample,

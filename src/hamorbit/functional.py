@@ -39,7 +39,9 @@ from .loopspace import (
     check_symmetry,
     h1_norm,
     integrate,
+    periodic_shift,
     speed,
+    stacked_dirichlet_energy,
 )
 from .potentials import PotentialModel, hessian_ray
 
@@ -88,11 +90,7 @@ def _factors(loops: np.ndarray, spec: ProblemSpec, values=None):
     if values is None:
         values = spec.potential.value(loops.reshape(L * N, n))
     gaps = spec.h - values.reshape(L, N)
-    d = np.roll(loops, -1, axis=1) - loops
-    d *= d
-    A = np.array([0.5 * N * math.fsum(dk.ravel().tolist()) for dk in d])
-    B = np.array([integrate(gk) for gk in gaps])
-    return A, B
+    return stacked_dirichlet_energy(loops), np.array([integrate(gk) for gk in gaps])
 
 
 def stacked_action(loops: np.ndarray, spec: ProblemSpec, values=None) -> np.ndarray:
@@ -117,7 +115,7 @@ def stacked_action_gradient(loops: np.ndarray, spec: ProblemSpec,
     if values is None:
         values, grads = spec.potential.value_and_gradient(loops.reshape(L * N, n))
     A, B = _factors(loops, spec, values)
-    lap = 2.0 * loops - np.roll(loops, -1, axis=1) - np.roll(loops, 1, axis=1)
+    lap = 2.0 * loops - periodic_shift(loops, 1) - periodic_shift(loops, -1)
     return (B * N)[:, None, None] * lap - (A / N)[:, None, None] * grads.reshape(L, N, n)
 
 

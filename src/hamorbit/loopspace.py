@@ -8,6 +8,12 @@ is the periodic three-point Laplacian, so descent steps see a derivative that
 is consistent with the discretized objective, not just with its continuum
 limit.
 
+This module is the one home of two rules that the rest of the package
+applies to loops and to (L, N, n) stacks of them.  Nodes run along axis -2,
+and :func:`periodic_shift` is the one circular shift, x_{k+j} with k + j
+taken mod N.  :func:`stacked_dirichlet_energy` is the one Dirichlet sum:
+(N/2) * sum |x_{k+1} - x_k|^2 per loop, exactly rounded.
+
 Sums that feed invariant checks (quadrature, Dirichlet energy) use
 ``math.fsum`` so they are exactly rounded and therefore invariant under
 circular shifts of the samples.  They pass it Python floats (``tolist``):
@@ -26,6 +32,7 @@ from .errors import OddNodeCountError
 
 SYMMETRY_CLASSES = ("none", "e1", "e2")
 NONCONSTANT_SPEED = 1e-6  # acceptance gate on ||u'||_{L2}
+RANDOM_LOOP_MODES = 4  # Fourier modes of random_loop
 
 
 @dataclass(frozen=True)
@@ -62,9 +69,17 @@ def check_symmetry(tag: str) -> str:
     return tag
 
 
+def periodic_shift(x: np.ndarray, j: int) -> np.ndarray:
+    """x_{k+j}, k + j mod N, along the node axis (-2) of an (N, n) loop or an
+    (L, N, n) stack, joined from two slices: bit for bit a circular roll
+    by -j."""
+    j %= x.shape[-2]
+    return np.concatenate((x[..., j:, :], x[..., :j, :]), axis=-2)
+
+
 def velocity(u: LoopPath) -> np.ndarray:
     """Forward-difference derivative at unit-period scale: v_k = N (u_{k+1} - u_k)."""
-    return float(u.N) * (np.roll(u.nodes, -1, axis=0) - u.nodes)
+    return float(u.N) * (periodic_shift(u.nodes, 1) - u.nodes)
 
 
 def integrate(samples) -> float:
@@ -79,14 +94,22 @@ def integrate(samples) -> float:
     return math.fsum(arr.tolist()) / arr.shape[0]
 
 
-def dirichlet_energy(u: LoopPath) -> float:
-    """Half the integrated squared speed, (1/2) * int |u'|^2 dt.
+def stacked_dirichlet_energy(loops: np.ndarray) -> np.ndarray:
+    """:func:`dirichlet_energy` of each loop in an (L, N, n) stack, shape (L,).
 
     Evaluates the exact quadratic form (N/2) * sum |u_{k+1} - u_k|^2 with an
-    exactly rounded sum; shift-invariant and even in u to the last bit.
+    exactly rounded sum per loop; shift-invariant and even in u to the last
+    bit, and independent of the other loops in the stack.
     """
-    d = np.roll(u.nodes, -1, axis=0) - u.nodes
-    return 0.5 * u.N * math.fsum((d * d).ravel().tolist())
+    L, N, _ = loops.shape
+    d = periodic_shift(loops, 1) - loops
+    return np.array([0.5 * N * math.fsum(dk) for dk in (d * d).reshape(L, -1).tolist()])
+
+
+def dirichlet_energy(u: LoopPath) -> float:
+    """Half the integrated squared speed, (1/2) * int |u'|^2 dt; see
+    :func:`stacked_dirichlet_energy`."""
+    return float(stacked_dirichlet_energy(u.nodes[None])[0])
 
 
 def speed(u: LoopPath) -> float:
@@ -94,9 +117,12 @@ def speed(u: LoopPath) -> float:
     return math.sqrt(2.0 * dirichlet_energy(u))
 
 
-def loop_mean(u: LoopPath) -> np.ndarray:
-    """Mean position of the loop, one component per coordinate."""
-    return np.array([math.fsum(column) for column in u.nodes.T.tolist()]) / u.N
+def stacked_h1_norm(loops: np.ndarray) -> np.ndarray:
+    """:func:`h1_norm` of each loop in an (L, N, n) stack, shape (L,), each
+    with the bits of the single-loop call; the means are exactly rounded."""
+    columns = np.swapaxes(loops, 1, 2).tolist()
+    means = np.array([[math.fsum(c) for c in lk] for lk in columns]) / loops.shape[1]
+    return np.sqrt(2.0 * stacked_dirichlet_energy(loops)) + [np.linalg.norm(m) for m in means]
 
 
 def h1_norm(u: LoopPath) -> float:
@@ -105,12 +131,12 @@ def h1_norm(u: LoopPath) -> float:
     On the antisymmetric subspaces the mean vanishes and this reduces to the
     derivative seminorm, which is a genuine norm there.
     """
-    return speed(u) + float(np.linalg.norm(loop_mean(u)))
+    return float(stacked_h1_norm(u.nodes[None])[0])
 
 
 def shift(u: LoopPath, j: int) -> LoopPath:
     """Circular time shift: (shift u)(t) = u(t + j/N)."""
-    return LoopPath(np.roll(u.nodes, -j, axis=0))
+    return LoopPath(periodic_shift(u.nodes, j))
 
 
 def project_symmetric(u: LoopPath, symmetry: str) -> LoopPath:
@@ -127,9 +153,8 @@ def project_symmetric(u: LoopPath, symmetry: str) -> LoopPath:
     if symmetry == "e1":
         if u.N % 2:
             raise OddNodeCountError(f"half-period symmetry needs an even node count, got {u.N}")
-        return LoopPath(0.5 * (u.nodes - np.roll(u.nodes, -u.N // 2, axis=0)))
-    idx = (-np.arange(u.N)) % u.N
-    return LoopPath(0.5 * (u.nodes - u.nodes[idx]))
+        return LoopPath(0.5 * (u.nodes - periodic_shift(u.nodes, u.N // 2)))
+    return LoopPath(0.5 * (u.nodes - u.nodes[-np.arange(u.N) % u.N]))
 
 
 def symmetry_defect(nodes: np.ndarray, projected: np.ndarray) -> float:
@@ -163,13 +188,13 @@ def resample(u: LoopPath, new_n_nodes: int) -> LoopPath:
     return LoopPath((1.0 - theta) * u.nodes[k] + theta * u.nodes[nxt])
 
 
-def circle_loop(n_nodes: int, dim: int, radius: float = 1.0) -> LoopPath:
-    """Unit-frequency circle in the first two coordinates (cosine wave if dim == 1)."""
+def circle_loop(n_nodes: int, dim: int) -> LoopPath:
+    """Unit-frequency unit circle in the first two coordinates (cosine wave if dim == 1)."""
     t = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     nodes = np.zeros((n_nodes, dim))
-    nodes[:, 0] = radius * np.cos(t)
+    nodes[:, 0] = np.cos(t)
     if dim >= 2:
-        nodes[:, 1] = radius * np.sin(t)
+        nodes[:, 1] = np.sin(t)
     return LoopPath(nodes)
 
 
@@ -177,12 +202,12 @@ def zero_loop(n_nodes: int, dim: int) -> LoopPath:
     return LoopPath(np.zeros((n_nodes, dim)))
 
 
-def random_loop(n_nodes, dim, rng, modes: int = 4, mean_scale: float = 0.0) -> LoopPath:
-    """Random band-limited loop: the first ``modes`` Fourier modes with seeded
-    normal coefficients decaying like 1/m, plus an optional random mean."""
+def random_loop(n_nodes, dim, rng, mean_scale: float = 0.0) -> LoopPath:
+    """Random band-limited loop: the first RANDOM_LOOP_MODES Fourier modes with
+    seeded normal coefficients decaying like 1/m, plus an optional random mean."""
     t = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     nodes = np.zeros((n_nodes, dim))
-    for m in range(1, modes + 1):
+    for m in range(1, RANDOM_LOOP_MODES + 1):
         a = rng.standard_normal(dim) / m
         b = rng.standard_normal(dim) / m
         nodes += np.outer(np.cos(m * t), a) + np.outer(np.sin(m * t), b)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, DomainError, NonpositiveActionError
-from .functional import ProblemSpec
-from .loopspace import NONCONSTANT_SPEED, LoopPath, dirichlet_energy, integrate, speed
+from .functional import ProblemSpec, _factors
+from .loopspace import NONCONSTANT_SPEED, LoopPath, periodic_shift, speed
 from .potentials import PotentialModel
 
 BLOWUP_LIMIT = 1e8
@@ -125,9 +125,9 @@ class OrbitResult:
 
 
 def orbit_period(u: LoopPath, spec: ProblemSpec) -> float:
-    """Physical period T = sqrt(A/B); requires both factors positive."""
-    A = dirichlet_energy(u)
-    B = integrate(spec.h - spec.potential.value(u.nodes))
+    """Physical period T = sqrt(A/B), with the Dirichlet energy A and mean
+    energy gap B of the functional's factors; requires both positive."""
+    (A,), (B,) = _factors(u.nodes[None], spec)
     if A <= 0.0 or B <= 0.0:
         raise NonpositiveActionError(
             f"period rescaling needs positive factors, got A={A:.6g}, B={B:.6g}"
@@ -146,7 +146,7 @@ def orbit_residuals(positions: np.ndarray, period: float, potential: PotentialMo
     q = np.asarray(positions, dtype=float)
     N = q.shape[0]
     dt = period / N
-    fwd, bwd = np.roll(q, -1, axis=0), np.roll(q, 1, axis=0)
+    fwd, bwd = periodic_shift(q, 1), periodic_shift(q, -1)
     values, grads = potential.value_and_gradient(q)
     acc = (fwd - 2.0 * q + bwd) / dt**2
     ode = np.linalg.norm(acc + grads, axis=1)

@@ -12,18 +12,22 @@ all come from that pass: a trial costs one potential pass per root
 evaluation and nothing more.
 
 Mountain pass: deform a discrete path between two low points separated by a
-derivative sphere.  Each sweep locates the path maximum over segment
-interiors (node-only evaluation could tunnel through the barrier): every
-segment's grid in one potential call, the bracket ends of all segments in
-at most two batched derivative passes, and each bracketed top by Illinois
-regula falsi on the tangential derivative.  It relaxes the maximum one
-preconditioned descent step accepted on the modified segments' maxima, and
+derivative sphere.  The path is one (m+1, N, n) array from the first sweep
+to the last.  Each sweep locates the path maximum over segment interiors
+(node-only evaluation could tunnel through the barrier): every segment's
+grid in one potential call, the bracket ends of all segments in at most two
+batched derivative passes, and each bracketed top by Illinois regula falsi
+on the tangential derivative.  It relaxes the maximum one preconditioned
+descent step accepted on the modified segments' maxima, and
 re-equidistributes the interior points in loop-space arc length when that
-does not raise the maximum, which keeps the level estimates monotone.  A
-re-equidistributed candidate is tested on its three segments around the top
-first, and most candidates are rejected there, without evaluating the
-others; the decisions, and so every result, are those of evaluating each
-candidate in full.
+does not raise the maximum, which keeps the level estimates monotone.  The
+re-spacing measures every segment in one stacked pass
+(:func:`~hamorbit.loopspace.stacked_h1_norm`, built on the periodic shift
+and Dirichlet sum whose one home is :mod:`hamorbit.loopspace`) and moves
+every interior point in one expression.  A re-equidistributed candidate is
+tested on its three segments around the top first, and most candidates are
+rejected there, without evaluating the others; the decisions, and so every
+result, are those of evaluating each candidate in full.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .functional import (
     _illinois,
     action,
     cps_append,
-    h1_norm,
     potential_pass,
     ray_landing,
     scaling_root,  # noqa: F401  (a binding perfbench's tracer test expects)
@@ -64,6 +67,7 @@ from .loopspace import (
     random_loop,
     sobolev_precondition,
     speed,
+    stacked_h1_norm,
     symmetry_defect,
 )
 
@@ -269,26 +273,24 @@ def separation_check(z0: LoopPath, z1: LoopPath, sphere: GradientSphere):
                                            "radius": sphere.radius}
 
 
-def _redistribute(path: list[np.ndarray]) -> list[np.ndarray]:
-    """Re-space interior points uniformly in loop-space arc length."""
-    m = len(path) - 1
-    seg = np.empty(m)
-    for i in range(m):
-        diff = path[i + 1] - path[i]
-        seg[i] = h1_norm(LoopPath(diff)) if np.any(diff) else 0.0
+def _redistribute(path: np.ndarray) -> np.ndarray:
+    """Re-space the interior points of an (m+1, N, n) path uniformly in
+    loop-space arc length, every segment measured by ``h1_norm`` of its
+    difference in one stacked pass.  A non-finite difference is no loop and
+    raises ``ValueError``."""
+    diffs = path[1:] - path[:-1]
+    if not np.all(np.isfinite(diffs)):
+        raise ValueError("loop nodes must be finite")
+    seg = stacked_h1_norm(diffs)
     total = seg.sum()
     if total <= 0.0:
         return path
+    m = len(seg)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    out = [path[0]]
-    for j in range(1, m):
-        target = total * j / m
-        i = int(np.searchsorted(cum, target, side="right") - 1)
-        i = min(i, m - 1)
-        theta = 0.0 if seg[i] == 0.0 else (target - cum[i]) / seg[i]
-        out.append((1.0 - theta) * path[i] + theta * path[i + 1])
-    out.append(path[m])
-    return out
+    target = total * np.arange(1, m) / m
+    i = np.minimum(np.searchsorted(cum, target, side="right") - 1, m - 1)
+    t = np.divide(target - cum[i], seg[i], out=np.zeros(m - 1), where=seg[i] != 0.0)[:, None, None]
+    return np.concatenate((path[:1], (1.0 - t) * path[i] + t * path[i + 1], path[m:]))
 
 
 def _segment_ends(nodes, segments=slice(None)):
@@ -464,7 +466,7 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
     m = opts.path_points
     base = max(f0, f1)
     collapse_tol = 1e-9 * (1.0 + abs(base))
-    path = [(1.0 - s) * z0.nodes + s * z1.nodes for s in np.linspace(0.0, 1.0, m + 1)]
+    path = np.array([(1.0 - s) * z0.nodes + s * z1.nodes for s in np.linspace(0.0, 1.0, m + 1)])
     pmax = _PathMax(spec)
     seg_vals, seg_taus = pmax.refresh(path)
 

@@ -16,6 +16,7 @@ from hamorbit import (
     sobolev_precondition,
     velocity,
 )
+from hamorbit.loopspace import periodic_shift, stacked_dirichlet_energy, stacked_h1_norm
 
 
 def test_loop_validation():
@@ -89,6 +90,30 @@ def test_dirichlet_energy_shift_and_parity_exact():
     for j in (1, 7, 39):
         assert dirichlet_energy(shift(u, j)) == base
     assert dirichlet_energy(LoopPath(-u.nodes)) == base
+
+
+@pytest.mark.parametrize("j", [1, -1, 20, 43, -41])  # 1, -1, N/2, N+3, -N-1 at N=40
+def test_periodic_shift_is_a_roll_bit_for_bit(j):
+    rng = np.random.default_rng(12)
+    loop = rng.standard_normal((40, 3))
+    stack = rng.standard_normal((5, 40, 3))
+    assert periodic_shift(loop, j).tobytes() == np.roll(loop, -j, axis=0).tobytes()
+    assert periodic_shift(stack, j).tobytes() == np.roll(stack, -j, axis=1).tobytes()
+
+
+def test_stacked_forms_are_the_single_loop_calls_bit_for_bit():
+    rng = np.random.default_rng(13)
+    stack = rng.standard_normal((6, 24, 2)) + rng.standard_normal((6, 1, 2))
+    stack[2] = 0.0
+    energies, norms = stacked_dirichlet_energy(stack), stacked_h1_norm(stack)
+    assert energies.tolist() == [dirichlet_energy(LoopPath(x)) for x in stack]
+    assert norms.tolist() == [h1_norm(LoopPath(x)) for x in stack]
+    # Reference forms: a rolled difference and per-column exact means.
+    for x, energy, norm in zip(stack, energies, norms):
+        d = np.roll(x, -1, axis=0) - x
+        assert energy == 0.5 * len(x) * math.fsum((d * d).ravel().tolist())
+        mean = np.array([math.fsum(c) for c in x.T.tolist()]) / len(x)
+        assert norm == math.sqrt(2.0 * energy) + float(np.linalg.norm(mean))
 
 
 def test_dirichlet_energy_convergence_order():

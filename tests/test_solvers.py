@@ -27,7 +27,7 @@ from hamorbit import (
     zero_loop,
 )
 from hamorbit import functional, solvers
-from hamorbit.solvers import _PathMax
+from hamorbit.solvers import _PathMax, _redistribute
 from conftest import count_calls, mode_one_loop
 
 
@@ -439,6 +439,58 @@ def _refresh_in_full(self, path, top=None, ceiling=None):
     if ceiling is not None and not values.max() <= ceiling:
         return None
     return values, taus
+
+
+def _redistribute_per_segment(path):
+    """Arc-length re-spacing of a node list, one segment at a time: the
+    h1 norm of each difference (speed plus length of the exact mean) and
+    one interpolation per interior point."""
+    m = len(path) - 1
+    seg = np.empty(m)
+    for i in range(m):
+        diff = path[i + 1] - path[i]
+        d = np.roll(diff, -1, axis=0) - diff
+        energy = 0.5 * len(diff) * math.fsum((d * d).ravel().tolist())
+        mean = np.array([math.fsum(c) for c in diff.T.tolist()]) / len(diff)
+        seg[i] = math.sqrt(2.0 * energy) + float(np.linalg.norm(mean))
+    total = seg.sum()
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    out = [path[0]]
+    for j in range(1, m):
+        target = total * j / m
+        i = min(int(np.searchsorted(cum, target, side="right") - 1), m - 1)
+        theta = 0.0 if seg[i] == 0.0 else (target - cum[i]) / seg[i]
+        out.append((1.0 - theta) * path[i] + theta * path[i + 1])
+    out.append(path[m])
+    return np.array(out)
+
+
+def test_redistribute_is_the_per_segment_rule_bit_for_bit():
+    # No symmetry: the loops have nonzero means, and one segment has length 0.
+    rng = np.random.default_rng(14)
+    path = np.array([r * random_loop(40, 2, rng, mean_scale=0.5).nodes
+                     for r in (0.1, 0.3, 0.35, 0.5, 1.0, 1.1, 2.0, 2.2, 3.0)])
+    path[3] = path[2]
+    assert np.all(path.mean(axis=1) != 0.0)
+    spaced = _redistribute(path)
+    assert type(spaced) is np.ndarray and spaced.shape == path.shape
+    assert spaced.tobytes() == _redistribute_per_segment(list(path)).tobytes()
+    bad = path.copy()
+    bad[4, 7, 1] = np.inf
+    with pytest.raises(ValueError):
+        _redistribute(bad)
+
+
+def test_mountain_pass_keeps_its_path_as_one_array(monkeypatch, expression_spec):
+    seen = []
+
+    def recorded(path):
+        seen.append((type(path), path.shape))
+        return _redistribute(path)
+
+    monkeypatch.setattr(solvers, "_redistribute", recorded)
+    _expression_pass(expression_spec)
+    assert seen and set(seen) == {(np.ndarray, (17, 64, 2))}
 
 
 def test_window_first_refresh_keeps_every_outcome(monkeypatch, expression_spec):
