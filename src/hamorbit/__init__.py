@@ -26,7 +26,6 @@ from .errors import (
 )
 from .functional import (
     CpsRecord,
-    GradientSphere,
     ProblemSpec,
     action,
     action_gradient,
@@ -46,7 +45,6 @@ from .loopspace import (
     project_symmetric,
     random_loop,
     resample,
-    shift,
     sobolev_precondition,
     speed,
     velocity,

@@ -23,7 +23,7 @@ from .errors import (
     OddNodeCountError,
     OrbitFileError,
 )
-from .functional import GradientSphere, ProblemSpec
+from .functional import ProblemSpec
 from .loopspace import SYMMETRY_CLASSES, circle_loop, zero_loop
 from .orbit import synthesize, verify_orbit
 from .potentials import (
@@ -243,10 +243,8 @@ def _solve_route(spec: ProblemSpec, solve_opts: SolveOptions, opts: dict):
         return minimize_on_nehari(spec, solve_opts, n_nodes=nodes)
     z0 = zero_loop(nodes, spec.n)
     z1 = build_endpoint(spec, circle_loop(nodes, spec.n))
-    sphere = None
-    if opts["mp_radius"] is not None:
-        sphere = GradientSphere(float(opts["mp_radius"]))
-    return mountain_pass(spec, z0, z1, solve_opts, sphere=sphere)
+    radius = opts["mp_radius"]
+    return mountain_pass(spec, z0, z1, solve_opts, None if radius is None else float(radius))
 
 
 def cmd_solve(args) -> int:

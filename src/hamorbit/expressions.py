@@ -96,23 +96,6 @@ class Call:
     arg: object
 
 
-def to_source(node) -> str:
-    """Fully parenthesized source that re-parses to an equivalent tree."""
-    if isinstance(node, Const):
-        return format(node.value, ".17g")
-    if isinstance(node, Var):
-        return f"q{node.index}"
-    if isinstance(node, Norm):
-        return "|q|"
-    if isinstance(node, Neg):
-        return f"(-{to_source(node.child)})"
-    if isinstance(node, BinOp):
-        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
-    if isinstance(node, Call):
-        return f"{node.func}({to_source(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 # ---------------------------------------------------------------------------
 # tokenizer
 
@@ -336,12 +319,14 @@ def _var(i: int) -> _Code:
     return _Code(plain, dual, False)
 
 
-def _norm_plain(points):
+def point_norms(points):
+    """Euclidean norm of each row of a (M, n) batch of points: the one
+    rule of the package's ``|q|``."""
     return np.sqrt(np.add.reduce(points * points, axis=1))
 
 
 def _norm_dual(points):
-    r = _norm_plain(points)
+    r = point_norms(points)
     positive = r > 0.0
     if positive.all():
         return r, points / r[:, None]
@@ -577,7 +562,7 @@ def _compile(node) -> _Code:
     elif isinstance(node, Var):
         return _var(node.index - 1)
     elif isinstance(node, Norm):
-        return _Code(_norm_plain, _norm_dual, False)
+        return _Code(point_norms, _norm_dual, False)
     elif isinstance(node, Neg):
         code = _neg(_compile(node.child))
     elif isinstance(node, BinOp):

@@ -262,26 +262,19 @@ def _illinois(phi, a, fa, b, fb, tol=0.0, min_step=0.0):
 
 
 # ---------------------------------------------------------------------------
-# constraint-set descriptors and diagnostics
+# constraint-set diagnostics
 
-@dataclass(frozen=True)
-class GradientSphere:
-    """The derivative sphere {u : ||u'||_{L2} = radius}."""
-
-    radius: float
-
-
-def constraint_distance(u: LoopPath, where: GradientSphere | None,
-                        spec: ProblemSpec) -> float:
+def constraint_distance(u: LoopPath, radius: float | None, spec: ProblemSpec) -> float:
     """Computable stand-in for the distance from u to the constraint set.
 
-    ``where=None`` is the ray constraint {u : mean(V(u) + grad V(u).u / 2) = h};
+    ``radius=None`` is the ray constraint {u : mean(V(u) + grad V(u).u / 2) = h};
     the stand-in is the gap along the ray, |1 - scaling_root(u)| * ||u||, an
-    upper bound that vanishes exactly on the set.  For a derivative sphere it
-    is the exact radial gap.
+    upper bound that vanishes exactly on the set.  A radius r names the
+    derivative sphere {u : ||u'||_{L2} = r}, and the stand-in is the exact
+    radial gap |speed(u) - r|.
     """
-    if where is not None:
-        return abs(speed(u) - where.radius)
+    if radius is not None:
+        return abs(speed(u) - radius)
     return abs(1.0 - scaling_root(u, spec)) * h1_norm(u)
 
 
@@ -319,25 +312,27 @@ class CpsRecord:
             raise ValueError("diagnostic record has non-finite entries")
 
 
-def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, where: GradientSphere | None,
-               iteration: int, grad: np.ndarray, f_value: float, g: float) -> CpsRecord:
-    """Append a diagnostic record for the current iterate and return it;
-    ``grad`` is the iterate's :func:`action_gradient`, ``f_value`` its
-    :func:`action` and ``g`` its :func:`constraint_value`, all of which the
-    solver holds."""
-    if trace and iteration <= trace[-1].iteration:
-        raise ValueError("iteration indices must be strictly increasing")
+def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, radius: float | None,
+               grad: np.ndarray, f_value: float, g: float) -> CpsRecord:
+    """Append a diagnostic record for the current iterate and return it.
+
+    The record's iteration is its index in ``trace``.  ``radius`` is the
+    derivative sphere's, or None for the ray constraint (see
+    :func:`constraint_distance`); ``grad`` is the iterate's
+    :func:`action_gradient`, ``f_value`` its :func:`action` and ``g`` its
+    :func:`constraint_value`, all of which the solver holds.
+    """
     residual = abs(g - spec.h)
-    if where is None and residual <= root_tolerance(spec) and np.any(u.nodes):
+    if radius is None and residual <= root_tolerance(spec) and np.any(u.nodes):
         proxy = 0.0  # on the set already: scaling_root would return 1
     else:
         try:
-            proxy = constraint_distance(u, where, spec)
+            proxy = constraint_distance(u, radius, spec)
         except ZeroLoopError:
             proxy = residual  # ray projection undefined at 0; fall back
     loop_norm = h1_norm(u)  # once: weighted_gradient_norm would take it again
     rec = CpsRecord(
-        iteration=iteration,
+        iteration=len(trace),
         f_value=f_value,
         loop_norm=loop_norm,
         weighted_gradient=(1.0 + loop_norm) * gradient_dual_norm(grad),

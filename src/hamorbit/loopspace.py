@@ -11,7 +11,8 @@ limit.
 This module is the one home of two rules that the rest of the package
 applies to loops and to (L, N, n) stacks of them.  Nodes run along axis -2,
 and :func:`periodic_shift` is the one circular shift, x_{k+j} with k + j
-taken mod N.  :func:`stacked_dirichlet_energy` is the one Dirichlet sum:
+taken mod N; the time-shifted loop u(t + j/N) is
+``LoopPath(periodic_shift(u.nodes, j))``.  :func:`stacked_dirichlet_energy` is the one Dirichlet sum:
 (N/2) * sum |x_{k+1} - x_k|^2 per loop, exactly rounded.
 
 Sums that feed invariant checks (quadrature, Dirichlet energy) use
@@ -57,10 +58,6 @@ class LoopPath:
     @property
     def N(self) -> int:
         return self.nodes.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.nodes.shape[1]
 
 
 def check_symmetry(tag: str) -> str:
@@ -134,11 +131,6 @@ def h1_norm(u: LoopPath) -> float:
     return float(stacked_h1_norm(u.nodes[None])[0])
 
 
-def shift(u: LoopPath, j: int) -> LoopPath:
-    """Circular time shift: (shift u)(t) = u(t + j/N)."""
-    return LoopPath(periodic_shift(u.nodes, j))
-
-
 def project_symmetric(u: LoopPath, symmetry: str) -> LoopPath:
     """Orthogonal projection onto a symmetry subspace of loop space.
 
@@ -202,15 +194,13 @@ def zero_loop(n_nodes: int, dim: int) -> LoopPath:
     return LoopPath(np.zeros((n_nodes, dim)))
 
 
-def random_loop(n_nodes, dim, rng, mean_scale: float = 0.0) -> LoopPath:
-    """Random band-limited loop: the first RANDOM_LOOP_MODES Fourier modes with
-    seeded normal coefficients decaying like 1/m, plus an optional random mean."""
+def random_loop(n_nodes, dim, rng) -> LoopPath:
+    """Random band-limited loop with zero mean: the first RANDOM_LOOP_MODES
+    Fourier modes with seeded normal coefficients decaying like 1/m."""
     t = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     nodes = np.zeros((n_nodes, dim))
     for m in range(1, RANDOM_LOOP_MODES + 1):
         a = rng.standard_normal(dim) / m
         b = rng.standard_normal(dim) / m
         nodes += np.outer(np.cos(m * t), a) + np.outer(np.sin(m * t), b)
-    if mean_scale:
-        nodes += mean_scale * rng.standard_normal(dim)
     return LoopPath(nodes)

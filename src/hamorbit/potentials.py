@@ -59,10 +59,6 @@ def _batched(q, n):
     return q, False
 
 
-def _norms(pts):
-    return np.sqrt(np.add.reduce(pts * pts, axis=1))
-
-
 class PowerLawPotential(PotentialModel):
     """Radial power law a |q|^mu1 + mu2/mu1 with closed-form derivatives."""
 
@@ -93,17 +89,17 @@ class PowerLawPotential(PotentialModel):
 
     def value(self, q):
         pts, single = _batched(q, self.n)
-        out = self._values(_norms(pts))
+        out = self._values(expressions.point_norms(pts))
         return float(out[0]) if single else out
 
     def gradient(self, q):
         pts, single = _batched(q, self.n)
-        out = self._gradients(pts, _norms(pts))
+        out = self._gradients(pts, expressions.point_norms(pts))
         return out[0] if single else out
 
     def value_and_gradient(self, q):
         pts, single = _batched(q, self.n)
-        r = _norms(pts)
+        r = expressions.point_norms(pts)
         val, grad = self._values(r), self._gradients(pts, r)
         return (float(val[0]), grad[0]) if single else (val, grad)
 

@@ -1,5 +1,7 @@
-"""The two critical-point routes, which share one Armijo backtracking
-sequence and one step rule (:func:`_trials`).
+"""The two critical-point routes, which share one Armijo search
+(:func:`_trials`): its direction, backtracking sequence, acceptance bound
+and step rule.  Each route keeps only how it evaluates a trial and how it
+reports a search that fails.
 
 Constrained minimization: preconditioned descent of the loop functional on
 the ray constraint inside a symmetry subspace.  The ray constraint is the
@@ -11,11 +13,12 @@ functional value, the next gradient and the record's constraint residual
 all come from that pass: a trial costs one potential pass per root
 evaluation and nothing more.
 
-Mountain pass: deform a discrete path between two low points separated by a
-derivative sphere.  The path is one (m+1, N, n) array from the first sweep
-to the last.  Each sweep locates the path maximum over segment interiors
-(node-only evaluation could tunnel through the barrier): every segment's
-grid in one potential call, the bracket ends of all segments in at most two
+Mountain pass: deform a discrete path between two low points separated by
+the derivative sphere {||u'||_{L2} = r}, which is passed as its radius r.
+The path is one (m+1, N, n) array from the first sweep to the last.  Each
+sweep locates the path maximum over segment interiors (node-only
+evaluation could tunnel through the barrier): every segment's grid in one
+potential call, the bracket ends of all segments in at most two
 batched derivative passes, and each bracketed top by Illinois regula falsi
 on the tangential derivative.  It relaxes the maximum one preconditioned
 descent step accepted on the modified segments' maxima, and
@@ -47,7 +50,6 @@ from .errors import (
 )
 from .functional import (
     CpsRecord,
-    GradientSphere,
     ProblemSpec,
     _illinois,
     action,
@@ -128,14 +130,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
 
 
-def _trials(x: np.ndarray, direction: np.ndarray, step: float, symmetry: str):
-    """The one backtracking sequence of both routes' Armijo searches: yields
-    (t, trial, drift) for t = step, step * _STEP_SHRINK, ... above _MIN_STEP,
-    trial being x - t * direction projected onto the symmetry class and drift
-    its symmetry defect.  A trial that is no loop is skipped.  The one step
-    rule: after accepting t, the next search starts at min(2 t, _MAX_STEP),
-    or at the Barzilai-Borwein step where the constrained route has one.
+def _trials(x: np.ndarray, grad: np.ndarray, step: float, symmetry: str, level: float):
+    """The one Armijo search of both routes from x, whose gradient is
+    ``grad`` and whose level is ``level``.  Yields (next_step, trial, drift,
+    bound) for t = step, step * _STEP_SHRINK, ... above _MIN_STEP: trial is
+    x - t * d projected onto the symmetry class, d the preconditioned
+    gradient, and drift its symmetry defect.  The caller accepts the trial
+    when its level is at most bound = level - _ARMIJO * t * slope, slope
+    being grad . d, and starts its next search at next_step = min(2 t,
+    _MAX_STEP), or at the Barzilai-Borwein step where the constrained route
+    has one.  A trial that is no loop is skipped.
     """
+    direction = sobolev_precondition(grad)
+    slope = _dot(grad, direction)
     t = step
     while t > _MIN_STEP:
         raw = x - t * direction
@@ -144,7 +151,8 @@ def _trials(x: np.ndarray, direction: np.ndarray, step: float, symmetry: str):
         except ValueError:
             pass
         else:
-            yield t, trial, symmetry_defect(raw, trial.nodes)
+            yield (min(2.0 * t, _MAX_STEP), trial, symmetry_defect(raw, trial.nodes),
+                   level - _ARMIJO * t * slope)
         t *= _STEP_SHRINK
 
 
@@ -194,7 +202,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     for it in range(opts.max_iterations + 1):
         u = here.loop
         grad = here.action_gradient(spec)
-        rec = cps_append(trace, u, spec, None, it, grad, f_cur, here.g)
+        rec = cps_append(trace, u, spec, None, grad, f_cur, here.g)
         if rec.weighted_gradient <= opts.gradient_tolerance:
             if f_cur <= 0.0 or speed(u) < NONCONSTANT_SPEED:
                 return report(u, f_cur, "hypothesis_violation", it,
@@ -202,9 +210,6 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
             return report(u, f_cur, "converged", it)
         if it == opts.max_iterations:
             return report(u, f_cur, "max_iter", it, "iteration budget exhausted")
-
-        direction = sobolev_precondition(grad)
-        slope = _dot(grad, direction)
 
         if prev_nodes is not None:
             s = u.nodes - prev_nodes
@@ -217,7 +222,8 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
         prev_nodes, prev_grad = u.nodes, grad
 
         bracket_failure = None
-        for t, trial, drift in _trials(u.nodes, direction, step, spec.symmetry):
+        for next_step, trial, drift, bound in _trials(u.nodes, grad, step,
+                                                      spec.symmetry, f_cur):
             try:
                 landing = ray_landing(trial, spec)
                 f_new = landing.action(spec)
@@ -226,7 +232,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
                 continue
             except (DomainError, ZeroLoopError, ValueError):
                 continue
-            if f_new <= f_cur - _ARMIJO * t * slope:
+            if f_new <= bound:
                 break
         else:
             if bracket_failure is not None:
@@ -235,8 +241,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
             return report(u, f_cur, "max_iter", it,
                           "line search stalled below machine step")
         drift_max = max(drift_max, drift)
-        here, f_cur = landing, f_new
-        step = min(2.0 * t, _MAX_STEP)
+        here, f_cur, step = landing, f_new, next_step
 
 
 def build_endpoint(spec: ProblemSpec, base: LoopPath) -> LoopPath:
@@ -261,16 +266,16 @@ def build_endpoint(spec: ProblemSpec, base: LoopPath) -> LoopPath:
     )
 
 
-def separation_check(z0: LoopPath, z1: LoopPath, sphere: GradientSphere):
-    """Check that a derivative sphere separates the endpoints.
+def separation_check(z0: LoopPath, z1: LoopPath, radius: float):
+    """Check that the derivative sphere {||u'||_{L2} = radius} separates the
+    endpoints.
 
     Returns (ok, certificate), the certificate holding the two derivative
     norms and the radius.
     """
     s0, s1 = speed(z0), speed(z1)
     lo, hi = min(s0, s1), max(s0, s1)
-    return bool(lo < sphere.radius < hi), {"speed_z0": s0, "speed_z1": s1,
-                                           "radius": sphere.radius}
+    return bool(lo < radius < hi), {"speed_z0": s0, "speed_z1": s1, "radius": radius}
 
 
 def _redistribute(path: np.ndarray) -> np.ndarray:
@@ -430,12 +435,12 @@ class _PathMax:
 
 def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
                   opts: SolveOptions | None = None,
-                  sphere: GradientSphere | None = None) -> SolveReport:
+                  radius: float | None = None) -> SolveReport:
     """Locate a critical point at the minimax level between two low endpoints.
 
     Both endpoints must have nonpositive functional value, and the derivative
-    sphere (default radius: half the far endpoint's derivative norm) must
-    separate them; otherwise the geometry carries no barrier and the solve
+    sphere {||u'||_{L2} = radius} (default radius: half the far endpoint's
+    derivative norm) must separate them; otherwise the geometry carries no barrier and the solve
     raises :class:`PathCollapseError` up front.  Mid-run collapse is reported
     as a ``hypothesis_violation`` termination instead, so partial diagnostics
     survive.
@@ -457,9 +462,9 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         raise PathCollapseError(
             f"endpoints must have nonpositive values, got {f0:.6g} and {f1:.6g}"
         )
-    if sphere is None:
-        sphere = GradientSphere(0.5 * speed(z1))
-    ok, cert = separation_check(z0, z1, sphere)
+    if radius is None:
+        radius = 0.5 * speed(z1)
+    ok, cert = separation_check(z0, z1, radius)
     if not ok:
         raise PathCollapseError(f"derivative sphere does not separate the endpoints: {cert}")
 
@@ -494,7 +499,7 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
                           "separation failed numerically")
         here = potential_pass(u, spec)
         grad = here.action_gradient(spec)
-        rec = cps_append(trace, u, spec, sphere, sweep, grad, gamma, here.g)
+        rec = cps_append(trace, u, spec, radius, grad, gamma, here.g)
         if rec.weighted_gradient <= opts.gradient_tolerance:
             if speed(u) < NONCONSTANT_SPEED:
                 return report(u, gamma, "hypothesis_violation", sweep,
@@ -507,12 +512,10 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         j = i if tau < 0.5 else i + 1
         j = min(max(j, 1), m - 1)
 
-        direction = sobolev_precondition(grad)
-        slope = _dot(grad, direction)
-        for t, trial, drift in _trials(top, direction, step, spec.symmetry):
+        for next_step, trial, drift, bound in _trials(top, grad, step, spec.symmetry, gamma):
             vals, taus = pmax.segment_max([path[j - 1], trial.nodes, path[j + 1]])
             hi = vals.max()
-            if math.isfinite(hi) and hi <= gamma - _ARMIJO * t * slope:
+            if math.isfinite(hi) and hi <= bound:
                 break
         else:
             return report(u, gamma, "max_iter", sweep,
@@ -520,7 +523,7 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         drift_max = max(drift_max, drift)
         path[j] = trial.nodes
         seg_vals[j - 1:j + 1], seg_taus[j - 1:j + 1] = vals, taus
-        step = min(2.0 * t, _MAX_STEP)
+        step = next_step
 
         # Arc-length re-equidistribution, skipped if it would raise the max.
         candidate = _redistribute(path)

@@ -7,6 +7,7 @@ from hamorbit import (
     ProblemSpec,
     action,
     parse_potential,
+    random_loop,
 )
 
 
@@ -78,6 +79,13 @@ def random_admissible_spec(rng, dim=None):
         mu1, mu2 = 2.0, 0.0
     h = mu2 / mu1 + float(rng.uniform(0.5, 2.0))
     return ProblemSpec(pot, n, h, mu1, mu2, symmetry="none")
+
+
+def random_loop_with_mean(n_nodes, dim, rng, mean_scale):
+    """``random_loop`` shifted by mean_scale times a standard normal vector,
+    drawn from ``rng`` after the modes."""
+    u = random_loop(n_nodes, dim, rng)
+    return LoopPath(u.nodes + mean_scale * rng.standard_normal(dim))
 
 
 def mode_one_loop(n_nodes, amplitudes, phase=0.0):

@@ -21,7 +21,6 @@ from hamorbit import (
     minimize_on_nehari,
     mountain_pass,
     parse_potential,
-    random_loop,
     scaling_root,
     synthesize,
     zero_loop,
@@ -29,7 +28,7 @@ from hamorbit import (
 from hamorbit.cli import main
 from hamorbit.orbit import orbit_residuals
 from hamorbit.reportio import read_orbit_table, write_orbit_table
-from conftest import fd_action_gradient, random_admissible_spec
+from conftest import fd_action_gradient, random_admissible_spec, random_loop_with_mean
 
 PI2 = math.pi**2
 TWO_PI = 2 * math.pi
@@ -143,7 +142,7 @@ def test_criterion_4_gradient_correctness():
     worst = 0.0
     for _ in range(50):
         spec = random_admissible_spec(rng)
-        u = random_loop(16, spec.n, rng, mean_scale=0.3)
+        u = random_loop_with_mean(16, spec.n, rng, 0.3)
         grad = action_gradient(u, spec)
         fd = fd_action_gradient(u, spec)
         rel = np.abs(grad - fd).max() / (np.abs(grad).max() + 1e-12)

@@ -11,6 +11,7 @@ import hamorbit
 from conftest import count_calls
 from hamorbit import cli
 from hamorbit.cli import ConfigError, build_parser, main, make_potential
+from hamorbit.errors import BlowupError
 from hamorbit.reportio import parse_report, read_orbit_table, write_orbit_table
 
 
@@ -182,6 +183,47 @@ def test_verify_truncated_file_exits_2(tmp_path, capsys):
     assert run("verify", str(tmp_path / "mangled.csv"), *HARMONIC) == 2
     err = capsys.readouterr().err
     assert "line 11" in err
+
+
+def test_verify_dimension_mismatch_exits_2(tmp_path, capsys):
+    orb = tmp_path / "orbit.csv"
+    assert run("solve", *HARMONIC, "--nodes", "64", "--no-timestamp", "--orbit", str(orb)) == 0
+    capsys.readouterr()
+    argv = ["--potential", "power_law(a=0.5,mu1=2,mu2=0)", "--n", "3", "--energy", "1"]
+    assert run("verify", str(orb), *argv) == 2
+    assert capsys.readouterr().err == ("error: E_ORBIT_FILE: line 1: "
+                                       "orbit has dimension 2, spec has 3\n")
+
+
+def test_solve_odd_nodes_with_half_period_symmetry_exits_2(tmp_path, capsys):
+    rep = tmp_path / "r.txt"
+    assert run("solve", *HARMONIC, "--symmetry", "e1", "--nodes", "63",
+               "--report", str(rep)) == 2
+    assert capsys.readouterr().err.startswith("error: E_ODD_N: ")
+    assert not rep.exists()
+
+
+def test_failed_synthesis_still_writes_the_report(tmp_path, capsys, monkeypatch):
+    def blowup(loop, spec):
+        raise BlowupError("orbit left every bound")
+
+    monkeypatch.setattr(cli, "synthesize", blowup)
+    rep = tmp_path / "r.txt"
+    assert run("solve", *HARMONIC, "--nodes", "64", "--no-timestamp", "--report", str(rep)) == 1
+    run_section = parse_report(rep.read_text())["run"]
+    assert run_section["termination"] == "converged"
+    assert run_section["message"] == "E_BLOWUP: orbit left every bound"
+    assert math.isnan(float(run_section["period"]))
+    assert "E_BLOWUP: orbit left every bound" in capsys.readouterr().err
+
+
+def test_check_report_writes_the_hypotheses(tmp_path, capsys):
+    rep = tmp_path / "r.txt"
+    assert run("check", *HARMONIC, "--no-timestamp", "--report", str(rep)) == 0
+    doc = parse_report(rep.read_text())
+    assert doc["run"] == {"command": "check"}
+    assert list(doc["hypotheses"]) == ["B1", "B2", "B3", "B4", "B5"]
+    assert all(v.startswith("pass residual=") for v in doc["hypotheses"].values())
 
 
 def test_config_file_with_flag_override(tmp_path):

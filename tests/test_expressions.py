@@ -10,7 +10,6 @@ from hamorbit.expressions import (
     evaluate,
     evaluate_gradient,
     parse_expression,
-    to_source,
 )
 
 
@@ -131,24 +130,6 @@ def test_domain_errors(src, point):
         pot.value(np.asarray(point))
     with pytest.raises(DomainError):
         pot.gradient(np.asarray(point))
-
-
-def test_roundtrip_through_source():
-    rng = np.random.default_rng(23)
-    sources = [
-        "0.5*|q|^2",
-        "q1^2 - q2 + 3.5",
-        "-q1^2 + 2^-2",
-        "exp(q1)*sin(q2) + log(2 + |q|)",
-        "1/(1 + |q|^2)",
-    ]
-    for src in sources:
-        tree = parse_expression(src, 2)
-        again = parse_expression(to_source(tree), 2)
-        pts = rng.uniform(0.2, 1.5, size=(50, 2))
-        a = evaluate(compile_expression(tree), pts)
-        b = evaluate(compile_expression(again), pts)
-        assert np.abs(a - b).max() <= 1e-12 * (1 + np.abs(a).max())
 
 
 def test_gradient_of_constant_expression_is_zero():

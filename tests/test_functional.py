@@ -5,7 +5,6 @@ import pytest
 
 from hamorbit import functional
 from hamorbit import (
-    GradientSphere,
     LoopPath,
     NoBracketError,
     PowerLawPotential,
@@ -24,11 +23,12 @@ from hamorbit import (
     project_symmetric,
     random_loop,
     scaling_root,
-    shift,
     weighted_gradient_norm,
     zero_loop,
 )
-from conftest import count_calls, fd_action_gradient, fd_gradient, random_admissible_spec
+from hamorbit.loopspace import periodic_shift
+from conftest import (count_calls, fd_action_gradient, fd_gradient, random_admissible_spec,
+                      random_loop_with_mean)
 
 
 def test_admissibility_is_strict(harmonic_spec):
@@ -70,7 +70,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(101)
     for _ in range(12):
         spec = random_admissible_spec(rng)
-        u = random_loop(16, spec.n, rng, mean_scale=0.3)
+        u = random_loop_with_mean(16, spec.n, rng, 0.3)
         grad = action_gradient(u, spec)
         fd = fd_action_gradient(u, spec)
         scale = np.abs(grad).max() + 1e-12
@@ -84,8 +84,8 @@ def test_ray_constraint_is_the_nehari_set():
     rng = np.random.default_rng(107)
     for _ in range(40):
         spec = random_admissible_spec(rng)
-        u = random_loop(int(rng.choice([16, 32, 64])), spec.n, rng,
-                        mean_scale=float(rng.uniform(0.0, 0.5)))
+        u = random_loop_with_mean(int(rng.choice([16, 32, 64])), spec.n, rng,
+                                  float(rng.uniform(0.0, 0.5)))
         lhs = float(np.vdot(action_gradient(u, spec), u.nodes))
         rhs = 2.0 * dirichlet_energy(u) * (spec.h - constraint_value(u, spec))
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
@@ -97,7 +97,7 @@ def test_constraint_gradient_matches_finite_differences():
     rng = np.random.default_rng(103)
     for _ in range(12):
         spec = random_admissible_spec(rng)
-        u = random_loop(16, spec.n, rng, mean_scale=0.3)
+        u = random_loop_with_mean(16, spec.n, rng, 0.3)
         grad = constraint_gradient(u, spec)
         fd = fd_gradient(constraint_value, u, spec, step=1e-5)
         assert np.abs(grad - fd).max() / np.abs(grad).max() < 5e-9
@@ -169,7 +169,7 @@ def test_scaling_root_on_a_decreasing_ray():
 def test_scaling_root_homogeneity():
     rng = np.random.default_rng(7)
     spec = ProblemSpec(PowerLawPotential(0.6, 3, 0, n=2), 2, 1.3, 3.0, 0.0)
-    u = random_loop(32, 2, rng, mean_scale=0.2)
+    u = random_loop_with_mean(32, 2, rng, 0.2)
     base = scaling_root(u, spec)
     for lam in (0.5, 2.0, 7.0):
         scaled = scaling_root(LoopPath(lam * u.nodes), spec)
@@ -182,7 +182,7 @@ def test_constraint_distance(harmonic_spec):
     two = LoopPath(2.0 * u.nodes)
     expected = 0.5 * h1_norm(two)
     assert constraint_distance(two, None, harmonic_spec) == pytest.approx(expected, rel=1e-10)
-    gap = constraint_distance(u, GradientSphere(2 * math.pi), harmonic_spec)
+    gap = constraint_distance(u, 2 * math.pi, harmonic_spec)
     assert gap == pytest.approx(abs(2 * 256 * math.sin(math.pi / 256) - 2 * math.pi), rel=1e-10)
     assert gap < 1e-3
     with pytest.raises(ZeroLoopError):
@@ -190,21 +190,21 @@ def test_constraint_distance(harmonic_spec):
 
 
 def test_cps_records(harmonic_spec):
-    def record(trace, u, iteration):
-        return cps_append(trace, u, harmonic_spec, None, iteration,
-                          action_gradient(u, harmonic_spec), action(u, harmonic_spec),
-                          constraint_value(u, harmonic_spec))
+    def record(trace, u):
+        return cps_append(trace, u, harmonic_spec, None, action_gradient(u, harmonic_spec),
+                          action(u, harmonic_spec), constraint_value(u, harmonic_spec))
 
     trace = []
-    rec = record(trace, zero_loop(16, 2), 0)
+    rec = record(trace, zero_loop(16, 2))
     assert rec.f_value == 0.0
     assert rec.loop_norm == 0.0
     assert rec.weighted_gradient == 0.0
-    rec2 = record(trace, circle_loop(16, 2), 1)
+    rec2 = record(trace, circle_loop(16, 2))
     assert rec2.weighted_gradient >= 0.0
-    with pytest.raises(ValueError):
-        record(trace, circle_loop(16, 2), 1)
-    rec3 = record([], circle_loop(256, 2), 0)
+    # The iteration is the record's index in its trace.
+    assert [r.iteration for r in trace] == [0, 1] and trace[1] is rec2
+    rec3 = record([], circle_loop(256, 2))
+    assert rec3.iteration == 0
     assert rec3.weighted_gradient <= 1e-6
 
 
@@ -213,8 +213,7 @@ def test_cps_record_takes_the_loop_norm_once(monkeypatch, expression_spec):
     grad = action_gradient(u, expression_spec)
     g = constraint_value(u, expression_spec)
     norms = count_calls(monkeypatch, functional, "h1_norm")
-    rec = cps_append([], u, expression_spec, GradientSphere(1.0), 0, grad,
-                     action(u, expression_spec), g)
+    rec = cps_append([], u, expression_spec, 1.0, grad, action(u, expression_spec), g)
     assert len(norms) == 1
     assert rec.loop_norm == h1_norm(u)
     assert rec.weighted_gradient == weighted_gradient_norm(u, grad)  # bit for bit
@@ -233,11 +232,11 @@ def test_cps_record_on_the_set_needs_no_root(monkeypatch, harmonic_spec):
     gs = [constraint_value(v, harmonic_spec) for v in loops]
     roots = count_calls(monkeypatch, functional, "scaling_root")
     passes = count_calls(monkeypatch, functional, "potential_pass")
-    rec = cps_append([], on_set, harmonic_spec, None, 0, grads[0], levels[0], gs[0])
+    rec = cps_append([], on_set, harmonic_spec, None, grads[0], levels[0], gs[0])
     assert rec.distance_proxy == 0.0
     assert rec.constraint_residual <= functional.root_tolerance(harmonic_spec)
     assert (len(roots), len(passes)) == (0, 0)
-    rec = cps_append([], off_set, harmonic_spec, None, 0, grads[1], levels[1], gs[1])
+    rec = cps_append([], off_set, harmonic_spec, None, grads[1], levels[1], gs[1])
     assert rec.constraint_residual == abs(gs[1] - harmonic_spec.h)
     assert len(roots) == 1
     assert rec.distance_proxy == constraint_distance(off_set, None, harmonic_spec) > 0.0
@@ -257,11 +256,11 @@ def test_gradient_stays_in_symmetry_subspace(sym, harmonic_spec):
 
 def test_shift_equivariance_exact(harmonic_spec):
     rng = np.random.default_rng(37)
-    u = random_loop(40, 2, rng, mean_scale=0.3)
+    u = random_loop_with_mean(40, 2, rng, 0.3)
     f0 = action(u, harmonic_spec)
     g0 = action_gradient(u, harmonic_spec)
     for j in (1, 13, 39):
-        moved = shift(u, j)
+        moved = LoopPath(periodic_shift(u.nodes, j))
         assert action(moved, harmonic_spec) == f0
         assert np.array_equal(action_gradient(moved, harmonic_spec),
                               np.roll(g0, -j, axis=0))

@@ -14,6 +14,27 @@ def test_all_names_resolve_and_are_not_modules():
     assert "NehariConstraint" not in hamorbit.__all__
 
 
+PUBLIC_NAMES = [
+    "BadIndexError", "BaseThroughOriginError", "BlowupError", "CpsRecord", "DomainError",
+    "EndpointGrowthError", "ExpressionParseError", "ExpressionPotential", "HamorbitError",
+    "HypothesisReport", "LoopPath", "NoBracketError", "NonpositiveActionError",
+    "OddNodeCountError", "OrbitFileError", "OrbitResult", "PathCollapseError",
+    "PotentialModel", "PowerLawPotential", "ProblemSpec", "SamplerConfig", "SolveOptions",
+    "SolveReport", "ZeroLoopError", "action", "action_gradient", "build_endpoint",
+    "check_hypotheses", "circle_loop", "closure_gap", "constraint_distance",
+    "constraint_gradient", "constraint_value", "cps_append", "dirichlet_energy", "h1_norm",
+    "hessian_ray", "integrate", "make_initial_loop", "minimize_on_nehari", "mountain_pass",
+    "orbit_period", "orbit_residuals", "parse_potential", "project_symmetric", "random_loop",
+    "resample", "scaling_root", "second_radial", "separation_check", "sobolev_precondition",
+    "speed", "synthesize", "velocity", "verify_orbit", "weighted_gradient_norm", "zero_loop",
+]
+
+
+def test_public_names_are_pinned():
+    # Adding or removing a public name is a deliberate edit of this list.
+    assert hamorbit.__all__ == sorted(PUBLIC_NAMES)
+
+
 def test_cli_imports_without_scipy():
     code = ("import sys, hamorbit.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -5,9 +5,10 @@ import pytest
 
 from hamorbit import (
     BaseThroughOriginError,
+    DomainError,
     EndpointGrowthError,
-    GradientSphere,
     LoopPath,
+    NoBracketError,
     PathCollapseError,
     PotentialModel,
     PowerLawPotential,
@@ -28,7 +29,7 @@ from hamorbit import (
 )
 from hamorbit import functional, solvers
 from hamorbit.solvers import _PathMax, _redistribute
-from conftest import count_calls, mode_one_loop
+from conftest import count_calls, mode_one_loop, random_loop_with_mean
 
 
 def test_options_validation():
@@ -172,6 +173,42 @@ def test_minimize_max_iter(harmonic_spec):
     assert rep.iterations == 2
 
 
+def _failing_nehari(monkeypatch, spec, error):
+    """A Nehari solve whose ray projection raises ``error`` from its ninth
+    call on, so every line-search trial after a few iterations fails."""
+    calls = []
+    real = solvers.ray_landing
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) > 8:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "ray_landing", failing)
+    opts = SolveOptions(initial_loop="random_bandlimited", seed=2)
+    return minimize_on_nehari(spec, opts, n_nodes=64)
+
+
+def test_minimize_bracket_failure_mid_descent(monkeypatch, expression_spec):
+    rep = _failing_nehari(monkeypatch, expression_spec,
+                          NoBracketError("no sign change", [(1.0, 0.5)]))
+    assert rep.termination == "hypothesis_violation"
+    assert rep.message == "E_NO_BRACKET: no sign change"
+    assert rep.iterations == 7 == len(rep.trace) - 1
+    assert rep.f_value == rep.trace[-1].f_value == action(rep.loop, expression_spec)
+    assert rep.f_value == pytest.approx(9.856719565016098, rel=1e-12)
+
+
+def test_minimize_every_trial_failing_stalls(monkeypatch, expression_spec):
+    rep = _failing_nehari(monkeypatch, expression_spec, DomainError("outside"))
+    assert rep.termination == "max_iter"
+    assert rep.message == "line search stalled below machine step"
+    assert rep.iterations == 7 == len(rep.trace) - 1
+    assert rep.f_value == rep.trace[-1].f_value == action(rep.loop, expression_spec)
+    assert rep.f_value == pytest.approx(9.856719565016098, rel=1e-12)
+
+
 def test_each_trial_projects_once(monkeypatch, harmonic_spec):
     projections = count_calls(monkeypatch, solvers, "project_symmetric")
     trials = count_calls(monkeypatch, solvers, "symmetry_defect")
@@ -206,11 +243,11 @@ def test_build_endpoint_errors(harmonic_spec):
 def test_separation_certificates():
     z0 = zero_loop(256, 2)
     two = LoopPath(2.0 * circle_loop(256, 2).nodes)
-    ok_sphere, cert = separation_check(z0, two, GradientSphere(2 * math.pi))
+    ok_sphere, cert = separation_check(z0, two, 2 * math.pi)
     assert ok_sphere
     # both endpoints inside a radius-10 sphere: no separation, with certificate
     half = LoopPath(0.5 * circle_loop(256, 2).nodes)
-    ok_small, cert = separation_check(z0, half, GradientSphere(10.0))
+    ok_small, cert = separation_check(z0, half, 10.0)
     assert not ok_small
     assert cert["speed_z0"] < 10.0 and cert["speed_z1"] < 10.0
 
@@ -468,7 +505,7 @@ def _redistribute_per_segment(path):
 def test_redistribute_is_the_per_segment_rule_bit_for_bit():
     # No symmetry: the loops have nonzero means, and one segment has length 0.
     rng = np.random.default_rng(14)
-    path = np.array([r * random_loop(40, 2, rng, mean_scale=0.5).nodes
+    path = np.array([r * random_loop_with_mean(40, 2, rng, 0.5).nodes
                      for r in (0.1, 0.3, 0.35, 0.5, 1.0, 1.1, 2.0, 2.2, 3.0)])
     path[3] = path[2]
     assert np.all(path.mean(axis=1) != 0.0)
@@ -529,12 +566,45 @@ def test_mountain_pass_separation_failures(harmonic_spec):
     z0 = zero_loop(128, 2)
     z1 = build_endpoint(harmonic_spec, circle_loop(128, 2))
     with pytest.raises(PathCollapseError):
-        mountain_pass(harmonic_spec, z0, z1, SolveOptions(), sphere=GradientSphere(20.0))
+        mountain_pass(harmonic_spec, z0, z1, SolveOptions(), radius=20.0)
     with pytest.raises(PathCollapseError):
         mountain_pass(harmonic_spec, z0, z0, SolveOptions())
     # an endpoint on the mountain itself is rejected
     with pytest.raises(PathCollapseError):
         mountain_pass(harmonic_spec, z0, circle_loop(128, 2), SolveOptions())
+
+
+def test_mountain_pass_stalls_with_no_finite_trial_maximum(monkeypatch, expression_spec):
+    # A trial's three segments come as a node list; from the third trial on,
+    # none has a finite maximum.
+    trials = []
+    real = _PathMax.segment_max
+
+    def no_finite_trial(self, nodes, segments=slice(None)):
+        if isinstance(nodes, list):
+            trials.append(nodes)
+            if len(trials) > 2:
+                return np.full(2, -np.inf), np.zeros(2)
+        return real(self, nodes, segments)
+
+    monkeypatch.setattr(_PathMax, "segment_max", no_finite_trial)
+    rep = _expression_pass(expression_spec)
+    assert rep.termination == "max_iter"
+    assert rep.message == "line search stalled at the path maximum"
+    assert rep.iterations == 2 == len(rep.trace) - 1
+    assert rep.f_value == rep.gamma_history[-1] == rep.trace[-1].f_value
+    assert rep.f_value == pytest.approx(9.218160810607307, rel=1e-12)
+
+
+def test_mountain_pass_collapse_to_the_endpoint_level(monkeypatch, expression_spec):
+    # Every segment maximum at the endpoints' level 0: no barrier is left.
+    monkeypatch.setattr(_PathMax, "refresh",
+                        lambda self, path, top=None, ceiling=None:
+                        (np.zeros(len(path) - 1), np.zeros(len(path) - 1)))
+    rep = _expression_pass(expression_spec)
+    assert rep.termination == "hypothesis_violation"
+    assert rep.message.startswith("E_COLLAPSE: path maximum fell to the endpoint level")
+    assert (rep.iterations, rep.trace, rep.gamma_history) == (0, [], [0.0])
 
 
 def test_mountain_pass_matches_minimization_level(harmonic_spec):
