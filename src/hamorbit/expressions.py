@@ -12,26 +12,27 @@ Grammar (whitespace-insensitive, 1-based character positions in errors)::
 is ``-(q1^2)`` and ``2^-1`` is ``0.5``.  Functions: exp, log, sin, cos,
 sqrt, abs.
 
-Each tree is compiled once (:func:`compile_expression`) into a nest of
-closures, one per node, so evaluation never dispatches on node type.  Every
-node has a plain closure, giving values on a (M, n) batch of points, and a
-dual one, giving the pair (values, (M, n) Jacobian block) of forward-mode
-differentiation, so one pass yields all partial derivatives.  At q = 0 the
-norm primitive ``|q|`` uses the subgradient 0, matching the usual
-convention for abs.
+The parser compiles as it reads (syntax-directed translation): each node's
+closures are built when the node has been read, so no syntax tree is kept,
+:func:`parse_expression` returns the :class:`Program`, and evaluation never
+dispatches on node type.  Every node has a plain closure, giving values on a
+(M, n) batch of points, and a dual one, giving the pair (values, (M, n)
+Jacobian block) of forward-mode differentiation, so one pass yields all
+partial derivatives.  At q = 0 the norm primitive ``|q|`` uses the
+subgradient 0, matching the usual convention for abs.
 
 The dual pass carries the values too, and :func:`evaluate_value_and_gradient`
 returns them with the gradient, so a caller that needs both makes one pass.
 Every dual rule computes its value as the plain rule does, so the pair has
-the bits of :func:`evaluate` and :func:`evaluate_gradient` for every tree.
+the bits of :func:`evaluate` and :func:`evaluate_gradient` for every source.
 Where a derivative needs another intermediate, the rule computes it beside
 the value: a division with q on both sides returns ``v / w`` and takes
 ``1/w`` for its derivative, and a power with q in its exponent returns
 ``np.power(b, e)`` and takes ``exp(e * log(b))`` as its derivative's factor.
 
-Compiling folds every subtree without q into its number, unless folding
-raises a :class:`DomainError` or gives a non-finite value; such a subtree
-stays a closure and fails at evaluation, as the tree walk did.  A folded
+Every constant that evaluates is folded into its number as soon as it is
+read, inf and nan included; one whose evaluation raises a
+:class:`DomainError` stays a closure and fails at evaluation.  A folded
 exponent settles at compile time which base checks of ``^`` can fire: an
 integer exponent drops the non-integer-exponent check, and a non-negative
 one the zero-base check; ``x^2`` is one multiply, with the bits of
@@ -41,13 +42,12 @@ values and gradients alike), the finiteness of the power rule's coefficient,
 and the final finiteness gates of :func:`evaluate` and
 :func:`evaluate_gradient`.  No rewrite changes rounding: operands keep
 their order and every other power goes through ``np.power``, so values are
-bit-identical to a walk of the tree, and so is each rule's derivative given
-its operands.
+bit-identical to evaluating the source node by node, and so is each rule's
+derivative given its operands.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -58,42 +58,6 @@ import numpy as np
 from .errors import BadIndexError, DomainError, ExpressionParseError
 
 FUNCTIONS = ("abs", "cos", "exp", "log", "sin", "sqrt")
-
-
-# ---------------------------------------------------------------------------
-# syntax tree
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Norm:
-    """The vector-norm primitive |q|."""
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +104,14 @@ _VAR_RE = re.compile(r"q(\d+)\Z")
 
 
 class _Parser:
+    """Recursive descent that compiles as it reads: each method returns the
+    :class:`_Code` of the node it has just read, folded if it has no q."""
+
     def __init__(self, src: str, dim: int):
         self.tokens = tokenize(src)
         self.dim = dim
         self.i = 0
+        self.var = None  # the code of the last variable read
 
     @property
     def cur(self) -> Token:
@@ -163,58 +131,75 @@ class _Parser:
             )
         return self.advance()
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> Program:
+        code = self.expr()
         if self.cur.kind != "end":
             raise ExpressionParseError(
                 f"unexpected {self.cur.text!r}", self.cur.pos, {"operator", "end of input"}
             )
-        return node
+        f, d = code.plain, code.dual
+        if code.constant:
+            def value(points):
+                return np.broadcast_to(np.asarray(f(points), dtype=float), points.shape[:1]).copy()
 
-    def expr(self):
-        node = self.term()
+            def pair(points):  # an unfolded constant fails here as in value
+                return value(points), np.zeros_like(points)
+
+            return Program(value, pair)
+        if code is not self.var:
+            return Program(f, d)
+
+        def value(points):  # a bare column would alias the points
+            return f(points).copy()
+
+        def pair(points):
+            v, dv = d(points)
+            return v.copy(), dv
+
+        return Program(value, pair)
+
+    def expr(self) -> _Code:
+        code = self.term()
         while self.cur.kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            node = BinOp(op, node, rhs)
-        return node
+            op = _BINARY[self.advance().kind]
+            code = _fold(op(code, self.term()))
+        return code
 
-    def term(self):
-        node = self.unary()
+    def term(self) -> _Code:
+        code = self.unary()
         while self.cur.kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.unary()
-            node = BinOp(op, node, rhs)
-        return node
+            op = _BINARY[self.advance().kind]
+            code = _fold(op(code, self.unary()))
+        return code
 
-    def unary(self):
+    def unary(self) -> _Code:
         if self.cur.kind == "-":
             self.advance()
-            return Neg(self.unary())
+            return _fold(_neg(self.unary()))
         if self.cur.kind == "+":
             self.advance()
             return self.unary()
         return self.factor()
 
-    def factor(self):
-        node = self.base()
+    def factor(self) -> _Code:
+        code = self.base()
         if self.cur.kind == "^":
             self.advance()
-            node = BinOp("^", node, self.unary())
-        return node
+            code = _fold(_pow(code, self.unary()))
+        return code
 
-    def base(self):
+    def base(self) -> _Code:
         tok = self.cur
         if tok.kind == "number":
             self.advance()
-            return Const(float(tok.text))
+            return _constant(float(tok.text))
         if tok.kind == "|":
             self.advance()
             name = self.expect("name", {"'q'"})
             if name.text != "q":
                 raise ExpressionParseError(f"unexpected {name.text!r}", name.pos, {"'q'"})
             self.expect("|", {"'|'"})
-            return Norm()
+            return _Code(point_norms, _norm_dual, False)
         if tok.kind == "name":
             self.advance()
             m = _VAR_RE.match(tok.text)
@@ -224,20 +209,21 @@ class _Parser:
                     raise BadIndexError(
                         f"variable q{index} out of range for dimension {self.dim}", tok.pos
                     )
-                return Var(index)
+                self.var = _var(index - 1)
+                return self.var
             if tok.text in FUNCTIONS:
                 self.expect("(", {"'('"})
                 arg = self.expr()
                 self.expect(")", {"')'"})
-                return Call(tok.text, arg)
+                return _fold(_call(tok.text, arg))
             raise ExpressionParseError(
                 f"unknown name {tok.text!r}", tok.pos, {"function", "q<index>", "'|q|'"}
             )
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            code = self.expr()
             self.expect(")", {"')'"})
-            return node
+            return code
         raise ExpressionParseError(
             f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
             tok.pos,
@@ -245,8 +231,10 @@ class _Parser:
         )
 
 
-def parse_expression(src: str, dim: int):
-    """Parse potential source text into a syntax tree over q1..q<dim>."""
+def parse_expression(src: str, dim: int) -> Program:
+    """Compile potential source text over q1..q<dim> into the program that
+    :func:`evaluate`, :func:`evaluate_gradient` and
+    :func:`evaluate_value_and_gradient` run."""
     if not src or not src.strip():
         raise ExpressionParseError("empty expression", 1, {"expression"})
     if dim < 1:
@@ -255,7 +243,7 @@ def parse_expression(src: str, dim: int):
 
 
 # ---------------------------------------------------------------------------
-# compilation: one closure per node, built once
+# compilation: the closures of each node, built as the parser reads it
 
 _NEGATIVE_BASE = "negative base with non-integer exponent"
 _ZERO_BASE = "zero base with negative exponent"
@@ -290,21 +278,24 @@ def _require(ok, message):
         raise DomainError(message)
 
 
-def _fold(code: _Code) -> _Code:
-    """Evaluate a q-free node once.  If that raises or is not finite the node
-    stays a closure, so it fails at evaluation with its own message."""
-    try:
-        with np.errstate(all="ignore"):
-            k = code.plain(None)
-    except DomainError:
-        return code
-    if not np.isfinite(k):
-        return code
-
+def _constant(k) -> _Code:
     def const(points):
         return k
 
     return _Code(const, const, True, k)
+
+
+def _fold(code: _Code) -> _Code:
+    """Evaluate a q-free node once into its number, inf and nan included.  If
+    that raises, the node stays a closure, so it fails at evaluation with its
+    own message.  A node with q is returned as it is."""
+    if not code.constant:
+        return code
+    try:
+        with np.errstate(all="ignore"):
+            return _constant(code.plain(None))
+    except DomainError:
+        return code
 
 
 def _var(i: int) -> _Code:
@@ -450,14 +441,6 @@ def _pow_vv(v, dv, e, de):
     return np.power(v, e), (de * log_v[:, None] + dv / v[:, None] * e[:, None]) * factor[:, None]
 
 
-def _pow_vc(v, dv, e):
-    # Constant exponent: the power rule, valid for negative bases too.
-    val = _power(v, e)
-    dcoef = e * np.power(v, e - 1.0)
-    _require(np.isfinite(dcoef), "power not differentiable here")
-    return val, dv * dcoef[:, None]
-
-
 def _pow_cv(c, e, de):
     _require(np.asarray(c) > 0.0, _VARIABLE_EXPONENT)
     log_c = np.log(c)
@@ -469,7 +452,7 @@ def _pow_folded(a: _Code, k) -> _Code:
     that k rules out are dropped here, once; ``v * v`` has the bits of
     ``np.power(v, 2.0)`` and ``k * v`` those of ``k * np.power(v, 1.0)``."""
     f, d = a.plain, a.dual
-    fractional = k != math.floor(k)
+    fractional = k != np.floor(k)  # math.floor raises on inf and nan
     negative = k < 0.0
     square = k == 2.0
     k1 = k - 1.0
@@ -495,10 +478,13 @@ def _pow_folded(a: _Code, k) -> _Code:
 
 
 def _pow(a, b):
+    """``a ^ b``.  A folded exponent takes :func:`_pow_folded`.  An exponent
+    without q that did not fold raises wherever it is evaluated, before any
+    rule could take its value, so there is no rule for it."""
     if b.folded is not None and not a.constant:
         return _pow_folded(a, b.folded)
     op = _power if b.constant else _power_variable
-    return _binary(a, b, op, _pow_vv, _pow_vc, _pow_cv)
+    return _binary(a, b, op, _pow_vv, None, _pow_cv)
 
 
 def _log(v):
@@ -553,50 +539,6 @@ def _call(func: str, a: _Code) -> _Code:
 
 
 _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
-
-
-def _compile(node) -> _Code:
-    if isinstance(node, Const):
-        k = node.value
-        code = _Code(lambda points: k, lambda points: k, True)
-    elif isinstance(node, Var):
-        return _var(node.index - 1)
-    elif isinstance(node, Norm):
-        return _Code(point_norms, _norm_dual, False)
-    elif isinstance(node, Neg):
-        code = _neg(_compile(node.child))
-    elif isinstance(node, BinOp):
-        code = _BINARY[node.op](_compile(node.left), _compile(node.right))
-    elif isinstance(node, Call):
-        code = _call(node.func, _compile(node.arg))
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    return _fold(code) if code.constant else code
-
-
-def compile_expression(node) -> Program:
-    """Compile a syntax tree once into the program that :func:`evaluate`,
-    :func:`evaluate_gradient` and :func:`evaluate_value_and_gradient` run."""
-    code = _compile(node)
-    f, d = code.plain, code.dual
-    if code.constant:
-        def value(points):
-            return np.broadcast_to(np.asarray(f(points), dtype=float), points.shape[:1]).copy()
-
-        def pair(points):  # an unfolded constant fails here as in value
-            return value(points), np.zeros_like(points)
-
-        return Program(value, pair)
-
-    value, pair = f, d
-    if isinstance(node, Var):  # a bare column would alias the points
-        def value(points):
-            return f(points).copy()
-
-        def pair(points):
-            v, dv = d(points)
-            return v.copy(), dv
-    return Program(value, pair)
 
 
 def evaluate(program: Program, points: np.ndarray) -> np.ndarray:

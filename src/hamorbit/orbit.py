@@ -21,7 +21,9 @@ together, each as a row of one batched state with its own step, so an
 iteration costs twelve ``gradient`` calls however many rungs are still
 running; rungs are read in order as they finish, the stop rule is applied to
 each, and the rows above the stopping rung are dropped.  Every value is bit
-for bit the one a rung integrated alone would give.
+for bit the one a rung integrated alone would give.  One fault rule serves
+every row: a row whose gradient raises or whose phase point escapes is
+frozen with its first error, which counts only when its rung is reached.
 """
 
 from __future__ import annotations
@@ -185,11 +187,14 @@ def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
     order of a single row, so each closure has the bits of
     ``closure_gap(steps=s)``.
 
-    A row whose phase point passes norm 1e8 is frozen at the start (its step
-    set to 0) and yields nan, except on the last rung, where it raises
-    :class:`BlowupError`.  A batch that raises ``DomainError`` or
-    ``ValueError`` is redone row by row, so such an error surfaces only when
-    its own rung is reached.
+    One fault rule covers every row.  A row whose gradient raises
+    ``DomainError`` or ``ValueError`` at a stage, or whose phase point passes
+    norm 1e8 after a step, keeps its first such error in ``faults`` and is
+    frozen at the start (its step set to 0); a batched ``gradient`` call that
+    raises is redone row by row to find the failing rows.  When a faulted
+    row's rung is reached, a blowup below the last rung yields nan and any
+    other fault is raised, so an error surfaces only when its own rung is
+    reached.
     """
     if period <= 0.0:
         raise ValueError("period must be positive")
@@ -198,41 +203,41 @@ def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
     start = np.concatenate((q, np.asarray(v0, dtype=float)))
     dt = period / np.array(rungs, dtype=float)[:, None]
     y = np.tile(start, (len(rungs), 1))
-    escaped = set()  # rows frozen after a blowup, as indices into ``rungs``
+    faults = {}  # the first error of each faulted running row, by index into ``rungs``
     lo = 0  # rows lo: are still running; y and dt hold only them
 
-    def rate(y):  # (q, v)' = (v, -grad V(q)), row by row
-        return np.concatenate((y[:, n:], -potential.gradient(y[:, :n])), axis=1)
+    def rate(y):  # (q, v)' = (v, -grad V(q)), row by row if the batch raises
+        try:
+            g = potential.gradient(y[:, :n])
+        except (DomainError, ValueError):
+            g = np.zeros((len(y), n))
+            for j in range(len(y)):
+                try:
+                    g[j] = potential.gradient(y[j:j + 1, :n])[0]
+                except (DomainError, ValueError) as err:
+                    faults.setdefault(lo + j, err)
+        return np.concatenate((y[:, n:], -g), axis=1)
 
     for it in range(1, rungs[-1] + 1):
-        try:
-            ks = [rate(y)]
-            for row in RK_A[1:]:
-                ks.append(rate(y + dt * _combine(row, ks)))
-        except (DomainError, ValueError):
-            if lo == len(rungs) - 1:
-                raise
-            for r in range(lo, len(rungs)):
-                try:
-                    yield from _rung_closures(q0, v0, period, potential, rungs[r:r + 1])
-                except BlowupError:
-                    if r == len(rungs) - 1:
-                        raise
-                    yield rungs[r], math.nan
-            return
+        ks = [rate(y)]
+        for row in RK_A[1:]:
+            ks.append(rate(y + dt * _combine(row, ks)))
         y = y + dt * _combine(RK_B, ks)
         if np.abs(y).max() > BLOWUP_LIMIT:
             for j in np.flatnonzero(np.abs(y).max(axis=1) > BLOWUP_LIMIT):
-                escaped.add(lo + j)
-                y[j], dt[j] = start, 0.0
-        while lo < len(rungs) and (lo in escaped or rungs[lo] == it):
-            if lo in escaped:
-                if lo == len(rungs) - 1:
-                    raise BlowupError("trajectory escaped during the closure integration")
-                closure = math.nan
-            else:
+                faults.setdefault(lo + j, BlowupError(
+                    "trajectory escaped during the closure integration"))
+        for r in faults:
+            y[r - lo], dt[r - lo] = start, 0.0
+        while lo < len(rungs) and (lo in faults or rungs[lo] == it):
+            fault = faults.pop(lo, None)
+            if fault is None:
                 gap = y[0] - start
                 closure = float(np.linalg.norm(gap[:n]) + np.linalg.norm(gap[n:]))
+            elif isinstance(fault, BlowupError) and lo < len(rungs) - 1:
+                closure = math.nan
+            else:
+                raise fault
             yield rungs[lo], closure
             y, dt = y[1:], dt[1:]
             lo += 1
@@ -265,8 +270,9 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
     exponent is ``RK_ESTIMATE_ORDER``, below the tableau's 8, so that the
     estimate still bounds the error where the potential is only C^2.  The
     ladder stops when closure_err <= 1e-3 c(s), or at the cap, and the rows
-    above stop with it.  A blowup below the cap moves on to the next rung,
-    one at the cap propagates.  A nan closure never passes, and closure_err
+    above stop with it.  A blowup below the cap moves on to the next rung;
+    one at the cap, and a gradient error at any reached rung, propagates.
+    A nan closure never passes, and closure_err
     is nan when the cap rung has no finite predecessor.  Values and errors
     are those of running :func:`closure_gap` at each rung in turn.
     """

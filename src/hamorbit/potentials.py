@@ -30,7 +30,6 @@ class PotentialModel:
     """Shared interface: ``value(q)``, ``gradient(q)`` and their pair
     ``value_and_gradient(q)`` on points or batches."""
 
-    kind = "abstract"
     n = 0
 
     def value(self, q):
@@ -61,8 +60,6 @@ def _batched(q, n):
 
 class PowerLawPotential(PotentialModel):
     """Radial power law a |q|^mu1 + mu2/mu1 with closed-form derivatives."""
-
-    kind = "power_law"
 
     def __init__(self, a: float, mu1: float, mu2: float = 0.0, n: int = 2):
         if not n >= 1:
@@ -113,13 +110,10 @@ class PowerLawPotential(PotentialModel):
 class ExpressionPotential(PotentialModel):
     """Potential defined by parsed source text over variables q1..qn and |q|."""
 
-    kind = "expression"
-
     def __init__(self, source: str, n: int):
         self.source = source
         self.n = int(n)
-        self.program = expressions.compile_expression(
-            expressions.parse_expression(source, self.n))
+        self.program = expressions.parse_expression(source, self.n)
 
     def value(self, q):
         pts, single = _batched(q, self.n)

@@ -1,6 +1,7 @@
 import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from conftest import count_calls
 from hamorbit import cli
 from hamorbit.cli import ConfigError, build_parser, main, make_potential
 from hamorbit.errors import BlowupError
+from hamorbit.potentials import ExpressionPotential, PowerLawPotential
 from hamorbit.reportio import parse_report, read_orbit_table, write_orbit_table
 
 
@@ -23,11 +25,11 @@ HARMONIC = ["--potential", "power_law(a=0.5,mu1=2,mu2=0)", "--n", "2", "--energy
 
 def test_make_potential_forms():
     p, mu1, mu2 = make_potential("power_law(a=0.5,mu1=2,mu2=0)", 2)
-    assert p.kind == "power_law" and mu1 == 2.0 and mu2 == 0.0
+    assert isinstance(p, PowerLawPotential) and mu1 == 2.0 and mu2 == 0.0
     p, mu1, mu2 = make_potential("power_law(0.25, 4)", 3)
     assert p.a == 0.25 and p.mu1 == 4.0 and p.mu2 == 0.0 and p.n == 3
     p, mu1, mu2 = make_potential("0.5*|q|^2", 2)
-    assert p.kind == "expression" and mu1 == 2.0
+    assert isinstance(p, ExpressionPotential) and mu1 == 2.0
     with pytest.raises(ConfigError):
         make_potential("power_law(a=0.5)", 2)
     with pytest.raises(ConfigError):
@@ -193,6 +195,57 @@ def test_verify_dimension_mismatch_exits_2(tmp_path, capsys):
     assert run("verify", str(orb), *argv) == 2
     assert capsys.readouterr().err == ("error: E_ORBIT_FILE: line 1: "
                                        "orbit has dimension 2, spec has 3\n")
+
+
+def test_verify_closure_tolerance_gates_the_exit(tmp_path, capsys):
+    orb = tmp_path / "orbit.csv"
+    assert run("solve", *HARMONIC, "--nodes", "64", "--no-timestamp", "--orbit", str(orb)) == 0
+    capsys.readouterr()
+    assert run("verify", str(orb), *HARMONIC, "--closure-tol", "1e-300") == 1
+    closure = float(capsys.readouterr().out.split("closure=")[1].split()[0])
+    assert closure == pytest.approx(0.00504, abs=1e-5)
+    assert run("verify", str(orb), *HARMONIC, "--closure-tol", "1") == 0
+
+
+def test_solve_report_timestamp_is_its_only_difference(tmp_path):
+    plain, stamped = tmp_path / "plain.txt", tmp_path / "stamped.txt"
+    assert run("solve", *HARMONIC, "--nodes", "64", "--no-timestamp", "--report", str(plain)) == 0
+    assert run("solve", *HARMONIC, "--nodes", "64", "--report", str(stamped)) == 0
+    lines = stamped.read_text().splitlines()
+    created = [line for line in lines if line.startswith("created = ")]
+    assert len(created) == 1
+    assert re.fullmatch(r"created = \d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", created[0])
+    assert "created" in parse_report(stamped.read_text())["run"]
+    lines.remove(created[0])
+    assert lines == plain.read_text().splitlines()
+
+
+def test_solve_report_in_a_missing_directory_exits_2(tmp_path, capsys):
+    rep = tmp_path / "missing" / "r.txt"
+    assert run("solve", *HARMONIC, "--nodes", "64", "--report", str(rep)) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+
+
+def test_verify_missing_orbit_file_exits_2(tmp_path, capsys):
+    assert run("verify", str(tmp_path / "missing.csv"), *HARMONIC) == 2
+    assert capsys.readouterr().err.startswith("error: E_ORBIT_FILE: cannot read orbit file")
+
+
+def test_mountain_pass_without_symmetry(tmp_path):
+    # The harmonic level is reached at once; on the anisotropic quartic the
+    # sphere carries no barrier without a symmetry, and the path collapses.
+    rep = tmp_path / "r.txt"
+    argv = ["--route", "mountain_pass", "--symmetry", "none", "--nodes", "32",
+            "--no-timestamp", "--report", str(rep)]
+    assert run("solve", *HARMONIC, *argv) == 0
+    run_section = parse_report(rep.read_text())["run"]
+    assert (run_section["termination"], run_section["iterations"]) == ("converged", "0")
+    assert float(run_section["f_star"]) == pytest.approx(9.83793643354601, rel=1e-14)
+    expression = ["--potential", "0.5*|q|^2 + 0.1*q1^4", "--n", "2", "--energy", "1"]
+    assert run("solve", *expression, *argv) == 1
+    run_section = parse_report(rep.read_text())["run"]
+    assert run_section["termination"] == "hypothesis_violation"
+    assert run_section["message"].startswith("E_COLLAPSE: ")
 
 
 def test_solve_odd_nodes_with_half_period_symmetry_exits_2(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from conftest import count_calls
 from hamorbit import BadIndexError, DomainError, ExpressionParseError, expressions, parse_potential
 from hamorbit.expressions import (
-    compile_expression,
     evaluate,
     evaluate_gradient,
     parse_expression,
@@ -62,6 +61,7 @@ def test_unknown_name_and_garbage():
         ("6/3/2", 1.0),
         (" 1 +  2 ", 3.0),
         ("-(q1)", -5.0),
+        ("+q1", 5.0),
     ],
 )
 def test_precedence(src, expected):
@@ -133,7 +133,7 @@ def test_domain_errors(src, point):
 
 
 def test_gradient_of_constant_expression_is_zero():
-    g = evaluate_gradient(compile_expression(parse_expression("3.5", 2)), np.ones((4, 2)))
+    g = evaluate_gradient(parse_expression("3.5", 2), np.ones((4, 2)))
     assert np.all(g == 0.0)
 
 
@@ -186,8 +186,40 @@ def test_integer_powers():
         inverse.value(np.array([0.0]))
 
 
+# (source, q1, value or its error, gradient or its error): exponents without q
+# whose constants evaluate to inf or nan.
+NON_FINITE_EXPONENTS = [
+    ("q1^exp(1000)", -0.5, 0.0, "power not differentiable here"),
+    ("q1^exp(1000)", 0.0, 0.0, "power not differentiable here"),
+    ("q1^exp(1000)", 0.5, 0.0, "power not differentiable here"),
+    ("q1^exp(1000)", 1.0, 1.0, None),
+    ("q1^exp(1000)", 2.0, "non-finite value", None),
+    ("q1^(0*exp(1000))", -0.5, "negative base with non-integer exponent",
+     "negative base with non-integer exponent"),
+    ("q1^(0*exp(1000))", 1.0, 1.0, None),
+    ("q1^(0-exp(1000))", 0.0, "zero base with negative exponent",
+     "zero base with negative exponent"),
+    ("q1^(0-exp(1000))", 2.0, 0.0, None),
+]
+
+
+@pytest.mark.parametrize("src,q1,value,gradient", NON_FINITE_EXPONENTS)
+def test_non_finite_constant_exponents(src, q1, value, gradient):
+    pot = parse_potential(src, 1)
+    q = np.array([q1])
+    with np.errstate(all="ignore"):
+        if isinstance(value, str):
+            with pytest.raises(DomainError, match=value):
+                pot.value(q)
+        else:
+            assert pot.value(q) == value
+        if gradient is not None:
+            with pytest.raises(DomainError, match=gradient):
+                pot.gradient(q)
+
+
 def test_expression_compiles_once(monkeypatch):
-    calls = count_calls(monkeypatch, expressions, "compile_expression")
+    calls = count_calls(monkeypatch, expressions, "parse_expression")
     pot = parse_potential("0.5*|q|^2 + 0.1*q1^4", 2)
     pts = np.ones((8, 2))
     for _ in range(3):
@@ -205,10 +237,10 @@ INEXACT_DUALS = ["q1/(2 + q2^2)", "2^q1", "(2 + q1^2)^(0.5*q2)"]
 @pytest.mark.parametrize("src", list(dict.fromkeys(
     EXACT_DUALS + INEXACT_DUALS + [src for src, _, _ in PINNED])))
 def test_other_dual_rules_give_the_plain_values(src):
-    code = expressions._compile(parse_expression(src, 2))
+    program = parse_expression(src, 2)
     pts = np.random.default_rng(34).uniform(0.1, 1.5, size=(5000, 2))
     pts[::2] *= -1.0
-    assert code.dual(pts)[0].tobytes() == code.plain(pts).tobytes()
+    assert program.value_and_gradient(pts)[0].tobytes() == program.value(pts).tobytes()
 
 
 def test_value_and_gradient_makes_no_plain_pass(monkeypatch):

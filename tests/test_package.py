@@ -1,7 +1,9 @@
+import ast
 import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import hamorbit
 
@@ -43,3 +45,25 @@ def test_cli_imports_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_modules_import_only_what_they_use():
+    # A top-level import that nothing in its module reads must say why on its
+    # own line with ``# noqa: F401``.
+    unused = []
+    for path in sorted(Path(hamorbit.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        src = path.read_text()
+        lines = src.splitlines()
+        tree = ast.parse(src)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__"):
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert unused == []
