@@ -13,7 +13,9 @@ line searches hold to rounding, not just asymptotically.
 The ray constraint fixes mean_k (V(u_k) + grad V(u_k).u_k / 2) = h; under the
 radial nondegeneracy hypothesis every open ray {a u : a > 0} crosses it
 exactly once, so projection is a one-dimensional root find (Illinois regula
-falsi on a one-way bracket).
+falsi on a one-way bracket).  The bracket's first probe is the root of the
+growth model g(s u) - c = s^mu1 (g(u) - c), c = mu2/mu1, which is exact for
+the power law: a power-law landing takes two passes, at u and at the root.
 
 Each constraint evaluation is one fused potential pass (V and grad V at
 every node, :meth:`PotentialModel.value_and_gradient`), kept as a
@@ -195,8 +197,12 @@ def ray_landing(u: LoopPath, spec: ProblemSpec) -> PotentialPass:
     (r^3 dV/dr)' / (2 r^2), B4 makes r^3 dV/dr strictly monotone from 0, and
     were it to fall, grad V.q < 0 and B2 would give V < mu2/mu1 < h on the
     whole ray, which B3 rules out.  So the sign of g(u) - h picks the
-    direction: the bracket doubles a from 1 while g < h and halves it while
-    g > h, within [1e-8, 1e8].  Regula falsi then runs until
+    direction: the bracket doubles a while g < h and halves it while g > h,
+    within [1e-8, 1e8].  Its first probe is the growth model's root where
+    that lies strictly between 1 and 2 (or 1/2), else 2 (or 1/2); see
+    :func:`_model_probe`.  The model is exact for the power law, so a
+    power-law landing costs two passes.  The doubling or halving goes on
+    from the first probe.  Regula falsi then runs until
     |g(a u) - h| <= :func:`root_tolerance` or its next point is not strictly
     inside the bracket.  :class:`NoBracketError` holds the probes of the one
     direction searched.
@@ -217,10 +223,8 @@ def ray_landing(u: LoopPath, spec: ProblemSpec) -> PotentialPass:
         return landing
 
     direction = 2.0 if f1 < 0.0 else 0.5
-    a = b = 1.0
-    fa = fb = f1
-    while (fb < 0.0) == (f1 < 0.0):
-        a, fa, b = b, fb, b * direction
+    a, fa, b = 1.0, f1, _model_probe(f1 + spec.h, spec, direction)
+    while True:
         if not ROOT_SCALE_MIN <= b <= ROOT_SCALE_MAX:
             raise NoBracketError(
                 "no sign change of the constraint along the ray in [1e-8, 1e8]; "
@@ -231,9 +235,31 @@ def ray_landing(u: LoopPath, spec: ProblemSpec) -> PotentialPass:
         samples.append((b, fb + spec.h))
         if abs(fb) <= tol:
             return landing
+        if (fb < 0.0) != (f1 < 0.0):
+            break
+        a, fa, b = b, fb, b * direction
 
     _illinois(phi, a, fa, b, fb, tol=tol)  # its b is the last scale phi took
     return landing
+
+
+def _model_probe(g: float, spec: ProblemSpec, direction: float) -> float:
+    """The bracket's first probe from g = g(u): the root
+    s* = ((h - c) / (g - c))^(1/mu1) of the growth model
+    g(s u) - c = s^mu1 (g(u) - c), c = mu2/mu1, when g > c and s* lies
+    strictly between 1 and ``direction`` (2 or 1/2); else ``direction``.
+    The model is exact for the power law a |q|^mu1 + mu2/mu1.  Later probes
+    are s* times powers of ``direction``, so the k-th lies strictly between
+    1 and ``direction``^k, never farther along the ray than doubling from 1."""
+    c = spec.mu2 / spec.mu1
+    if g > c:
+        try:
+            s = ((spec.h - c) / (g - c)) ** (1.0 / spec.mu1)
+        except OverflowError:  # far past ``direction``
+            return direction
+        if min(1.0, direction) < s < max(1.0, direction):
+            return s
+    return direction
 
 
 def _illinois(phi, a, fa, b, fb, tol=0.0, min_step=0.0):
@@ -264,18 +290,22 @@ def _illinois(phi, a, fa, b, fb, tol=0.0, min_step=0.0):
 # ---------------------------------------------------------------------------
 # constraint-set diagnostics
 
-def constraint_distance(u: LoopPath, radius: float | None, spec: ProblemSpec) -> float:
+def constraint_distance(u: LoopPath, radius: float | None, spec: ProblemSpec,
+                        loop_speed: float | None = None) -> float:
     """Computable stand-in for the distance from u to the constraint set.
 
     ``radius=None`` is the ray constraint {u : mean(V(u) + grad V(u).u / 2) = h};
     the stand-in is the gap along the ray, |1 - scaling_root(u)| * ||u||, an
     upper bound that vanishes exactly on the set.  A radius r names the
     derivative sphere {u : ||u'||_{L2} = r}, and the stand-in is the exact
-    radial gap |speed(u) - r|.
+    radial gap |speed(u) - r|.  ``loop_speed``, speed(u), spares the
+    Dirichlet sum.
     """
+    if loop_speed is None:
+        loop_speed = speed(u)
     if radius is not None:
-        return abs(speed(u) - radius)
-    return abs(1.0 - scaling_root(u, spec)) * h1_norm(u)
+        return abs(loop_speed - radius)
+    return abs(1.0 - scaling_root(u, spec)) * h1_norm(u, loop_speed)
 
 
 def gradient_dual_norm(grad: np.ndarray) -> float:
@@ -320,17 +350,19 @@ def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, radius: float | None
     derivative sphere's, or None for the ray constraint (see
     :func:`constraint_distance`); ``grad`` is the iterate's
     :func:`action_gradient`, ``f_value`` its :func:`action` and ``g`` its
-    :func:`constraint_value`, all of which the solver holds.
+    :func:`constraint_value`, all of which the solver holds.  The record
+    takes one Dirichlet sum, for the loop norm and the distance proxy both.
     """
     residual = abs(g - spec.h)
+    loop_speed = speed(u)
     if radius is None and residual <= root_tolerance(spec) and np.any(u.nodes):
         proxy = 0.0  # on the set already: scaling_root would return 1
     else:
         try:
-            proxy = constraint_distance(u, radius, spec)
+            proxy = constraint_distance(u, radius, spec, loop_speed)
         except ZeroLoopError:
             proxy = residual  # ray projection undefined at 0; fall back
-    loop_norm = h1_norm(u)  # once: weighted_gradient_norm would take it again
+    loop_norm = h1_norm(u, loop_speed)  # once: weighted_gradient_norm would take it again
     rec = CpsRecord(
         iteration=len(trace),
         f_value=f_value,

@@ -114,21 +114,26 @@ def speed(u: LoopPath) -> float:
     return math.sqrt(2.0 * dirichlet_energy(u))
 
 
-def stacked_h1_norm(loops: np.ndarray) -> np.ndarray:
+def stacked_h1_norm(loops: np.ndarray, speeds=None) -> np.ndarray:
     """:func:`h1_norm` of each loop in an (L, N, n) stack, shape (L,), each
-    with the bits of the single-loop call; the means are exactly rounded."""
+    with the bits of the single-loop call; the means are exactly rounded.
+    ``speeds``, the loops' :func:`speed`, spares the Dirichlet sums."""
     columns = np.swapaxes(loops, 1, 2).tolist()
     means = np.array([[math.fsum(c) for c in lk] for lk in columns]) / loops.shape[1]
-    return np.sqrt(2.0 * stacked_dirichlet_energy(loops)) + [np.linalg.norm(m) for m in means]
+    if speeds is None:
+        speeds = np.sqrt(2.0 * stacked_dirichlet_energy(loops))
+    return np.asarray(speeds, dtype=float) + [np.linalg.norm(m) for m in means]
 
 
-def h1_norm(u: LoopPath) -> float:
+def h1_norm(u: LoopPath, loop_speed: float | None = None) -> float:
     """Loop-space norm: L2 norm of the derivative plus length of the mean.
 
     On the antisymmetric subspaces the mean vanishes and this reduces to the
-    derivative seminorm, which is a genuine norm there.
+    derivative seminorm, which is a genuine norm there.  ``loop_speed``,
+    :func:`speed` of u, spares the Dirichlet sum.
     """
-    return float(stacked_h1_norm(u.nodes[None])[0])
+    speeds = None if loop_speed is None else [loop_speed]
+    return float(stacked_h1_norm(u.nodes[None], speeds)[0])
 
 
 def project_symmetric(u: LoopPath, symmetry: str) -> LoopPath:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hamorbit import functional
+from hamorbit import functional, loopspace
 from hamorbit import (
     LoopPath,
     NoBracketError,
@@ -143,7 +143,59 @@ def test_scaling_root_searches_one_direction(monkeypatch, cubic_spec):
         calls.clear()
         a = scaling_root(LoopPath(lam * on_set), cubic_spec)
         assert a == pytest.approx(1.0 / lam, rel=1e-10)
-        assert 2 <= len(calls) <= 12
+        assert 2 <= len(calls) <= 3
+
+
+def _scales(calls):
+    """The scales of the recorded ``potential_pass(u, spec[, scale])`` calls."""
+    return [args[2] if len(args) > 2 else 1.0 for args in calls]
+
+
+@pytest.mark.parametrize("lam", [0.7, 0.98, 1.02, 1.5])
+@pytest.mark.parametrize("mu2", [0.0, 3.0])
+def test_power_law_landing_takes_two_passes(monkeypatch, cubic_spec, mu2, lam):
+    # g(s u) - c = s^mu1 (g(u) - c), c = mu2/mu1, holds exactly for a power
+    # law, so the growth model's root is the landing: the pass at a = 1 and
+    # the one at the model's root.
+    if mu2:
+        spec = ProblemSpec(PowerLawPotential(1.0, 2.0, mu2), 2, 2.5, 2.0, mu2, "e1")
+    else:
+        spec = cubic_spec
+    u = project_symmetric(random_loop(256, spec.n, np.random.default_rng(0)), spec.symmetry)
+    on_set = scaling_root(u, spec) * u.nodes
+    calls = count_calls(monkeypatch, functional, "potential_pass")
+    a = scaling_root(LoopPath(lam * on_set), spec)
+    assert a == pytest.approx(1.0 / lam, rel=1e-12)
+    assert len(calls) == 2
+    assert _scales(calls)[1] == pytest.approx(1.0 / lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.98, 1.02])
+def test_expression_landing_near_the_set(monkeypatch, expression_spec, lam):
+    # The quartic term grows faster than the model's |q|^2, so the model's
+    # root brackets the landing and regula falsi closes in from there.
+    u = project_symmetric(random_loop(64, 2, np.random.default_rng(0)), "e1")
+    on_set = scaling_root(u, expression_spec) * u.nodes
+    calls = count_calls(monkeypatch, functional, "potential_pass")
+    a = scaling_root(LoopPath(lam * on_set), expression_spec)
+    assert a == pytest.approx(1.0 / lam, rel=1e-10)
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("source,mu1,mu2,h,scale,first", [
+    ("0.5*|q|^2", 2.0, 0.0, 1.0, 0.25, 2.0),  # the model's root 4 lies past 2
+    ("0.5*|q|^2", 2.0, 0.0, 1.0, 4.0, 0.5),  # ... and 1/4 below 1/2
+    ("|q|^2", 2.0, 1.0, 2.0, 0.1, 2.0),  # g(u) = 0.02 <= mu2/mu1: no model root
+    ("|q|^2", 0.004, 0.0, 1.0, 1e-3, 2.0),  # its root overflows a float
+])
+def test_ray_landing_probes_the_doubling_where_the_model_does_not_apply(
+        monkeypatch, source, mu1, mu2, h, scale, first):
+    spec = ProblemSpec(parse_potential(source, 2), 2, h, mu1, mu2, "e1")
+    u = LoopPath(scale * circle_loop(64, 2).nodes)
+    calls = count_calls(monkeypatch, functional, "potential_pass")
+    landing = functional.ray_landing(u, spec)
+    assert _scales(calls)[:2] == [1.0, first]
+    assert abs(landing.g - h) <= functional.root_tolerance(spec)
 
 
 def test_scaling_root_stays_below_overflow():
@@ -217,6 +269,22 @@ def test_cps_record_takes_the_loop_norm_once(monkeypatch, expression_spec):
     assert len(norms) == 1
     assert rec.loop_norm == h1_norm(u)
     assert rec.weighted_gradient == weighted_gradient_norm(u, grad)  # bit for bit
+
+
+@pytest.mark.parametrize("radius,lam", [(3.0, 1.5), (None, 1.0), (None, 1.5)])
+def test_cps_record_takes_one_dirichlet_sum(monkeypatch, harmonic_spec, radius, lam):
+    # The loop norm and the distance proxy share the record's one Dirichlet
+    # sum, on the sphere and on the ray constraint (lam = 1) or off it, with
+    # the bits of the separate calls.
+    base = random_loop(64, 2, np.random.default_rng(5))
+    u = LoopPath(lam * scaling_root(base, harmonic_spec) * base.nodes)
+    grad, g = action_gradient(u, harmonic_spec), constraint_value(u, harmonic_spec)
+    proxy = constraint_distance(u, radius, harmonic_spec)
+    sums = count_calls(monkeypatch, loopspace, "stacked_dirichlet_energy")
+    rec = cps_append([], u, harmonic_spec, radius, grad, 1.0, g)
+    assert len(sums) == 1
+    assert rec.loop_norm == h1_norm(u)
+    assert rec.distance_proxy == proxy
 
 
 def test_cps_record_on_the_set_needs_no_root(monkeypatch, harmonic_spec):

@@ -644,6 +644,23 @@ def test_nehari_solve_makes_one_potential_pass_per_root_evaluation(monkeypatch, 
     assert len(pairs) == len(evaluations) > rep.iterations
 
 
+@pytest.mark.parametrize("case,per_landing", [("cubic", 2.0), ("expression", 5.0)])
+def test_nehari_solve_passes_per_landing(monkeypatch, cubic_spec, expression_spec,
+                                         case, per_landing):
+    # A count gate for work the benchmark's tracer does not see.  The cubic
+    # lands in 2 passes, the model's root being exact for a power law; the
+    # expression took 109 passes for 23 landings.
+    if case == "cubic":
+        spec, opts = cubic_spec, SolveOptions(initial_loop="random_bandlimited", seed=0)
+    else:
+        spec, opts = expression_spec, SolveOptions()
+    passes = count_calls(monkeypatch, functional, "potential_pass")
+    landings = count_calls(monkeypatch, solvers, "ray_landing")
+    rep = minimize_on_nehari(spec, opts, n_nodes=64)
+    assert rep.converged and len(landings) > rep.iterations
+    assert len(passes) <= per_landing * len(landings)
+
+
 class HandCubic(PotentialModel):
     """0.5 |q|^3 in n=3 with only ``value`` and ``gradient``, in the
     arithmetic of ``PowerLawPotential(0.5, 3)``."""
