@@ -46,6 +46,9 @@ _POWER_LAW_RE = re.compile(r"power_law\s*\((.*)\)\s*\Z")
 
 ROUTES = ("constrained_min", "mountain_pass")
 
+# The solve report's float orbit items, in report order: OrbitResult fields.
+ORBIT_ITEMS = ("period", "ode_sup", "energy_sup", "closure", "closure_err")
+
 # Option keys that set SolveOptions and SamplerConfig fields, in report order;
 # both share the one --seed.  A key names its field unless FIELD_NAMES says.
 SOLVE_KEYS = ("seed", "max_iterations", "gradient_tolerance", "path_points", "init")
@@ -166,7 +169,7 @@ def _require_positive(opts: dict, keys):
             raise ConfigError(f"{key} must be positive, got {opts[key]}")
 
 
-def _build_problem(opts: dict) -> tuple[ProblemSpec, float, float]:
+def _build_problem(opts: dict) -> ProblemSpec:
     if opts["potential"] is None:
         raise ConfigError("a potential is required (flag --potential or config)")
     if opts["n"] is None or opts["energy"] is None:
@@ -180,7 +183,7 @@ def _build_problem(opts: dict) -> tuple[ProblemSpec, float, float]:
                            symmetry=opts["symmetry"])
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    return spec, mu1, mu2
+    return spec
 
 
 def _run_section(opts: dict, extra=()):
@@ -217,9 +220,9 @@ def _emit(text: str, path):
 
 def cmd_check(args) -> int:
     opts = _merged(args)
-    spec, mu1, mu2 = _build_problem(opts)
+    spec = _build_problem(opts)
     cfg = _build_options(SamplerConfig, CHECK_KEYS, opts)
-    reports = check_hypotheses(spec.potential, spec.h, mu1, mu2, cfg)
+    reports = check_hypotheses(spec.potential, spec.h, spec.mu1, spec.mu2, cfg)
     for rep in reports:
         print(rep.line())
     failed = [r.hypothesis for r in reports if r.verdict == "fail"]
@@ -250,7 +253,7 @@ def _solve_route(spec: ProblemSpec, solve_opts: SolveOptions, opts: dict):
 def cmd_solve(args) -> int:
     opts = _merged(args)
     _require_positive(opts, ("ode_tol", "energy_tol", "mp_radius"))
-    spec, _, _ = _build_problem(opts)
+    spec = _build_problem(opts)
     if opts["route"] not in ROUTES:
         raise ConfigError(f"unknown route {opts['route']!r}")
     solve_opts = _build_options(SolveOptions, SOLVE_KEYS, opts)
@@ -285,11 +288,7 @@ def cmd_solve(args) -> int:
         ("iterations", solve.iterations if solve else 0),
         ("message", failure_message),
         ("f_star", solve.f_value if solve else nan),
-        ("period", orbit.period if orbit else nan),
-        ("ode_sup", orbit.ode_sup if orbit else nan),
-        ("energy_sup", orbit.energy_sup if orbit else nan),
-        ("closure", orbit.closure if orbit else nan),
-        ("closure_err", orbit.closure_err if orbit else nan),
+        *((key, getattr(orbit, key) if orbit else nan) for key in ORBIT_ITEMS),
         ("nonconstant", orbit.nonconstant if orbit else False),
         ("ode_tol", float(opts["ode_tol"])),
         ("energy_tol", float(opts["energy_tol"])),
@@ -310,7 +309,7 @@ def cmd_solve(args) -> int:
     _emit(text, opts["report"])
 
     if orbit is not None and opts["orbit"]:
-        write_orbit_table(opts["orbit"], orbit.times, orbit.positions, orbit.period)
+        write_orbit_table(opts["orbit"], orbit.positions, orbit.period)
 
     ok = (
         solve is not None
@@ -337,19 +336,18 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     opts = _merged(args)
     _require_positive(opts, ("ode_tol", "energy_tol", "closure_tol"))
-    spec, _, _ = _build_problem(opts)
-    times, positions, period = read_orbit_table(args.orbit_file)
+    spec = _build_problem(opts)
+    positions, period = read_orbit_table(args.orbit_file)
     if positions.shape[1] != spec.n:
         raise OrbitFileError(
             f"orbit has dimension {positions.shape[1]}, spec has {spec.n}", line=1
         )
-    ode_sup, energy_sup, closure, closure_err = verify_orbit(positions, period,
-                                                             spec.potential, spec.h)
-    print(f"period={period:.9g} ode_sup={ode_sup:.6g} energy_sup={energy_sup:.6g} "
-          f"closure={closure:.6g} closure_err={closure_err:.6g}")
-    ok = ode_sup <= float(opts["ode_tol"]) and energy_sup <= float(opts["energy_tol"])
+    orbit = verify_orbit(positions, period, spec.potential, spec.h)
+    print(f"period={orbit.period:.9g} "
+          + " ".join(f"{key}={getattr(orbit, key):.6g}" for key in ORBIT_ITEMS[1:]))
+    ok = orbit.ode_sup <= float(opts["ode_tol"]) and orbit.energy_sup <= float(opts["energy_tol"])
     if opts["closure_tol"] is not None:
-        ok = ok and closure <= float(opts["closure_tol"])
+        ok = ok and orbit.closure <= float(opts["closure_tol"])
     return 0 if ok else 1
 
 

@@ -5,7 +5,9 @@ Dirichlet energy and B the mean energy gap; q(t) = u(t/T) then solves the
 equations of motion at the prescribed energy.  Verification deliberately
 uses central differences (second order, distinct from the solver's forward
 differencing) plus a Runge-Kutta return-map test, so a solution is only
-accepted when two unrelated discretizations agree.
+accepted when two unrelated discretizations agree.  :func:`verify_orbit`
+returns the one result of that check, an :class:`OrbitResult`, whether the
+samples come from a solve (:func:`synthesize`) or from an orbit table.
 
 The return map is integrated at a fixed step by the 12-stage 8th-order
 formula of Prince & Dormand (DOP853; Hairer, Norsett & Wanner, *Solving
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import BlowupError, DomainError, NonpositiveActionError
 from .functional import ProblemSpec, _factors
-from .loopspace import NONCONSTANT_SPEED, LoopPath, periodic_shift, speed
+from .loopspace import NONCONSTANT_SPEED, LoopPath, periodic_shift, stacked_dirichlet_energy
 from .potentials import PotentialModel
 
 BLOWUP_LIMIT = 1e8
@@ -114,10 +116,10 @@ RK_B = (
 
 @dataclass(frozen=True)
 class OrbitResult:
-    """A sampled periodic orbit with its verification residuals."""
+    """A sampled periodic orbit, q_k = q(k T / N), with its verification
+    residuals: the one result of :func:`verify_orbit`."""
 
     period: float
-    times: np.ndarray  # (N,), t_k = k T / N
     positions: np.ndarray  # (N, n)
     ode_sup: float
     energy_sup: float
@@ -257,9 +259,13 @@ def closure_gap(q0, v0, period: float, potential: PotentialModel,
 
 
 def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel,
-                 h: float) -> tuple[float, float, float, float]:
-    """(ode_sup, energy_sup, closure, closure_err) of a sampled orbit
-    q_k = q(k T / N).
+                 h: float) -> OrbitResult:
+    """Verify a sampled orbit q_k = q(k T / N) and return it as an
+    :class:`OrbitResult`.
+
+    The residuals come from :func:`orbit_residuals`; the orbit is
+    nonconstant when ``speed``'s rule, sqrt(2 * Dirichlet energy) of the
+    positions as a loop, reaches ``NONCONSTANT_SPEED``.
 
     The closure test starts from (q_0, central-difference velocity at q_0).
     Its rungs run ``min(8, cap // 2)`` steps and double, never past the cap
@@ -287,25 +293,16 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
         if coarse_steps:
             closure_err = abs(closure - coarse) / ((steps / coarse_steps) ** RK_ESTIMATE_ORDER - 1.0)
         if steps >= cap or closure_err <= CLOSURE_REL_ERR * closure:
-            return ode_sup, energy_sup, closure, closure_err
+            break
         coarse, coarse_steps = closure, steps
+    nonconstant = math.sqrt(2.0 * stacked_dirichlet_energy(q[None])[0]) >= NONCONSTANT_SPEED
+    return OrbitResult(period, q, ode_sup, energy_sup, closure, closure_err, nonconstant)
 
 
 def synthesize(u: LoopPath, spec: ProblemSpec) -> OrbitResult:
     """Build the physical orbit from a critical loop and verify it.
 
-    Samples q_k = u_k at times k T / N and runs :func:`verify_orbit` on them.
+    Samples q_k = u_k at times k T / N, with T from :func:`orbit_period`, and
+    runs :func:`verify_orbit` on them.
     """
-    T = orbit_period(u, spec)
-    q = np.array(u.nodes)
-    ode_sup, energy_sup, closure, closure_err = verify_orbit(q, T, spec.potential, spec.h)
-    return OrbitResult(
-        period=T,
-        times=np.arange(u.N) * (T / u.N),
-        positions=q,
-        ode_sup=ode_sup,
-        energy_sup=energy_sup,
-        closure=closure,
-        closure_err=closure_err,
-        nonconstant=speed(u) >= NONCONSTANT_SPEED,
-    )
+    return verify_orbit(np.array(u.nodes), orbit_period(u, spec), spec.potential, spec.h)

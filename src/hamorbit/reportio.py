@@ -6,8 +6,11 @@ own section with one whitespace-separated record per line.  All floats are
 written with 17 significant digits, which round-trips IEEE doubles exactly,
 so identical runs produce byte-identical files.
 
-Orbit table: a CSV with header ``t,q1,...,qn`` and N+1 rows; the closing row
-repeats the t = 0 sample at t = T with byte-identical number formatting.
+Orbit table: a CSV with header ``t,q1,...,qn`` and N+1 rows; row k holds the
+sample at t_k = k T / N and the closing row repeats the t = 0 sample at t = T
+with byte-identical number formatting.  This module is the one home of that
+layout: the writer derives the time column from the period, and the reader
+checks it against k T / N and the closing row against row 0.
 """
 
 from __future__ import annotations
@@ -80,28 +83,32 @@ def parse_report(text: str) -> dict:
     return sections
 
 
-def write_orbit_table(path, times, positions, period: float) -> None:
-    """Write the orbit sample table with its closing repeat row."""
+def write_orbit_table(path, positions, period: float) -> None:
+    """Write the orbit sample table: row k at t_k = k T / N, then the closing
+    row, row 0's sample at t = T."""
     q = np.asarray(positions, dtype=float)
-    t = np.asarray(times, dtype=float)
-    n = q.shape[1]
+    N, n = q.shape
+    times = np.append(np.arange(N) * (period / N), period)
     rows = ["t," + ",".join(f"q{i + 1}" for i in range(n))]
-    first_coords = None
-    for k in range(q.shape[0]):
-        coords = [format(x, ".17g") for x in q[k]]
-        if k == 0:
-            first_coords = coords
-        rows.append(",".join([format(t[k], ".17g")] + coords))
-    rows.append(",".join([format(period, ".17g")] + first_coords))
+    for t, qk in zip(times, np.vstack((q, q[:1]))):
+        rows.append(",".join(format(x, ".17g") for x in (t, *qk)))
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
 
 
+def _reject_rows(bad, message):
+    """Raise :class:`OrbitFileError` at the first data row flagged in ``bad``
+    (row 0 is line 2)."""
+    if bad.any():
+        raise OrbitFileError(message, line=int(np.argmax(bad)) + 2)
+
+
 def read_orbit_table(path):
-    """Read an orbit table back as (times (N,), positions (N, n), period).
+    """Read an orbit table back as (positions (N, n), period).
 
     Raises :class:`OrbitFileError` with the offending 1-based line number on
-    any structural problem.
+    any structural problem, on a time more than 1e-9 T from k T / N, and on a
+    closing row whose coordinates differ from row 0's.
     """
     try:
         with open(path) as fh:
@@ -136,11 +143,13 @@ def read_orbit_table(path):
     arr = np.array(data)
     times, positions = arr[:-1, 0], arr[:-1, 1:]
     period = arr[-1, 0]
-    if not np.all(np.isfinite(arr)):
-        raise OrbitFileError("non-finite entries in orbit table", line=2)
+    _reject_rows(~np.isfinite(arr).all(axis=1), "non-finite entries in orbit table")
     if period <= 0.0:
         raise OrbitFileError("closing row must carry the positive period",
                              line=len(lines))
-    if np.any(np.diff(times) <= 0.0) or times[0] != 0.0:
-        raise OrbitFileError("times must start at 0 and increase", line=2)
-    return times, positions, period
+    N = len(times)
+    _reject_rows(np.abs(times - np.arange(N) * (period / N)) > 1e-9 * period,
+                 "times must be t_k = k T / N")
+    if np.any(arr[-1, 1:] != positions[0]):
+        raise OrbitFileError("closing row must repeat the first sample", line=len(lines))
+    return positions, period

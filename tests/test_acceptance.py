@@ -240,8 +240,8 @@ def test_criterion_10_impostor_rejection(tmp_path, capsys):
     assert main(["solve", *base_args, "--symmetry", "e1", "--nodes", "256",
                  "--no-timestamp", "--report", str(tmp_path / "r.txt"),
                  "--orbit", str(orb)]) == 0
-    times, positions, period = read_orbit_table(orb)
-    write_orbit_table(orb, times, 1.1 * positions, period)
+    positions, period = read_orbit_table(orb)
+    write_orbit_table(orb, 1.1 * positions, period)
     capsys.readouterr()
     code = main(["verify", str(orb), *base_args])
     out = capsys.readouterr().out

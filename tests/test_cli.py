@@ -79,7 +79,7 @@ def test_solve_report_and_verify_roundtrip(tmp_path, capsys):
     assert float(doc["run"]["ode_sup"]) <= 1e-2
     assert doc["run"]["nonconstant"] == "true"
     assert len(doc["cps_trace"]) >= 1
-    times, positions, period = read_orbit_table(orb)
+    positions, period = read_orbit_table(orb)
     assert positions.shape == (256, 2)
     capsys.readouterr()
     assert run("verify", str(orb), *HARMONIC) == 0
@@ -162,8 +162,8 @@ def test_verify_rejects_scaled_orbit(tmp_path, capsys):
     assert run("solve", *HARMONIC, "--symmetry", "e1", "--nodes", "256",
                "--no-timestamp", "--orbit", str(orb),
                "--report", str(tmp_path / "r.txt")) == 0
-    times, positions, period = read_orbit_table(orb)
-    write_orbit_table(orb, times, 1.1 * positions, period)
+    positions, period = read_orbit_table(orb)
+    write_orbit_table(orb, 1.1 * positions, period)
     capsys.readouterr()
     assert run("verify", str(orb), *HARMONIC) == 1
     out = capsys.readouterr().out
@@ -440,3 +440,87 @@ def test_verify_nonpositive_tolerance_exits_2(tmp_path, capsys, setting, value):
     cfg.write_text(f'{{"{setting}": {value}}}'.replace("nan", "NaN"))
     assert run("verify", str(orb), *HARMONIC, "--config", str(cfg)) == 2
     assert f"{setting} must be positive" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def harmonic_table(tmp_path_factory):
+    """The rows of a harmonic N=64 orbit table written by ``solve``."""
+    orb = tmp_path_factory.mktemp("harmonic") / "orbit.csv"
+    assert run("solve", *HARMONIC, "--nodes", "64", "--no-timestamp", "--orbit", str(orb)) == 0
+    return orb.read_text().splitlines()
+
+
+def with_times(rows, times):
+    return [rows[0]] + [",".join([format(t, ".17g"), row.split(",", 1)[1]])
+                        for t, row in zip(times, rows[1:])]
+
+
+def test_verify_accepts_twelve_digit_times(tmp_path, capsys, harmonic_table):
+    rows = harmonic_table
+    times = [float(format(float(row.split(",")[0]), ".12g")) for row in rows[1:]]
+    orb = tmp_path / "orbit.csv"
+    orb.write_text("\n".join(with_times(rows, times)) + "\n")
+    positions, period = read_orbit_table(orb)
+    assert positions.shape == (64, 2) and period == times[-1]
+    assert run("verify", str(orb), *HARMONIC) == 0
+
+
+def edited_tables(rows):
+    """(rows, line) of three edits that leave every residual as it was."""
+    N = len(rows) - 2
+    T = float(rows[-1].split(",")[0])
+    times = [float(row.split(",")[0]) for row in rows[1:]]
+    moved = times[:5] + [times[5] + 1e-6 * T] + times[6:]
+    squared = [T * (k / N) ** 2 for k in range(N)] + [T]
+    t, q1, q2 = rows[-1].split(",")
+    closing = rows[:-1] + [",".join([t, q1, format(float(q2) + 1e-3, ".17g")])]
+    return {"moved_time": (with_times(rows, moved), 7),
+            "squared_times": (with_times(rows, squared), 3),
+            "closing_row": (closing, N + 2)}
+
+
+@pytest.mark.parametrize("case, message", [
+    ("moved_time", "times must be t_k = k T / N"),
+    ("squared_times", "times must be t_k = k T / N"),
+    ("closing_row", "closing row must repeat the first sample"),
+])
+def test_verify_rejects_an_edited_table(tmp_path, capsys, harmonic_table, case, message):
+    rows, line = edited_tables(harmonic_table)[case]
+    orb = tmp_path / "orbit.csv"
+    orb.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert run("verify", str(orb), *HARMONIC) == 2
+    assert capsys.readouterr().err == f"error: E_ORBIT_FILE: line {line}: {message}\n"
+
+
+@pytest.mark.parametrize("potential, message", [
+    ("power_law(a=0.5,mu1=2",
+     "power_law potential must look like power_law(a=...,mu1=...,mu2=...)"),
+    ("power_law(a=0.5,mu1=2,b=1)", "unknown power_law parameters: ['b']"),
+    ("power_law(a=x,mu1=2)", "bad power_law parameter: could not convert string to float: 'x'"),
+    ("q1 q2", "E_PARSE: unexpected 'q2' at position 4 (expected end of input, operator)"),
+    ("|x|", "E_PARSE: unexpected 'x' at position 2 (expected 'q')"),
+], ids=["unclosed", "unknown_parameter", "bad_number", "two_terms", "norm_of_x"])
+def test_bad_potential_text_exits_2(capsys, potential, message):
+    assert run("check", "--potential", potential, "--n", "2", "--energy", "1") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ("[1, 2]", ["solve"], "config file must hold a JSON object"),
+    ('{"route": "sideways"}', ["solve", *HARMONIC], "unknown route 'sideways'"),
+    ("{}", ["check", "--potential", "power_law(a=0.5,mu1=2,mu2=0)", "--energy", "1"],
+     "dimension --n and energy --energy are required"),
+], ids=["json_array", "unknown_route", "check_without_n"])
+def test_bad_config_or_flags_exit_2(tmp_path, capsys, config, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert run(*argv, "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_names_the_first_offending_sample(capsys):
+    argv = ["--potential", "exp(0.5*q1^4) + q2^2", "--n", "2", "--energy", "1"]
+    assert run("check", *argv) == 1
+    assert capsys.readouterr().err == ("error: E_DOMAIN: expression evaluated to a non-finite "
+                                       "value at sample (-7.94708,5.36455)\n")

@@ -313,3 +313,16 @@ def test_value_and_gradient_raises_where_value_then_gradient_does(src, point, me
             with pytest.raises(DomainError) as fused:
                 pot.value_and_gradient(batch)
         assert str(fused.value) == str(separate.value)
+
+
+def test_non_finite_gradient_at_a_finite_value_raises():
+    # The value is 1e200 * sin(0) = 0, but the derivative 1e400 * cos(0)
+    # overflows: the gradient gate, not the value's, must catch it.
+    pot = parse_potential("1e200*sin(1e200*q1)", 1)
+    q = np.zeros((1, 1))
+    with np.errstate(over="ignore"):
+        assert pot.value(q)[0] == 0.0
+        for evaluate_both in (pot.gradient, pot.value_and_gradient):
+            with pytest.raises(DomainError) as err:
+                evaluate_both(q)
+            assert str(err.value) == "gradient evaluated to a non-finite value"

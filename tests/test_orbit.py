@@ -19,12 +19,20 @@ from hamorbit import (
     orbit_period,
     parse_potential,
     scaling_root,
+    speed,
     synthesize,
     verify_orbit,
 )
 from hamorbit import orbit
+from hamorbit.loopspace import NONCONSTANT_SPEED
 from hamorbit.orbit import orbit_residuals
 from conftest import count_calls, mode_one_loop
+
+
+def residuals(orb):
+    """The four residual fields of an OrbitResult, which as a whole holds an
+    array and so does not compare with ==."""
+    return orb.ode_sup, orb.energy_sup, orb.closure, orb.closure_err
 
 
 def exact_harmonic_samples(N):
@@ -65,8 +73,21 @@ def test_synthesize_harmonic(harmonic_spec):
     assert orb.energy_sup <= 1e-3
     assert orb.closure <= 1e-3 * orb.period
     assert orb.nonconstant
-    assert orb.times[0] == 0.0
-    assert len(orb.times) == 256
+
+
+def test_verify_orbit_is_synthesize_on_the_loop(harmonic_spec, quartic_spec, cubic_spec):
+    ellipse = mode_one_loop(64, (2.0, 1.0))
+    on_set = LoopPath(scaling_root(ellipse, quartic_spec) * ellipse.nodes)
+    cases = [(harmonic_spec, circle_loop(256, 2)), (quartic_spec, on_set),
+             (cubic_spec, LoopPath(solved_orbit(cubic_spec, 64)[0]))]
+    for spec, u in cases:
+        orb = synthesize(u, spec)
+        res = verify_orbit(np.array(u.nodes), orbit_period(u, spec), spec.potential, spec.h)
+        assert res.period == orb.period and np.array_equal(res.positions, orb.positions)
+        assert residuals(res) == residuals(orb)
+        assert res.nonconstant is orb.nonconstant is (speed(u) >= NONCONSTANT_SPEED)
+    still = verify_orbit(np.tile([0.3, 0.1], (16, 1)), 1.0, harmonic_spec.potential, 1.0)
+    assert still.nonconstant is False
 
 
 def test_synthesize_quartic(quartic_spec):
@@ -239,7 +260,7 @@ def test_closure_ladder_steps_grow_slower_than_nodes(monkeypatch, cubic_spec, N,
     q, T = cubic_circle_orbit(cubic_spec, N)
     calls = count_calls(monkeypatch, cubic_spec.potential, "gradient")
     reached = record_rungs(monkeypatch)
-    *_, closure, closure_err = verify_orbit(q, T, cubic_spec.potential, cubic_spec.h)
+    *_, closure, closure_err = residuals(verify_orbit(q, T, cubic_spec.potential, cubic_spec.h))
     assert len(calls) <= budget
     assert reached[0] == 8 and all(b == 2 * a for a, b in zip(reached, reached[1:]))
     assert closure_err <= 1e-3 * closure
@@ -263,7 +284,7 @@ def test_closure_ladder_estimate_bounds_the_error(cubic_spec, expression_spec):
     for N in (64, 1024):
         cases.append((cubic_spec, *solved_orbit(cubic_spec, N)))
     for spec, q, T in cases:
-        *_, closure, closure_err = verify_orbit(q, T, spec.potential, spec.h)
+        *_, closure, closure_err = residuals(verify_orbit(q, T, spec.potential, spec.h))
         assert 0.0 < closure_err <= 1e-3 * closure
         q0, v0 = ladder_start(q, T)
         # All these ladders stop at 16 or 32 steps; at 1024 steps the closure
@@ -290,7 +311,7 @@ def test_closure_ladder_climbs_past_coarse_blowups(monkeypatch):
             closure_gap(q0, v0, T, stiff, steps=steps)
     assert math.isfinite(closure_gap(q0, v0, T, stiff, steps=64))
     reached = record_rungs(monkeypatch)
-    *_, closure, closure_err = verify_orbit(q, T, stiff, 0.5)
+    *_, closure, closure_err = residuals(verify_orbit(q, T, stiff, 0.5))
     assert reached == [8, 16, 32, 64, 128]
     assert math.isfinite(closure) and math.isfinite(closure_err)
     assert (closure, closure_err) == sequential_ladder(q, T, stiff)[:2]
@@ -313,8 +334,8 @@ def test_closure_ladder_ends_on_the_cap(monkeypatch):
             yield steps, 1.0 + 100.0 * (8.0 / steps) ** 4
 
     monkeypatch.setattr(orbit, "_rung_closures", model)
-    *_, closure, closure_err = verify_orbit(exact_harmonic_samples(40), 2 * math.pi,
-                                            parse_potential("0.5*|q|^2", 2), 1.0)
+    *_, closure, closure_err = residuals(verify_orbit(exact_harmonic_samples(40), 2 * math.pi,
+                                                      parse_potential("0.5*|q|^2", 2), 1.0))
     assert rungs == [8, 16, 32, 64, 80]
     assert closure_err == pytest.approx(closure - 1.0, rel=1e-9)
 
@@ -344,7 +365,7 @@ def test_each_rung_is_closure_gap_bit_for_bit(cubic_spec, source, n):
         for steps, closure in orbit._rung_closures(q0, v0, T, spec.potential, rungs):
             assert closure == closure_gap(q0, v0, T, spec.potential, steps=steps)
             assert closure == single_point_dop853(q0, v0, T, spec.potential, steps)
-        *_, closure, closure_err = verify_orbit(q, T, spec.potential, spec.h)
+        *_, closure, closure_err = residuals(verify_orbit(q, T, spec.potential, spec.h))
         assert (closure, closure_err) == sequential_ladder(q, T, spec.potential)[:2]
 
 
@@ -377,10 +398,10 @@ class Faulty(PotentialModel):
 
 
 def stopping_case(spec, N=256):
-    """The cubic circle at N: samples, period, its clean verify tuple and the
+    """The cubic circle at N: samples, period, its clean verify residuals and the
     rungs the ladder reaches, which stop at 16 steps, 1/32 of the cap."""
     q, T = cubic_circle_orbit(spec, N)
-    clean = verify_orbit(q, T, spec.potential, spec.h)
+    clean = residuals(verify_orbit(q, T, spec.potential, spec.h))
     reached = sequential_ladder(q, T, spec.potential)[2]
     assert reached == [8, 16]
     return q, T, clean, reached
@@ -391,7 +412,7 @@ def test_fault_above_the_stopping_rung_does_not_surface(cubic_spec, fault):
     q, T, clean, reached = stopping_case(cubic_spec)
     above = [s for s in orbit._rungs(2 * q.shape[0]) if s > reached[-1]]
     faulty = Faulty(cubic_spec.potential, q, T, above, fault)
-    assert verify_orbit(q, T, faulty, cubic_spec.h) == clean
+    assert residuals(verify_orbit(q, T, faulty, cubic_spec.h)) == clean
     assert faulty.hits > 0
 
 
@@ -407,7 +428,7 @@ def test_blowup_at_a_reached_rung_moves_on(cubic_spec):
     faulty = Faulty(cubic_spec.potential, q, T, [reached[-1]], "blowup")
     closure, closure_err, later = sequential_ladder(q, T, faulty)
     assert later[-1] > reached[-1]
-    assert verify_orbit(q, T, faulty, cubic_spec.h)[2:] == (closure, closure_err)
+    assert residuals(verify_orbit(q, T, faulty, cubic_spec.h))[2:] == (closure, closure_err)
     assert (closure, closure_err) != clean[2:]
 
 

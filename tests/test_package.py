@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -67,3 +68,15 @@ def test_modules_import_only_what_they_use():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno}: {name}")
     assert unused == []
+
+
+def test_readme_library_example_runs():
+    readme = Path(hamorbit.__file__).parents[2] / "README.md"
+    (block,) = readme.read_text().split("```python\n")[1:]
+    code = block.split("```")[0]
+    src = os.path.dirname(os.path.dirname(hamorbit.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    numbers = [float(word) for word in out.stdout.split()]
+    assert len(numbers) == 3 and all(math.isfinite(x) for x in numbers)
