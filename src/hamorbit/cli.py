@@ -17,12 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    ExpressionParseError,
-    HamorbitError,
-    OddNodeCountError,
-    OrbitFileError,
-)
+from .errors import HamorbitError, OrbitFileError
 from .functional import ProblemSpec
 from .loopspace import SYMMETRY_CLASSES, circle_loop, zero_loop
 from .orbit import synthesize, verify_orbit
@@ -163,10 +158,13 @@ def _build_options(cls, keys, opts: dict):
 
 
 def _require_positive(opts: dict, keys):
-    """Each of ``keys`` that is set must be a positive number; NaN is not."""
+    """Each of ``keys`` that is set must be a positive number (NaN is not),
+    and becomes a float in ``opts``."""
     for key in keys:
-        if opts[key] is not None and not float(opts[key]) > 0:
-            raise ConfigError(f"{key} must be positive, got {opts[key]}")
+        if opts[key] is not None:
+            if not float(opts[key]) > 0:
+                raise ConfigError(f"{key} must be positive, got {opts[key]}")
+            opts[key] = float(opts[key])
 
 
 def _build_problem(opts: dict) -> ProblemSpec:
@@ -246,8 +244,7 @@ def _solve_route(spec: ProblemSpec, solve_opts: SolveOptions, opts: dict):
         return minimize_on_nehari(spec, solve_opts, n_nodes=nodes)
     z0 = zero_loop(nodes, spec.n)
     z1 = build_endpoint(spec, circle_loop(nodes, spec.n))
-    radius = opts["mp_radius"]
-    return mountain_pass(spec, z0, z1, solve_opts, None if radius is None else float(radius))
+    return mountain_pass(spec, z0, z1, solve_opts, opts["mp_radius"])
 
 
 def cmd_solve(args) -> int:
@@ -262,9 +259,9 @@ def cmd_solve(args) -> int:
     failures = []
     try:
         solve = _solve_route(spec, solve_opts, opts)
-    except OddNodeCountError:
-        raise  # grid/symmetry mismatch is a configuration error
     except HamorbitError as err:
+        if err.exit_code == 2:
+            raise  # a usage error, such as a grid that does not fit the symmetry
         solve = None
         failures.append(f"{err.code}: {err}")
     else:
@@ -290,15 +287,15 @@ def cmd_solve(args) -> int:
         ("f_star", solve.f_value if solve else nan),
         *((key, getattr(orbit, key) if orbit else nan) for key in ORBIT_ITEMS),
         ("nonconstant", orbit.nonconstant if orbit else False),
-        ("ode_tol", float(opts["ode_tol"])),
-        ("energy_tol", float(opts["energy_tol"])),
+        ("ode_tol", opts["ode_tol"]),
+        ("energy_tol", opts["energy_tol"]),
     ]
     sections = [
         ("run", _run_section(opts, run_items)),
         ("problem", _problem_section(spec, opts)),
         ("options", [
             *((key, getattr(solve_opts, FIELD_NAMES.get(key, key))) for key in SOLVE_KEYS),
-            ("mp_radius", float(opts["mp_radius"]) if opts["mp_radius"] is not None else "auto"),
+            ("mp_radius", "auto" if opts["mp_radius"] is None else opts["mp_radius"]),
         ]),
     ]
     text = render_report(
@@ -311,14 +308,8 @@ def cmd_solve(args) -> int:
     if orbit is not None and opts["orbit"]:
         write_orbit_table(opts["orbit"], orbit.positions, orbit.period)
 
-    ok = (
-        solve is not None
-        and solve.converged
-        and orbit is not None
-        and orbit.nonconstant
-        and orbit.ode_sup <= float(opts["ode_tol"])
-        and orbit.energy_sup <= float(opts["energy_tol"])
-    )
+    ok = (solve is not None and solve.converged and orbit is not None
+          and orbit.accepts(opts["ode_tol"], opts["energy_tol"]))
     summary = []
     if solve is not None:
         summary.append(f"termination={solve.termination} f_star={solve.f_value:.9g}")
@@ -345,10 +336,7 @@ def cmd_verify(args) -> int:
     orbit = verify_orbit(positions, period, spec.potential, spec.h)
     print(f"period={orbit.period:.9g} "
           + " ".join(f"{key}={getattr(orbit, key):.6g}" for key in ORBIT_ITEMS[1:]))
-    ok = orbit.ode_sup <= float(opts["ode_tol"]) and orbit.energy_sup <= float(opts["energy_tol"])
-    if opts["closure_tol"] is not None:
-        ok = ok and orbit.closure <= float(opts["closure_tol"])
-    return 0 if ok else 1
+    return 0 if orbit.accepts(opts["ode_tol"], opts["energy_tol"], opts["closure_tol"]) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +415,10 @@ def main(argv=None) -> int:
         # finite check with a named cause; numpy's warnings would only repeat it.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return command(args)
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ExpressionParseError, OrbitFileError, OddNodeCountError) as err:
-        # bad potential text, bad input file, or bad grid choice: usage errors
-        print(f"error: {err.code}: {err}", file=sys.stderr)
-        return 2
     except HamorbitError as err:
         print(f"error: {err.code}: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+        return err.exit_code
+    except (ConfigError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

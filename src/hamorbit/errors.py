@@ -1,7 +1,9 @@
 """Exception types used across the package.
 
 Every exception carries a stable short ``code`` so the CLI and report files
-can surface machine-readable failure reasons.
+can surface machine-readable failure reasons, and the ``exit_code`` the CLI
+returns for it: 1 (a method failure) unless the class says 2 (a usage or
+input error).
 """
 
 
@@ -9,6 +11,7 @@ class HamorbitError(Exception):
     """Base class for all package errors."""
 
     code = "E_ERROR"
+    exit_code = 1
 
 
 class ExpressionParseError(HamorbitError):
@@ -19,6 +22,7 @@ class ExpressionParseError(HamorbitError):
     """
 
     code = "E_PARSE"
+    exit_code = 2
 
     def __init__(self, message, position, expected=()):
         self.position = position
@@ -45,6 +49,7 @@ class OddNodeCountError(HamorbitError):
     """Half-period symmetry needs an even node count."""
 
     code = "E_ODD_N"
+    exit_code = 2
 
 
 class ZeroLoopError(HamorbitError):
@@ -101,6 +106,7 @@ class OrbitFileError(HamorbitError):
     """Malformed orbit table; ``line`` is the 1-based offending line."""
 
     code = "E_ORBIT_FILE"
+    exit_code = 2
 
     def __init__(self, message, line=None):
         self.line = line

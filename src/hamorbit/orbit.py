@@ -117,7 +117,8 @@ RK_B = (
 @dataclass(frozen=True)
 class OrbitResult:
     """A sampled periodic orbit, q_k = q(k T / N), with its verification
-    residuals: the one result of :func:`verify_orbit`."""
+    residuals: the one result of :func:`verify_orbit`, and :meth:`accepts`,
+    the one gate that decides whether it is a solution."""
 
     period: float
     positions: np.ndarray  # (N, n)
@@ -126,6 +127,14 @@ class OrbitResult:
     closure: float
     closure_err: float  # estimated integrator error of ``closure``
     nonconstant: bool
+
+    def accepts(self, ode_tol: float, energy_tol: float, closure_tol: float | None = None) -> bool:
+        """The one orbit gate of ``solve`` and ``verify``: a nonconstant orbit
+        whose residuals are within ``ode_tol`` and ``energy_tol``, and whose
+        closure is within ``closure_tol`` when one is given (a nan closure
+        never is)."""
+        return (self.nonconstant and self.ode_sup <= ode_tol and self.energy_sup <= energy_tol
+                and (closure_tol is None or self.closure <= closure_tol))
 
 
 def orbit_period(u: LoopPath, spec: ProblemSpec) -> float:
@@ -245,8 +254,7 @@ def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
             lo += 1
 
 
-def closure_gap(q0, v0, period: float, potential: PotentialModel,
-                steps: int = 2048) -> float:
+def closure_gap(q0, v0, period: float, potential: PotentialModel, steps: int) -> float:
     """Return-map gap |q(T) - q(0)| + |v(T) - v(0)| of the true dynamics.
 
     Integrates q'' = -grad V(q) with the 8th-order Dormand-Prince formula
@@ -278,7 +286,7 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
     ladder stops when closure_err <= 1e-3 c(s), or at the cap, and the rows
     above stop with it.  A blowup below the cap moves on to the next rung;
     one at the cap, and a gradient error at any reached rung, propagates.
-    A nan closure never passes, and closure_err
+    A nan closure never passes :meth:`OrbitResult.accepts`, and closure_err
     is nan when the cap rung has no finite predecessor.  Values and errors
     are those of running :func:`closure_gap` at each rung in turn.
     """

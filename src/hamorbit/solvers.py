@@ -102,7 +102,6 @@ class SolveOptions:
 
 @dataclass
 class SolveReport:
-    route: str  # constrained_min | mountain_pass
     loop: LoopPath
     f_value: float
     termination: str  # converged | max_iter | hypothesis_violation
@@ -128,6 +127,27 @@ def make_initial_loop(spec: ProblemSpec, opts: SolveOptions, n_nodes: int) -> Lo
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
+
+
+def _stop(rec: CpsRecord, u: LoopPath, f_value: float, it: int, opts: SolveOptions):
+    """The one stationarity gate of both routes: how a solve ends at the
+    iterate ``u`` of level ``f_value`` and record ``rec``, at iteration
+    ``it``, as (termination, message), or None while the solve goes on.
+
+    The iterate is stationary when its Cerami-weighted gradient is at most
+    the tolerance.  A stationary iterate is ``converged`` only when it is a
+    nonconstant loop at a positive level, the solution the method looks
+    for; otherwise the solve ends with a ``hypothesis_violation``.  A
+    nonstationary iterate ends the solve as ``max_iter`` once the iteration
+    budget is used up.
+    """
+    if rec.weighted_gradient <= opts.gradient_tolerance:
+        if f_value <= 0.0 or speed(u) < NONCONSTANT_SPEED:
+            return "hypothesis_violation", "stationary point is constant or has nonpositive level"
+        return "converged", ""
+    if it == opts.max_iterations:
+        return "max_iter", "iteration budget exhausted"
+    return None
 
 
 def _trials(x: np.ndarray, grad: np.ndarray, step: float, symmetry: str, level: float):
@@ -166,9 +186,8 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     it), so each step descends along the preconditioned full gradient and
     the ray projection retracts each trial back onto the set.  A search
     starts at the Barzilai-Borwein step when s.y > 0, else at twice the last
-    accepted step.  Returns a report whose termination is ``converged`` only
-    when the Cerami-weighted gradient sits below the tolerance and the
-    minimizer is non-constant with positive functional value.
+    accepted step.  Each iterate goes through the stationarity gate
+    :func:`_stop`.
     """
     opts = opts or SolveOptions()
     if spec.symmetry not in ("e1", "e2"):
@@ -184,17 +203,14 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     trace: list[CpsRecord] = []
     drift_max = 0.0
 
-    def report(loop, f_value, termination, iterations, message=""):
-        return SolveReport(route="constrained_min", loop=loop, f_value=f_value,
-                           termination=termination, trace=trace,
-                           iterations=iterations, message=message,
+    def report(loop, f_value, iterations, termination, message=""):
+        return SolveReport(loop, f_value, termination, trace, iterations, message,
                            max_symmetry_drift=drift_max)
 
     try:
         here = ray_landing(u, spec)
     except NoBracketError as err:
-        return report(u, action(u, spec), "hypothesis_violation", 0,
-                      f"{err.code}: {err}")
+        return report(u, action(u, spec), 0, "hypothesis_violation", f"{err.code}: {err}")
 
     f_cur = here.action(spec)
     step = 1.0
@@ -202,14 +218,9 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     for it in range(opts.max_iterations + 1):
         u = here.loop
         grad = here.action_gradient(spec)
-        rec = cps_append(trace, u, spec, None, grad, f_cur, here.g)
-        if rec.weighted_gradient <= opts.gradient_tolerance:
-            if f_cur <= 0.0 or speed(u) < NONCONSTANT_SPEED:
-                return report(u, f_cur, "hypothesis_violation", it,
-                              "stationary point is constant or has nonpositive level")
-            return report(u, f_cur, "converged", it)
-        if it == opts.max_iterations:
-            return report(u, f_cur, "max_iter", it, "iteration budget exhausted")
+        end = _stop(cps_append(trace, u, spec, None, grad, f_cur, here.g), u, f_cur, it, opts)
+        if end:
+            return report(u, f_cur, it, *end)
 
         if prev_nodes is not None:
             s = u.nodes - prev_nodes
@@ -236,10 +247,9 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
                 break
         else:
             if bracket_failure is not None:
-                return report(u, f_cur, "hypothesis_violation", it,
+                return report(u, f_cur, it, "hypothesis_violation",
                               f"{bracket_failure.code}: {bracket_failure}")
-            return report(u, f_cur, "max_iter", it,
-                          "line search stalled below machine step")
+            return report(u, f_cur, it, "max_iter", "line search stalled below machine step")
         drift_max = max(drift_max, drift)
         here, f_cur, step = landing, f_new, next_step
 
@@ -445,7 +455,8 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
     as a ``hypothesis_violation`` termination instead, so partial diagnostics
     survive.
 
-    Each sweep finds the path maximum over segment interiors, snaps the
+    Each sweep finds the path maximum over segment interiors, passes it
+    through the stationarity gate :func:`_stop`, snaps the
     nearest interior node onto it, moves it one preconditioned descent step,
     and accepts the step only when the maxima of the two modified segments
     show sufficient decrease; interior nodes are then re-equidistributed in
@@ -480,10 +491,8 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
     drift_max = 0.0
     step = 1.0
 
-    def report(loop, f_value, termination, iterations, message=""):
-        return SolveReport(route="mountain_pass", loop=loop, f_value=f_value,
-                           termination=termination, trace=trace,
-                           iterations=iterations, message=message,
+    def report(loop, f_value, iterations, termination, message=""):
+        return SolveReport(loop, f_value, termination, trace, iterations, message,
                            max_symmetry_drift=drift_max, gamma_history=gammas)
 
     for sweep in range(opts.max_iterations + 1):
@@ -494,19 +503,14 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         top = (1.0 - tau) * path[i] + tau * path[i + 1]
         u = LoopPath(top)
         if gamma <= base + collapse_tol:
-            return report(u, gamma, "hypothesis_violation", sweep,
-                          "E_COLLAPSE: path maximum fell to the endpoint level; "
-                          "separation failed numerically")
+            return report(u, gamma, sweep, "hypothesis_violation",
+                          f"{PathCollapseError.code}: path maximum fell to the endpoint "
+                          "level; separation failed numerically")
         here = potential_pass(u, spec)
         grad = here.action_gradient(spec)
-        rec = cps_append(trace, u, spec, radius, grad, gamma, here.g)
-        if rec.weighted_gradient <= opts.gradient_tolerance:
-            if speed(u) < NONCONSTANT_SPEED:
-                return report(u, gamma, "hypothesis_violation", sweep,
-                              "stationary point is constant")
-            return report(u, gamma, "converged", sweep)
-        if sweep == opts.max_iterations:
-            return report(u, gamma, "max_iter", sweep, "sweep budget exhausted")
+        end = _stop(cps_append(trace, u, spec, radius, grad, gamma, here.g), u, gamma, sweep, opts)
+        if end:
+            return report(u, gamma, sweep, *end)
 
         # The path maximum becomes a node: replace the nearest interior one.
         j = i if tau < 0.5 else i + 1
@@ -518,8 +522,7 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
             if math.isfinite(hi) and hi <= bound:
                 break
         else:
-            return report(u, gamma, "max_iter", sweep,
-                          "line search stalled at the path maximum")
+            return report(u, gamma, sweep, "max_iter", "line search stalled at the path maximum")
         drift_max = max(drift_max, drift)
         path[j] = trial.nodes
         seg_vals[j - 1:j + 1], seg_taus[j - 1:j + 1] = vals, taus

@@ -207,6 +207,17 @@ def test_verify_closure_tolerance_gates_the_exit(tmp_path, capsys):
     assert run("verify", str(orb), *HARMONIC, "--closure-tol", "1") == 0
 
 
+@pytest.mark.parametrize("closure_tol", [(), ("--closure-tol", "1e-3")])
+def test_verify_rejects_a_constant_equilibrium(tmp_path, capsys, closure_tol):
+    # q = (sqrt(2.5), 0) is an equilibrium of V = |q|^2/2 - |q|^4/10 at
+    # energy 0.625: every residual vanishes, but a constant is no orbit.
+    orb = tmp_path / "constant.csv"
+    write_orbit_table(orb, np.tile([math.sqrt(2.5), 0.0], (64, 1)), 3.0)
+    argv = ["--potential", "0.5*|q|^2 - 0.1*|q|^4", "--n", "2", "--energy", "0.625"]
+    assert run("verify", str(orb), *argv, *closure_tol) == 1
+    assert capsys.readouterr().out.startswith("period=3 ode_sup=2.22045e-16 energy_sup=0 ")
+
+
 def test_solve_report_timestamp_is_its_only_difference(tmp_path):
     plain, stamped = tmp_path / "plain.txt", tmp_path / "stamped.txt"
     assert run("solve", *HARMONIC, "--nodes", "64", "--no-timestamp", "--report", str(plain)) == 0

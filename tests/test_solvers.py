@@ -173,6 +173,25 @@ def test_minimize_max_iter(harmonic_spec):
     assert rep.iterations == 2
 
 
+def _record(weighted_gradient):
+    return functional.CpsRecord(0, 1.0, 1.0, weighted_gradient, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("weighted_gradient, loop, f_value, it, end", [
+    (1e-7, circle_loop(64, 2), 9.0, 3, ("converged", "")),
+    (1e-7, LoopPath(np.ones((64, 2))), 9.0, 3,
+     ("hypothesis_violation", "stationary point is constant or has nonpositive level")),
+    (1e-7, circle_loop(64, 2), 0.0, 3,
+     ("hypothesis_violation", "stationary point is constant or has nonpositive level")),
+    (1e-7, circle_loop(64, 2), 9.0, 5, ("converged", "")),
+    (1e-5, circle_loop(64, 2), 9.0, 5, ("max_iter", "iteration budget exhausted")),
+    (1e-5, circle_loop(64, 2), -1.0, 4, None),
+])
+def test_stationarity_gate(weighted_gradient, loop, f_value, it, end):
+    opts = SolveOptions(max_iterations=5, gradient_tolerance=1e-6)
+    assert solvers._stop(_record(weighted_gradient), loop, f_value, it, opts) == end
+
+
 def _failing_nehari(monkeypatch, spec, error):
     """A Nehari solve whose ray projection raises ``error`` from its ninth
     call on, so every line-search trial after a few iterations fails."""
@@ -594,6 +613,13 @@ def test_mountain_pass_stalls_with_no_finite_trial_maximum(monkeypatch, expressi
     assert rep.iterations == 2 == len(rep.trace) - 1
     assert rep.f_value == rep.gamma_history[-1] == rep.trace[-1].f_value
     assert rep.f_value == pytest.approx(9.218160810607307, rel=1e-12)
+
+
+def test_mountain_pass_budget_ends_through_the_gate(expression_spec):
+    z1 = build_endpoint(expression_spec, circle_loop(64, 2))
+    rep = mountain_pass(expression_spec, zero_loop(64, 2), z1, SolveOptions(max_iterations=3))
+    assert (rep.termination, rep.message) == ("max_iter", "iteration budget exhausted")
+    assert rep.iterations == 3 == len(rep.trace) - 1
 
 
 def test_mountain_pass_collapse_to_the_endpoint_level(monkeypatch, expression_spec):
