@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import HamorbitError, OrbitFileError
 from .functional import ProblemSpec
-from .loopspace import SYMMETRY_CLASSES, circle_loop, zero_loop
+from .loopspace import MIN_NODES, SYMMETRY_CLASSES, circle_loop, zero_loop
 from .orbit import synthesize, verify_orbit
 from .potentials import (
     PotentialModel,
@@ -32,6 +32,7 @@ from .reportio import render_report, write_orbit_table, read_orbit_table
 from .solvers import (
     INITIAL_LOOPS,
     SolveOptions,
+    SolveReport,
     build_endpoint,
     minimize_on_nehari,
     mountain_pass,
@@ -74,114 +75,116 @@ DEFAULTS = {
 }
 
 
-class ConfigError(Exception):
-    """Bad flags or config file; maps to exit code 2."""
-
-
 def make_potential(text: str, n: int) -> tuple[PotentialModel, float, float]:
     """Build a potential from CLI text.
 
-    ``power_law(a=...,mu1=...,mu2=...)`` (or positional a,mu1[,mu2]) selects
-    the built-in; anything else is parsed as expression source.  Returns the
-    model plus the growth parameters it implies (mu1, mu2 default to 2, 0
-    for expressions and to the power-law exponents otherwise).
+    ``power_law(a=...,mu1=...,mu2=...)`` selects the built-in, and a
+    parameter without a name takes a, mu1 or mu2 by its position; anything
+    else is parsed as expression source.  Returns the model plus the growth
+    parameters it implies (mu1, mu2 default to 2, 0 for expressions and to
+    the power-law exponents otherwise).
     """
     text = text.strip()
     m = _POWER_LAW_RE.match(text)
     if text.startswith("power_law") and m is None:
-        raise ConfigError("power_law potential must look like power_law(a=...,mu1=...,mu2=...)")
-    if m is not None:
-        params = {}
-        positional = []
-        body = m.group(1).strip()
-        if body:
-            for part in body.split(","):
-                part = part.strip()
-                if "=" in part:
-                    key, _, val = part.partition("=")
-                    params[key.strip()] = val
-                else:
-                    positional.append(part)
-        names = ["a", "mu1", "mu2"]
-        for i, val in enumerate(positional):
-            if i >= len(names) or names[i] in params:
-                raise ConfigError("too many positional power_law parameters")
-            params[names[i]] = val
+        raise ValueError("power_law potential must look like power_law(a=...,mu1=...,mu2=...)")
+    if m is None:
+        return parse_potential(text, n), 2.0, 0.0
+    params = {}
+    body = m.group(1).strip()
+    for i, part in enumerate(body.split(",") if body else []):
+        key, named, val = part.partition("=")
+        if not named:
+            if i >= 3:
+                raise ValueError("too many positional power_law parameters")
+            key, val = ("a", "mu1", "mu2")[i], part
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"repeated power_law parameter {key!r}")
+        params[key] = val
+    try:
+        a = float(params.pop("a"))
+        mu1 = float(params.pop("mu1"))
+        mu2 = float(params.pop("mu2", 0.0))
+    except KeyError as err:
+        raise ValueError(f"power_law is missing parameter {err}") from None
+    except ValueError as err:
+        raise ValueError(f"bad power_law parameter: {err}") from None
+    if params:
+        raise ValueError(f"unknown power_law parameters: {sorted(params)}")
+    return PowerLawPotential(a, mu1, mu2, n=n), mu1, mu2
+
+
+def _config_value(action: argparse.Action, value):
+    """A config value read as its flag reads the text that follows it.
+
+    A switch takes JSON true or false.  Any other flag takes a string, or a
+    number where the flag has a type; its type must accept the value's text,
+    and the result must be one of its choices."""
+    key = action.dest
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key} must be true or false, got {json.dumps(value)}")
+        return value
+    parsed = None
+    if isinstance(value, str) or (action.type is not None and type(value) in (int, float)):
         try:
-            a = float(params.pop("a"))
-            mu1 = float(params.pop("mu1"))
-            mu2 = float(params.pop("mu2", 0.0))
-        except KeyError as err:
-            raise ConfigError(f"power_law is missing parameter {err}") from None
-        except ValueError as err:
-            raise ConfigError(f"bad power_law parameter: {err}") from None
-        if params:
-            raise ConfigError(f"unknown power_law parameters: {sorted(params)}")
-        try:
-            return PowerLawPotential(a, mu1, mu2, n=n), mu1, mu2
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-    return parse_potential(text, n), 2.0, 0.0
+            parsed = value if action.type is None else action.type(str(value))
+        except ValueError:
+            pass
+    if parsed is None:
+        raise ValueError(f"config key {key} must be what {action.option_strings[0]} takes, "
+                         f"got {json.dumps(value)}")
+    if action.choices is not None and parsed not in action.choices:
+        raise ValueError(f"unknown {key} {parsed!r}")
+    return parsed
+
+
+def _read_config(path) -> dict:
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        raise ValueError(f"cannot read config file: {err}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a JSON object")
+    unknown = set(cfg) - set(_SETTINGS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return {key: _config_value(_SETTINGS[key], value) for key, value in cfg.items()}
 
 
 def _merged(args: argparse.Namespace) -> dict:
     """Flags win over the config file, which wins over defaults."""
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"cannot read config file: {err}") from None
-        if not isinstance(cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(cfg) - set(DEFAULTS) - {"potential", "n", "energy"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    cfg = _read_config(args.config) if args.config else {}
     out = {}
-    for key in list(DEFAULTS) + ["potential", "n", "energy"]:
+    for key in _SETTINGS:
         flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            out[key] = flag
-        elif key in cfg:
-            out[key] = cfg[key]
-        else:
-            out[key] = DEFAULTS.get(key)
+        out[key] = flag if flag is not None else cfg.get(key, DEFAULTS.get(key))
     return out
 
 
 def _build_options(cls, keys, opts: dict):
-    """Construct ``cls`` from merged options, casting each value to the type
-    of its field's default (config files may give 1 for 1.0)."""
-    return cls(**{FIELD_NAMES.get(key, key): type(default)(opts[key])
-                  for key, default in _field_defaults(cls, keys).items()})
+    """Construct ``cls`` from merged options."""
+    return cls(**{FIELD_NAMES.get(key, key): opts[key] for key in keys})
 
 
 def _require_positive(opts: dict, keys):
-    """Each of ``keys`` that is set must be a positive number (NaN is not),
-    and becomes a float in ``opts``."""
+    """Each of ``keys`` that is set must be a positive number (NaN is not)."""
     for key in keys:
-        if opts[key] is not None:
-            if not float(opts[key]) > 0:
-                raise ConfigError(f"{key} must be positive, got {opts[key]}")
-            opts[key] = float(opts[key])
+        if opts[key] is not None and not opts[key] > 0:
+            raise ValueError(f"{key} must be positive, got {opts[key]}")
 
 
 def _build_problem(opts: dict) -> ProblemSpec:
     if opts["potential"] is None:
-        raise ConfigError("a potential is required (flag --potential or config)")
+        raise ValueError("a potential is required (flag --potential or config)")
     if opts["n"] is None or opts["energy"] is None:
-        raise ConfigError("dimension --n and energy --energy are required")
-    n = int(opts["n"])
-    potential, mu1_default, mu2_default = make_potential(str(opts["potential"]), n)
-    mu1 = float(opts["mu1"]) if opts["mu1"] is not None else mu1_default
-    mu2 = float(opts["mu2"]) if opts["mu2"] is not None else mu2_default
-    try:
-        spec = ProblemSpec(potential, n, float(opts["energy"]), mu1, mu2,
-                           symmetry=opts["symmetry"])
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    return spec
+        raise ValueError("dimension --n and energy --energy are required")
+    potential, mu1_default, mu2_default = make_potential(opts["potential"], opts["n"])
+    mu1 = opts["mu1"] if opts["mu1"] is not None else mu1_default
+    mu2 = opts["mu2"] if opts["mu2"] is not None else mu2_default
+    return ProblemSpec(potential, opts["n"], opts["energy"], mu1, mu2, symmetry=opts["symmetry"])
 
 
 def _run_section(opts: dict, extra=()):
@@ -201,7 +204,7 @@ def _problem_section(spec: ProblemSpec, opts: dict):
         ("mu1", spec.mu1),
         ("mu2", spec.mu2),
         ("symmetry", spec.symmetry),
-        ("nodes", int(opts["nodes"])),
+        ("nodes", opts["nodes"]),
     ]
 
 
@@ -239,7 +242,7 @@ def cmd_check(args) -> int:
 
 
 def _solve_route(spec: ProblemSpec, solve_opts: SolveOptions, opts: dict):
-    nodes = int(opts["nodes"])
+    nodes = opts["nodes"]
     if opts["route"] == "constrained_min":
         return minimize_on_nehari(spec, solve_opts, n_nodes=nodes)
     z0 = zero_loop(nodes, spec.n)
@@ -250,41 +253,38 @@ def _solve_route(spec: ProblemSpec, solve_opts: SolveOptions, opts: dict):
 def cmd_solve(args) -> int:
     opts = _merged(args)
     _require_positive(opts, ("ode_tol", "energy_tol", "mp_radius"))
+    if opts["nodes"] < MIN_NODES:
+        raise ValueError(f"nodes must be at least {MIN_NODES}, got {opts['nodes']}")
     spec = _build_problem(opts)
-    if opts["route"] not in ROUTES:
-        raise ConfigError(f"unknown route {opts['route']!r}")
     solve_opts = _build_options(SolveOptions, SOLVE_KEYS, opts)
 
-    # Every cause of failure, the solver's first.
-    failures = []
+    # A solver error is the outcome of a solve that has no loop.
+    nan = float("nan")
     try:
         solve = _solve_route(spec, solve_opts, opts)
     except HamorbitError as err:
         if err.exit_code == 2:
             raise  # a usage error, such as a grid that does not fit the symmetry
-        solve = None
-        failures.append(f"{err.code}: {err}")
-    else:
-        if solve.message:
-            failures.append(solve.message)
+        solve = SolveReport(None, nan, "hypothesis_violation", message=f"{err.code}: {err}")
 
-    # A hypothesis violation leaves no candidate orbit to integrate.
+    # Every cause of failure, the solver's first.  A hypothesis violation
+    # leaves no candidate orbit to integrate.
+    failures = [solve.message] if solve.message else []
     orbit = None
-    if solve is not None and solve.termination != "hypothesis_violation":
+    if solve.termination != "hypothesis_violation":
         try:
             orbit = synthesize(solve.loop, spec)
         except HamorbitError as err:
             failures.append(f"{err.code}: {err}")
     failure_message = "; ".join(failures)
 
-    nan = float("nan")
     run_items = [
         ("command", "solve"),
         ("route", opts["route"]),
-        ("termination", solve.termination if solve else "hypothesis_violation"),
-        ("iterations", solve.iterations if solve else 0),
+        ("termination", solve.termination),
+        ("iterations", solve.iterations),
         ("message", failure_message),
-        ("f_star", solve.f_value if solve else nan),
+        ("f_star", solve.f_value),
         *((key, getattr(orbit, key) if orbit else nan) for key in ORBIT_ITEMS),
         ("nonconstant", orbit.nonconstant if orbit else False),
         ("ode_tol", opts["ode_tol"]),
@@ -298,20 +298,15 @@ def cmd_solve(args) -> int:
             ("mp_radius", "auto" if opts["mp_radius"] is None else opts["mp_radius"]),
         ]),
     ]
-    text = render_report(
-        sections,
-        trace=solve.trace if solve else [],
-        gamma_history=solve.gamma_history if solve else None,
-    )
-    _emit(text, opts["report"])
+    _emit(render_report(sections, solve.trace, solve.gamma_history), opts["report"])
 
     if orbit is not None and opts["orbit"]:
         write_orbit_table(opts["orbit"], orbit.positions, orbit.period)
 
-    ok = (solve is not None and solve.converged and orbit is not None
+    ok = (solve.converged and orbit is not None
           and orbit.accepts(opts["ode_tol"], opts["energy_tol"]))
     summary = []
-    if solve is not None:
+    if solve.loop is not None:
         summary.append(f"termination={solve.termination} f_star={solve.f_value:.9g}")
     if orbit is not None:
         summary.append(
@@ -405,6 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 _PARSER = build_parser()
 
+# Each setting's one reading rule, from the command line or a config file:
+# its flag's action, by config key.  The keys are every subcommand's flags.
+_SUBCOMMANDS = next(action.choices for action in _PARSER._actions
+                    if isinstance(action, argparse._SubParsersAction))
+_SETTINGS = {action.dest: action for sub in _SUBCOMMANDS.values() for action in sub._actions
+             if action.option_strings and action.dest not in ("help", "config")}
+
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
@@ -418,7 +420,7 @@ def main(argv=None) -> int:
     except HamorbitError as err:
         print(f"error: {err.code}: {err}", file=sys.stderr)
         return err.exit_code
-    except (ConfigError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,7 @@ from .errors import OddNodeCountError
 
 SYMMETRY_CLASSES = ("none", "e1", "e2")
 NONCONSTANT_SPEED = 1e-6  # acceptance gate on ||u'||_{L2}
+MIN_NODES = 8  # the fewest samples a loop may have
 RANDOM_LOOP_MODES = 4  # Fourier modes of random_loop
 
 
@@ -46,8 +47,8 @@ class LoopPath:
         arr = np.array(self.nodes, dtype=float)
         if arr.ndim != 2:
             raise ValueError("nodes must be an (N, n) array")
-        if arr.shape[0] < 8:
-            raise ValueError(f"need at least 8 nodes, got {arr.shape[0]}")
+        if arr.shape[0] < MIN_NODES:
+            raise ValueError(f"need at least {MIN_NODES} nodes, got {arr.shape[0]}")
         if arr.shape[1] < 1:
             raise ValueError("spatial dimension must be >= 1")
         if not np.all(np.isfinite(arr)):
@@ -112,6 +113,13 @@ def dirichlet_energy(u: LoopPath) -> float:
 def speed(u: LoopPath) -> float:
     """L2 norm of the derivative, ||u'||_{L2} = sqrt(2 * dirichlet_energy(u))."""
     return math.sqrt(2.0 * dirichlet_energy(u))
+
+
+def is_nonconstant(nodes: np.ndarray) -> bool:
+    """The one rule for a nonconstant loop: the loop with these (N, n) nodes
+    has :func:`speed` at least ``NONCONSTANT_SPEED``, to the bit of
+    ``speed``."""
+    return math.sqrt(2.0 * stacked_dirichlet_energy(nodes[None])[0]) >= NONCONSTANT_SPEED
 
 
 def stacked_h1_norm(loops: np.ndarray, speeds=None) -> np.ndarray:

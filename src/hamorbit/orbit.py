@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BlowupError, DomainError, NonpositiveActionError
 from .functional import ProblemSpec, _factors
-from .loopspace import NONCONSTANT_SPEED, LoopPath, periodic_shift, stacked_dirichlet_energy
+from .loopspace import LoopPath, is_nonconstant, periodic_shift
 from .potentials import PotentialModel
 
 BLOWUP_LIMIT = 1e8
@@ -272,8 +272,8 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
     :class:`OrbitResult`.
 
     The residuals come from :func:`orbit_residuals`; the orbit is
-    nonconstant when ``speed``'s rule, sqrt(2 * Dirichlet energy) of the
-    positions as a loop, reaches ``NONCONSTANT_SPEED``.
+    nonconstant when its positions, as a loop, pass
+    :func:`~hamorbit.loopspace.is_nonconstant`.
 
     The closure test starts from (q_0, central-difference velocity at q_0).
     Its rungs run ``min(8, cap // 2)`` steps and double, never past the cap
@@ -303,8 +303,7 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
         if steps >= cap or closure_err <= CLOSURE_REL_ERR * closure:
             break
         coarse, coarse_steps = closure, steps
-    nonconstant = math.sqrt(2.0 * stacked_dirichlet_energy(q[None])[0]) >= NONCONSTANT_SPEED
-    return OrbitResult(period, q, ode_sup, energy_sup, closure, closure_err, nonconstant)
+    return OrbitResult(period, q, ode_sup, energy_sup, closure, closure_err, is_nonconstant(q))
 
 
 def synthesize(u: LoopPath, spec: ProblemSpec) -> OrbitResult:

@@ -200,6 +200,8 @@ class SamplerConfig:
             raise ValueError("need 0 < r_min < r_max")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

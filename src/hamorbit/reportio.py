@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OrbitFileError
+from .loopspace import MIN_NODES
 
 REPORT_HEADER = "# hamorbit report v1"
 TRACE_COLUMNS = ("iteration", "f_value", "loop_norm", "weighted_gradient",
@@ -137,8 +138,9 @@ def read_orbit_table(path):
             data.append([float(p) for p in parts])
         except ValueError:
             raise OrbitFileError("unparsable number", line=lineno) from None
-    if len(data) < 9:
-        raise OrbitFileError("need at least 9 sample rows (8 nodes + closing row)",
+    if len(data) < MIN_NODES + 1:
+        raise OrbitFileError(f"need at least {MIN_NODES + 1} sample rows "
+                             f"({MIN_NODES} nodes + closing row)",
                              line=len(lines))
     arr = np.array(data)
     times, positions = arr[:-1, 0], arr[:-1, 1:]

@@ -61,10 +61,10 @@ from .functional import (
     stacked_action_gradient,
 )
 from .loopspace import (
-    NONCONSTANT_SPEED,
     LoopPath,
     circle_loop,
     integrate,
+    is_nonconstant,
     project_symmetric,
     random_loop,
     sobolev_precondition,
@@ -96,13 +96,15 @@ class SolveOptions:
             raise ValueError("gradient_tolerance must be positive")
         if self.path_points < 8:
             raise ValueError("path_points must be >= 8")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.initial_loop not in INITIAL_LOOPS:
             raise ValueError(f"initial_loop must be one of {INITIAL_LOOPS}")
 
 
 @dataclass
 class SolveReport:
-    loop: LoopPath
+    loop: LoopPath | None  # None when the solver raised before it had one
     f_value: float
     termination: str  # converged | max_iter | hypothesis_violation
     trace: list[CpsRecord] = field(default_factory=list)
@@ -142,7 +144,7 @@ def _stop(rec: CpsRecord, u: LoopPath, f_value: float, it: int, opts: SolveOptio
     budget is used up.
     """
     if rec.weighted_gradient <= opts.gradient_tolerance:
-        if f_value <= 0.0 or speed(u) < NONCONSTANT_SPEED:
+        if f_value <= 0.0 or not is_nonconstant(u.nodes):
             return "hypothesis_violation", "stationary point is constant or has nonpositive level"
         return "converged", ""
     if it == opts.max_iterations:

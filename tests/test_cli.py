@@ -1,4 +1,5 @@
 import argparse
+import json
 import math
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 import hamorbit
 from conftest import count_calls
 from hamorbit import cli
-from hamorbit.cli import ConfigError, build_parser, main, make_potential
+from hamorbit.cli import build_parser, main, make_potential
 from hamorbit.errors import BlowupError
 from hamorbit.potentials import ExpressionPotential, PowerLawPotential
 from hamorbit.reportio import parse_report, read_orbit_table, write_orbit_table
@@ -30,9 +31,9 @@ def test_make_potential_forms():
     assert p.a == 0.25 and p.mu1 == 4.0 and p.mu2 == 0.0 and p.n == 3
     p, mu1, mu2 = make_potential("0.5*|q|^2", 2)
     assert isinstance(p, ExpressionPotential) and mu1 == 2.0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         make_potential("power_law(a=0.5)", 2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         make_potential("power_law(1,2,3,4)", 2)
 
 
@@ -107,6 +108,44 @@ def test_solve_mountain_pass_route(tmp_path):
     assert abs(float(doc["run"]["f_star"]) - np.pi**2) < 0.1
 
 
+COLLAPSE_MESSAGE = ("E_COLLAPSE: derivative sphere does not separate the endpoints: "
+                    "{'speed_z0': 0.0, 'speed_z1': 12.561324627819012, 'radius': 50.0}")
+COLLAPSE_REPORT = f"""# hamorbit report v1
+[run]
+command = solve
+route = mountain_pass
+termination = hypothesis_violation
+iterations = 0
+message = {COLLAPSE_MESSAGE}
+f_star = nan
+period = nan
+ode_sup = nan
+energy_sup = nan
+closure = nan
+closure_err = nan
+nonconstant = false
+ode_tol = 0.01
+energy_tol = 0.01
+[problem]
+potential = power_law(a=0.5,mu1=2,mu2=0)
+n = 2
+energy = 1
+mu1 = 2
+mu2 = 0
+symmetry = e1
+nodes = 64
+[options]
+seed = 0
+max_iterations = 5000
+gradient_tolerance = 9.9999999999999995e-07
+path_points = 16
+init = circle
+mp_radius = 50
+[cps_trace]
+# iteration f_value loop_norm weighted_gradient distance_proxy constraint_residual
+"""
+
+
 def test_solve_collapse_reports_and_fails(tmp_path, capsys):
     rep = tmp_path / "bad.txt"
     code = run("solve", *HARMONIC, "--route", "mountain_pass", "--nodes", "64",
@@ -115,6 +154,9 @@ def test_solve_collapse_reports_and_fails(tmp_path, capsys):
     doc = parse_report(rep.read_text())
     assert doc["run"]["termination"] == "hypothesis_violation"
     assert "E_COLLAPSE" in doc["run"]["message"]
+    # A solver that raises leaves no loop: no level, no trace, no orbit.
+    assert rep.read_text() == COLLAPSE_REPORT
+    assert capsys.readouterr().err == f"failed: {COLLAPSE_MESSAGE}\n"
 
 
 def test_solve_nonconvergence_exits_1(tmp_path):
@@ -424,14 +466,19 @@ def test_invalid_settings_exit_2_naming_them(tmp_path, capsys, argv, setting):
     assert not rep.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--ode-tol", "nan"), ("--energy-tol", "0"),
-                                         ("--mp-radius", "nan"), ("--mp-radius", "-1")])
-def test_solve_nonpositive_tolerance_exits_2_before_solving(tmp_path, capsys, monkeypatch,
-                                                             flag, value):
-    def no_solve(*args):
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if a solve starts."""
+    def solve(*args):
         raise AssertionError("the solve ran")
 
-    monkeypatch.setattr(cli, "_solve_route", no_solve)
+    monkeypatch.setattr(cli, "_solve_route", solve)
+
+
+@pytest.mark.parametrize("flag, value", [("--ode-tol", "nan"), ("--energy-tol", "0"),
+                                         ("--mp-radius", "nan"), ("--mp-radius", "-1")])
+def test_solve_nonpositive_tolerance_exits_2_before_solving(tmp_path, capsys, no_solve,
+                                                             flag, value):
     rep = tmp_path / "r.txt"
     assert run("solve", *HARMONIC, "--route", "mountain_pass", "--nodes", "64",
                flag, value, "--report", str(rep)) == 2
@@ -511,7 +558,10 @@ def test_verify_rejects_an_edited_table(tmp_path, capsys, harmonic_table, case, 
     ("power_law(a=x,mu1=2)", "bad power_law parameter: could not convert string to float: 'x'"),
     ("q1 q2", "E_PARSE: unexpected 'q2' at position 4 (expected end of input, operator)"),
     ("|x|", "E_PARSE: unexpected 'x' at position 2 (expected 'q')"),
-], ids=["unclosed", "unknown_parameter", "bad_number", "two_terms", "norm_of_x"])
+    ("power_law(a=0.5,mu1=2,a=3)", "repeated power_law parameter 'a'"),
+    ("power_law(0.5,a=1,mu1=2)", "repeated power_law parameter 'a'"),
+], ids=["unclosed", "unknown_parameter", "bad_number", "two_terms", "norm_of_x",
+        "repeated_name", "named_after_position"])
 def test_bad_potential_text_exits_2(capsys, potential, message):
     assert run("check", "--potential", potential, "--n", "2", "--energy", "1") == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -535,3 +585,97 @@ def test_check_names_the_first_offending_sample(capsys):
     assert run("check", *argv) == 1
     assert capsys.readouterr().err == ("error: E_DOMAIN: expression evaluated to a non-finite "
                                        "value at sample (-7.94708,5.36455)\n")
+
+
+CONFIG_PROBLEM = {"potential": "power_law(a=0.5,mu1=2,mu2=0)", "n": 2, "energy": 1, "nodes": 64}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ode_tol", None), ("nodes", None), ("no_timestamp", "false"), ("max_iterations", True),
+    ("path_points", 9.7), ("seed", 1.5), ("nodes", 64.9), ("n", 2.7), ("report", 1),
+    ("nodes", 64.0), ("max_iterations", 1e3), ("energy", [1]), ("symmetry", {"e1": 1}),
+    ("init", "user"),
+], ids=["ode_tol_null", "nodes_null", "no_timestamp_string", "max_iterations_true",
+        "path_points_fraction", "seed_fraction", "nodes_fraction", "n_fraction",
+        "report_number", "nodes_float", "max_iterations_exponent", "energy_list",
+        "symmetry_object", "unknown_init"])
+def test_config_value_is_read_as_its_flag_reads_it(tmp_path, capsys, monkeypatch, no_solve,
+                                                    key, value):
+    monkeypatch.chdir(tmp_path)
+    config = {**CONFIG_PROBLEM, key: value}
+    if key != "nodes":
+        del config["nodes"]  # from the flag, unless the case is about nodes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["solve", "--config", str(cfg)] + ([] if key == "nodes" else ["--nodes", "64"])
+    if key != "report":
+        argv += ["--report", "r.txt"]
+    assert run(*argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and key in out.err and out.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+SOLVE_SETTINGS = {
+    "potential": "power_law(a=0.5,mu1=2,mu2=0)", "n": 2, "energy": 1.0, "mu1": 2.0, "mu2": 0.0,
+    "seed": 4, "no_timestamp": True, "symmetry": "e2", "route": "constrained_min", "nodes": 64,
+    "max_iterations": 300, "gradient_tolerance": 1e-07, "path_points": 12,
+    "init": "random_bandlimited", "mp_radius": 2.5, "ode_tol": 0.02, "energy_tol": 0.03,
+}
+CHECK_SETTINGS = {
+    "potential": "power_law(a=0.5,mu1=2,mu2=0)", "n": 2, "energy": 1.0, "mu1": 2.0, "mu2": 0.0,
+    "seed": 5, "no_timestamp": True, "samples": 40, "r_min": 0.5, "r_max": 4.0, "radii": 16,
+    "tolerance": 1e-08,
+}
+
+
+def as_flags(settings):
+    argv = []
+    for key, value in settings.items():
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if value is True else [flag, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("command, settings, files", [
+    ("solve", SOLVE_SETTINGS, ("report", "orbit")),
+    ("check", CHECK_SETTINGS, ("report",)),
+])
+def test_config_file_and_flags_give_identical_files(tmp_path, command, settings, files):
+    outputs = {}
+    for how in ("flags", "config"):
+        paths = {name: str(tmp_path / f"{how}.{name}") for name in files}
+        if how == "flags":
+            argv = as_flags({**settings, **paths})
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**settings, **paths}))
+            argv = ["--config", str(cfg)]
+        assert run(command, *argv) in (0, 1)
+        outputs[how] = [(tmp_path / f"{how}.{name}").read_bytes() for name in files]
+    assert outputs["flags"] == outputs["config"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("check", []), ("solve", ["--init", "random_bandlimited", "--nodes", "64"]),
+])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_negative_seed_exits_2_naming_it(tmp_path, capsys, command, extra, how):
+    if how == "flag":
+        argv = ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": -1}')
+        argv = ["--config", str(cfg)]
+    rep = tmp_path / "r.txt"
+    assert run(command, *HARMONIC, *extra, *argv, "--report", str(rep)) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("nodes", ["-2", "0", "7"])
+def test_too_few_nodes_exit_2_before_solving(tmp_path, capsys, no_solve, nodes):
+    rep = tmp_path / "r.txt"
+    assert run("solve", *HARMONIC, "--nodes", nodes, "--report", str(rep)) == 2
+    assert capsys.readouterr().err == f"error: nodes must be at least 8, got {nodes}\n"
+    assert not rep.exists()

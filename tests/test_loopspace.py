@@ -15,7 +15,16 @@ from hamorbit import (
     sobolev_precondition,
     velocity,
 )
-from hamorbit.loopspace import periodic_shift, stacked_dirichlet_energy, stacked_h1_norm
+from hamorbit import orbit, solvers
+from hamorbit.loopspace import (
+    MIN_NODES,
+    NONCONSTANT_SPEED,
+    is_nonconstant,
+    periodic_shift,
+    speed,
+    stacked_dirichlet_energy,
+    stacked_h1_norm,
+)
 
 
 def test_loop_validation():
@@ -27,6 +36,26 @@ def test_loop_validation():
     bad[3, 1] = np.nan
     with pytest.raises(ValueError):
         LoopPath(bad)
+
+
+def test_fewest_nodes_a_loop_may_have():
+    assert LoopPath(np.zeros((MIN_NODES, 2))).N == MIN_NODES == 8
+    with pytest.raises(ValueError, match="need at least 8 nodes, got 7"):
+        LoopPath(np.zeros((MIN_NODES - 1, 2)))
+
+
+def test_nonconstant_rule_is_speed_reaching_the_gate():
+    # Circles scaled across the gate and a constant: the rule is speed's, bit
+    # for bit.
+    u = circle_loop(16, 2)
+    loops = [LoopPath(s * u.nodes / speed(u))
+             for s in np.linspace(0.5, 1.5, 11) * NONCONSTANT_SPEED]
+    loops += [LoopPath(np.tile([0.3, -0.1], (16, 1))), circle_loop(64, 3)]
+    for v in loops:
+        assert is_nonconstant(v.nodes) is (speed(v) >= NONCONSTANT_SPEED)
+    assert not is_nonconstant(loops[0].nodes) and is_nonconstant(loops[-1].nodes)
+    # The solver and the orbit check read the rule; neither keeps the gate.
+    assert not hasattr(solvers, "NONCONSTANT_SPEED") and not hasattr(orbit, "NONCONSTANT_SPEED")
 
 
 def test_velocity_constant_loop_is_zero():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hamorbit.errors import OrbitFileError
+from hamorbit.loopspace import MIN_NODES
 from hamorbit.reportio import read_orbit_table, write_orbit_table
 
 
@@ -61,6 +62,8 @@ def reject_cases():
         "inf_entry": (edited(rows, 7, "0.3125,inf,1.0"), 7, "non-finite entries in orbit table"),
         "period": (edited(rows, last, "-1," + rows[1].split(",", 1)[1]), last,
                    "closing row must carry the positive period"),
+        "too_few_rows": (good_rows(MIN_NODES - 1), MIN_NODES + 1,
+                         "need at least 9 sample rows (8 nodes + closing row)"),
     }
 
 
@@ -73,3 +76,10 @@ def test_reader_rejects_with_the_line(tmp_path, case):
         read_orbit_table(path)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+def test_reader_takes_the_fewest_nodes_a_loop_may_have(tmp_path):
+    path = tmp_path / "orbit.csv"
+    path.write_text("".join(row + "\n" for row in good_rows(MIN_NODES)))
+    positions, period = read_orbit_table(path)
+    assert positions.shape == (MIN_NODES, 2) and period == 1.0
