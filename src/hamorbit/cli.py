@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import datetime
 import json
+import math
 import re
 import sys
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import HamorbitError, OrbitFileError
 from .functional import ProblemSpec
-from .loopspace import MIN_NODES, SYMMETRY_CLASSES, circle_loop, zero_loop
+from .loopspace import MIN_NODES, SYMMETRY_CLASSES, check_grid, circle_loop, zero_loop
 from .orbit import synthesize, verify_orbit
 from .potentials import (
     PotentialModel,
@@ -51,26 +52,25 @@ SOLVE_KEYS = ("seed", "max_iterations", "gradient_tolerance", "path_points", "in
 CHECK_KEYS = ("samples", "r_min", "r_max", "radii", "tolerance", "seed")
 FIELD_NAMES = {"init": "initial_loop"}
 
+# Settings that must be positive when set (NaN is not).
+POSITIVE_KEYS = ("ode_tol", "energy_tol", "closure_tol", "mp_radius")
+
 
 def _field_defaults(cls, keys) -> dict:
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     return {key: defaults[FIELD_NAMES.get(key, key)] for key in keys}
 
 
+# A setting with no entry here defaults to None: mu1 and mu2 then come from
+# the potential, and mp_radius, closure_tol, report and orbit are unset.
 DEFAULTS = {
-    "mu1": None,  # resolved from the potential when possible
-    "mu2": None,
     "symmetry": "e1",
     "route": "constrained_min",
     "nodes": 256,
     **_field_defaults(SolveOptions, SOLVE_KEYS),
-    "mp_radius": None,
     "ode_tol": 1e-2,
     "energy_tol": 1e-2,
-    "closure_tol": None,
     **_field_defaults(SamplerConfig, CHECK_KEYS),
-    "report": None,
-    "orbit": None,
     "no_timestamp": False,
 }
 
@@ -155,13 +155,29 @@ def _read_config(path) -> dict:
 
 
 def _merged(args: argparse.Namespace) -> dict:
-    """Flags win over the config file, which wins over defaults."""
+    """The running subcommand's settings, and only those: its flags win over
+    the config file, which wins over defaults.  Every check that no
+    dataclass makes runs here, once, before any work."""
     cfg = _read_config(args.config) if args.config else {}
-    out = {}
-    for key in _SETTINGS:
-        flag = getattr(args, key, None)
-        out[key] = flag if flag is not None else cfg.get(key, DEFAULTS.get(key))
-    return out
+    opts = {}
+    for key in (action.dest for action in _SUBCOMMANDS[args.command]._actions):
+        if key in _SETTINGS:
+            flag = getattr(args, key)
+            opts[key] = flag if flag is not None else cfg.get(key, DEFAULTS.get(key))
+    for key in POSITIVE_KEYS:
+        if opts.get(key) is not None and not opts[key] > 0:
+            raise ValueError(f"{key} must be positive, got {opts[key]}")
+    if "nodes" in opts:
+        if opts["nodes"] < MIN_NODES:
+            raise ValueError(f"nodes must be at least {MIN_NODES}, got {opts['nodes']}")
+        check_grid(opts["nodes"], opts["symmetry"])
+    if opts["potential"] is None:
+        raise ValueError("a potential is required (flag --potential or config)")
+    if opts["n"] is None or opts["energy"] is None:
+        raise ValueError("dimension --n and energy --energy are required")
+    if not math.isfinite(opts["energy"]):
+        raise ValueError(f"h must be finite, got {opts['energy']}")
+    return opts
 
 
 def _build_options(cls, keys, opts: dict):
@@ -169,22 +185,13 @@ def _build_options(cls, keys, opts: dict):
     return cls(**{FIELD_NAMES.get(key, key): opts[key] for key in keys})
 
 
-def _require_positive(opts: dict, keys):
-    """Each of ``keys`` that is set must be a positive number (NaN is not)."""
-    for key in keys:
-        if opts[key] is not None and not opts[key] > 0:
-            raise ValueError(f"{key} must be positive, got {opts[key]}")
-
-
 def _build_problem(opts: dict) -> ProblemSpec:
-    if opts["potential"] is None:
-        raise ValueError("a potential is required (flag --potential or config)")
-    if opts["n"] is None or opts["energy"] is None:
-        raise ValueError("dimension --n and energy --energy are required")
+    """The problem of ``check`` (symmetry none) or ``solve``."""
     potential, mu1_default, mu2_default = make_potential(opts["potential"], opts["n"])
     mu1 = opts["mu1"] if opts["mu1"] is not None else mu1_default
     mu2 = opts["mu2"] if opts["mu2"] is not None else mu2_default
-    return ProblemSpec(potential, opts["n"], opts["energy"], mu1, mu2, symmetry=opts["symmetry"])
+    return ProblemSpec(potential, opts["n"], opts["energy"], mu1, mu2,
+                       symmetry=opts.get("symmetry", "none"))
 
 
 def _run_section(opts: dict, extra=()):
@@ -196,16 +203,9 @@ def _run_section(opts: dict, extra=()):
     return items
 
 
-def _problem_section(spec: ProblemSpec, opts: dict):
-    return [
-        ("potential", spec.potential.describe()),
-        ("n", spec.n),
-        ("energy", spec.h),
-        ("mu1", spec.mu1),
-        ("mu2", spec.mu2),
-        ("symmetry", spec.symmetry),
-        ("nodes", opts["nodes"]),
-    ]
+def _problem_section(spec: ProblemSpec):
+    return [("potential", spec.potential.describe()), ("n", spec.n), ("energy", spec.h),
+            ("mu1", spec.mu1), ("mu2", spec.mu2)]
 
 
 def _emit(text: str, path):
@@ -233,7 +233,7 @@ def cmd_check(args) -> int:
     if opts["report"]:
         sections = [
             ("run", _run_section(opts, [("command", "check")])),
-            ("problem", _problem_section(spec, opts)),
+            ("problem", _problem_section(spec)),
             ("hypotheses", [(r.hypothesis, f"{r.verdict} residual={r.residual:.17g}")
                             for r in reports]),
         ]
@@ -252,9 +252,6 @@ def _solve_route(spec: ProblemSpec, solve_opts: SolveOptions, opts: dict):
 
 def cmd_solve(args) -> int:
     opts = _merged(args)
-    _require_positive(opts, ("ode_tol", "energy_tol", "mp_radius"))
-    if opts["nodes"] < MIN_NODES:
-        raise ValueError(f"nodes must be at least {MIN_NODES}, got {opts['nodes']}")
     spec = _build_problem(opts)
     solve_opts = _build_options(SolveOptions, SOLVE_KEYS, opts)
 
@@ -265,7 +262,7 @@ def cmd_solve(args) -> int:
     except HamorbitError as err:
         if err.exit_code == 2:
             raise  # a usage error, such as a grid that does not fit the symmetry
-        solve = SolveReport(None, nan, "hypothesis_violation", message=f"{err.code}: {err}")
+        solve = SolveReport(None, nan, "hypothesis_violation", message=err.reason())
 
     # Every cause of failure, the solver's first.  A hypothesis violation
     # leaves no candidate orbit to integrate.
@@ -275,7 +272,7 @@ def cmd_solve(args) -> int:
         try:
             orbit = synthesize(solve.loop, spec)
         except HamorbitError as err:
-            failures.append(f"{err.code}: {err}")
+            failures.append(err.reason())
     failure_message = "; ".join(failures)
 
     run_items = [
@@ -292,7 +289,8 @@ def cmd_solve(args) -> int:
     ]
     sections = [
         ("run", _run_section(opts, run_items)),
-        ("problem", _problem_section(spec, opts)),
+        ("problem", _problem_section(spec)
+                    + [("symmetry", spec.symmetry), ("nodes", opts["nodes"])]),
         ("options", [
             *((key, getattr(solve_opts, FIELD_NAMES.get(key, key))) for key in SOLVE_KEYS),
             ("mp_radius", "auto" if opts["mp_radius"] is None else opts["mp_radius"]),
@@ -320,15 +318,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # An orbit solves the ODE at energy h whatever the growth parameters,
+    # which belong to the variational method: verify reads none.
     opts = _merged(args)
-    _require_positive(opts, ("ode_tol", "energy_tol", "closure_tol"))
-    spec = _build_problem(opts)
+    potential = make_potential(opts["potential"], opts["n"])[0]
     positions, period = read_orbit_table(args.orbit_file)
-    if positions.shape[1] != spec.n:
+    if positions.shape[1] != opts["n"]:
         raise OrbitFileError(
-            f"orbit has dimension {positions.shape[1]}, spec has {spec.n}", line=1
+            f"orbit has dimension {positions.shape[1]}, spec has {opts['n']}", line=1
         )
-    orbit = verify_orbit(positions, period, spec.potential, spec.h)
+    orbit = verify_orbit(positions, period, potential, opts["energy"])
     print(f"period={orbit.period:.9g} "
           + " ".join(f"{key}={getattr(orbit, key):.6g}" for key in ORBIT_ITEMS[1:]))
     return 0 if orbit.accepts(opts["ode_tol"], opts["energy_tol"], opts["closure_tol"]) else 1
@@ -337,14 +336,17 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_problem_flags(p):
+def _add_problem_flags(p, growth=True):
+    """The problem's flags; ``verify`` takes them without the growth
+    parameters, which only the variational method reads."""
     p.add_argument("--potential", help="power_law(a=...,mu1=...,mu2=...) or expression text "
                                        "over q1..qn and |q| (functions: exp log sin cos sqrt abs; "
                                        "^ is right-associative and binds tighter than unary minus)")
     p.add_argument("--n", type=int, help="configuration-space dimension")
     p.add_argument("--energy", type=float, help="prescribed energy level h")
-    p.add_argument("--mu1", type=float, help="growth exponent (default: from the potential)")
-    p.add_argument("--mu2", type=float, help="growth offset (default: from the potential)")
+    if growth:
+        p.add_argument("--mu1", type=float, help="growth exponent (default: from the potential)")
+        p.add_argument("--mu2", type=float, help="growth offset (default: from the potential)")
     p.add_argument("--config", help="JSON config file; explicit flags win")
 
 
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="re-verify an orbit table from the file alone")
     p_verify.add_argument("orbit_file")
-    _add_problem_flags(p_verify)
+    _add_problem_flags(p_verify, growth=False)
     p_verify.add_argument("--ode-tol", type=float, dest="ode_tol")
     p_verify.add_argument("--energy-tol", type=float, dest="energy_tol")
     p_verify.add_argument("--closure-tol", type=float, dest="closure_tol")
@@ -401,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 # Each setting's one reading rule, from the command line or a config file:
-# its flag's action, by config key.  The keys are every subcommand's flags.
+# its flag's action, by config key.  The keys are every subcommand's flags, so
+# one file serves all three; each subcommand reads only its own (_merged).
 _SUBCOMMANDS = next(action.choices for action in _PARSER._actions
                     if isinstance(action, argparse._SubParsersAction))
 _SETTINGS = {action.dest: action for sub in _SUBCOMMANDS.values() for action in sub._actions
@@ -418,7 +421,7 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return command(args)
     except HamorbitError as err:
-        print(f"error: {err.code}: {err}", file=sys.stderr)
+        print(f"error: {err.reason()}", file=sys.stderr)
         return err.exit_code
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

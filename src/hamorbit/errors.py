@@ -13,6 +13,11 @@ class HamorbitError(Exception):
     code = "E_ERROR"
     exit_code = 1
 
+    def reason(self) -> str:
+        """The failure's one line, ``code: message``, as reports and the
+        CLI's stderr show it."""
+        return f"{self.code}: {self}"
+
 
 class ExpressionParseError(HamorbitError):
     """Raised when potential source text does not parse.

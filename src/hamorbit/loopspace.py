@@ -67,6 +67,14 @@ def check_symmetry(tag: str) -> str:
     return tag
 
 
+def check_grid(n_nodes: int, symmetry: str) -> None:
+    """The one parity rule: the ``e1`` class needs an even node count, so
+    t + 1/2 lands on the grid; a grid of ``n_nodes`` that cannot hold a
+    loop of the class raises :class:`OddNodeCountError`."""
+    if symmetry == "e1" and n_nodes % 2:
+        raise OddNodeCountError(f"half-period symmetry needs an even node count, got {n_nodes}")
+
+
 def periodic_shift(x: np.ndarray, j: int) -> np.ndarray:
     """x_{k+j}, k + j mod N, along the node axis (-2) of an (N, n) loop or an
     (L, N, n) stack, joined from two slices: bit for bit a circular roll
@@ -148,7 +156,7 @@ def project_symmetric(u: LoopPath, symmetry: str) -> LoopPath:
     """Orthogonal projection onto a symmetry subspace of loop space.
 
     ``e1`` keeps the half-period antisymmetric part w(t) = (u(t) - u(t+1/2))/2
-    and needs an even node count so t + 1/2 lands on the grid; ``e2`` keeps
+    and needs an even node count (:func:`check_grid`); ``e2`` keeps
     the odd part w(t) = (u(t) - u(-t))/2.  ``none`` is the identity.  Both
     projections are idempotent exactly in floating point.
     """
@@ -156,8 +164,7 @@ def project_symmetric(u: LoopPath, symmetry: str) -> LoopPath:
     if symmetry == "none":
         return u
     if symmetry == "e1":
-        if u.N % 2:
-            raise OddNodeCountError(f"half-period symmetry needs an even node count, got {u.N}")
+        check_grid(u.N, symmetry)
         return LoopPath(0.5 * (u.nodes - periodic_shift(u.nodes, u.N // 2)))
     return LoopPath(0.5 * (u.nodes - u.nodes[-np.arange(u.N) % u.N]))
 

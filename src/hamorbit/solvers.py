@@ -62,6 +62,7 @@ from .functional import (
 )
 from .loopspace import (
     LoopPath,
+    check_grid,
     circle_loop,
     integrate,
     is_nonconstant,
@@ -212,7 +213,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     try:
         here = ray_landing(u, spec)
     except NoBracketError as err:
-        return report(u, action(u, spec), 0, "hypothesis_violation", f"{err.code}: {err}")
+        return report(u, action(u, spec), 0, "hypothesis_violation", err.reason())
 
     f_cur = here.action(spec)
     step = 1.0
@@ -249,8 +250,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
                 break
         else:
             if bracket_failure is not None:
-                return report(u, f_cur, it, "hypothesis_violation",
-                              f"{bracket_failure.code}: {bracket_failure}")
+                return report(u, f_cur, it, "hypothesis_violation", bracket_failure.reason())
             return report(u, f_cur, it, "max_iter", "line search stalled below machine step")
         drift_max = max(drift_max, drift)
         here, f_cur, step = landing, f_new, next_step
@@ -455,7 +455,8 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
     derivative norm) must separate them; otherwise the geometry carries no barrier and the solve
     raises :class:`PathCollapseError` up front.  Mid-run collapse is reported
     as a ``hypothesis_violation`` termination instead, so partial diagnostics
-    survive.
+    survive.  A grid that cannot hold a loop of the symmetry class raises
+    :class:`OddNodeCountError` before any sweep (:func:`check_grid`).
 
     Each sweep finds the path maximum over segment interiors, passes it
     through the stationarity gate :func:`_stop`, snaps the
@@ -470,6 +471,7 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
     evaluating every candidate in full, bit for bit.
     """
     opts = opts or SolveOptions()
+    check_grid(z0.N, spec.symmetry)
     f0, f1 = action(z0, spec), action(z1, spec)
     if f0 > 0.0 or f1 > 0.0:
         raise PathCollapseError(
@@ -505,9 +507,8 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         top = (1.0 - tau) * path[i] + tau * path[i + 1]
         u = LoopPath(top)
         if gamma <= base + collapse_tol:
-            return report(u, gamma, sweep, "hypothesis_violation",
-                          f"{PathCollapseError.code}: path maximum fell to the endpoint "
-                          "level; separation failed numerically")
+            return report(u, gamma, sweep, "hypothesis_violation", PathCollapseError(
+                "path maximum fell to the endpoint level; separation failed numerically").reason())
         here = potential_pass(u, spec)
         grad = here.action_gradient(spec)
         end = _stop(cps_append(trace, u, spec, radius, grad, gamma, here.g), u, gamma, sweep, opts)

@@ -13,7 +13,7 @@ import hamorbit
 from conftest import count_calls
 from hamorbit import cli
 from hamorbit.cli import build_parser, main, make_potential
-from hamorbit.errors import BlowupError
+from hamorbit.errors import BlowupError, OrbitFileError, PathCollapseError
 from hamorbit.potentials import ExpressionPotential, PowerLawPotential
 from hamorbit.reportio import parse_report, read_orbit_table, write_orbit_table
 
@@ -301,6 +301,21 @@ def test_mountain_pass_without_symmetry(tmp_path):
     assert run_section["message"].startswith("E_COLLAPSE: ")
 
 
+@pytest.mark.parametrize("potential, nodes", [("power_law(a=0.5,mu1=2,mu2=0)", "9"),
+                                             ("0.5*|q|^2 + 0.1*q1^4", "33")],
+                         ids=["harmonic_N9", "expression_N33"])
+def test_mountain_pass_on_an_odd_e1_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                 potential, nodes):
+    endpoints = count_calls(monkeypatch, cli, "build_endpoint")
+    rep = tmp_path / "r.txt"
+    assert run("solve", "--potential", potential, "--n", "2", "--energy", "1",
+               "--route", "mountain_pass", "--symmetry", "e1", "--nodes", nodes,
+               "--report", str(rep)) == 2
+    assert capsys.readouterr().err == ("error: E_ODD_N: half-period symmetry needs an even "
+                                       f"node count, got {nodes}\n")
+    assert endpoints == [] and not rep.exists()
+
+
 def test_solve_odd_nodes_with_half_period_symmetry_exits_2(tmp_path, capsys):
     rep = tmp_path / "r.txt"
     assert run("solve", *HARMONIC, "--symmetry", "e1", "--nodes", "63",
@@ -328,6 +343,9 @@ def test_check_report_writes_the_hypotheses(tmp_path, capsys):
     assert run("check", *HARMONIC, "--no-timestamp", "--report", str(rep)) == 0
     doc = parse_report(rep.read_text())
     assert doc["run"] == {"command": "check"}
+    # check samples no loop: no symmetry and no node count.
+    assert doc["problem"] == {"potential": "power_law(a=0.5,mu1=2,mu2=0)", "n": "2",
+                              "energy": "1", "mu1": "2", "mu2": "0"}
     assert list(doc["hypotheses"]) == ["B1", "B2", "B3", "B4", "B5"]
     assert all(v.startswith("pass residual=") for v in doc["hypotheses"].values())
 
@@ -411,7 +429,8 @@ def test_subcommand_flags_are_the_ones_read():
         "solve": PROBLEM_DESTS + RUN_DESTS + [
             "symmetry", "route", "nodes", "max_iterations", "gradient_tolerance",
             "path_points", "init", "mp_radius", "orbit", "ode_tol", "energy_tol"],
-        "verify": ["orbit_file"] + PROBLEM_DESTS + ["ode_tol", "energy_tol", "closure_tol"],
+        "verify": ["orbit_file", "potential", "n", "energy", "config",
+                   "ode_tol", "energy_tol", "closure_tol"],
     }
 
 
@@ -428,9 +447,12 @@ def test_main_reuses_its_parser_and_runs_the_bound_command(monkeypatch):
     ["verify", "o.csv", *HARMONIC, "--report", "r.txt"],
     ["verify", "o.csv", *HARMONIC, "--seed", "1"],
     ["verify", "o.csv", *HARMONIC, "--no-timestamp"],
+    ["verify", "o.csv", *HARMONIC, "--mu1", "2"],
+    ["verify", "o.csv", *HARMONIC, "--mu2", "0"],
     ["solve", *HARMONIC, "--armijo", "0.1"],
     ["solve", *HARMONIC, "--step-shrink", "0.3"],
-], ids=["verify_report", "verify_seed", "verify_no_timestamp", "armijo", "step_shrink"])
+], ids=["verify_report", "verify_seed", "verify_no_timestamp", "verify_mu1", "verify_mu2",
+        "armijo", "step_shrink"])
 def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -679,3 +701,68 @@ def test_too_few_nodes_exit_2_before_solving(tmp_path, capsys, no_solve, nodes):
     assert run("solve", *HARMONIC, "--nodes", nodes, "--report", str(rep)) == 2
     assert capsys.readouterr().err == f"error: nodes must be at least 8, got {nodes}\n"
     assert not rep.exists()
+
+
+def test_verify_needs_no_growth_parameters(tmp_path, capsys):
+    # The circle of radius 2 solves q'' = -grad V for V = |q|^2/2 - 5 at
+    # energy -1, below every mu2/mu1 >= 0 that a variational problem admits.
+    orb = tmp_path / "circle.csv"
+    t = 2.0 * np.pi * np.arange(64) / 64
+    write_orbit_table(orb, 2.0 * np.stack([np.cos(t), np.sin(t)], axis=1), 2.0 * np.pi)
+    argv = ["--potential", "0.5*|q|^2 - 5", "--n", "2", "--energy", "-1"]
+    assert run("verify", str(orb), *argv) == 0
+    assert capsys.readouterr().out.startswith(
+        "period=6.28318531 ode_sup=0.00160586 energy_sup=0.00641727 ")
+    assert run("verify", str(orb), *argv[:-1], "nan") == 2
+    assert capsys.readouterr().err == "error: h must be finite, got nan\n"
+
+
+def test_failure_text_is_code_and_message():
+    assert PathCollapseError("no barrier").reason() == "E_COLLAPSE: no barrier"
+    assert OrbitFileError("bad row", line=3).reason() == "E_ORBIT_FILE: line 3: bad row"
+
+
+def test_check_report_ignores_solve_settings_in_the_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"nodes": 5, "symmetry": "e2"}')
+    plain, configured = tmp_path / "plain.txt", tmp_path / "configured.txt"
+    assert run("check", *HARMONIC, "--no-timestamp", "--report", str(plain)) == 0
+    assert run("check", *HARMONIC, "--no-timestamp", "--report", str(configured),
+               "--config", str(cfg)) == 0
+    assert configured.read_bytes() == plain.read_bytes()
+    assert "symmetry" not in plain.read_text() and "nodes" not in plain.read_text()
+
+
+# A valid value, not its default, for every setting of any subcommand.
+OTHER_VALUES = {
+    "potential": "power_law(a=0.25,mu1=4)", "n": 3, "energy": 2.0, "mu1": 3.0, "mu2": 0.5,
+    "seed": 9, "report": "other.txt", "no_timestamp": True, "samples": 40, "r_min": 0.5,
+    "r_max": 4.0, "radii": 16, "tolerance": 1e-3, "symmetry": "e2", "route": "mountain_pass",
+    "nodes": 32, "max_iterations": 7, "gradient_tolerance": 1e-3, "path_points": 12,
+    "init": "random_bandlimited", "mp_radius": 2.5, "orbit": "other.csv", "ode_tol": 1e-9,
+    "energy_tol": 1e-9, "closure_tol": 1e-300,
+}
+SCOPE_RUNS = {
+    "check": ["check", *HARMONIC, "--no-timestamp", "--report", "r.txt"],
+    "solve": ["solve", *HARMONIC, "--nodes", "64", "--no-timestamp", "--report", "r.txt",
+              "--orbit", "o.csv"],
+    "verify": ["verify", "o.csv", *HARMONIC],
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "verify"])
+def test_settings_of_other_subcommands_are_ignored(tmp_path, capsys, monkeypatch, command):
+    assert set(OTHER_VALUES) == set(cli._SETTINGS)
+    own = {a.dest for a in cli._SUBCOMMANDS[command]._actions}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in OTHER_VALUES.items() if k not in own}))
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for config in ([], ["--config", str(cfg)]):
+        assert run(*SCOPE_RUNS["solve"]) == 0  # the table verify reads
+        capsys.readouterr()
+        code = run(*SCOPE_RUNS[command], *config)
+        files = [p.read_bytes() for p in (tmp_path / "r.txt", tmp_path / "o.csv")]
+        outputs.append((code, capsys.readouterr(), files))
+    assert outputs[0] == outputs[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "o.csv", "r.txt"]
