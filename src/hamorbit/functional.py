@@ -55,17 +55,22 @@ ROOT_MAX_STEPS = 200
 @dataclass(frozen=True)
 class ProblemSpec:
     """A fixed-energy problem: potential, dimension, energy level, growth
-    parameters, and the symmetry class the solve is restricted to."""
+    parameters, and the symmetry class the solve is restricted to.  A growth
+    parameter left as None is the potential's own (``potential.mu1``,
+    ``potential.mu2``)."""
 
     potential: PotentialModel
     n: int
     h: float
-    mu1: float
-    mu2: float = 0.0
+    mu1: float | None = None
+    mu2: float | None = None
     symmetry: str = "none"
 
     def __post_init__(self):
         check_symmetry(self.symmetry)
+        for name in ("mu1", "mu2"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, getattr(self.potential, name))
         if self.n != self.potential.n:
             raise ValueError(
                 f"spec dimension {self.n} does not match potential dimension {self.potential.n}"

@@ -1,8 +1,11 @@
 """Potential models V: R^n -> R and samplers for the growth hypotheses.
 
 Two model kinds share one interface: a built-in radial power law
-V(q) = a |q|^mu1 + mu2/mu1, and a parsed expression over q1..qn.  Both
-evaluate value and gradient on batches of points, and both give the pair
+V(q) = a |q|^mu1 + mu2/mu1, and a parsed expression over q1..qn.  Each
+writes its text with ``describe()``, which :func:`parse_potential` reads
+back, and carries the growth exponents mu1, mu2 of the bound
+grad V(q).q >= mu1 V(q) - mu2 that a problem takes unless told otherwise.
+Both evaluate value and gradient on batches of points, and both give the pair
 from one pass, ``value_and_gradient``, with the bits of the two separate
 calls: the power law takes |q| once, and the expression kind takes the
 values that its forward dual-number pass already carries.  A model that
@@ -17,6 +20,8 @@ fail into pass.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +33,12 @@ from .loopspace import integrate, random_loop, speed
 
 class PotentialModel:
     """Shared interface: ``value(q)``, ``gradient(q)`` and their pair
-    ``value_and_gradient(q)`` on points or batches."""
+    ``value_and_gradient(q)`` on points or batches, and the growth
+    exponents mu1, mu2 (those of an expression unless a model sets its own)."""
 
     n = 0
+    mu1 = 2.0
+    mu2 = 0.0
 
     def value(self, q):
         raise NotImplementedError
@@ -64,12 +72,12 @@ class PowerLawPotential(PotentialModel):
     def __init__(self, a: float, mu1: float, mu2: float = 0.0, n: int = 2):
         if not n >= 1:
             raise ValueError("power law needs dimension n >= 1")
-        if not a > 0:
-            raise ValueError("power law needs a > 0")
-        if not mu1 >= 2:
-            raise ValueError("power law needs mu1 >= 2")
-        if not mu2 >= 0:
-            raise ValueError("power law needs mu2 >= 0")
+        if not 0 < a < math.inf:
+            raise ValueError(f"power law needs finite a > 0, got {a}")
+        if not 2 <= mu1 < math.inf:
+            raise ValueError(f"power law needs finite mu1 >= 2, got {mu1}")
+        if not 0 <= mu2 < math.inf:
+            raise ValueError(f"power law needs finite mu2 >= 0, got {mu2}")
         self.a = float(a)
         self.mu1 = float(mu1)
         self.mu2 = float(mu2)
@@ -134,9 +142,46 @@ class ExpressionPotential(PotentialModel):
         return self.source
 
 
-def parse_potential(src: str, n: int) -> ExpressionPotential:
-    """Parse expression source into a potential model over q1..qn."""
-    return ExpressionPotential(src, n)
+_POWER_LAW_RE = re.compile(r"power_law\s*\((.*)\)\s*\Z")
+
+
+def parse_potential(text: str, n: int) -> PotentialModel:
+    """The potential over q1..qn that ``text`` names: the inverse of
+    ``describe()``, so it also reads a report's ``potential =`` line.
+
+    ``power_law(a=...,mu1=...,mu2=...)`` selects the built-in, and a
+    parameter without a name takes a, mu1 or mu2 by its position; anything
+    else is parsed as expression source.  Surrounding whitespace is dropped.
+    """
+    text = text.strip()
+    m = _POWER_LAW_RE.match(text)
+    if text.startswith("power_law") and m is None:
+        raise ValueError("power_law potential must look like power_law(a=...,mu1=...,mu2=...)")
+    if m is None:
+        return ExpressionPotential(text, n)
+    params = {}
+    body = m.group(1).strip()
+    for i, part in enumerate(body.split(",") if body else []):
+        key, named, val = part.partition("=")
+        if not named:
+            if i >= 3:
+                raise ValueError("too many positional power_law parameters")
+            key, val = ("a", "mu1", "mu2")[i], part
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"repeated power_law parameter {key!r}")
+        params[key] = val
+    try:
+        a = float(params.pop("a"))
+        mu1 = float(params.pop("mu1"))
+        mu2 = float(params.pop("mu2", 0.0))
+    except KeyError as err:
+        raise ValueError(f"power_law is missing parameter {err}") from None
+    except ValueError as err:
+        raise ValueError(f"bad power_law parameter: {err}") from None
+    if params:
+        raise ValueError(f"unknown power_law parameters: {sorted(params)}")
+    return PowerLawPotential(a, mu1, mu2, n=n)
 
 
 def hessian_ray(p: PotentialModel, q) -> np.ndarray:
@@ -196,6 +241,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.samples < 1 or self.radii < 2:
             raise ValueError("sampler counts must be positive (radii >= 2)")
+        for name in ("r_min", "r_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.r_min < self.r_max:
             raise ValueError("need 0 < r_min < r_max")
         if not self.tolerance > 0:

@@ -25,12 +25,15 @@ HARMONIC = ["--potential", "power_law(a=0.5,mu1=2,mu2=0)", "--n", "2", "--energy
 
 
 def test_make_potential_forms():
-    p, mu1, mu2 = make_potential("power_law(a=0.5,mu1=2,mu2=0)", 2)
-    assert isinstance(p, PowerLawPotential) and mu1 == 2.0 and mu2 == 0.0
-    p, mu1, mu2 = make_potential("power_law(0.25, 4)", 3)
+    # The CLI reads a potential with the library's one parser.
+    assert make_potential is hamorbit.parse_potential
+    p = make_potential("power_law(a=0.5,mu1=2,mu2=0)", 2)
+    assert isinstance(p, PowerLawPotential) and (p.mu1, p.mu2) == (2.0, 0.0)
+    p = make_potential("power_law(0.25, 4)", 3)
     assert p.a == 0.25 and p.mu1 == 4.0 and p.mu2 == 0.0 and p.n == 3
-    p, mu1, mu2 = make_potential("0.5*|q|^2", 2)
-    assert isinstance(p, ExpressionPotential) and mu1 == 2.0
+    p = make_potential(" 0.5*|q|^2\n", 2)
+    assert isinstance(p, ExpressionPotential) and (p.mu1, p.mu2) == (2.0, 0.0)
+    assert p.describe() == "0.5*|q|^2"
     with pytest.raises(ValueError):
         make_potential("power_law(a=0.5)", 2)
     with pytest.raises(ValueError):
@@ -600,6 +603,48 @@ def test_bad_config_or_flags_exit_2(tmp_path, capsys, config, argv, message):
     cfg.write_text(config)
     assert run(*argv, "--config", str(cfg)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_infinite_power_law_parameter_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            harmonic_table):
+    orb = tmp_path / "orbit.csv"
+    orb.write_text("\n".join(harmonic_table) + "\n")
+    work = {name: count_calls(monkeypatch, cli, name)
+            for name in ("check_hypotheses", "_solve_route", "read_orbit_table")}
+    rep = tmp_path / "r.txt"
+    argv = ["--potential", "power_law(a=inf,mu1=2)", "--n", "2", "--energy", "1"]
+    for command in (["check", *argv, "--report", str(rep)],
+                    ["solve", *argv, "--nodes", "64", "--report", str(rep)],
+                    ["verify", str(orb), *argv]):
+        assert run(*command) == 2
+        assert capsys.readouterr().err == "error: power law needs finite a > 0, got inf\n"
+    assert work == {name: [] for name in work} and not rep.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_check_infinite_sampling_radius_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                                source):
+    checks = count_calls(monkeypatch, cli, "check_hypotheses")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"r_max": "inf"}')
+    extra = ["--r-max", "inf"] if source == "flag" else ["--config", str(cfg)]
+    assert run("check", *HARMONIC, *extra) == 2
+    assert capsys.readouterr().err == "error: r_max must be finite, got inf\n"
+    assert checks == []
+
+
+def test_check_b5_fails_when_v_exceeds_h_on_every_sphere(capsys):
+    assert run("check", "--potential", "5 + 0*q1", "--n", "2", "--energy", "1") == 1
+    out, err = capsys.readouterr()
+    assert "B5: fail residual=-4 " in out and err == ""
+
+
+def test_check_b5_inside_the_margin_is_inconclusive_and_warned(capsys):
+    # A tolerance this wide also fails B4, whose floor it raises.
+    assert run("check", *HARMONIC, "--tolerance", "10") == 1
+    out, err = capsys.readouterr()
+    assert "B5: inconclusive " in out
+    assert err == "warning: inconclusive checks: B5\n"
 
 
 def test_check_names_the_first_offending_sample(capsys):

@@ -40,6 +40,20 @@ def test_admissibility_is_strict(harmonic_spec):
         ProblemSpec(pot, 3, 2.0, 2.0, 2.0)  # dimension mismatch
 
 
+def test_spec_takes_the_potentials_growth_parameters_unless_given():
+    cubic = PowerLawPotential(0.5, 3, 0.25, n=2)
+    spec = ProblemSpec(cubic, 2, 1.0)
+    assert (spec.mu1, spec.mu2) == (3.0, 0.25)
+    given = ProblemSpec(cubic, 2, 1.0, 2.5)
+    assert (given.mu1, given.mu2) == (2.5, 0.25)
+    given = ProblemSpec(cubic, 2, 1.0, mu2=0.0)
+    assert (given.mu1, given.mu2) == (3.0, 0.0)
+    expression = ProblemSpec(parse_potential("0.5*|q|^2", 2), 2, 1.0)
+    assert (expression.mu1, expression.mu2) == (2.0, 0.0)
+    with pytest.raises(ValueError, match="h must exceed mu2/mu1"):
+        ProblemSpec(PowerLawPotential(1.0, 2, 4.0, n=2), 2, 1.0)
+
+
 def test_action_constant_loop_vanishes(harmonic_spec):
     u = LoopPath(np.tile([0.3, -0.7], (32, 1)))
     assert action(u, harmonic_spec) == 0.0

@@ -1,12 +1,14 @@
 import ast
 import math
 import os
+import shlex
 import subprocess
 import sys
 import types
 from pathlib import Path
 
 import hamorbit
+from hamorbit import cli
 
 
 def test_all_names_resolve_and_are_not_modules():
@@ -80,3 +82,15 @@ def test_readme_library_example_runs():
     assert out.returncode == 0, out.stderr
     numbers = [float(word) for word in out.stdout.split()]
     assert len(numbers) == 3 and all(math.isfinite(x) for x in numbers)
+
+
+def test_readme_commands_parse():
+    readme = Path(hamorbit.__file__).parents[2] / "README.md"
+    blocks = [block.split("```")[0] for block in readme.read_text().split("```sh\n")[1:]]
+    commands = [shlex.split(line, comments=True)
+                for line in "\n".join(blocks).replace("\\\n", " ").splitlines()
+                if line.startswith("hamorbit ")]
+    assert len(commands) >= 3
+    parser = cli.build_parser()
+    for words in commands:
+        parser.parse_args(words[1:])

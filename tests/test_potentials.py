@@ -21,6 +21,22 @@ def test_power_law_parameter_validation():
         PowerLawPotential(1.0, 1.5, 0)
     with pytest.raises(ValueError):
         PowerLawPotential(1.0, 2, -1.0)
+    for a, mu1, mu2, name in [(math.inf, 2, 0, "a"), (1.0, math.inf, 0, "mu1"),
+                              (1.0, 2, math.inf, "mu2")]:
+        with pytest.raises(ValueError, match=f"power law needs finite {name} .*, got inf"):
+            PowerLawPotential(a, mu1, mu2)
+
+
+@pytest.mark.parametrize("model", [PowerLawPotential(0.5, 3, 0.25, n=3),
+                                   parse_potential("0.5*|q|^2 + 0.1*q1^4", 2)],
+                         ids=["power_law", "expression"])
+def test_parse_potential_reads_what_describe_writes(model):
+    again = parse_potential(model.describe(), model.n)
+    assert type(again) is type(model) and again.describe() == model.describe()
+    assert (again.mu1, again.mu2) == (model.mu1, model.mu2)
+    pts = np.random.default_rng(3).standard_normal((40, model.n))
+    for got, want in zip(again.value_and_gradient(pts), model.value_and_gradient(pts)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("mu1", [2.0, 3.0])
@@ -166,6 +182,12 @@ def test_checker_tolerance_monotonicity():
     for tol in (1e-6, 1e-9, 1e-12):
         reports = {r.hypothesis: r for r in check_hypotheses(p, 1.0, 2.0, 0.0, _cfg(tolerance=tol))}
         assert reports["B4"].verdict == "pass"
+
+
+@pytest.mark.parametrize("key", ["r_min", "r_max"])
+def test_sampler_radii_must_be_finite(key):
+    with pytest.raises(ValueError, match=f"{key} must be finite, got inf"):
+        _cfg(**{key: math.inf})
 
 
 def test_coercivity_fails_for_bounded_potential():
