@@ -321,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--r-min", type=float, dest="r_min", help="smallest sampled radius")
     p_check.add_argument("--r-max", type=float, dest="r_max", help="largest sampled radius")
     p_check.add_argument("--radii", type=int, help="radial grid size for the coercivity scan")
-    p_check.add_argument("--tolerance", type=float, help="hypothesis tolerance")
+    p_check.add_argument("--tolerance", type=float,
+                         help="hypothesis tolerance: a slack for B1 and B2, a floor for B4 "
+                              "and a dead band of tolerance*(1+|h|) for B5; B3 ignores it")
 
     p_solve = sub.add_parser("solve", help="solve by a critical-point route, then verify")
     _add_problem_flags(p_solve)

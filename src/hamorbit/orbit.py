@@ -12,20 +12,22 @@ samples come from a solve (:func:`synthesize`) or from an orbit table.
 The return map is integrated at a fixed step by the 12-stage 8th-order
 formula of Prince & Dormand (DOP853; Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I*, II.5) in :func:`closure_gap`, on a ladder
-of step counts 8, 16, 32, ... that doubles until two successive rungs agree.
-Their difference over 2^4 - 1 estimates the error of the finer closure
-(Richardson extrapolation, ibid. II.4); the ladder stops once that estimate
-is at most 1e-3 of the closure, or at the cap of 2 steps per node.  The
-estimate assumes 4th order, not the tableau's 8th: potentials need only be
-C^2 at the origin, and on orbits through it the error falls far slower than
-h^8, so an 8th-order divisor would understate it.  All rungs are integrated
-together, each as a row of one batched state with its own step, so an
-iteration costs twelve ``gradient`` calls however many rungs are still
-running; rungs are read in order as they finish, the stop rule is applied to
-each, and the rows above the stopping rung are dropped.  Every value is bit
-for bit the one a rung integrated alone would give.  One fault rule serves
-every row: a row whose gradient raises or whose phase point escapes is
-frozen with its first error, which counts only when its rung is reached.
+of step counts 8, 12, 16, 32, 64, ... that climbs until two successive rungs
+agree.  Their difference over (s/s')^4 - 1, for a rung of s steps above one
+of s', estimates the error of the finer closure (Richardson extrapolation,
+ibid. II.4): 65/16 for 12 against 8, 175/81 for 16 against 12 and 15 for a
+doubling.  The ladder stops once that estimate is at most 1e-3 of the
+closure, or at the cap of 2 steps per node.  The estimate assumes 4th
+order, not the tableau's 8th: potentials need only be C^2 at the origin, and
+on orbits through it the error falls far slower than h^8, so an 8th-order
+divisor would understate it.  All rungs are integrated together, each as a
+row of one batched state with its own step, so an iteration costs twelve
+``gradient`` calls however many rungs are still running; rungs are read in
+order as they finish, the stop rule is applied to each, and the rows above
+the stopping rung are dropped.  Every value is bit for bit the one a rung
+integrated alone would give.  One fault rule serves every row: a row whose
+gradient raises or whose phase point escapes is frozen with its first
+error, which counts only when its rung is reached.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .potentials import PotentialModel
 
 BLOWUP_LIMIT = 1e8
 RK_STEPS_PER_NODE = 2  # the ladder's cap: its finest rung
-RK_FIRST_RUNG = 8
+RK_LOW_RUNGS = (8, 12, 16)  # the ladder's first rungs; above them it doubles
 RK_ESTIMATE_ORDER = 4  # the order the Richardson estimate assumes
 CLOSURE_REL_ERR = 1e-3  # the ladder stops at closure_err <= this * closure
 
@@ -169,12 +171,11 @@ def orbit_residuals(positions: np.ndarray, period: float, potential: PotentialMo
 
 
 def _rungs(cap: int) -> list[int]:
-    """Step counts of the closure ladder: min(8, cap // 2), doubling, ending on the cap."""
-    steps = min(RK_FIRST_RUNG, cap // 2)
-    rungs = [steps]
-    while steps < cap:
-        steps = min(2 * steps, cap)
-        rungs.append(steps)
+    """Step counts of the closure ladder: 8, 12, 16, then doubling, ending on
+    the cap (cap // 2 and the cap when the cap is at most 8)."""
+    rungs = [s for s in RK_LOW_RUNGS if s < cap] or [cap // 2]
+    while rungs[-1] < cap:
+        rungs.append(min(2 * rungs[-1], cap))
     return rungs
 
 
@@ -276,12 +277,12 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
     :func:`~hamorbit.loopspace.is_nonconstant`.
 
     The closure test starts from (q_0, central-difference velocity at q_0).
-    Its rungs run ``min(8, cap // 2)`` steps and double, never past the cap
-    of 2N steps; all of them are integrated together, as the rows of one
-    batch, and read in rung order.  After each rung with a finite
+    Its rungs (:func:`_rungs`) run 8, 12 and 16 steps and then double, never
+    past the cap of 2N steps; all of them are integrated together, as the
+    rows of one batch, and read in rung order.  After each rung with a finite
     predecessor, closure_err = |c(s) - c(s')| / ((s/s')^4 - 1), which is
-    over 15 for a doubling, estimates the integrator error of c(s): the
-    exponent is ``RK_ESTIMATE_ORDER``, below the tableau's 8, so that the
+    over 65/16, 175/81 and then 15, estimates the integrator error of c(s):
+    the exponent is ``RK_ESTIMATE_ORDER``, below the tableau's 8, so that the
     estimate still bounds the error where the potential is only C^2.  The
     ladder stops when closure_err <= 1e-3 c(s), or at the cap, and the rows
     above stop with it.  A blowup below the cap moves on to the next rung;

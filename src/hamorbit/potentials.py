@@ -14,8 +14,16 @@ the two.
 
 The hypothesis checkers are sampling-based: "pass" means no counterexample
 was found at the configured tolerance, never a proof.  Given the same seed
-they are fully deterministic, and loosening the tolerance can only turn
-fail into pass.
+they are fully deterministic.  The one tolerance plays a different role in
+each check, so loosening it loosens only some of them:
+
+- B1 (evenness) and B2 (superlinearity): a slack on the residual, so a
+  wider tolerance can only turn fail into pass;
+- B3 (coercivity): ignored;
+- B4 (radial nondegeneracy): a floor the scaled residual must reach, so a
+  wider tolerance can only turn pass into fail;
+- B5 (loop sphere): a dead band of tolerance * (1 + |h|) around zero, so a
+  wider tolerance can only turn pass or fail into inconclusive.
 """
 
 from __future__ import annotations

@@ -49,6 +49,17 @@ def test_check_exit_codes(capsys):
                "--n", "2", "--energy", "0") == 2
 
 
+def test_check_tolerance_is_a_floor_for_b4_and_a_dead_band_for_b5(capsys):
+    # The same samples: a wide tolerance fails B4's floor (scaled residual
+    # 0.101) and puts B5's estimate inside its dead band, while B1-B3 pass.
+    verdicts = []
+    for extra in ((), ("--tolerance", "10")):
+        code = run("check", *HARMONIC, *extra)
+        lines = capsys.readouterr().out.splitlines()
+        verdicts.append((code, [line.split(" ", 2)[1] for line in lines]))
+    assert verdicts == [(0, ["pass"] * 5), (1, ["pass", "pass", "pass", "fail", "inconclusive"])]
+
+
 def test_parse_error_exits_2(capsys):
     code = run("check", "--potential", "0.5*(|q|^2", "--n", "2", "--energy", "1")
     assert code == 2

@@ -222,9 +222,8 @@ def sequential_ladder(q, T, potential):
     (closure, closure_err, rungs reached)."""
     q0, v0 = ladder_start(q, T)
     cap = 2 * q.shape[0]
-    steps = min(8, cap // 2)
     coarse, coarse_steps, reached = math.nan, 0, []
-    while True:
+    for steps in orbit._rungs(cap):
         reached.append(steps)
         try:
             closure = single_point_dop853(q0, v0, T, potential, steps)
@@ -238,7 +237,6 @@ def sequential_ladder(q, T, potential):
         if steps >= cap or closure_err <= 1e-3 * closure:
             return closure, closure_err, reached
         coarse, coarse_steps = closure, steps
-        steps = min(2 * steps, cap)
 
 
 def record_rungs(monkeypatch):
@@ -262,7 +260,7 @@ def test_closure_ladder_steps_grow_slower_than_nodes(monkeypatch, cubic_spec, N,
     reached = record_rungs(monkeypatch)
     *_, closure, closure_err = residuals(verify_orbit(q, T, cubic_spec.potential, cubic_spec.h))
     assert len(calls) <= budget
-    assert reached[0] == 8 and all(b == 2 * a for a, b in zip(reached, reached[1:]))
+    assert reached == orbit._rungs(2 * N)[:len(reached)]
     assert closure_err <= 1e-3 * closure
 
 
@@ -274,9 +272,9 @@ def solved_orbit(spec, N, init="circle", seed=0):
 
 
 def test_closure_ladder_estimate_bounds_the_error(cubic_spec, expression_spec):
-    # The estimate divides by 2^4 - 1 although the tableau is of order 8: on
-    # the expression the 8 -> 16 doubling is still pre-asymptotic, and cubic
-    # e2 orbits pass through the origin, where the potential is only C^2.
+    # The estimate divides by (s/s')^4 - 1 although the tableau is of order
+    # 8: on the expression the lowest rungs are still pre-asymptotic, and
+    # cubic e2 orbits pass through the origin, where the potential is only C^2.
     cases = [(cubic_spec, *cubic_circle_orbit(cubic_spec, 256))]
     for N in (64, 256):
         for init, seed in (("circle", 0), ("random_bandlimited", 0), ("random_bandlimited", 9)):
@@ -287,7 +285,7 @@ def test_closure_ladder_estimate_bounds_the_error(cubic_spec, expression_spec):
         *_, closure, closure_err = residuals(verify_orbit(q, T, spec.potential, spec.h))
         assert 0.0 < closure_err <= 1e-3 * closure
         q0, v0 = ladder_start(q, T)
-        # All these ladders stop at 16 or 32 steps; at 1024 steps the closure
+        # All these ladders stop at 12, 16 or 32 steps; at 1024 steps the closure
         # agrees with 8N steps to 1e-14, far below every closure_err here.
         fine = closure_gap(q0, v0, T, spec.potential, steps=1024)
         assert abs(closure - fine) <= 2.0 * closure_err
@@ -296,7 +294,7 @@ def test_closure_ladder_estimate_bounds_the_error(cubic_spec, expression_spec):
 def stiff_case(N=64):
     """A stiff second mode (frequency 40) that DOP853 cannot hold at T/32 or
     coarser (|40 dt| > 7.8) but holds at T/64 (|40 dt| = 3.9): samples,
-    period and potential.  The rungs 8, 16 and 32 blow up."""
+    period and potential.  The rungs 8, 12, 16 and 32 blow up."""
     stiff = parse_potential("0.5*q1^2 + 800*q2^2", 2)
     T = 2 * math.pi
     q = np.stack([np.cos(T * np.arange(N) / N), np.full(N, 1e-6)], axis=1)
@@ -306,13 +304,13 @@ def stiff_case(N=64):
 def test_closure_ladder_climbs_past_coarse_blowups(monkeypatch):
     q, T, stiff = stiff_case()
     q0, v0 = ladder_start(q, T)
-    for steps in (8, 16, 32):
+    for steps in (8, 12, 16, 32):
         with pytest.raises(BlowupError):
             closure_gap(q0, v0, T, stiff, steps=steps)
     assert math.isfinite(closure_gap(q0, v0, T, stiff, steps=64))
     reached = record_rungs(monkeypatch)
     *_, closure, closure_err = residuals(verify_orbit(q, T, stiff, 0.5))
-    assert reached == [8, 16, 32, 64, 128]
+    assert reached == [8, 12, 16, 32, 64, 128]
     assert math.isfinite(closure) and math.isfinite(closure_err)
     assert (closure, closure_err) == sequential_ladder(q, T, stiff)[:2]
 
@@ -325,7 +323,7 @@ def test_closure_ladder_blowup_at_the_cap():
 
 def test_closure_ladder_ends_on_the_cap(monkeypatch):
     # c(s) = 1 + 100 (8/s)^4 has an exact Richardson estimate and needs more
-    # than the cap of 2N = 80 steps, which is no doubling of 8.
+    # than the cap of 2N = 80 steps, which no rung below it doubles to.
     rungs = []
 
     def model(q0, v0, period, potential, ladder):
@@ -336,7 +334,7 @@ def test_closure_ladder_ends_on_the_cap(monkeypatch):
     monkeypatch.setattr(orbit, "_rung_closures", model)
     *_, closure, closure_err = residuals(verify_orbit(exact_harmonic_samples(40), 2 * math.pi,
                                                       parse_potential("0.5*|q|^2", 2), 1.0))
-    assert rungs == [8, 16, 32, 64, 80]
+    assert rungs == [8, 12, 16, 32, 64, 80]
     assert closure_err == pytest.approx(closure - 1.0, rel=1e-9)
 
 
@@ -399,11 +397,11 @@ class Faulty(PotentialModel):
 
 def stopping_case(spec, N=256):
     """The cubic circle at N: samples, period, its clean verify residuals and the
-    rungs the ladder reaches, which stop at 16 steps, 1/32 of the cap."""
+    rungs the ladder reaches, which stop at 12 steps, 3/128 of the cap."""
     q, T = cubic_circle_orbit(spec, N)
     clean = residuals(verify_orbit(q, T, spec.potential, spec.h))
     reached = sequential_ladder(q, T, spec.potential)[2]
-    assert reached == [8, 16]
+    assert reached == [8, 12]
     return q, T, clean, reached
 
 
@@ -461,3 +459,26 @@ def test_ladder_that_ends_on_the_cap_makes_the_worst_case_calls(monkeypatch):
     verify_orbit(q, T, stiff, 0.5)
     assert reached[-1] == 2 * N
     assert (len(pairs), len(calls)) == (1, 12 * 2 * N)
+
+
+def test_rungs_climb_to_the_cap_at_most_doubling():
+    for cap in range(16, 8193):
+        rungs = orbit._rungs(cap)
+        assert rungs[:3] == [8, 12, 16] and rungs[-1] == cap
+        assert all(a < b <= 2 * a for a, b in zip(rungs, rungs[1:]))
+
+
+@pytest.mark.parametrize("case,N,init,stop", [
+    ("expression", 64, "circle", 12),
+    ("cubic", 256, "random_bandlimited", 16),
+])
+def test_verify_stops_at_the_pinned_rung(monkeypatch, expression_spec, cubic_spec,
+                                         case, N, init, stop):
+    # The 12-step rung ends the expression's ladder one rung below 16, and
+    # the random cubic start's one below 32: twelve calls per finest step.
+    spec = expression_spec if case == "expression" else cubic_spec
+    q, T = solved_orbit(spec, N, init, 0)
+    pairs = count_calls(monkeypatch, spec.potential, "value_and_gradient")
+    calls = count_calls(monkeypatch, spec.potential, "gradient")
+    verify_orbit(q, T, spec.potential, spec.h)
+    assert (len(pairs), len(calls)) == (1, 12 * stop)

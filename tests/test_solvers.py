@@ -635,6 +635,25 @@ def test_constrained_expression_seed_531_converges(expression_spec):
     assert minimize_on_nehari(expression_spec, opts, n_nodes=64).termination == "converged"
 
 
+@pytest.mark.xfail(strict=True, reason="seed 903 stalls at a weighted gradient of 2.0e-6 "
+                                        "with the level right")
+def test_constrained_expression_seed_903_converges(expression_spec):
+    # The other seed of 0-999 that misses the gate within 300 iterations; with
+    # the default budget it converges, at iteration 3619.
+    opts = SolveOptions(initial_loop="random_bandlimited", seed=903, max_iterations=300)
+    assert minimize_on_nehari(expression_spec, opts, n_nodes=64).termination == "converged"
+
+
+@pytest.mark.xfail(strict=True, reason="the line search stalls at sweep 11 with a weighted "
+                                        "gradient of 1.6, level 7.98761")
+def test_mountain_pass_with_15_path_points_converges(expression_spec):
+    # The top is snapped onto node 5, and the chord from node 4 then cuts the
+    # corner above the path maximum for every step down to 1e-17.
+    z1 = build_endpoint(expression_spec, circle_loop(64, 2))
+    rep = mountain_pass(expression_spec, zero_loop(64, 2), z1, SolveOptions(path_points=15))
+    assert rep.termination == "converged"
+
+
 def test_mountain_pass_budget_ends_through_the_gate(expression_spec):
     z1 = build_endpoint(expression_spec, circle_loop(64, 2))
     rep = mountain_pass(expression_spec, zero_loop(64, 2), z1, SolveOptions(max_iterations=3))
