@@ -34,7 +34,6 @@ from .functional import (
     constraint_value,
     cps_append,
     scaling_root,
-    weighted_gradient_norm,
 )
 from .loopspace import (
     LoopPath,
@@ -47,7 +46,6 @@ from .loopspace import (
     resample,
     sobolev_precondition,
     speed,
-    velocity,
     zero_loop,
 )
 from .orbit import (OrbitResult, closure_gap, orbit_period, orbit_residuals, synthesize,
@@ -61,7 +59,6 @@ from .potentials import (
     check_hypotheses,
     hessian_ray,
     parse_potential,
-    second_radial,
 )
 from .solvers import (
     SolveOptions,

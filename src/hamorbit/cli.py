@@ -125,6 +125,9 @@ def _merged(args: argparse.Namespace) -> dict:
         if opts["nodes"] < MIN_NODES:
             raise ValueError(f"nodes must be at least {MIN_NODES}, got {opts['nodes']}")
         check_grid(opts["nodes"], opts["symmetry"])
+    if opts.get("route") == "mountain_pass" and opts["init"] != "circle":
+        raise ValueError(f"--init {opts['init']} sets the constrained route's start; "
+                         "the mountain pass always starts from the circle")
     if opts["potential"] is None:
         raise ValueError("a potential is required (flag --potential or config)")
     if opts["n"] is None or opts["energy"] is None:
@@ -335,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--gradient-tolerance", type=float, dest="gradient_tolerance")
     p_solve.add_argument("--path-points", type=int, dest="path_points",
                          help="mountain-pass path resolution")
-    p_solve.add_argument("--init", choices=INITIAL_LOOPS)
+    p_solve.add_argument("--init", choices=INITIAL_LOOPS,
+                         help="the constrained route's start; the mountain pass always "
+                              "starts from the circle, in class none or e1")
     p_solve.add_argument("--mp-radius", type=float, dest="mp_radius",
                          help="derivative-sphere radius (default: half the far endpoint)")
     p_solve.add_argument("--orbit", help="write the orbit sample table here")

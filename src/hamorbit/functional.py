@@ -324,11 +324,6 @@ def gradient_dual_norm(grad: np.ndarray) -> float:
     return math.sqrt(g.shape[0] * math.fsum((g * g).ravel().tolist()))
 
 
-def weighted_gradient_norm(u: LoopPath, grad: np.ndarray) -> float:
-    """(1 + ||u||) times the dual gradient norm: the Cerami-weighted quantity."""
-    return (1.0 + h1_norm(u)) * gradient_dual_norm(grad)
-
-
 @dataclass(frozen=True)
 class CpsRecord:
     """One diagnostic snapshot along a solve."""
@@ -336,7 +331,7 @@ class CpsRecord:
     iteration: int
     f_value: float
     loop_norm: float
-    weighted_gradient: float
+    weighted_gradient: float  # (1 + loop_norm) * gradient_dual_norm: Cerami's weight
     distance_proxy: float
     constraint_residual: float
 
@@ -367,7 +362,7 @@ def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, radius: float | None
             proxy = constraint_distance(u, radius, spec, loop_speed)
         except ZeroLoopError:
             proxy = residual  # ray projection undefined at 0; fall back
-    loop_norm = h1_norm(u, loop_speed)  # once: weighted_gradient_norm would take it again
+    loop_norm = h1_norm(u, loop_speed)  # once, for the record and its Cerami weight
     rec = CpsRecord(
         iteration=len(trace),
         f_value=f_value,

@@ -83,11 +83,6 @@ def periodic_shift(x: np.ndarray, j: int) -> np.ndarray:
     return np.concatenate((x[..., j:, :], x[..., :j, :]), axis=-2)
 
 
-def velocity(u: LoopPath) -> np.ndarray:
-    """Forward-difference derivative at unit-period scale: v_k = N (u_{k+1} - u_k)."""
-    return float(u.N) * (periodic_shift(u.nodes, 1) - u.nodes)
-
-
 def integrate(samples) -> float:
     """Rectangle-rule integral of scalar samples over one period (their mean).
 

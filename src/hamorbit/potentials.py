@@ -211,16 +211,6 @@ def hessian_ray(p: PotentialModel, q) -> np.ndarray:
     return out[0] if single else out
 
 
-def second_radial(p: PotentialModel, q) -> float:
-    """Directional second derivative along the ray, (V''(q) q) . q, from
-    :func:`hessian_ray`.  Undefined at the origin."""
-    pts, single = _batched(q, p.n)
-    if np.any(np.linalg.norm(pts, axis=1) == 0.0):
-        raise DomainError("radial second derivative is undefined at the origin")
-    out = np.sum(hessian_ray(p, pts) * pts, axis=1)
-    return float(out[0]) if single else out
-
-
 # ---------------------------------------------------------------------------
 # hypothesis checking
 
@@ -337,7 +327,7 @@ def _check_coercivity(p, h, rng, cfg):
 
 
 def _check_radial_nondegeneracy(p, pts, grads, mu1, tol):
-    raw = 3.0 * np.sum(grads * pts, axis=1) + second_radial(p, pts)
+    raw = 3.0 * np.sum(grads * pts, axis=1) + np.sum(hessian_ray(p, pts) * pts, axis=1)
     scale = 1.0 + np.linalg.norm(pts, axis=1) ** mu1
     scaled = np.abs(raw) / scale
     worst = int(np.argmin(scaled))

@@ -78,6 +78,7 @@ _MIN_STEP = 1e-18
 _MAX_STEP = 1e6
 _STEP_SHRINK = 0.5  # backtracking factor
 _ARMIJO = 1e-4  # sufficient-decrease constant
+_CLASS_RTOL = 1e-12  # sup |z - P z| over sup |z| of an endpoint in its class
 
 INITIAL_LOOPS = ("circle", "random_bandlimited")
 
@@ -200,7 +201,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
         u = make_initial_loop(spec, opts, n_nodes)
     else:
         u = project_symmetric(initial, spec.symmetry)
-    if not np.any(u.nodes):
+    if not is_nonconstant(u.nodes):
         raise ZeroLoopError("initial loop vanishes after symmetry projection")
 
     trace: list[CpsRecord] = []
@@ -456,7 +457,9 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
     raises :class:`PathCollapseError` up front.  Mid-run collapse is reported
     as a ``hypothesis_violation`` termination instead, so partial diagnostics
     survive.  A grid that cannot hold a loop of the symmetry class raises
-    :class:`OddNodeCountError` before any sweep (:func:`check_grid`).
+    :class:`OddNodeCountError` before any sweep (:func:`check_grid`), and an
+    endpoint outside the class raises ``ValueError``: the path between such
+    endpoints leaves the class, and so could its critical point.
 
     Each sweep finds the path maximum over segment interiors, passes it
     through the stationarity gate :func:`_stop`, snaps the
@@ -472,6 +475,11 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
     """
     opts = opts or SolveOptions()
     check_grid(z0.N, spec.symmetry)
+    for name, z in (("z0", z0), ("z1", z1)):
+        defect = np.abs(z.nodes - project_symmetric(z, spec.symmetry).nodes).max()
+        if not defect <= _CLASS_RTOL * np.abs(z.nodes).max():
+            raise ValueError(f"mountain-pass endpoint {name} is not in the symmetry "
+                             f"class {spec.symmetry}")
     f0, f1 = action(z0, spec), action(z1, spec)
     if f0 > 0.0 or f1 > 0.0:
         raise PathCollapseError(

@@ -330,6 +330,46 @@ def test_mountain_pass_on_an_odd_e1_grid_exits_2_before_any_work(tmp_path, capsy
     assert endpoints == [] and not rep.exists()
 
 
+def test_mountain_pass_in_the_odd_class_exits_2_naming_it(tmp_path, capsys):
+    # The pass starts from the circle, which is not odd: without the refusal
+    # it "converged" to the circle orbit, whose e2 defect is 0.93.
+    rep = tmp_path / "r.txt"
+    assert run("solve", "--potential", "power_law(a=0.5,mu1=3)", "--n", "3", "--energy", "1",
+               "--route", "mountain_pass", "--symmetry", "e2", "--nodes", "64",
+               "--report", str(rep)) == 2
+    assert capsys.readouterr().err == ("error: mountain-pass endpoint z1 is not in the "
+                                       "symmetry class e2\n")
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_mountain_pass_with_a_random_start_exits_2_before_any_work(tmp_path, capsys, no_solve,
+                                                                   how):
+    # The pass always starts from the circle; a random start would be ignored.
+    settings = ["--route", "mountain_pass", "--init", "random_bandlimited", "--seed", "3"]
+    if how == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"route": "mountain_pass", "init": "random_bandlimited", "seed": 3}')
+        settings = ["--config", str(cfg)]
+    rep = tmp_path / "r.txt"
+    assert run("solve", *HARMONIC, *settings, "--nodes", "32", "--report", str(rep)) == 2
+    assert capsys.readouterr().err == (
+        "error: --init random_bandlimited sets the constrained route's start; "
+        "the mountain pass always starts from the circle\n")
+    assert not rep.exists()
+
+
+def test_start_projected_to_rounding_noise_is_a_zero_loop(tmp_path, capsys):
+    # The odd part of the 1-D circle cos t is rounding noise (max 3.1e-16):
+    # the start vanishes, which is no failure of the growth hypotheses.
+    rep = tmp_path / "r.txt"
+    assert run("solve", "--potential", "0.5*q1^2+0.1*q1^4", "--n", "1", "--energy", "1",
+               "--nodes", "16", "--symmetry", "e2", "--no-timestamp", "--report", str(rep)) == 1
+    message = "E_ZERO_LOOP: initial loop vanishes after symmetry projection"
+    assert parse_report(rep.read_text())["run"]["message"] == message
+    assert capsys.readouterr().err == f"failed: {message}\n"
+
+
 def test_solve_odd_nodes_with_half_period_symmetry_exits_2(tmp_path, capsys):
     rep = tmp_path / "r.txt"
     assert run("solve", *HARMONIC, "--symmetry", "e1", "--nodes", "63",

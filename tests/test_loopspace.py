@@ -13,7 +13,6 @@ from hamorbit import (
     project_symmetric,
     resample,
     sobolev_precondition,
-    velocity,
 )
 from hamorbit import orbit, solvers
 from hamorbit.loopspace import (
@@ -56,29 +55,6 @@ def test_nonconstant_rule_is_speed_reaching_the_gate():
     assert not is_nonconstant(loops[0].nodes) and is_nonconstant(loops[-1].nodes)
     # The solver and the orbit check read the rule; neither keeps the gate.
     assert not hasattr(solvers, "NONCONSTANT_SPEED") and not hasattr(orbit, "NONCONSTANT_SPEED")
-
-
-def test_velocity_constant_loop_is_zero():
-    u = LoopPath(np.tile([1.5, -2.0], (32, 1)))
-    assert np.all(velocity(u) == 0.0)
-
-
-def test_velocity_sawtooth_wraps():
-    N = 16
-    u = LoopPath(np.stack([np.arange(N) / N, np.zeros(N)], axis=1))
-    v = velocity(u)
-    assert np.allclose(v[:-1, 0], 1.0)
-    assert v[-1, 0] == pytest.approx(1.0 - N)
-    assert np.all(v[:, 1] == 0.0)
-
-
-def test_velocity_circle_chord_length():
-    N = 256
-    v = velocity(circle_loop(N, 2))
-    speeds = np.linalg.norm(v, axis=1)
-    chord = 2.0 * N * math.sin(math.pi / N)
-    assert np.allclose(speeds, chord, rtol=1e-12)
-    assert abs(speeds[0] - 2 * math.pi) / (2 * math.pi) < 1e-4
 
 
 def test_integrate_examples():

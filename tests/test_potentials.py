@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from hamorbit import (
-    DomainError,
     PowerLawPotential,
     SamplerConfig,
     check_hypotheses,
+    hessian_ray,
     parse_potential,
-    second_radial,
 )
 
 
@@ -91,12 +90,13 @@ def test_gradient_matches_finite_differences_both_kinds():
 
 
 def test_second_radial_power_laws():
+    # The ray second derivative (V''(q) q) . q, taken from hessian_ray.
     p2 = PowerLawPotential(1.0, 2, 0, n=2)
-    assert second_radial(p2, np.array([1.0, 1.0])) == pytest.approx(4.0, abs=1e-6)
+    q = np.array([1.0, 1.0])
+    assert np.sum(hessian_ray(p2, q) * q, axis=-1) == pytest.approx(4.0, abs=1e-6)
     p4 = PowerLawPotential(0.25, 4, 0, n=2)
-    assert second_radial(p4, np.array([1.0, 0.0])) == pytest.approx(3.0, abs=1e-5)
-    with pytest.raises(DomainError):
-        second_radial(p2, np.zeros(2))
+    q = np.array([1.0, 0.0])
+    assert np.sum(hessian_ray(p4, q) * q, axis=-1) == pytest.approx(3.0, abs=1e-5)
 
 
 def test_second_radial_general_formula():
@@ -106,8 +106,19 @@ def test_second_radial_general_formula():
     q = rng.uniform(0.5, 2.0, size=(20, 3))
     r = np.linalg.norm(q, axis=1)
     expected = 0.8 * 3 * 2 * r**3
-    got = second_radial(p, q)
+    got = np.sum(hessian_ray(p, q) * q, axis=-1)
     assert np.abs(got - expected).max() / np.abs(expected).max() < 1e-5
+
+
+@pytest.mark.parametrize("p", [PowerLawPotential(0.8, 3, 1.0, n=2),
+                               parse_potential("0.5*|q|^2 + 0.1*q1^4", 2)])
+def test_hessian_ray_has_zero_rows_at_the_origin(p):
+    # The ray is the zero vector there; the other rows keep their own bits.
+    q = np.array([[0.0, 0.0], [1.2, -0.7], [0.0, 0.0]])
+    rows = hessian_ray(p, q)
+    assert np.all(rows[[0, 2]] == 0.0)
+    assert np.array_equal(rows[1], hessian_ray(p, q[1]))
+    assert np.all(hessian_ray(p, np.zeros(2)) == 0.0)
 
 
 def _cfg(**kw):
@@ -142,7 +153,7 @@ def test_quartic_radial_nondegeneracy_value():
     # 3 grad V . q + V''(q) q . q = a mu (mu + 2) |q|^mu = 6 |q|^4 here.
     p = PowerLawPotential(0.25, 4, 0, n=2)
     q = np.array([1.0, 0.0])
-    total = 3.0 * float(np.dot(p.gradient(q), q)) + second_radial(p, q)
+    total = 3.0 * float(np.dot(p.gradient(q), q)) + np.sum(hessian_ray(p, q) * q, axis=-1)
     assert total == pytest.approx(6.0, abs=1e-4)
     reports = {r.hypothesis: r for r in check_hypotheses(p, 0.75, 4.0, 0.0, _cfg())}
     assert reports["B4"].verdict == "pass"
