@@ -279,7 +279,7 @@ def cmd_verify(args) -> int:
         raise OrbitFileError(
             f"orbit has dimension {positions.shape[1]}, spec has {opts['n']}", line=1
         )
-    orbit = verify_orbit(positions, period, potential, opts["energy"])
+    orbit = verify_orbit(positions, period, potential, opts["energy"], opts["closure_tol"])
     print(f"period={orbit.period:.9g} "
           + " ".join(f"{key}={getattr(orbit, key):.6g}" for key in ORBIT_ITEMS[1:]))
     return 0 if orbit.accepts(opts["ode_tol"], opts["energy_tol"], opts["closure_tol"]) else 1
@@ -352,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p_verify, growth=False)
     p_verify.add_argument("--ode-tol", type=float, dest="ode_tol")
     p_verify.add_argument("--energy-tol", type=float, dest="energy_tol")
-    p_verify.add_argument("--closure-tol", type=float, dest="closure_tol")
+    p_verify.add_argument("--closure-tol", type=float, dest="closure_tol",
+                          help="also gate the return-map closure; the closure ladder "
+                               "stops once its error estimate settles the verdict")
     return parser
 
 

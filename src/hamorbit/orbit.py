@@ -13,18 +13,23 @@ The return map is integrated at a fixed step by the 12-stage 8th-order
 formula of Prince & Dormand (DOP853; Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I*, II.5) in :func:`closure_gap`, on a ladder
 of step counts 8, 12, 16, 32, 64, ... that climbs until two successive rungs
-agree.  Their difference over (s/s')^4 - 1, for a rung of s steps above one
-of s', estimates the error of the finer closure (Richardson extrapolation,
-ibid. II.4): 65/16 for 12 against 8, 175/81 for 16 against 12 and 15 for a
-doubling.  The ladder stops once that estimate is at most 1e-3 of the
-closure, or at the cap of 2 steps per node.  The estimate assumes 4th
-order, not the tableau's 8th: potentials need only be C^2 at the origin, and
-on orbits through it the error falls far slower than h^8, so an 8th-order
-divisor would understate it.  All rungs are integrated together, each as a
-row of one batched state with its own step, so an iteration costs twelve
-``gradient`` calls however many rungs are still running; rungs are read in
-order as they finish, the stop rule is applied to each, and the rows above
-the stopping rung are dropped.  Every value is bit for bit the one a rung
+agree.  Since q'' = -grad V(q) is of second order, the formula runs in its
+Nystrom form (ibid. II.14): the same method as on the first-order system
+(q, v)' = (v, -grad V(q)), with coefficients c, A^2, bA and b derived from
+the tableau, and no stage sums for v.  The difference of two rungs over
+(s/s')^4 - 1, for a rung of s steps above one of s', estimates the error of
+the finer closure (Richardson extrapolation, ibid. II.4): 65/16 for 12
+against 8, 175/81 for 16 against 12 and 15 for a doubling.  The ladder
+stops once that estimate is at most 1e-3 of the closure, once it settles
+which side of a given closure tolerance the closure lies on, or at the cap
+of 2 steps per node.  The estimate assumes 4th order, not the tableau's
+8th: potentials need only be C^2 at the origin, and on orbits through it
+the error falls far slower than h^8, so an 8th-order divisor would
+understate it.  All rungs are integrated together, each as a row of one
+batched state with its own step, so an iteration costs twelve ``gradient``
+calls however many rungs are still running; rungs are read in order as
+they finish, the stop rules are applied to each, and the rows above the
+stopping rung are dropped.  Every value is bit for bit the one a rung
 integrated alone would give.  One fault rule serves every row: a row whose
 gradient raises or whose phase point escapes is frozen with its first
 error, which counts only when its rung is reached.
@@ -116,6 +121,30 @@ RK_B = (
 )
 
 
+def _nystrom_tableau():
+    """The tableau in Nystrom form for q'' = f(q): the nodes c = A 1, A^2,
+    bA and b, from the rows of ``RK_A`` and ``RK_B``."""
+    A = np.zeros((len(RK_A), len(RK_A)))
+    for i, row in enumerate(RK_A):
+        for j, a in row:
+            A[i, j] = a
+    b = np.zeros(len(RK_A))
+    for j, weight in RK_B:
+        b[j] = weight
+    return A.sum(axis=1), A @ A, b @ A, b
+
+
+NYSTROM_C, NYSTROM_A2, NYSTROM_BA, NYSTROM_B = _nystrom_tableau()
+# The weights of dt v, and of each stage's dt^2-scaled acceleration, in the
+# 13 sums of one step: stage points 1..11 (sum k is stage point k + 1), then
+# q and dt v after the step.  Stage i enters sums i onwards: the stage
+# points above it, and the step.
+_DV_WEIGHTS = np.concatenate((NYSTROM_C[1:], [1.0, 1.0]))[:, None, None]
+_STAGE_WEIGHTS = [
+    np.concatenate((NYSTROM_A2[i + 1:, i], [NYSTROM_BA[i], NYSTROM_B[i]]))[:, None, None]
+    for i in range(len(RK_A))]
+
+
 @dataclass(frozen=True)
 class OrbitResult:
     """A sampled periodic orbit, q_k = q(k T / N), with its verification
@@ -179,79 +208,76 @@ def _rungs(cap: int) -> list[int]:
     return rungs
 
 
-def _combine(pairs, ks):
-    """sum_j a_j k_j over the (j, a_j) pairs of a tableau row, left to right."""
-    (j, a), *rest = pairs
-    acc = a * ks[j]
-    for j, a in rest:
-        acc = acc + a * ks[j]
-    return acc
-
-
 def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
     """Yield (steps, closure) for each of the increasing step counts ``rungs``.
 
-    Every rung is one row of a single (R, 2n) DOP853 integration with its own
-    step T/steps, so one iteration makes twelve ``gradient`` calls, one per
-    stage, for all the rows still running.  Row r finishes after rungs[r]
-    iterations and is yielded then, in rung order, so a consumer that stops
-    early stops the integration.  The arithmetic is elementwise and in the
-    order of a single row, so each closure has the bits of
-    ``closure_gap(steps=s)``.
+    Every rung is one row of a single (R, n) DOP853 integration in Nystrom
+    form with its own step dt = T/steps, so one iteration makes twelve
+    ``gradient`` calls, one per stage, for all the rows still running.  A
+    row holds q and dt v; stage i's point is q + c_i dt v plus the
+    dt^2-scaled accelerations of the earlier stages weighted by row i of A^2,
+    and the step adds the weights 1 and bA to q and 1 and b to dt v.  Each
+    acceleration is added to every sum it enters as soon as it is known
+    (``_STAGE_WEIGHTS``), so each sum is taken left to right, in the same
+    order in every row.  Row r finishes after rungs[r] iterations and is
+    yielded then, in rung order, so a consumer that stops early stops the
+    integration.  The arithmetic is elementwise, so each closure has the bits
+    of ``closure_gap(steps=s)``.
 
     One fault rule covers every row.  A row whose gradient raises
     ``DomainError`` or ``ValueError`` at a stage, or whose phase point passes
-    norm 1e8 after a step, keeps its first such error in ``faults`` and is
-    frozen at the start (its step set to 0); a batched ``gradient`` call that
-    raises is redone row by row to find the failing rows.  When a faulted
-    row's rung is reached, a blowup below the last rung yields nan and any
-    other fault is raised, so an error surfaces only when its own rung is
-    reached.
+    norm 1e8 or stops being finite after a step, keeps its first such error
+    in ``faults`` and is frozen at the start (its step set to 0, so it never
+    moves); a batched ``gradient`` call that raises is redone row by row to
+    find the failing rows.  When a faulted row's rung is reached, a blowup
+    below the last rung yields nan and any other fault is raised, so an
+    error surfaces only when its own rung is reached.
     """
     if period <= 0.0:
         raise ValueError("period must be positive")
-    q = np.asarray(q0, dtype=float)
-    n = q.shape[0]
-    start = np.concatenate((q, np.asarray(v0, dtype=float)))
+    q0 = np.asarray(q0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    n = q0.shape[0]
     dt = period / np.array(rungs, dtype=float)[:, None]
-    y = np.tile(start, (len(rungs), 1))
+    q, w, scale = np.tile(q0, (len(rungs), 1)), dt * v0, -(dt * dt)  # w = dt v
     faults = {}  # the first error of each faulted running row, by index into ``rungs``
-    lo = 0  # rows lo: are still running; y and dt hold only them
+    lo = 0  # rows lo: are still running; q, w, dt and scale hold only them
 
-    def rate(y):  # (q, v)' = (v, -grad V(q)), row by row if the batch raises
+    def scaled_acceleration(x):  # dt^2 q'' = -dt^2 grad V(x), row by row if the batch raises
         try:
-            g = potential.gradient(y[:, :n])
+            g = potential.gradient(x)
         except (DomainError, ValueError):
-            g = np.zeros((len(y), n))
-            for j in range(len(y)):
+            g = np.zeros((len(x), n))
+            for j in range(len(x)):
                 try:
-                    g[j] = potential.gradient(y[j:j + 1, :n])[0]
+                    g[j] = potential.gradient(x[j:j + 1])[0]
                 except (DomainError, ValueError) as err:
                     faults.setdefault(lo + j, err)
-        return np.concatenate((y[:, n:], -g), axis=1)
+        return scale * g
 
     for it in range(1, rungs[-1] + 1):
-        ks = [rate(y)]
-        for row in RK_A[1:]:
-            ks.append(rate(y + dt * _combine(row, ks)))
-        y = y + dt * _combine(RK_B, ks)
-        if np.abs(y).max() > BLOWUP_LIMIT:
-            for j in np.flatnonzero(np.abs(y).max(axis=1) > BLOWUP_LIMIT):
-                faults.setdefault(lo + j, BlowupError(
-                    "trajectory escaped during the closure integration"))
+        sums = _DV_WEIGHTS * w  # stage points 1..11, then q and dt v after the step
+        sums[:-1] += q
+        for i, weights in enumerate(_STAGE_WEIGHTS):
+            sums[i:] += weights * scaled_acceleration(q if i == 0 else sums[i - 1])
+        q, w = sums[-2], sums[-1]
+        inside = ((np.abs(q) <= BLOWUP_LIMIT).all(axis=1)
+                  & (np.abs(w) <= BLOWUP_LIMIT * dt).all(axis=1))
+        for j in np.flatnonzero(~inside):
+            faults.setdefault(lo + j, BlowupError(
+                "trajectory escaped during the closure integration"))
         for r in faults:
-            y[r - lo], dt[r - lo] = start, 0.0
+            q[r - lo], w[r - lo], dt[r - lo], scale[r - lo] = q0, 0.0, 0.0, 0.0
         while lo < len(rungs) and (lo in faults or rungs[lo] == it):
             fault = faults.pop(lo, None)
-            if fault is None:
-                gap = y[0] - start
-                closure = float(np.linalg.norm(gap[:n]) + np.linalg.norm(gap[n:]))
+            if fault is None:  # never frozen, so dt > 0
+                closure = float(np.linalg.norm(q[0] - q0) + np.linalg.norm(w[0] / dt[0] - v0))
             elif isinstance(fault, BlowupError) and lo < len(rungs) - 1:
                 closure = math.nan
             else:
                 raise fault
             yield rungs[lo], closure
-            y, dt = y[1:], dt[1:]
+            q, w, dt, scale = q[1:], w[1:], dt[1:], scale[1:]
             lo += 1
 
 
@@ -259,16 +285,17 @@ def closure_gap(q0, v0, period: float, potential: PotentialModel, steps: int) ->
     """Return-map gap |q(T) - q(0)| + |v(T) - v(0)| of the true dynamics.
 
     Integrates q'' = -grad V(q) with the 8th-order Dormand-Prince formula
-    (``RK_A``, ``RK_B``) at fixed step T/steps from the given initial data:
-    the ladder's integrator with the single rung ``steps``.  The phase point must stay
-    below norm 1e8 or the test aborts as a blowup.
+    (``RK_A``, ``RK_B``) in Nystrom form at fixed step T/steps from the given
+    initial data: the ladder's integrator with the single rung ``steps``.
+    The phase point must stay finite and below norm 1e8 or the test aborts
+    as a blowup.
     """
     ((_, closure),) = _rung_closures(q0, v0, period, potential, [steps])
     return closure
 
 
 def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel,
-                 h: float) -> OrbitResult:
+                 h: float, closure_tol: float | None = None) -> OrbitResult:
     """Verify a sampled orbit q_k = q(k T / N) and return it as an
     :class:`OrbitResult`.
 
@@ -285,11 +312,16 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
     the exponent is ``RK_ESTIMATE_ORDER``, below the tableau's 8, so that the
     estimate still bounds the error where the potential is only C^2.  The
     ladder stops when closure_err <= 1e-3 c(s), or at the cap, and the rows
-    above stop with it.  A blowup below the cap moves on to the next rung;
-    one at the cap, and a gradient error at any reached rung, propagates.
-    A nan closure never passes :meth:`OrbitResult.accepts`, and closure_err
-    is nan when the cap rung has no finite predecessor.  Values and errors
-    are those of running :func:`closure_gap` at each rung in turn.
+    above stop with it.  Given ``closure_tol``, it also stops once
+    |c(s) - closure_tol| >= closure_err: the verdict c <= closure_tol of
+    :meth:`OrbitResult.accepts` is then the same anywhere within the
+    estimate.  ``verify`` passes its tolerance; ``solve`` passes none, so its
+    report keeps the relative rule.  Below the cap, a nan closure_err stops
+    neither rule.  A blowup below the cap moves on to the next rung; one at
+    the cap, and a gradient error at any reached rung, propagates.  A nan
+    closure never passes :meth:`OrbitResult.accepts`, and closure_err is nan
+    when the cap rung has no finite predecessor.  Values and errors are
+    those of running :func:`closure_gap` at each rung in turn.
     """
     q = np.asarray(positions, dtype=float)
     N = q.shape[0]
@@ -301,7 +333,8 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
         closure_err = math.nan
         if coarse_steps:
             closure_err = abs(closure - coarse) / ((steps / coarse_steps) ** RK_ESTIMATE_ORDER - 1.0)
-        if steps >= cap or closure_err <= CLOSURE_REL_ERR * closure:
+        if (steps >= cap or closure_err <= CLOSURE_REL_ERR * closure
+                or (closure_tol is not None and abs(closure - closure_tol) >= closure_err)):
             break
         coarse, coarse_steps = closure, steps
     return OrbitResult(period, q, ode_sup, energy_sup, closure, closure_err, is_nonconstant(q))

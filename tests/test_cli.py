@@ -263,6 +263,23 @@ def test_verify_closure_tolerance_gates_the_exit(tmp_path, capsys):
     assert run("verify", str(orb), *HARMONIC, "--closure-tol", "1") == 0
 
 
+def test_verify_closure_tol_settles_the_ladder_early(tmp_path, capsys, monkeypatch):
+    # The N=256 cubic orbit from random start 0 climbs to 16 steps without a
+    # tolerance; a loose or a tight one settles its verdict at 12.
+    cubic = ["--potential", "power_law(a=0.5,mu1=3)", "--n", "3", "--energy", "1"]
+    orb = tmp_path / "orbit.csv"
+    assert run("solve", *cubic, "--symmetry", "e2", "--nodes", "256", "--init",
+               "random_bandlimited", "--no-timestamp", "--orbit", str(orb)) == 0
+    calls = count_calls(monkeypatch, PowerLawPotential, "gradient")
+    counts = {}
+    for closure_tol, code in (((), 0), (("--closure-tol", "1"), 0),
+                              (("--closure-tol", "1e-300"), 1)):
+        calls.clear()
+        assert run("verify", str(orb), *cubic, *closure_tol) == code
+        counts[closure_tol[1:]] = len(calls)
+    assert counts == {(): 12 * 16, ("1",): 12 * 12, ("1e-300",): 12 * 12}
+
+
 @pytest.mark.parametrize("closure_tol", [(), ("--closure-tol", "1e-3")])
 def test_verify_rejects_a_constant_equilibrium(tmp_path, capsys, closure_tol):
     # q = (sqrt(2.5), 0) is an equilibrium of V = |q|^2/2 - |q|^4/10 at

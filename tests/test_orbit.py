@@ -148,6 +148,16 @@ def test_tableau_rows_sum_to_their_nodes():
     assert abs(math.fsum(b for _, b in orbit.RK_B) - 1.0) <= 1e-15
 
 
+def test_nystrom_coefficients_come_from_the_tableau():
+    # c = A 1 holds the nodes, b.c = (bA).1 = 1/2 is the order-2 condition,
+    # and an explicit stage i uses only stages below i.
+    c, A2, bA, b = orbit.NYSTROM_C, orbit.NYSTROM_A2, orbit.NYSTROM_BA, orbit.NYSTROM_B
+    assert np.abs(c - DOP853_NODES).max() <= 1e-15
+    assert abs(b @ c - 0.5) <= 1e-15 and abs(bA.sum() - 0.5) <= 1e-15
+    assert np.array_equal(A2, np.tril(A2, -1))
+    assert [(j, w) for j, w in enumerate(b) if w] == list(orbit.RK_B)
+
+
 def test_closure_gap_converges_at_eighth_order():
     # On the oscillator's exact orbit the closure is the integrator's error
     # alone; a mistyped coefficient lowers the order and nothing else.
@@ -189,9 +199,34 @@ def ladder_start(q, T):
 
 
 def single_point_dop853(q0, v0, T, potential, steps):
-    """Closure of the 8th-order Dormand-Prince tableau on one (2n,) state
-    vector, each stage's sum taken left to right: a reference for the bits
-    of the batched integrator."""
+    """Closure of the 8th-order Dormand-Prince tableau in Nystrom form on one
+    point, holding q and w = dt v: stage i is at q + c_i w plus the terms
+    (A^2)_ij dt^2 q''_j, the step adds w and the bA terms to q and the b
+    terms to w, and each sum is taken left to right: a reference for the
+    bits of the batched integrator."""
+    c, A2, bA, b = orbit.NYSTROM_C, orbit.NYSTROM_A2, orbit.NYSTROM_BA, orbit.NYSTROM_B
+    dt = T / steps
+    q, w = q0, dt * v0
+    for _ in range(steps):
+        acc = []
+        for i in range(len(c)):
+            x = q + c[i] * w
+            for j in range(i):
+                x = x + A2[i, j] * acc[j]
+            acc.append(-(dt * dt) * potential.gradient(x))
+        q_next, w_next = q + w, w
+        for j in range(len(c)):
+            q_next = q_next + bA[j] * acc[j]
+            w_next = w_next + b[j] * acc[j]
+        q, w = q_next, w_next
+        if not ((np.abs(q) <= 1e8).all() and (np.abs(w) <= 1e8 * dt).all()):
+            raise BlowupError("escaped")
+    return float(np.linalg.norm(q - q0) + np.linalg.norm(w / dt - v0))
+
+
+def first_order_dop853(q0, v0, T, potential, steps):
+    """Closure of the same tableau run on the first-order system
+    (q, v)' = (v, -grad V(q)), each stage's sum taken left to right."""
     n = len(q0)
     start = np.concatenate((q0, v0))
     dt = T / steps
@@ -211,8 +246,6 @@ def single_point_dop853(q0, v0, T, potential, steps):
         for row in orbit.RK_A[1:]:
             ks.append(rate(y + dt * weighted(row, ks)))
         y = y + dt * weighted(orbit.RK_B, ks)
-        if np.abs(y).max() > 1e8:
-            raise BlowupError("escaped")
     gap = y - start
     return float(np.linalg.norm(gap[:n]) + np.linalg.norm(gap[n:]))
 
@@ -346,19 +379,25 @@ LADDER_POTENTIALS = [
 ]
 
 
-@pytest.mark.parametrize("source,n", LADDER_POTENTIALS,
-                         ids=["power_law", "sin", "exp", "log"])
-def test_each_rung_is_closure_gap_bit_for_bit(cubic_spec, source, n):
+def ladder_potential_orbits(cubic_spec, source, n, N=64):
+    """The spec of a ``LADDER_POTENTIALS`` entry, and samples and period of
+    its circle put on the set, unperturbed and perturbed by 2%."""
     spec = cubic_spec if source is None else ProblemSpec(
         parse_potential(source, n), n, 1.0, 2.0, 0.0, "e1")
-    N = 64
     circle = circle_loop(N, n)
     on_set = scaling_root(circle, spec) * circle.nodes
     rng = np.random.default_rng(3)
-    for q in (on_set, on_set * (1.0 + 0.02 * rng.standard_normal(on_set.shape))):
-        T = orbit_period(LoopPath(q), spec)
+    return spec, [(q, orbit_period(LoopPath(q), spec)) for q in
+                  (on_set, on_set * (1.0 + 0.02 * rng.standard_normal(on_set.shape)))]
+
+
+@pytest.mark.parametrize("source,n", LADDER_POTENTIALS,
+                         ids=["power_law", "sin", "exp", "log"])
+def test_each_rung_is_closure_gap_bit_for_bit(cubic_spec, source, n):
+    spec, orbits = ladder_potential_orbits(cubic_spec, source, n)
+    for q, T in orbits:
         q0, v0 = ladder_start(q, T)
-        rungs = orbit._rungs(2 * N)
+        rungs = orbit._rungs(2 * q.shape[0])
         assert [s for s, _ in orbit._rung_closures(q0, v0, T, spec.potential, rungs)] == rungs
         for steps, closure in orbit._rung_closures(q0, v0, T, spec.potential, rungs):
             assert closure == closure_gap(q0, v0, T, spec.potential, steps=steps)
@@ -367,18 +406,33 @@ def test_each_rung_is_closure_gap_bit_for_bit(cubic_spec, source, n):
         assert (closure, closure_err) == sequential_ladder(q, T, spec.potential)[:2]
 
 
+@pytest.mark.parametrize("source,n", LADDER_POTENTIALS,
+                         ids=["power_law", "sin", "exp", "log"])
+def test_nystrom_form_agrees_with_the_first_order_form(cubic_spec, source, n):
+    # The same tableau on q'' = -grad V and on its first-order system: the
+    # two differ only in rounding, here at most a few 1e-14 of the state.
+    spec, orbits = ladder_potential_orbits(cubic_spec, source, n)
+    for q, T in orbits:
+        q0, v0 = ladder_start(q, T)
+        scale = np.abs(np.concatenate((q0, v0))).max()
+        for steps, closure in orbit._rung_closures(q0, v0, T, spec.potential,
+                                                   orbit._rungs(2 * q.shape[0])):
+            first_order = first_order_dop853(q0, v0, T, spec.potential, steps)
+            assert abs(closure - first_order) <= 1e-12 * scale
+
+
 class Faulty(PotentialModel):
     """``inner`` with a fault at the second stage point of the first step of
-    each rung in ``rungs``, q0 + (T/s) (c2 v0) with c2 = a_21 of the
-    tableau: the gradient there raises DomainError
-    (``fault="domain"``) or is 1e12, which escapes in that step
-    (``fault="blowup"``).  ``hits`` counts the calls that met a fault."""
+    each rung in ``rungs``, q0 + c2 ((T/s) v0) with c2 the tableau's second
+    node: the gradient there raises DomainError (``fault="domain"``), or is
+    1e12, which escapes in that step (``fault="blowup"``), or is nan
+    (``fault="nan"``).  ``hits`` counts the calls that met a fault."""
 
     def __init__(self, inner, q, T, rungs, fault):
         self.inner, self.n, self.fault, self.hits = inner, inner.n, fault, 0
         q0, v0 = ladder_start(q, T)
-        c2 = orbit.RK_A[1][0][1]
-        self.points = np.array([q0 + (T / s) * (c2 * v0) for s in rungs])
+        c2 = orbit.NYSTROM_C[1]
+        self.points = np.array([q0 + c2 * ((T / s) * v0) for s in rungs])
 
     def value(self, q):
         return self.inner.value(q)
@@ -392,7 +446,8 @@ class Faulty(PotentialModel):
         self.hits += 1
         if self.fault == "domain":
             raise DomainError("faulty stage point")
-        return np.where(hit[:, None], 1e12, np.atleast_2d(g)).reshape(g.shape)
+        bad = math.nan if self.fault == "nan" else 1e12
+        return np.where(hit[:, None], bad, np.atleast_2d(g)).reshape(g.shape)
 
 
 def stopping_case(spec, N=256):
@@ -428,6 +483,19 @@ def test_blowup_at_a_reached_rung_moves_on(cubic_spec):
     assert later[-1] > reached[-1]
     assert residuals(verify_orbit(q, T, faulty, cubic_spec.h))[2:] == (closure, closure_err)
     assert (closure, closure_err) != clean[2:]
+
+
+def test_nan_phase_point_is_a_blowup_of_its_own_row(cubic_spec):
+    # A row whose phase point turns nan has blown up, and in the same step
+    # as another row's blowup it hides nothing: the batch still gives each
+    # rung's own result, and the ladder climbs past both.
+    q, T, clean, reached = stopping_case(cubic_spec)
+    nan_at_12 = Faulty(cubic_spec.potential, q, T, [12], "nan")
+    faulty = Faulty(nan_at_12, q, T, [8], "blowup")
+    closure, closure_err, later = sequential_ladder(q, T, faulty)
+    assert later[:3] == [8, 12, 16] and math.isfinite(closure)
+    assert residuals(verify_orbit(q, T, faulty, cubic_spec.h))[2:] == (closure, closure_err)
+    assert nan_at_12.hits > 0 and faulty.hits > 0
 
 
 @pytest.mark.parametrize("fault,error", [("domain", DomainError), ("blowup", BlowupError)])
@@ -482,3 +550,69 @@ def test_verify_stops_at_the_pinned_rung(monkeypatch, expression_spec, cubic_spe
     calls = count_calls(monkeypatch, spec.potential, "gradient")
     verify_orbit(q, T, spec.potential, spec.h)
     assert (len(pairs), len(calls)) == (1, 12 * stop)
+
+
+def verify_recorded(reached, calls, q, T, spec, closure_tol=None):
+    """verify_orbit with a fresh record: the result, the rungs it reached and
+    its number of ``gradient`` calls."""
+    reached.clear()
+    calls.clear()
+    res = verify_orbit(q, T, spec.potential, spec.h, closure_tol)
+    return res, list(reached), len(calls)
+
+
+@pytest.mark.parametrize("case,N,init,stop", [
+    ("expression", 64, "circle", 12),
+    ("cubic", 256, "random_bandlimited", 16),
+    ("cubic", 1024, "circle", 32),
+])
+def test_closure_tol_stops_the_ladder_once_the_verdict_is_settled(
+        monkeypatch, expression_spec, cubic_spec, case, N, init, stop):
+    # At the benchmark's gate 50/N^2 every ladder settles at 12 steps, where
+    # without a tolerance it climbs to ``stop``; the verdict is the same, and
+    # the same as a 1024-step integration's, on either side of the closure.
+    spec = expression_spec if case == "expression" else cubic_spec
+    q, T = solved_orbit(spec, N, init, 0)
+    reached = record_rungs(monkeypatch)
+    calls = count_calls(monkeypatch, spec.potential, "gradient")
+    full, full_reached, full_calls = verify_recorded(reached, calls, q, T, spec)
+    assert (full_reached[-1], full_calls) == (stop, 12 * stop)
+    settled, settled_reached, settled_calls = verify_recorded(reached, calls, q, T, spec,
+                                                              50.0 / N**2)
+    assert (settled_reached, settled_calls) == ([8, 12], 12 * 12)
+    fine = closure_gap(*ladder_start(q, T), T, spec.potential, steps=1024)
+    assert abs(settled.closure - fine) <= 2.0 * settled.closure_err
+    for tol in (0.5 * full.closure, 2.0 * full.closure, 50.0 / N**2):
+        res = verify_orbit(q, T, spec.potential, spec.h, tol)
+        assert (res.closure <= tol) == (full.closure <= tol) == (fine <= tol)
+
+
+@pytest.mark.parametrize("N,init", [(256, "random_bandlimited"), (1024, "circle")])
+def test_closure_tol_within_the_estimate_climbs_as_without_one(monkeypatch, cubic_spec, N, init):
+    # A tolerance within closure_err of the closure at every rung below the
+    # stop settles nothing: the ladder climbs as far, with the same calls.
+    q, T = solved_orbit(cubic_spec, N, init, 0)
+    reached = record_rungs(monkeypatch)
+    calls = count_calls(monkeypatch, cubic_spec.potential, "gradient")
+    full, full_reached, full_calls = verify_recorded(reached, calls, q, T, cubic_spec)
+    closures = dict(orbit._rung_closures(*ladder_start(q, T), T, cubic_spec.potential,
+                                         full_reached))
+    tol = closures[full_reached[-2]]
+    for coarse, steps in zip(full_reached[:-2], full_reached[1:-1]):
+        err = abs(closures[steps] - closures[coarse]) / ((steps / coarse) ** 4 - 1.0)
+        assert abs(closures[steps] - tol) < err
+    res, res_reached, res_calls = verify_recorded(reached, calls, q, T, cubic_spec, tol)
+    assert (residuals(res), res_reached, res_calls) == (residuals(full), full_reached, full_calls)
+
+
+def test_nan_closure_err_never_stops_the_ladder(monkeypatch):
+    # The stiff case's rungs below 64 blow up, so closure_err is nan up to
+    # 64: however far the tolerance is from the closure, the ladder climbs
+    # to the cap.
+    q, T, stiff = stiff_case()
+    reached = record_rungs(monkeypatch)
+    full = residuals(verify_orbit(q, T, stiff, 0.5))
+    for tol in (1e-300, 1.0, 1e300):
+        reached.clear()
+        assert residuals(verify_orbit(q, T, stiff, 0.5, tol)) == full
+        assert reached == [8, 12, 16, 32, 64, 128]
