@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import BlowupError, DomainError, NonpositiveActionError
 from .functional import ProblemSpec, _factors
-from .loopspace import LoopPath, is_nonconstant, periodic_shift
+from .loopspace import MIN_NODES, LoopPath, is_nonconstant, periodic_shift
 from .potentials import PotentialModel
 
 BLOWUP_LIMIT = 1e8
@@ -200,9 +200,9 @@ def orbit_residuals(positions: np.ndarray, period: float, potential: PotentialMo
 
 
 def _rungs(cap: int) -> list[int]:
-    """Step counts of the closure ladder: 8, 12, 16, then doubling, ending on
-    the cap (cap // 2 and the cap when the cap is at most 8)."""
-    rungs = [s for s in RK_LOW_RUNGS if s < cap] or [cap // 2]
+    """Step counts of the closure ladder below a cap of at least 16: 8, 12,
+    16, then doubling, ending on the cap."""
+    rungs = [s for s in RK_LOW_RUNGS if s < cap]
     while rungs[-1] < cap:
         rungs.append(min(2 * rungs[-1], cap))
     return rungs
@@ -301,7 +301,8 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
 
     The residuals come from :func:`orbit_residuals`; the orbit is
     nonconstant when its positions, as a loop, pass
-    :func:`~hamorbit.loopspace.is_nonconstant`.
+    :func:`~hamorbit.loopspace.is_nonconstant`, and like a loop they need at
+    least ``MIN_NODES`` rows (``ValueError`` otherwise).
 
     The closure test starts from (q_0, central-difference velocity at q_0).
     Its rungs (:func:`_rungs`) run 8, 12 and 16 steps and then double, never
@@ -325,6 +326,8 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
     """
     q = np.asarray(positions, dtype=float)
     N = q.shape[0]
+    if N < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} nodes, got {N}")
     ode_sup, energy_sup = orbit_residuals(q, period, potential, h)
     v0 = (q[1] - q[-1]) / (2.0 * period / N)
     cap = RK_STEPS_PER_NODE * N

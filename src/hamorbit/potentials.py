@@ -199,7 +199,7 @@ def hessian_ray(p: PotentialModel, q) -> np.ndarray:
     spatial step 1e-4 * (1 + |q|).
     """
     pts, single = _batched(q, p.n)
-    r = np.linalg.norm(pts, axis=1)
+    r = expressions.point_norms(pts)
     out = np.zeros_like(pts)
     mask = r > 0.0
     if np.any(mask):
@@ -277,7 +277,7 @@ class HypothesisReport:
 
 def _unit_directions(rng, count, dim):
     dirs = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(dirs, axis=1)
+    norms = expressions.point_norms(dirs)
     norms[norms == 0.0] = 1.0
     return dirs / norms[:, None]
 
@@ -328,7 +328,7 @@ def _check_coercivity(p, h, rng, cfg):
 
 def _check_radial_nondegeneracy(p, pts, grads, mu1, tol):
     raw = 3.0 * np.sum(grads * pts, axis=1) + np.sum(hessian_ray(p, pts) * pts, axis=1)
-    scale = 1.0 + np.linalg.norm(pts, axis=1) ** mu1
+    scale = 1.0 + expressions.point_norms(pts) ** mu1
     scaled = np.abs(raw) / scale
     worst = int(np.argmin(scaled))
     verdict = "pass" if scaled[worst] >= tol else "fail"

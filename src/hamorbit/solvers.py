@@ -48,6 +48,7 @@ from .errors import (
     PathCollapseError,
     ZeroLoopError,
 )
+from .expressions import point_norms
 from .functional import (
     CpsRecord,
     ProblemSpec,
@@ -71,7 +72,6 @@ from .loopspace import (
     sobolev_precondition,
     speed,
     stacked_h1_norm,
-    symmetry_defect,
 )
 
 _MIN_STEP = 1e-18
@@ -112,7 +112,6 @@ class SolveReport:
     trace: list[CpsRecord] = field(default_factory=list)
     iterations: int = 0
     message: str = ""
-    max_symmetry_drift: float = 0.0
     gamma_history: list[float] | None = None
 
     @property
@@ -156,27 +155,24 @@ def _stop(rec: CpsRecord, u: LoopPath, f_value: float, it: int, opts: SolveOptio
 
 def _trials(x: np.ndarray, grad: np.ndarray, step: float, symmetry: str, level: float):
     """The one Armijo search of both routes from x, whose gradient is
-    ``grad`` and whose level is ``level``.  Yields (next_step, trial, drift,
-    bound) for t = step, step * _STEP_SHRINK, ... above _MIN_STEP: trial is
+    ``grad`` and whose level is ``level``.  Yields (next_step, trial, bound)
+    for t = step, step * _STEP_SHRINK, ... above _MIN_STEP: trial is
     x - t * d projected onto the symmetry class, d the preconditioned
-    gradient, and drift its symmetry defect.  The caller accepts the trial
-    when its level is at most bound = level - _ARMIJO * t * slope, slope
-    being grad . d, and starts its next search at next_step = min(2 t,
-    _MAX_STEP), or at the Barzilai-Borwein step where the constrained route
-    has one.  A trial that is no loop is skipped.
+    gradient.  The caller accepts the trial when its level is at most
+    bound = level - _ARMIJO * t * slope, slope being grad . d, and starts its
+    next search at next_step = min(2 t, _MAX_STEP), or at the
+    Barzilai-Borwein step where the constrained route has one.  A trial that is no loop is skipped.
     """
     direction = sobolev_precondition(grad)
     slope = _dot(grad, direction)
     t = step
     while t > _MIN_STEP:
-        raw = x - t * direction
         try:
-            trial = project_symmetric(LoopPath(raw), symmetry)
+            trial = project_symmetric(LoopPath(x - t * direction), symmetry)
         except ValueError:
             pass
         else:
-            yield (min(2.0 * t, _MAX_STEP), trial, symmetry_defect(raw, trial.nodes),
-                   level - _ARMIJO * t * slope)
+            yield min(2.0 * t, _MAX_STEP), trial, level - _ARMIJO * t * slope
         t *= _STEP_SHRINK
 
 
@@ -205,11 +201,9 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
         raise ZeroLoopError("initial loop vanishes after symmetry projection")
 
     trace: list[CpsRecord] = []
-    drift_max = 0.0
 
     def report(loop, f_value, iterations, termination, message=""):
-        return SolveReport(loop, f_value, termination, trace, iterations, message,
-                           max_symmetry_drift=drift_max)
+        return SolveReport(loop, f_value, termination, trace, iterations, message)
 
     try:
         here = ray_landing(u, spec)
@@ -237,8 +231,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
         prev_nodes, prev_grad = u.nodes, grad
 
         bracket_failure = None
-        for next_step, trial, drift, bound in _trials(u.nodes, grad, step,
-                                                      spec.symmetry, f_cur):
+        for next_step, trial, bound in _trials(u.nodes, grad, step, spec.symmetry, f_cur):
             try:
                 landing = ray_landing(trial, spec)
                 f_new = landing.action(spec)
@@ -253,7 +246,6 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
             if bracket_failure is not None:
                 return report(u, f_cur, it, "hypothesis_violation", bracket_failure.reason())
             return report(u, f_cur, it, "max_iter", "line search stalled below machine step")
-        drift_max = max(drift_max, drift)
         here, f_cur, step = landing, f_new, next_step
 
 
@@ -264,7 +256,7 @@ def build_endpoint(spec: ProblemSpec, base: LoopPath) -> LoopPath:
     Doubles the scale from 1 upward and returns the first R with
     mean(h - V(R * base)) <= 0, so action(R * base) <= 0.
     """
-    radii = np.linalg.norm(base.nodes, axis=1)
+    radii = point_norms(base.nodes)
     if radii.min() <= 0.0:
         raise BaseThroughOriginError("base loop passes through the origin")
     R = 1.0
@@ -343,8 +335,8 @@ class _PathMax:
     :func:`action_gradient`, so a segment's maximum does not depend on the
     other segments it is evaluated with.
 
-    :meth:`refresh` evaluates a whole path, or tests a candidate path
-    against a ceiling on the segments around the top before the rest.
+    :meth:`refresh` tests a candidate path against a ceiling on the
+    segments around the top before the rest.
     """
 
     GRID = np.linspace(0.0, 1.0, 9)
@@ -421,20 +413,17 @@ class _PathMax:
                 values[s], taus[s] = value, tau
         return values, taus
 
-    def refresh(self, path, top=None, ceiling=None):
-        """Per-segment maxima (values, taus) for the whole path.
+    def refresh(self, path, top, ceiling):
+        """Per-segment maxima (values, taus) of a candidate path that must
+        not raise the maximum above ``ceiling``; None rejects it.
 
-        With a ``ceiling``, the path is a candidate that must not raise the
-        maximum above it, and None rejects it.  The segments top - 1, top and
-        top + 1 (those on the path) go first, and a maximum above the ceiling
-        there rejects the candidate without evaluating the others; the rest
-        then go in one more :meth:`segment_max` call, and the whole set is
-        held to the same rule.  A segment's maximum depends only on its two
-        ends, so the order decides how many segments are evaluated, never a
-        value or the outcome.
+        The segments top - 1, top and top + 1 (those on the path) go first,
+        and a maximum above the ceiling there rejects the candidate without
+        evaluating the others; the rest then go in one more :meth:`segment_max`
+        call, and the whole set is held to the same rule.  A segment's maximum
+        depends only on its two ends, so the order decides how many segments
+        are evaluated, never a value or the outcome.
         """
-        if ceiling is None:
-            return self.segment_max(path)
         m = len(path) - 1
         near = np.zeros(m, dtype=bool)
         near[max(top - 1, 0):top + 2] = True
@@ -496,16 +485,15 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
     collapse_tol = 1e-9 * (1.0 + abs(base))
     path = np.array([(1.0 - s) * z0.nodes + s * z1.nodes for s in np.linspace(0.0, 1.0, m + 1)])
     pmax = _PathMax(spec)
-    seg_vals, seg_taus = pmax.refresh(path)
+    seg_vals, seg_taus = pmax.segment_max(path)
 
     trace: list[CpsRecord] = []
     gammas: list[float] = []
-    drift_max = 0.0
     step = 1.0
 
     def report(loop, f_value, iterations, termination, message=""):
         return SolveReport(loop, f_value, termination, trace, iterations, message,
-                           max_symmetry_drift=drift_max, gamma_history=gammas)
+                           gamma_history=gammas)
 
     for sweep in range(opts.max_iterations + 1):
         i = int(np.argmax(seg_vals))
@@ -527,14 +515,13 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         j = i if tau < 0.5 else i + 1
         j = min(max(j, 1), m - 1)
 
-        for next_step, trial, drift, bound in _trials(top, grad, step, spec.symmetry, gamma):
+        for next_step, trial, bound in _trials(top, grad, step, spec.symmetry, gamma):
             vals, taus = pmax.segment_max([path[j - 1], trial.nodes, path[j + 1]])
             hi = vals.max()
             if math.isfinite(hi) and hi <= bound:
                 break
         else:
             return report(u, gamma, sweep, "max_iter", "line search stalled at the path maximum")
-        drift_max = max(drift_max, drift)
         path[j] = trial.nodes
         seg_vals[j - 1:j + 1], seg_taus[j - 1:j + 1] = vals, taus
         step = next_step

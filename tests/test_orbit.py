@@ -24,7 +24,7 @@ from hamorbit import (
     verify_orbit,
 )
 from hamorbit import orbit
-from hamorbit.loopspace import NONCONSTANT_SPEED
+from hamorbit.loopspace import MIN_NODES, NONCONSTANT_SPEED
 from hamorbit.orbit import orbit_residuals
 from conftest import count_calls, mode_one_loop
 
@@ -534,6 +534,15 @@ def test_rungs_climb_to_the_cap_at_most_doubling():
         rungs = orbit._rungs(cap)
         assert rungs[:3] == [8, 12, 16] and rungs[-1] == cap
         assert all(a < b <= 2 * a for a, b in zip(rungs, rungs[1:]))
+
+
+def test_verify_orbit_needs_the_nodes_of_a_loop(harmonic_spec):
+    # Fewer than MIN_NODES samples would put the cap of 2N steps below the
+    # ladder's first rungs.
+    circle = circle_loop(MIN_NODES, 2).nodes
+    assert verify_orbit(circle, 2 * math.pi, harmonic_spec.potential, 1.0).nonconstant
+    with pytest.raises(ValueError, match=f"need at least {MIN_NODES} nodes, got 4"):
+        verify_orbit(circle[::2], 2 * math.pi, harmonic_spec.potential, 1.0)
 
 
 @pytest.mark.parametrize("case,N,init,stop", [

@@ -80,6 +80,7 @@ UNREFERENCED = {
     "constraint_value": "resolved by perfbench's tracer; goes with the benchmark's next change",
     "parse_report": "the report reader that perfbench and the README use",
     "resample": "kept for coarse-to-fine solves",
+    "symmetry_defect": "resolved by perfbench's tracer; goes with the benchmark's next change",
 }
 
 
@@ -106,6 +107,26 @@ def test_every_definition_has_a_reader_in_the_package():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
         and not any(stmt.name in names for other, names in statements if other is not stmt))
     assert unread == sorted(UNREFERENCED)
+
+
+def test_every_field_has_a_reader_in_the_package():
+    # Each annotated field of a class in a module must be read somewhere in
+    # the package outside __init__.py: an attribute load counts, and so does
+    # a string constant, since cli and reportio read fields by name.
+    fields, reads = [], set()
+    for path in sorted(Path(hamorbit.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                fields += [(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    assert fields
+    assert [f"{cls}.{name}" for cls, name in fields if name not in reads] == []
 
 
 def test_readme_library_example_runs():

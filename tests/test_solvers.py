@@ -129,14 +129,26 @@ def test_minimize_monotone_descent_and_constraint(harmonic_spec):
     assert rep.trace[-1].distance_proxy <= 1e-10
 
 
-def test_minimize_symmetry_closure(harmonic_spec):
+def test_minimize_symmetry_closure(monkeypatch, harmonic_spec):
+    # Each trial step leaves the symmetry class by at most 1e-8 before its
+    # projection: the preconditioned gradient stays in the class.
+    defects = []
+    real = solvers.project_symmetric
+
+    def recorded(u, symmetry):
+        projected = real(u, symmetry)
+        defects.append(float(np.abs(u.nodes - projected.nodes).max()))
+        return projected
+
+    monkeypatch.setattr(solvers, "project_symmetric", recorded)
     rep = minimize_on_nehari(
         harmonic_spec,
         SolveOptions(initial_loop="random_bandlimited", seed=13),
         n_nodes=64,
     )
     assert rep.converged
-    assert rep.max_symmetry_drift <= 1e-8
+    trials = defects[1:]  # the start's projection is no trial
+    assert trials and max(trials) <= 1e-8
     proj = project_symmetric(rep.loop, "e1")
     assert np.abs(rep.loop.nodes - proj.nodes).max() <= 1e-12
 
@@ -240,14 +252,14 @@ def test_minimize_every_trial_failing_stalls(monkeypatch, expression_spec):
 
 def test_each_trial_projects_once(monkeypatch, harmonic_spec):
     projections = count_calls(monkeypatch, solvers, "project_symmetric")
-    trials = count_calls(monkeypatch, solvers, "symmetry_defect")
+    landings = count_calls(monkeypatch, solvers, "ray_landing")
     minimize_on_nehari(
         harmonic_spec,
         SolveOptions(initial_loop="random_bandlimited", seed=1, max_iterations=5),
         n_nodes=64,
     )
-    # The start, then one projection per line-search trial.
-    assert len(trials) >= 5 and len(projections) == len(trials) + 1
+    # The start, then one line-search trial per landing: one projection each.
+    assert len(landings) >= 6 and len(projections) == len(landings)
 
 
 def test_build_endpoint_doubling(harmonic_spec, quartic_spec):
@@ -337,7 +349,7 @@ def test_batched_segment_maxima_match_segment_by_segment(expression_spec, cubic_
 def test_refresh_makes_one_grid_call(monkeypatch, cubic_spec):
     sizes = _point_counts(monkeypatch, PowerLawPotential, "value")
     path = _random_path(cubic_spec, np.random.default_rng(4), np.linspace(0.2, 2.5, 17))
-    _PathMax(cubic_spec).refresh(path)
+    _PathMax(cubic_spec).segment_max(path)
     # The grids, then the ends beside the grid maxima, then the other ends
     # where needed, then the tops one loop at a time.
     assert sizes[0] == 16 * 9 * 64 and max(sizes[1:]) <= 16 * 64
@@ -346,7 +358,7 @@ def test_refresh_makes_one_grid_call(monkeypatch, cubic_spec):
 def test_refresh_holds_a_candidate_to_its_ceiling(monkeypatch, cubic_spec):
     path = _random_path(cubic_spec, np.random.default_rng(4), np.linspace(0.2, 2.5, 17))
     pmax = _PathMax(cubic_spec)
-    values, taus = pmax.refresh(path)
+    values, taus = pmax.segment_max(path)
     top = int(np.argmax(values))
     far = (top + 8) % 16
     window = values[far - 1:far + 2].max()
@@ -488,21 +500,20 @@ def _recorded_refresh(monkeypatch, refresh, sizes=()):
     (from the list ``sizes`` that a counter fills)."""
     candidates = []
 
-    def recorded(self, path, top=None, ceiling=None):
+    def recorded(self, path, top, ceiling):
         start = len(sizes)
         maxima = refresh(self, path, top, ceiling)
-        if ceiling is not None:
-            candidates.append((maxima is not None, sizes[start:]))
+        candidates.append((maxima is not None, sizes[start:]))
         return maxima
 
     monkeypatch.setattr(_PathMax, "refresh", recorded)
     return candidates
 
 
-def _refresh_in_full(self, path, top=None, ceiling=None):
+def _refresh_in_full(self, path, top, ceiling):
     # Every segment of the candidate, then the rule on all of them.
     values, taus = self.segment_max(path)
-    if ceiling is not None and not values.max() <= ceiling:
+    if not values.max() <= ceiling:
         return None
     return values, taus
 
@@ -718,10 +729,11 @@ def test_mountain_pass_budget_ends_through_the_gate(expression_spec):
 
 
 def test_mountain_pass_collapse_to_the_endpoint_level(monkeypatch, expression_spec):
-    # Every segment maximum at the endpoints' level 0: no barrier is left.
-    monkeypatch.setattr(_PathMax, "refresh",
-                        lambda self, path, top=None, ceiling=None:
-                        (np.zeros(len(path) - 1), np.zeros(len(path) - 1)))
+    # Every segment maximum of the start path at the endpoints' level 0: no
+    # barrier is left, and the pass ends before any other evaluation.
+    monkeypatch.setattr(_PathMax, "segment_max",
+                        lambda self, nodes, segments=slice(None):
+                        (np.zeros(len(nodes) - 1), np.zeros(len(nodes) - 1)))
     rep = _expression_pass(expression_spec)
     assert rep.termination == "hypothesis_violation"
     assert rep.message.startswith("E_COLLAPSE: path maximum fell to the endpoint level")
