@@ -21,6 +21,16 @@ Jacobian block) of forward-mode differentiation, so one pass yields all
 partial derivatives.  At q = 0 the norm primitive ``|q|`` uses the
 subgradient 0, matching the usual convention for abs.
 
+A third, second-order closure gives the triple (values, (M, n) Jacobian,
+(M, n, n) Hessian blocks), which :func:`evaluate_hessian` returns the last
+of.  Its values are computed as the plain rule computes them; a binary node
+lifts a constant operand to zero derivative blocks, so each operator has one
+second-order rule, and each function gives phi, phi' and phi'' to one chain
+rule.  Where the source is not twice differentiable, this pass raises a
+:class:`DomainError`: ``|q|`` at the origin, abs at zero, and a power whose
+second derivative is not finite, besides every check of the dual pass.  The
+plain and dual closures are untouched by it, in bits and in cost.
+
 The dual pass carries the values too, and :func:`evaluate_value_and_gradient`
 returns them with the gradient, so a caller that needs both makes one pass.
 Every dual rule computes its value as the plain rule does, so the pair has
@@ -145,9 +155,17 @@ class _Parser:
             def pair(points):  # an unfolded constant fails here as in value
                 return value(points), np.zeros_like(points)
 
-            return Program(value, pair)
+            def hessian(points):
+                value(points)
+                return np.zeros(points.shape + points.shape[-1:])
+
+            return Program(value, pair, hessian)
+
+        def hessian(points):
+            return code.second(points)[2]
+
         if code is not self.var:
-            return Program(f, d)
+            return Program(f, d, hessian)
 
         def value(points):  # a bare column would alias the points
             return f(points).copy()
@@ -156,7 +174,7 @@ class _Parser:
             v, dv = d(points)
             return v.copy(), dv
 
-        return Program(value, pair)
+        return Program(value, pair, hessian)
 
     def expr(self) -> _Code:
         code = self.term()
@@ -199,7 +217,7 @@ class _Parser:
             if name.text != "q":
                 raise ExpressionParseError(f"unexpected {name.text!r}", name.pos, {"'q'"})
             self.expect("|", {"'|'"})
-            return _Code(point_norms, _norm_dual, False)
+            return _Code(point_norms, _norm_dual, _norm_second, False)
         if tok.kind == "name":
             self.advance()
             m = _VAR_RE.match(tok.text)
@@ -253,22 +271,27 @@ _DIVISION = "division by zero"
 
 class Program(NamedTuple):
     """A compiled expression at a (M, n) batch of points: ``value(points)``
-    gives shape (M,) from the plain pass, and ``value_and_gradient(points)``
+    gives shape (M,) from the plain pass, ``value_and_gradient(points)``
     the pair of shapes (M,) and (M, n) from the dual pass, with the same
-    value bits."""
+    value bits, and ``hessian(points)`` the (M, n, n) blocks from the
+    second-order pass."""
 
     value: Callable
     value_and_gradient: Callable
+    hessian: Callable
 
 
 class _Code(NamedTuple):
-    """One compiled node.  ``plain(points)`` gives its values and
-    ``dual(points)`` the pair ``(val, der)``, der of shape (M, n).  A node
-    without q (``constant``) gives the same scalar from both; ``folded`` is
-    that scalar when it was computed at compile time, else None."""
+    """One compiled node.  ``plain(points)`` gives its values,
+    ``dual(points)`` the pair ``(val, der)``, der of shape (M, n), and
+    ``second(points)`` the triple ``(val, der, hess)``, hess of shape
+    (M, n, n).  A node without q (``constant``) gives the same scalar from
+    all three; ``folded`` is that scalar when it was computed at compile
+    time, else None."""
 
     plain: Callable
     dual: Callable
+    second: Callable
     constant: bool
     folded: object = None
 
@@ -282,7 +305,7 @@ def _constant(k) -> _Code:
     def const(points):
         return k
 
-    return _Code(const, const, True, k)
+    return _Code(const, const, const, True, k)
 
 
 def _fold(code: _Code) -> _Code:
@@ -307,7 +330,10 @@ def _var(i: int) -> _Code:
         der[:, i] = 1.0
         return points[:, i], der
 
-    return _Code(plain, dual, False)
+    def second(points):
+        return (*dual(points), np.zeros(points.shape + points.shape[-1:], points.dtype))
+
+    return _Code(plain, dual, second, False)
 
 
 def point_norms(points):
@@ -326,8 +352,27 @@ def _norm_dual(points):
     return r, der
 
 
+def _norm_second(points):
+    r = point_norms(points)
+    _require(r > 0.0, "|q| not twice differentiable at the origin")
+    unit = points / r[:, None]
+    return r, unit, (np.eye(points.shape[1]) - _outer(unit, unit)) / r[:, None, None]
+
+
+def _outer(x, y):
+    """Per-point outer products x_m y_m^T of two (M, n) blocks, (M, n, n)."""
+    return x[:, :, None] * y[:, None, :]
+
+
+def _chain(d1, d2, dv, hv):
+    """Derivative and Hessian blocks of phi(v) from phi'(v) = d1, phi''(v) = d2
+    (arrays of shape (M,) or scalars) and v's blocks dv, hv."""
+    d1, d2 = np.asarray(d1)[..., None], np.asarray(d2)[..., None, None]
+    return dv * d1, hv * d1[..., None] + d2 * _outer(dv, dv)
+
+
 def _neg(a: _Code) -> _Code:
-    f, d = a.plain, a.dual
+    f, d, d2 = a.plain, a.dual, a.second
 
     def plain(points):
         return np.negative(f(points))
@@ -336,20 +381,28 @@ def _neg(a: _Code) -> _Code:
         v, dv = d(points)
         return -v, -dv
 
-    return _Code(plain, plain if a.constant else dual, a.constant)
+    def second(points):
+        v, dv, hv = d2(points)
+        return -v, -dv, -hv
+
+    if a.constant:
+        return _Code(plain, plain, plain, True)
+    return _Code(plain, dual, second, False)
 
 
-def _binary(a: _Code, b: _Code, op, vv, vc, cv) -> _Code:
+def _binary(a: _Code, b: _Code, op, vv, vc, cv, second_rule) -> _Code:
     """Node ``op(a, b)``; its dual applies ``vv(v, dv, w, dw)``,
-    ``vc(v, dv, c)`` or ``cv(c, w, dw)`` by which operands hold q.  The left
-    operand is always evaluated first."""
+    ``vc(v, dv, c)`` or ``cv(c, w, dw)`` by which operands hold q, and its
+    second-order closure takes the value ``op(v, w)`` and the blocks
+    ``second_rule(val, v, dv, hv, w, dw, hw)``, a constant operand lifted to
+    zero blocks.  The left operand is always evaluated first."""
     fa, fb, da, db = a.plain, b.plain, a.dual, b.dual
 
     def plain(points):
         return op(fa(points), fb(points))
 
     if a.constant and b.constant:
-        return _Code(plain, plain, True)
+        return _Code(plain, plain, plain, True)
     if b.constant:
         def dual(points):
             v, dv = da(points)
@@ -362,7 +415,28 @@ def _binary(a: _Code, b: _Code, op, vv, vc, cv) -> _Code:
         def dual(points):
             v, dv = da(points)
             return vv(v, dv, *db(points))
-    return _Code(plain, dual, False)
+
+    def second_order(points):
+        v, dv, hv = _lifted(a, points)
+        w, dw, hw = _lifted(b, points)
+        val = op(v, w)
+        return (val, *second_rule(val, v, dv, hv, w, dw, hw))
+
+    return _Code(plain, dual, second_order, False)
+
+
+def _lifted(code: _Code, points):
+    """A node's second-order triple, a constant's as (M,) values and zero
+    derivative blocks."""
+    if not code.constant:
+        return code.second(points)
+    M, n = points.shape
+    return np.full(M, code.plain(points), dtype=float), np.zeros((M, n)), np.zeros((M, n, n))
+
+
+def _sym_outer(x, y):
+    o = _outer(x, y)
+    return o + np.swapaxes(o, 1, 2)
 
 
 def _add(a, b):
@@ -371,6 +445,7 @@ def _add(a, b):
         lambda v, dv, w, dw: (v + w, dv + dw),
         lambda v, dv, c: (v + c, dv),
         lambda c, w, dw: (w + c, dw),
+        lambda val, v, dv, hv, w, dw, hw: (dv + dw, hv + hw),
     )
 
 
@@ -380,7 +455,13 @@ def _sub(a, b):
         lambda v, dv, w, dw: (v - w, dv - dw),
         lambda v, dv, c: (v - c, dv),
         lambda c, w, dw: (c - w, -dw),
+        lambda val, v, dv, hv, w, dw, hw: (dv - dw, hv - hw),
     )
+
+
+def _mul_second(val, v, dv, hv, w, dw, hw):
+    return (dv * w[:, None] + dw * v[:, None],
+            hv * w[:, None, None] + hw * v[:, None, None] + _sym_outer(dv, dw))
 
 
 def _mul(a, b):
@@ -389,6 +470,7 @@ def _mul(a, b):
         lambda v, dv, w, dw: (v * w, dv * w[:, None] + dw * v[:, None]),
         lambda v, dv, c: (v * c, dv * c),
         lambda c, w, dw: (w * c, dw * c),
+        _mul_second,
     )
 
 
@@ -414,8 +496,15 @@ def _div_cv(c, w, dw):
     return val, -dw * (val / w)[:, None]
 
 
+def _div_second(val, v, dv, hv, w, dw, hw):
+    # val * w = v, differentiated once and twice.
+    inv = 1.0 / w
+    der = (dv - dw * val[:, None]) * inv[:, None]
+    return der, (hv - hw * val[:, None, None] - _sym_outer(der, dw)) * inv[:, None, None]
+
+
 def _div(a, b):
-    return _binary(a, b, _divide, _div_vv, _div_vc, _div_cv)
+    return _binary(a, b, _divide, _div_vv, _div_vc, _div_cv, _div_second)
 
 
 def _power(base, expo):
@@ -447,11 +536,19 @@ def _pow_cv(c, e, de):
     return np.power(c, e), de * log_c * np.exp(e * log_c)[:, None]
 
 
+def _pow_second(val, v, dv, hv, e, de, he):
+    # val = exp(g), g = e * log(v); op has checked v > 0.
+    log_v = np.log(v)
+    dlog, hlog = _chain(1.0 / v, -1.0 / (v * v), dv, hv)
+    dg, hg = _mul_second(None, e, de, he, log_v, dlog, hlog)
+    return _chain(val, val, dg, hg)
+
+
 def _pow_folded(a: _Code, k) -> _Code:
     """``a ^ k`` for a folded exponent k and a base with q.  The base checks
     that k rules out are dropped here, once; ``v * v`` has the bits of
     ``np.power(v, 2.0)`` and ``k * v`` those of ``k * np.power(v, 1.0)``."""
-    f, d = a.plain, a.dual
+    f, d, d2 = a.plain, a.dual, a.second
     fractional = k != np.floor(k)  # math.floor raises on inf and nan
     negative = k < 0.0
     square = k == 2.0
@@ -474,7 +571,18 @@ def _pow_folded(a: _Code, k) -> _Code:
         _require(np.isfinite(dcoef), "power not differentiable here")
         return val, dv * dcoef[:, None]
 
-    return _Code(plain, dual, False)
+    def second(points):
+        v, dv, hv = d2(points)
+        val = power(v)
+        dcoef = k * v if square else k * np.power(v, k1)
+        _require(np.isfinite(dcoef), "power not differentiable here")
+        # k (k - 1) v^(k - 2), a constant for k = 1 and 2 (where v^(k - 2)
+        # could be 0^-1).
+        d2coef = k * k1 if k in (1.0, 2.0) else k * k1 * np.power(v, k - 2.0)
+        _require(np.isfinite(d2coef), "power not twice differentiable here")
+        return (val, *_chain(dcoef, d2coef, dv, hv))
+
+    return _Code(plain, dual, second, False)
 
 
 def _pow(a, b):
@@ -484,7 +592,7 @@ def _pow(a, b):
     if b.folded is not None and not a.constant:
         return _pow_folded(a, b.folded)
     op = _power if b.constant else _power_variable
-    return _binary(a, b, op, _pow_vv, None, _pow_cv)
+    return _binary(a, b, op, _pow_vv, None, _pow_cv, _pow_second)
 
 
 def _log(v):
@@ -495,6 +603,11 @@ def _log(v):
 def _log_dual(v, dv):
     _require(v > 0.0, "log of a non-positive value")
     return np.log(v), dv / v[:, None]
+
+
+def _log_second(v):
+    _require(v > 0.0, "log of a non-positive value")
+    return np.log(v), 1.0 / v, -1.0 / (v * v)
 
 
 def _sqrt(v):
@@ -509,25 +622,45 @@ def _sqrt_dual(v, dv):
     return r, dv * (0.5 / r)[:, None]
 
 
+def _sqrt_second(v):
+    _require(v >= 0.0, "sqrt of a negative value")
+    _require(v > 0.0, "sqrt not differentiable at zero")
+    r = np.sqrt(v)
+    return r, 0.5 / r, -0.25 / (r * v)
+
+
 def _exp_dual(v, dv):
     e = np.exp(v)
     return e, dv * e[:, None]
 
 
-# name: (plain function, dual function of (val, der))
+def _exp_second(v):
+    e = np.exp(v)
+    return e, e, e
+
+
+def _abs_second(v):
+    _require(v != 0.0, "abs not twice differentiable at zero")
+    return np.abs(v), np.sign(v), 0.0
+
+
+# name: (plain function, dual function of (val, der), second-order function
+# of val giving (phi, phi', phi''))
 _FUNCS = {
-    "exp": (np.exp, _exp_dual),
-    "log": (_log, _log_dual),
-    "sin": (np.sin, lambda v, dv: (np.sin(v), dv * np.cos(v)[:, None])),
-    "cos": (np.cos, lambda v, dv: (np.cos(v), -dv * np.sin(v)[:, None])),
-    "sqrt": (_sqrt, _sqrt_dual),
-    "abs": (np.abs, lambda v, dv: (np.abs(v), dv * np.sign(v)[:, None])),
+    "exp": (np.exp, _exp_dual, _exp_second),
+    "log": (_log, _log_dual, _log_second),
+    "sin": (np.sin, lambda v, dv: (np.sin(v), dv * np.cos(v)[:, None]),
+            lambda v: (np.sin(v), np.cos(v), -np.sin(v))),
+    "cos": (np.cos, lambda v, dv: (np.cos(v), -dv * np.sin(v)[:, None]),
+            lambda v: (np.cos(v), -np.sin(v), -np.cos(v))),
+    "sqrt": (_sqrt, _sqrt_dual, _sqrt_second),
+    "abs": (np.abs, lambda v, dv: (np.abs(v), dv * np.sign(v)[:, None]), _abs_second),
 }
 
 
 def _call(func: str, a: _Code) -> _Code:
-    fn, fn_dual = _FUNCS[func]
-    f, d = a.plain, a.dual
+    fn, fn_dual, fn_second = _FUNCS[func]
+    f, d, d2 = a.plain, a.dual, a.second
 
     def plain(points):
         return fn(f(points))
@@ -535,7 +668,14 @@ def _call(func: str, a: _Code) -> _Code:
     def dual(points):
         return fn_dual(*d(points))
 
-    return _Code(plain, plain if a.constant else dual, a.constant)
+    def second(points):
+        v, dv, hv = d2(points)
+        val, d1coef, d2coef = fn_second(v)
+        return (val, *_chain(d1coef, d2coef, dv, hv))
+
+    if a.constant:
+        return _Code(plain, plain, plain, True)
+    return _Code(plain, dual, second, False)
 
 
 _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
@@ -555,6 +695,16 @@ def evaluate_gradient(program: Program, points: np.ndarray) -> np.ndarray:
     if not np.isfinite(grad).all():
         raise DomainError("gradient evaluated to a non-finite value")
     return grad
+
+
+def evaluate_hessian(program: Program, points: np.ndarray) -> np.ndarray:
+    """Second-order forward-mode Hessian blocks at a (M, n) batch of points,
+    returning (M, n, n).  A point where the source is not twice
+    differentiable raises :class:`DomainError`."""
+    hess = program.hessian(points)
+    if not np.isfinite(hess).all():
+        raise DomainError("hessian evaluated to a non-finite value")
+    return hess
 
 
 def evaluate_value_and_gradient(program: Program, points: np.ndarray):

@@ -1,5 +1,5 @@
-"""The fixed-energy loop functional, its exact discrete gradient, the ray
-constraint, and convergence diagnostics.
+"""The fixed-energy loop functional, its exact discrete gradient and
+Hessian-vector product, the ray constraint, and convergence diagnostics.
 
 For a loop u and energy level h the objective is the product
 
@@ -122,8 +122,13 @@ def stacked_action_gradient(loops: np.ndarray, spec: ProblemSpec,
     if values is None:
         values, grads = spec.potential.value_and_gradient(loops.reshape(L * N, n))
     A, B = _factors(loops, spec, values)
-    lap = 2.0 * loops - periodic_shift(loops, 1) - periodic_shift(loops, -1)
+    lap = _laplacian(loops)
     return (B * N)[:, None, None] * lap - (A / N)[:, None, None] * grads.reshape(L, N, n)
+
+
+def _laplacian(x: np.ndarray) -> np.ndarray:
+    """2 x_k - x_{k+1} - x_{k-1} along the node axis of a loop or a stack."""
+    return 2.0 * x - periodic_shift(x, 1) - periodic_shift(x, -1)
 
 
 def action(u: LoopPath, spec: ProblemSpec) -> float:
@@ -156,6 +161,27 @@ class PotentialPass(NamedTuple):
         return stacked_action_gradient(self.loop.nodes[None], spec,
                                        self.values, self.grads)[0]
 
+    def action_hessian(self, spec: ProblemSpec):
+        """The Hessian of :func:`action` at the loop as a map v -> H v on
+        (N, n) directions, from the pass and one ``hessian`` call of the
+        potential (which a model without one raises from):
+
+            H v = B N lap(v) - (A/N) V''(u_k) v_k + grad A (grad B . v)
+                  + grad B (grad A . v),
+
+        with grad A = N lap(u) and grad B = -grad V(u_k) / N."""
+        nodes = self.loop.nodes
+        N = len(nodes)
+        hess = spec.potential.hessian(nodes)
+        A, B = (float(x[0]) for x in _factors(nodes[None], spec, self.values))
+        dA, dB = N * _laplacian(nodes), -self.grads / N
+
+        def product(v):
+            return (B * N * _laplacian(v) - (A / N) * (hess @ v[:, :, None])[:, :, 0]
+                    + dA * float(np.vdot(dB, v)) + dB * float(np.vdot(dA, v)))
+
+        return product
+
 
 def potential_pass(u: LoopPath, spec: ProblemSpec, scale: float = 1.0) -> PotentialPass:
     """One ``value_and_gradient`` call at the nodes of ``scale * u``."""
@@ -171,11 +197,8 @@ def constraint_value(u: LoopPath, spec: ProblemSpec) -> float:
 
 
 def constraint_gradient(u: LoopPath, spec: ProblemSpec) -> np.ndarray:
-    """Nodewise gradient of :func:`constraint_value`.
-
-    The Hessian-times-ray term uses the same central difference rule as the
-    radial second derivative, so no user Hessian is ever needed.
-    """
+    """Nodewise gradient of :func:`constraint_value`, exact: its
+    Hessian-times-ray term is :func:`~hamorbit.potentials.hessian_ray`."""
     nodes = u.nodes
     grad = spec.potential.gradient(nodes)
     return (1.5 * grad + 0.5 * hessian_ray(spec.potential, nodes)) / u.N
@@ -324,6 +347,13 @@ def gradient_dual_norm(grad: np.ndarray) -> float:
     return math.sqrt(g.shape[0] * math.fsum((g * g).ravel().tolist()))
 
 
+def weighted_gradient(grad: np.ndarray, loop_norm: float) -> float:
+    """Cerami's weighted gradient (1 + loop_norm) * gradient_dual_norm(grad),
+    loop_norm being the iterate's ``h1_norm``: what the stationarity gate
+    reads."""
+    return (1.0 + loop_norm) * gradient_dual_norm(grad)
+
+
 @dataclass(frozen=True)
 class CpsRecord:
     """One diagnostic snapshot along a solve."""
@@ -331,7 +361,7 @@ class CpsRecord:
     iteration: int
     f_value: float
     loop_norm: float
-    weighted_gradient: float  # (1 + loop_norm) * gradient_dual_norm: Cerami's weight
+    weighted_gradient: float  # see weighted_gradient(): Cerami's weight
     distance_proxy: float
     constraint_residual: float
 
@@ -367,7 +397,7 @@ def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, radius: float | None
         iteration=len(trace),
         f_value=f_value,
         loop_norm=loop_norm,
-        weighted_gradient=(1.0 + loop_norm) * gradient_dual_norm(grad),
+        weighted_gradient=weighted_gradient(grad, loop_norm),
         distance_proxy=proxy,
         constraint_residual=residual,
     )

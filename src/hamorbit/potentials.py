@@ -10,7 +10,9 @@ from one pass, ``value_and_gradient``, with the bits of the two separate
 calls: the power law takes |q| once, and the expression kind takes the
 values that its forward dual-number pass already carries.  A model that
 defines only ``value`` and ``gradient`` inherits a pair entry that calls
-the two.
+the two.  Both kinds also give exact Hessian blocks, ``hessian``: the power
+law in closed form, the expression kind from a second-order forward pass;
+:func:`hessian_ray` and check B4 rest on it.
 
 The hypothesis checkers are sampling-based: "pass" means no counterexample
 was found at the configured tolerance, never a proof.  Given the same seed
@@ -41,8 +43,9 @@ from .loopspace import integrate, random_loop, speed
 
 class PotentialModel:
     """Shared interface: ``value(q)``, ``gradient(q)`` and their pair
-    ``value_and_gradient(q)`` on points or batches, and the growth
-    exponents mu1, mu2 (those of an expression unless a model sets its own)."""
+    ``value_and_gradient(q)`` on points or batches, the optional
+    ``hessian(q)``, and the growth exponents mu1, mu2 (those of an
+    expression unless a model sets its own)."""
 
     n = 0
     mu1 = 2.0
@@ -58,6 +61,12 @@ class PotentialModel:
         """``(value(q), gradient(q))``; a model that can share work between
         the two overrides this with one pass of the same bits."""
         return self.value(q), self.gradient(q)
+
+    def hessian(self, q):
+        """Exact Hessian blocks, (n, n) at a point or (M, n, n) on a batch.
+        Optional: a model without it raises ``NotImplementedError``, and the
+        mountain pass then takes descent steps only."""
+        raise NotImplementedError(f"{type(self).__name__} has no hessian")
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -105,6 +114,20 @@ class PowerLawPotential(PotentialModel):
         out = self._values(expressions.point_norms(pts))
         return float(out[0]) if single else out
 
+    def hessian(self, q):
+        """a mu1 r^(mu1-2) (I + (mu1-2) q q^T / r^2): 2a I at the origin when
+        mu1 == 2, and 0 there when mu1 > 2."""
+        pts, single = _batched(q, self.n)
+        r = expressions.point_norms(pts)
+        coef = self.a * self.mu1 * r ** (self.mu1 - 2.0)
+        out = coef[:, None, None] * np.eye(self.n)
+        if self.mu1 != 2.0:
+            off = r > 0.0
+            unit = pts[off] / r[off, None]
+            out[off] += ((self.mu1 - 2.0) * coef[off])[:, None, None] \
+                * (unit[:, :, None] * unit[:, None, :])
+        return out[0] if single else out
+
     def gradient(self, q):
         pts, single = _batched(q, self.n)
         out = self._gradients(pts, expressions.point_norms(pts))
@@ -145,6 +168,11 @@ class ExpressionPotential(PotentialModel):
         pts, single = _batched(q, self.n)
         val, grad = expressions.evaluate_value_and_gradient(self.program, pts)
         return (float(val[0]), grad[0]) if single else (val, grad)
+
+    def hessian(self, q):
+        pts, single = _batched(q, self.n)
+        out = expressions.evaluate_hessian(self.program, pts)
+        return out[0] if single else out
 
     def describe(self) -> str:
         return self.source
@@ -193,21 +221,14 @@ def parse_potential(text: str, n: int) -> PotentialModel:
 
 
 def hessian_ray(p: PotentialModel, q) -> np.ndarray:
-    """Hessian applied to the position ray, V''(q) q; zero rows at the origin.
-
-    Central finite difference of s -> grad V(q + s q) at s = 0, with the
-    spatial step 1e-4 * (1 + |q|).
-    """
+    """Hessian applied to the position ray, V''(q) q, from the model's exact
+    ``hessian`` on the rows away from the origin; zero rows at the origin."""
     pts, single = _batched(q, p.n)
-    r = expressions.point_norms(pts)
     out = np.zeros_like(pts)
-    mask = r > 0.0
+    mask = expressions.point_norms(pts) > 0.0
     if np.any(mask):
         sub = pts[mask]
-        s = 1e-4 * (1.0 + r[mask]) / r[mask]
-        gp = p.gradient(sub * (1.0 + s)[:, None])
-        gm = p.gradient(sub * (1.0 - s)[:, None])
-        out[mask] = (gp - gm) / (2.0 * s)[:, None]
+        out[mask] = (p.hessian(sub) @ sub[:, :, None])[:, :, 0]
     return out[0] if single else out
 
 

@@ -31,6 +31,12 @@ every interior point in one expression.  A re-equidistributed candidate is
 tested on its three segments around the top first, and most candidates are
 rejected there, without evaluating the others; the decisions, and so every
 result, are those of evaluating each candidate in full.
+
+Before its descent step, each sweep tries a safeguarded Newton step from
+the path's top (Deuflhard 2004) on the exact Hessian, solved by MINRES
+(Paige & Saunders 1975) with the Sobolev map as preconditioner.  Kept steps
+go on as iterations of their own; a rejected one changes nothing, since
+Newton never touches the path.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .errors import (
 from .expressions import point_norms
 from .functional import (
     CpsRecord,
+    PotentialPass,
     ProblemSpec,
     _illinois,
     action,
@@ -60,11 +67,13 @@ from .functional import (
     scaling_root,  # noqa: F401  (a binding perfbench's tracer test expects)
     stacked_action,
     stacked_action_gradient,
+    weighted_gradient,
 )
 from .loopspace import (
     LoopPath,
     check_grid,
     circle_loop,
+    h1_norm,
     integrate,
     is_nonconstant,
     project_symmetric,
@@ -79,6 +88,8 @@ _MAX_STEP = 1e6
 _STEP_SHRINK = 0.5  # backtracking factor
 _ARMIJO = 1e-4  # sufficient-decrease constant
 _CLASS_RTOL = 1e-12  # sup |z - P z| over sup |z| of an endpoint in its class
+_NEWTON_RTOL = 1e-6  # MINRES stops at this share of the gradient's dual norm
+_NEWTON_MAXITER = 50  # at most this many Hessian-vector products per Newton step
 
 INITIAL_LOOPS = ("circle", "random_bandlimited")
 
@@ -435,6 +446,71 @@ class _PathMax:
         return values, taus
 
 
+def _minres(apply, b: np.ndarray, precondition, rtol: float, maxiter: int) -> np.ndarray:
+    """Preconditioned MINRES (Paige & Saunders 1975) for apply(x) = b, apply
+    symmetric and possibly indefinite or singular, precondition symmetric
+    positive definite (it applies M^-1).  From x = 0, it stops once the
+    residual's M^-1 norm is at most rtol times b's, the Lanczos process
+    ends, or after maxiter products.  Each iteration takes one product, one
+    preconditioner solve and the Givens rotation that updates the
+    least-squares residual norm (``phibar``)."""
+    x = np.zeros_like(b)
+    r1 = r2 = b
+    y = precondition(b)
+    beta1 = beta = math.sqrt(max(_dot(b, y), 0.0))
+    phibar = beta1
+    oldb = dbar = epsln = sn = 0.0
+    cs = -1.0
+    w = w2 = np.zeros_like(b)
+    for k in range(maxiter):
+        if not phibar > rtol * beta1 or beta == 0.0:
+            break
+        v = y / beta
+        y = apply(v)
+        if k:
+            y = y - (beta / oldb) * r1
+        alpha = _dot(v, y)
+        y = y - (alpha / beta) * r2
+        r1, r2 = r2, y
+        y = precondition(r2)
+        oldb, beta = beta, math.sqrt(max(_dot(r2, y), 0.0))
+        # Apply the last rotation, then make the next one from (gbar, beta).
+        oldeps, epsln = epsln, sn * beta
+        delta, gbar = cs * dbar + sn * alpha, sn * dbar - cs * alpha
+        dbar = -cs * beta
+        gamma = max(math.hypot(gbar, beta), np.finfo(float).eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+    return x
+
+
+def _newton_step(spec: ProblemSpec, here: PotentialPass, grad: np.ndarray, wg: float,
+                 floor: float, ceiling: float):
+    """A safeguarded Newton step from the pass ``here``, whose gradient is
+    ``grad`` and weighted gradient ``wg``: H delta = -grad solved by MINRES
+    with the Sobolev preconditioner, on the exact Hessian
+    (:meth:`~hamorbit.functional.PotentialPass.action_hessian`).  Returns
+    (pass, gradient, level) at the loop u + delta projected into the class,
+    or None, unless the pass and the solve are finite, the weighted gradient
+    at least halves and the level lies in (floor, ceiling].  A model without
+    ``hessian``, or a point where it is undefined, gives None."""
+    try:
+        with np.errstate(all="ignore"):  # a non-finite outcome is rejected below
+            product = here.action_hessian(spec)
+            delta = _minres(product, -grad, sobolev_precondition, _NEWTON_RTOL, _NEWTON_MAXITER)
+            loop = project_symmetric(LoopPath(here.loop.nodes + delta), spec.symmetry)
+            there = potential_pass(loop, spec)
+            f_value, g = there.action(spec), there.action_gradient(spec)
+            kept = floor < f_value <= ceiling and \
+                weighted_gradient(g, h1_norm(loop)) <= 0.5 * wg
+    except (NotImplementedError, DomainError, ValueError):
+        return None
+    return (there, g, f_value) if kept else None
+
+
 def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
                   opts: SolveOptions | None = None,
                   radius: float | None = None) -> SolveReport:
@@ -461,6 +537,14 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
     evaluated first, and a maximum above the level there rejects it without
     the other segments (:meth:`_PathMax.refresh`); the results are those of
     evaluating every candidate in full, bit for bit.
+
+    Before the descent step, a Newton step from the top is tried
+    (:func:`_newton_step`), with the endpoints' level plus the collapse
+    tolerance as its floor and the path maximum as its ceiling.  Each kept
+    step is an iteration through the gate, and the steps go on until one is
+    rejected; the sweep then takes its descent step from the path's top, as
+    if no step had been tried.  ``gamma_history`` holds the path maxima
+    only, one per sweep.
     """
     opts = opts or SolveOptions()
     check_grid(z0.N, spec.symmetry)
@@ -495,7 +579,8 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         return SolveReport(loop, f_value, termination, trace, iterations, message,
                            gamma_history=gammas)
 
-    for sweep in range(opts.max_iterations + 1):
+    it = 0
+    while True:
         i = int(np.argmax(seg_vals))
         gamma = float(seg_vals[i])
         tau = seg_taus[i]
@@ -503,13 +588,25 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         top = (1.0 - tau) * path[i] + tau * path[i + 1]
         u = LoopPath(top)
         if gamma <= base + collapse_tol:
-            return report(u, gamma, sweep, "hypothesis_violation", PathCollapseError(
+            return report(u, gamma, it, "hypothesis_violation", PathCollapseError(
                 "path maximum fell to the endpoint level; separation failed numerically").reason())
         here = potential_pass(u, spec)
         grad = here.action_gradient(spec)
-        end = _stop(cps_append(trace, u, spec, radius, grad, gamma, here.g), u, gamma, sweep, opts)
+        rec = cps_append(trace, u, spec, radius, grad, gamma, here.g)
+        end = _stop(rec, u, gamma, it, opts)
         if end:
-            return report(u, gamma, sweep, *end)
+            return report(u, gamma, it, *end)
+
+        # Newton steps from the top, each an iteration; the path stays as it is.
+        there, g = here, grad
+        while newton := _newton_step(spec, there, g, rec.weighted_gradient,
+                                     base + collapse_tol, gamma):
+            there, g, f_value = newton
+            it += 1
+            rec = cps_append(trace, there.loop, spec, radius, g, f_value, there.g)
+            end = _stop(rec, there.loop, f_value, it, opts)
+            if end:
+                return report(there.loop, f_value, it, *end)
 
         # The path maximum becomes a node: replace the nearest interior one.
         j = i if tau < 0.5 else i + 1
@@ -521,10 +618,11 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
             if math.isfinite(hi) and hi <= bound:
                 break
         else:
-            return report(u, gamma, sweep, "max_iter", "line search stalled at the path maximum")
+            return report(u, gamma, it, "max_iter", "line search stalled at the path maximum")
         path[j] = trial.nodes
         seg_vals[j - 1:j + 1], seg_taus[j - 1:j + 1] = vals, taus
         step = next_step
+        it += 1
 
         # Arc-length re-equidistribution, skipped if it would raise the max.
         candidate = _redistribute(path)

@@ -315,9 +315,11 @@ def test_verify_missing_orbit_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: E_ORBIT_FILE: cannot read orbit file")
 
 
-def test_mountain_pass_without_symmetry(tmp_path):
-    # The harmonic level is reached at once; on the anisotropic quartic the
-    # sphere carries no barrier without a symmetry, and the path collapses.
+def test_mountain_pass_without_symmetry(tmp_path, monkeypatch):
+    # The harmonic level is reached at once.  On the anisotropic quartic the
+    # sphere carries no barrier without a symmetry: descent alone collapses
+    # the path, and Newton steps from its top reach the e1 orbit's level
+    # (7.966701380757451 at N=32) before it does.
     rep = tmp_path / "r.txt"
     argv = ["--route", "mountain_pass", "--symmetry", "none", "--nodes", "32",
             "--no-timestamp", "--report", str(rep)]
@@ -326,6 +328,11 @@ def test_mountain_pass_without_symmetry(tmp_path):
     assert (run_section["termination"], run_section["iterations"]) == ("converged", "0")
     assert float(run_section["f_star"]) == pytest.approx(9.83793643354601, rel=1e-14)
     expression = ["--potential", "0.5*|q|^2 + 0.1*q1^4", "--n", "2", "--energy", "1"]
+    assert run("solve", *expression, *argv) == 0
+    run_section = parse_report(rep.read_text())["run"]
+    assert (run_section["termination"], run_section["iterations"]) == ("converged", "13")
+    assert float(run_section["f_star"]) == pytest.approx(7.966701380757451, rel=1e-12)
+    monkeypatch.setattr(hamorbit.solvers, "_newton_step", lambda *args: None)
     assert run("solve", *expression, *argv) == 1
     run_section = parse_report(rep.read_text())["run"]
     assert run_section["termination"] == "hypothesis_violation"

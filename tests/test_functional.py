@@ -106,15 +106,32 @@ def test_ray_constraint_is_the_nehari_set():
 
 
 def test_constraint_gradient_matches_finite_differences():
-    # The 1e-4 ray step of hessian_ray leaves errors up to ~3.2e-9 of the
-    # largest entry on these loops; the outer differences add ~5e-11.
+    # hessian_ray is exact, so what is left is the error of the outer
+    # differences, up to ~2.0e-10 of the largest entry on these loops.
     rng = np.random.default_rng(103)
     for _ in range(12):
         spec = random_admissible_spec(rng)
         u = random_loop_with_mean(16, spec.n, rng, 0.3)
         grad = constraint_gradient(u, spec)
         fd = fd_gradient(constraint_value, u, spec, step=1e-5)
-        assert np.abs(grad - fd).max() / np.abs(grad).max() < 5e-9
+        assert np.abs(grad - fd).max() / np.abs(grad).max() < 5e-10
+
+
+def test_action_hessian_matches_differences_of_the_gradient():
+    # H v against central differences of the exact gradient along v, and
+    # the symmetry w.H v = v.H w, on power-law and expression potentials.
+    rng = np.random.default_rng(109)
+    for _ in range(12):
+        spec = random_admissible_spec(rng)
+        u = random_loop_with_mean(16, spec.n, rng, 0.3)
+        v, w = rng.standard_normal((2, 16, spec.n))
+        product = functional.potential_pass(u, spec).action_hessian(spec)
+        hv = product(v)
+        step = 1e-6
+        fd = (action_gradient(LoopPath(u.nodes + step * v), spec)
+              - action_gradient(LoopPath(u.nodes - step * v), spec)) / (2.0 * step)
+        assert np.abs(hv - fd).max() <= 2e-9 * np.abs(fd).max()
+        assert float(np.vdot(w, hv)) == pytest.approx(float(np.vdot(v, product(w))), rel=1e-13)
 
 
 def test_constraint_value_examples(harmonic_spec, quartic_spec):

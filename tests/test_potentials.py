@@ -1,10 +1,13 @@
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 
 from hamorbit import (
+    DomainError,
+    PotentialModel,
     PowerLawPotential,
     SamplerConfig,
     check_hypotheses,
@@ -93,10 +96,10 @@ def test_second_radial_power_laws():
     # The ray second derivative (V''(q) q) . q, taken from hessian_ray.
     p2 = PowerLawPotential(1.0, 2, 0, n=2)
     q = np.array([1.0, 1.0])
-    assert np.sum(hessian_ray(p2, q) * q, axis=-1) == pytest.approx(4.0, abs=1e-6)
+    assert np.sum(hessian_ray(p2, q) * q, axis=-1) == pytest.approx(4.0, abs=1e-15)
     p4 = PowerLawPotential(0.25, 4, 0, n=2)
     q = np.array([1.0, 0.0])
-    assert np.sum(hessian_ray(p4, q) * q, axis=-1) == pytest.approx(3.0, abs=1e-5)
+    assert np.sum(hessian_ray(p4, q) * q, axis=-1) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_second_radial_general_formula():
@@ -107,7 +110,7 @@ def test_second_radial_general_formula():
     r = np.linalg.norm(q, axis=1)
     expected = 0.8 * 3 * 2 * r**3
     got = np.sum(hessian_ray(p, q) * q, axis=-1)
-    assert np.abs(got - expected).max() / np.abs(expected).max() < 1e-5
+    assert np.abs(got - expected).max() / np.abs(expected).max() < 1e-14
 
 
 @pytest.mark.parametrize("p", [PowerLawPotential(0.8, 3, 1.0, n=2),
@@ -119,6 +122,87 @@ def test_hessian_ray_has_zero_rows_at_the_origin(p):
     assert np.all(rows[[0, 2]] == 0.0)
     assert np.array_equal(rows[1], hessian_ray(p, q[1]))
     assert np.all(hessian_ray(p, np.zeros(2)) == 0.0)
+
+
+def _central_hessian(p, pts, step=1e-6):
+    """Central differences of the exact gradient, one column per coordinate."""
+    out = np.empty(pts.shape + pts.shape[-1:])
+    for j in range(pts.shape[1]):
+        e = np.zeros(pts.shape[1])
+        e[j] = step
+        out[:, :, j] = (p.gradient(pts + e) - p.gradient(pts - e)) / (2.0 * step)
+    return out
+
+
+# One source per rule of the second-order pass: + - * / with q on either
+# side or both, a folded power (square, integer, fractional, 1), a variable
+# exponent over q and over a constant, each function, and |q|.
+HESSIAN_SOURCES = [
+    "0.5*|q|^2 + 0.1*q1^4",
+    "q1*q2 - 3*q2 + q2*3 + q1/2 - 2/q2 + q1/q2 - (1 - q1) + (q2 - 1)",
+    "q1^3 - q2^1 + (q1*q2)^2.5 + q1^-2",
+    "q1^q2 + 2^q1 + q2^(q1*q1)",
+    "exp(q1*q2) + log(q1 + q2) + sin(q1)*cos(q2)",
+    "sqrt(q1*q2) + abs(q1 - 2*q2) + |q|^3 - -|q|",
+]
+
+
+@pytest.mark.parametrize("source", HESSIAN_SOURCES)
+def test_expression_hessian_matches_differences_of_the_gradient(source):
+    p = parse_potential(source, 2)
+    pts = np.random.default_rng(31).uniform(0.3, 1.6, size=(40, 2))
+    hess = p.hessian(pts)
+    assert hess.shape == (40, 2, 2)
+    assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
+    fd = _central_hessian(p, pts)
+    assert np.abs(hess - fd).max() <= 1e-8 * (1.0 + np.abs(fd).max())
+    for q, block in zip(pts[:3], hess):
+        assert np.array_equal(p.hessian(q), block)
+
+
+@pytest.mark.parametrize("source", ["7", "q2", "-q1"])
+def test_affine_expressions_have_zero_hessians(source):
+    hess = parse_potential(source, 2).hessian(np.ones((3, 2)))
+    assert hess.shape == (3, 2, 2) and np.all(hess == 0.0)
+
+
+@pytest.mark.parametrize("source, point, message", [
+    ("|q|^2", (0.0, 0.0), "|q| not twice differentiable at the origin"),
+    ("abs(q1)", (0.0, 1.0), "abs not twice differentiable at zero"),
+    ("q1^1.5", (0.0, 1.0), "power not twice differentiable here"),
+    ("sqrt(q1)", (0.0, 1.0), "sqrt not differentiable at zero"),
+    ("log(q1)", (-1.0, 1.0), "log of a non-positive value"),
+    ("q1/q2", (1.0, 0.0), "division by zero"),
+    ("q1^q2", (-1.0, 1.0), "power with variable exponent needs positive base"),
+])
+def test_expression_hessian_raises_where_not_twice_differentiable(source, point, message):
+    # As under the CLI, numpy's warnings are off: the gate is the error.
+    p = parse_potential(source, 2)
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match=re.escape(message)):
+        p.hessian(np.array(point))
+
+
+@pytest.mark.parametrize("mu1", [2.0, 3.0, 4.5])
+def test_power_law_hessian_matches_differences_with_origin_rows(mu1):
+    p = PowerLawPotential(0.7, mu1, 0.2, n=3)
+    pts = np.random.default_rng(37).standard_normal((30, 3))
+    pts[[0, 7]] = 0.0
+    hess = p.hessian(pts)
+    assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
+    # At the origin: 2a I for mu1 = 2 and 0 beyond, where differences of the
+    # gradient a mu1 r^(mu1-2) q err by O(step^(mu1-2)).
+    origin = 2.0 * 0.7 * np.eye(3) if mu1 == 2.0 else np.zeros((3, 3))
+    assert np.array_equal(hess[0], origin) and np.array_equal(hess[7], origin)
+    away = np.ones(30, dtype=bool)
+    away[[0, 7]] = False
+    fd = _central_hessian(p, pts[away])
+    assert np.abs(hess[away] - fd).max() <= 1e-8 * (1.0 + np.abs(fd).max())
+    assert np.array_equal(p.hessian(pts[3]), hess[3])
+
+
+def test_a_model_without_hessian_says_so():
+    with pytest.raises(NotImplementedError, match="PotentialModel has no hessian"):
+        PotentialModel().hessian(np.zeros(2))
 
 
 def _cfg(**kw):
@@ -154,23 +238,24 @@ def test_quartic_radial_nondegeneracy_value():
     p = PowerLawPotential(0.25, 4, 0, n=2)
     q = np.array([1.0, 0.0])
     total = 3.0 * float(np.dot(p.gradient(q), q)) + np.sum(hessian_ray(p, q) * q, axis=-1)
-    assert total == pytest.approx(6.0, abs=1e-4)
+    assert total == pytest.approx(6.0, abs=1e-15)
     reports = {r.hypothesis: r for r in check_hypotheses(p, 0.75, 4.0, 0.0, _cfg())}
     assert reports["B4"].verdict == "pass"
 
 
 def test_checker_takes_the_sample_gradient_once(monkeypatch):
-    # B2 and B4 share one pass; only hessian_ray's two stencil points remain.
-    callers = []
-    real = PowerLawPotential.gradient
+    # B2 and B4 share one pass, and B4's ray term is one exact hessian call.
+    callers = {"gradient": [], "hessian": []}
+    for name in callers:
+        real = getattr(PowerLawPotential, name)
 
-    def gradient(self, q):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real(self, q)
+        def recorded(self, q, name=name, real=real):
+            callers[name].append(sys._getframe(1).f_code.co_name)
+            return real(self, q)
 
-    monkeypatch.setattr(PowerLawPotential, "gradient", gradient)
+        monkeypatch.setattr(PowerLawPotential, name, recorded)
     check_hypotheses(PowerLawPotential(0.5, 3, 0, n=3), 1.0, 3.0, 0.0, _cfg())
-    assert callers == ["hessian_ray", "hessian_ray"]
+    assert callers == {"gradient": [], "hessian": ["hessian_ray"]}
 
 
 def test_checker_determinism():
