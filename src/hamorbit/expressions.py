@@ -13,32 +13,34 @@ is ``-(q1^2)`` and ``2^-1`` is ``0.5``.  Functions: exp, log, sin, cos,
 sqrt, abs.
 
 The parser compiles as it reads (syntax-directed translation): each node's
-closures are built when the node has been read, so no syntax tree is kept,
+closure is built when the node has been read, so no syntax tree is kept,
 :func:`parse_expression` returns the :class:`Program`, and evaluation never
-dispatches on node type.  Every node has a plain closure, giving values on a
-(M, n) batch of points, and a dual one, giving the pair (values, (M, n)
-Jacobian block) of forward-mode differentiation, so one pass yields all
-partial derivatives.  At q = 0 the norm primitive ``|q|`` uses the
-subgradient 0, matching the usual convention for abs.
+dispatches on node type.  Every node has one closure, ``run(points,
+order)``, which propagates truncated Taylor series forward on a (M, n) batch
+of points to the order the caller needs: order 0 gives the values, order 1
+the pair (values, (M, n) Jacobian block), so one pass yields all partial
+derivatives, and order 2 the triple with the (M, n, n) Hessian blocks too.
+At q = 0 the norm primitive ``|q|`` uses the subgradient 0, matching the
+usual convention for abs.
 
-A third, second-order closure gives the triple (values, (M, n) Jacobian,
-(M, n, n) Hessian blocks), which :func:`evaluate_hessian` returns the last
-of.  Its values are computed as the plain rule computes them; a binary node
-lifts a constant operand to zero derivative blocks, so each operator has one
-second-order rule, and each function gives phi, phi' and phi'' to one chain
-rule.  Where the source is not twice differentiable, this pass raises a
-:class:`DomainError`: ``|q|`` at the origin, abs at zero, and a power whose
-second derivative is not finite, besides every check of the dual pass.  The
-plain and dual closures are untouched by it, in bits and in cost.
-
-The dual pass carries the values too, and :func:`evaluate_value_and_gradient`
-returns them with the gradient, so a caller that needs both makes one pass.
-Every dual rule computes its value as the plain rule does, so the pair has
-the bits of :func:`evaluate` and :func:`evaluate_gradient` for every source.
-Where a derivative needs another intermediate, the rule computes it beside
-the value: a division with q on both sides returns ``v / w`` and takes
-``1/w`` for its derivative, and a power with q in its exponent returns
+Every order shares the values and the gradient.  A node computes its value
+with its one value rule, which carries its domain checks, at every order;
+its gradient rule takes that value and its operands' values and gradients;
+and its Hessian rule, run at order 2 only, reads those same gradients.  So
+the values have the same bits at every order, the gradients at orders 1
+and 2, for every source, and :func:`evaluate_value_and_gradient` gives the
+bits of :func:`evaluate` and :func:`evaluate_gradient` from one pass.  Where
+a derivative needs another intermediate, the rule computes it beside the
+value: a division with q on both sides returns ``v / w`` and takes ``1/w``
+for its derivative, and a power with q in its exponent returns
 ``np.power(b, e)`` and takes ``exp(e * log(b))`` as its derivative's factor.
+
+A binary node's Hessian rule lifts a constant operand to zero derivative
+blocks, so each operator has one, and each function gives phi' and phi''
+to one chain rule.  Where the source is not twice differentiable, order 2
+raises a :class:`DomainError`: ``|q|`` at the origin, abs at zero, and a
+power whose second derivative is not finite, besides every check of orders
+0 and 1.
 
 Every constant that evaluates is folded into its number as soon as it is
 read, inf and nan included; one whose evaluation raises a
@@ -147,34 +149,21 @@ class _Parser:
             raise ExpressionParseError(
                 f"unexpected {self.cur.text!r}", self.cur.pos, {"operator", "end of input"}
             )
-        f, d = code.plain, code.dual
+        run = code.run
         if code.constant:
-            def value(points):
-                return np.broadcast_to(np.asarray(f(points), dtype=float), points.shape[:1]).copy()
+            def root(points, order):  # an unfolded constant fails here at every order
+                blocks = _lift(run(points, 0), points)
+                return blocks[0] if order == 0 else blocks[:order + 1]
 
-            def pair(points):  # an unfolded constant fails here as in value
-                return value(points), np.zeros_like(points)
-
-            def hessian(points):
-                value(points)
-                return np.zeros(points.shape + points.shape[-1:])
-
-            return Program(value, pair, hessian)
-
-        def hessian(points):
-            return code.second(points)[2]
-
+            return Program(root)
         if code is not self.var:
-            return Program(f, d, hessian)
+            return Program(run)
 
-        def value(points):  # a bare column would alias the points
-            return f(points).copy()
+        def root(points, order):  # a bare column would alias the points
+            out = run(points, order)
+            return out.copy() if order == 0 else (out[0].copy(), *out[1:])
 
-        def pair(points):
-            v, dv = d(points)
-            return v.copy(), dv
-
-        return Program(value, pair, hessian)
+        return Program(root)
 
     def expr(self) -> _Code:
         code = self.term()
@@ -217,7 +206,7 @@ class _Parser:
             if name.text != "q":
                 raise ExpressionParseError(f"unexpected {name.text!r}", name.pos, {"'q'"})
             self.expect("|", {"'|'"})
-            return _Code(point_norms, _norm_dual, _norm_second, False)
+            return _Code(_norm, False)
         if tok.kind == "name":
             self.advance()
             m = _VAR_RE.match(tok.text)
@@ -251,8 +240,8 @@ class _Parser:
 
 def parse_expression(src: str, dim: int) -> Program:
     """Compile potential source text over q1..q<dim> into the program that
-    :func:`evaluate`, :func:`evaluate_gradient` and
-    :func:`evaluate_value_and_gradient` run."""
+    :func:`evaluate`, :func:`evaluate_gradient`,
+    :func:`evaluate_value_and_gradient` and :func:`evaluate_hessian` run."""
     if not src or not src.strip():
         raise ExpressionParseError("empty expression", 1, {"expression"})
     if dim < 1:
@@ -270,28 +259,33 @@ _DIVISION = "division by zero"
 
 
 class Program(NamedTuple):
-    """A compiled expression at a (M, n) batch of points: ``value(points)``
-    gives shape (M,) from the plain pass, ``value_and_gradient(points)``
-    the pair of shapes (M,) and (M, n) from the dual pass, with the same
-    value bits, and ``hessian(points)`` the (M, n, n) blocks from the
-    second-order pass."""
+    """A compiled expression: the root's ``run(points, order)`` at a (M, n)
+    batch of points.  ``value(points)`` gives shape (M,) from order 0,
+    ``value_and_gradient(points)`` the pair of shapes (M,) and (M, n) from
+    order 1, with the same value bits, and ``hessian(points)`` the (M, n, n)
+    blocks from order 2."""
 
-    value: Callable
-    value_and_gradient: Callable
-    hessian: Callable
+    run: Callable
+
+    def value(self, points):
+        return self.run(points, 0)
+
+    def value_and_gradient(self, points):
+        return self.run(points, 1)
+
+    def hessian(self, points):
+        return self.run(points, 2)[2]
 
 
 class _Code(NamedTuple):
-    """One compiled node.  ``plain(points)`` gives its values,
-    ``dual(points)`` the pair ``(val, der)``, der of shape (M, n), and
-    ``second(points)`` the triple ``(val, der, hess)``, hess of shape
-    (M, n, n).  A node without q (``constant``) gives the same scalar from
-    all three; ``folded`` is that scalar when it was computed at compile
-    time, else None."""
+    """One compiled node.  ``run(points, order)`` gives its values at order
+    0, the pair ``(val, der)``, der of shape (M, n), at order 1 and the
+    triple ``(val, der, hess)``, hess of shape (M, n, n), at order 2.  A
+    node without q (``constant``) is only run at order 0, where it gives a
+    scalar; ``folded`` is that scalar when it was computed at compile time,
+    else None."""
 
-    plain: Callable
-    dual: Callable
-    second: Callable
+    run: Callable
     constant: bool
     folded: object = None
 
@@ -302,10 +296,16 @@ def _require(ok, message):
 
 
 def _constant(k) -> _Code:
-    def const(points):
+    def run(points, order):
         return k
 
-    return _Code(const, const, const, True, k)
+    return _Code(run, True, k)
+
+
+def _lift(c, points):
+    """A constant's (M,) values and zero derivative blocks."""
+    M, n = points.shape
+    return np.full(M, c, dtype=float), np.zeros((M, n)), np.zeros((M, n, n))
 
 
 def _fold(code: _Code) -> _Code:
@@ -316,24 +316,22 @@ def _fold(code: _Code) -> _Code:
         return code
     try:
         with np.errstate(all="ignore"):
-            return _constant(code.plain(None))
+            return _constant(code.run(None, 0))
     except DomainError:
         return code
 
 
 def _var(i: int) -> _Code:
-    def plain(points):
-        return points[:, i]
-
-    def dual(points):
+    def run(points, order):
+        if order == 0:
+            return points[:, i]
         der = np.zeros(points.shape, points.dtype)
         der[:, i] = 1.0
-        return points[:, i], der
+        if order == 1:
+            return points[:, i], der
+        return points[:, i], der, np.zeros(points.shape + points.shape[-1:], points.dtype)
 
-    def second(points):
-        return (*dual(points), np.zeros(points.shape + points.shape[-1:], points.dtype))
-
-    return _Code(plain, dual, second, False)
+    return _Code(run, False)
 
 
 def point_norms(points):
@@ -342,21 +340,20 @@ def point_norms(points):
     return np.sqrt(np.add.reduce(points * points, axis=1))
 
 
-def _norm_dual(points):
+def _norm(points, order):
     r = point_norms(points)
+    if order == 0:
+        return r
     positive = r > 0.0
     if positive.all():
-        return r, points / r[:, None]
-    der = points / np.where(positive, r, 1.0)[:, None]
-    der[r == 0.0] = 0.0  # subgradient choice at the origin
-    return r, der
-
-
-def _norm_second(points):
-    r = point_norms(points)
-    _require(r > 0.0, "|q| not twice differentiable at the origin")
-    unit = points / r[:, None]
-    return r, unit, (np.eye(points.shape[1]) - _outer(unit, unit)) / r[:, None, None]
+        der = points / r[:, None]
+    else:
+        der = points / np.where(positive, r, 1.0)[:, None]
+        der[r == 0.0] = 0.0  # subgradient choice at the origin
+    if order == 1:
+        return r, der
+    _require(positive, "|q| not twice differentiable at the origin")
+    return r, der, (np.eye(points.shape[1]) - _outer(der, der)) / r[:, None, None]
 
 
 def _outer(x, y):
@@ -364,113 +361,108 @@ def _outer(x, y):
     return x[:, :, None] * y[:, None, :]
 
 
-def _chain(d1, d2, dv, hv):
-    """Derivative and Hessian blocks of phi(v) from phi'(v) = d1, phi''(v) = d2
-    (arrays of shape (M,) or scalars) and v's blocks dv, hv."""
-    d1, d2 = np.asarray(d1)[..., None], np.asarray(d2)[..., None, None]
-    return dv * d1, hv * d1[..., None] + d2 * _outer(dv, dv)
-
-
-def _neg(a: _Code) -> _Code:
-    f, d, d2 = a.plain, a.dual, a.second
-
-    def plain(points):
-        return np.negative(f(points))
-
-    def dual(points):
-        v, dv = d(points)
-        return -v, -dv
-
-    def second(points):
-        v, dv, hv = d2(points)
-        return -v, -dv, -hv
-
-    if a.constant:
-        return _Code(plain, plain, plain, True)
-    return _Code(plain, dual, second, False)
-
-
-def _binary(a: _Code, b: _Code, op, vv, vc, cv, second_rule) -> _Code:
-    """Node ``op(a, b)``; its dual applies ``vv(v, dv, w, dw)``,
-    ``vc(v, dv, c)`` or ``cv(c, w, dw)`` by which operands hold q, and its
-    second-order closure takes the value ``op(v, w)`` and the blocks
-    ``second_rule(val, v, dv, hv, w, dw, hw)``, a constant operand lifted to
-    zero blocks.  The left operand is always evaluated first."""
-    fa, fb, da, db = a.plain, b.plain, a.dual, b.dual
-
-    def plain(points):
-        return op(fa(points), fb(points))
-
-    if a.constant and b.constant:
-        return _Code(plain, plain, plain, True)
-    if b.constant:
-        def dual(points):
-            v, dv = da(points)
-            return vc(v, dv, fb(points))
-    elif a.constant:
-        def dual(points):
-            c = fa(points)
-            return cv(c, *db(points))
-    else:
-        def dual(points):
-            v, dv = da(points)
-            return vv(v, dv, *db(points))
-
-    def second_order(points):
-        v, dv, hv = _lifted(a, points)
-        w, dw, hw = _lifted(b, points)
-        val = op(v, w)
-        return (val, *second_rule(val, v, dv, hv, w, dw, hw))
-
-    return _Code(plain, dual, second_order, False)
-
-
-def _lifted(code: _Code, points):
-    """A node's second-order triple, a constant's as (M,) values and zero
-    derivative blocks."""
-    if not code.constant:
-        return code.second(points)
-    M, n = points.shape
-    return np.full(M, code.plain(points), dtype=float), np.zeros((M, n)), np.zeros((M, n, n))
-
-
 def _sym_outer(x, y):
     o = _outer(x, y)
     return o + np.swapaxes(o, 1, 2)
 
 
+def _chain(d1, d2, dv, hv):
+    """Hessian blocks of phi(v) from phi'(v) = d1, phi''(v) = d2 (arrays of
+    shape (M,) or scalars) and v's blocks dv, hv."""
+    d1, d2 = np.asarray(d1)[..., None, None], np.asarray(d2)[..., None, None]
+    return hv * d1 + d2 * _outer(dv, dv)
+
+
+def _unary(a: _Code, fn, grad, hess) -> _Code:
+    """Node ``fn(a)``: the value rule ``fn`` carries its domain checks, the
+    gradient is ``grad(val, v, dv)`` and the Hessian ``hess(val, v, dv,
+    hv)``."""
+    f = a.run
+
+    def run(points, order):
+        if order == 0:
+            return fn(f(points, 0))
+        x = f(points, order)
+        v, dv = x[0], x[1]
+        val = fn(v)
+        der = grad(val, v, dv)
+        if order == 1:
+            return val, der
+        return val, der, hess(val, v, dv, x[2])
+
+    return _Code(run, a.constant)
+
+
+def _neg(a: _Code) -> _Code:
+    return _unary(a, np.negative, lambda val, v, dv: -dv, lambda val, v, dv, hv: -hv)
+
+
+def _binary(a: _Code, b: _Code, op, vv, vc, cv, hess) -> _Code:
+    """Node ``op(a, b)``: the value rule ``op`` carries its domain checks,
+    the gradient is ``vv(val, v, dv, w, dw)``, ``vc(val, v, dv, c)`` or
+    ``cv(val, c, w, dw)`` by which operands hold q, and the Hessian
+    ``hess(val, der, v, dv, hv, w, dw, hw)``, a constant operand lifted to
+    zero blocks.  The left operand is always evaluated first."""
+    fa, fb, a_const, b_const = a.run, b.run, a.constant, b.constant
+
+    def run(points, order):
+        if order == 0:
+            return op(fa(points, 0), fb(points, 0))
+        if b_const:
+            x, y = fa(points, order), fb(points, 0)
+            val = op(x[0], y)
+            der = vc(val, x[0], x[1], y)
+        elif a_const:
+            x, y = fa(points, 0), fb(points, order)
+            val = op(x, y[0])
+            der = cv(val, x, y[0], y[1])
+        else:
+            x, y = fa(points, order), fb(points, order)
+            val = op(x[0], y[0])
+            der = vv(val, x[0], x[1], y[0], y[1])
+        if order == 1:
+            return val, der
+        x = _lift(x, points) if a_const else x
+        y = _lift(y, points) if b_const else y
+        return val, der, hess(val, der, *x, *y)
+
+    return _Code(run, a_const and b_const)
+
+
 def _add(a, b):
     return _binary(
         a, b, operator.add,
-        lambda v, dv, w, dw: (v + w, dv + dw),
-        lambda v, dv, c: (v + c, dv),
-        lambda c, w, dw: (w + c, dw),
-        lambda val, v, dv, hv, w, dw, hw: (dv + dw, hv + hw),
+        lambda val, v, dv, w, dw: dv + dw,
+        lambda val, v, dv, c: dv,
+        lambda val, c, w, dw: dw,
+        lambda val, der, v, dv, hv, w, dw, hw: hv + hw,
     )
 
 
 def _sub(a, b):
     return _binary(
         a, b, operator.sub,
-        lambda v, dv, w, dw: (v - w, dv - dw),
-        lambda v, dv, c: (v - c, dv),
-        lambda c, w, dw: (c - w, -dw),
-        lambda val, v, dv, hv, w, dw, hw: (dv - dw, hv - hw),
+        lambda val, v, dv, w, dw: dv - dw,
+        lambda val, v, dv, c: dv,
+        lambda val, c, w, dw: -dw,
+        lambda val, der, v, dv, hv, w, dw, hw: hv - hw,
     )
 
 
-def _mul_second(val, v, dv, hv, w, dw, hw):
-    return (dv * w[:, None] + dw * v[:, None],
-            hv * w[:, None, None] + hw * v[:, None, None] + _sym_outer(dv, dw))
+def _mul_vv(val, v, dv, w, dw):
+    return dv * w[:, None] + dw * v[:, None]
+
+
+def _mul_hess(val, der, v, dv, hv, w, dw, hw):
+    return hv * w[:, None, None] + hw * v[:, None, None] + _sym_outer(dv, dw)
 
 
 def _mul(a, b):
     return _binary(
-        a, b, operator.mul,
-        lambda v, dv, w, dw: (v * w, dv * w[:, None] + dw * v[:, None]),
-        lambda v, dv, c: (v * c, dv * c),
-        lambda c, w, dw: (w * c, dw * c),
-        _mul_second,
+        a, b, operator.mul, _mul_vv,
+        lambda val, v, dv, c: dv * c,
+        lambda val, c, w, dw: dw * c,
+        _mul_hess,
     )
 
 
@@ -479,36 +471,27 @@ def _divide(x, y):
     return x / y
 
 
-def _div_vv(v, dv, w, dw):
-    _require(w != 0.0, _DIVISION)
+def _div_vv(val, v, dv, w, dw):
     inv = 1.0 / w
-    return v / w, (dv - dw * (v * inv)[:, None]) * inv[:, None]
+    return (dv - dw * (v * inv)[:, None]) * inv[:, None]
 
 
-def _div_vc(v, dv, c):
-    _require(np.asarray(c) != 0.0, _DIVISION)
-    return v / c, dv / c
-
-
-def _div_cv(c, w, dw):
-    _require(w != 0.0, _DIVISION)
-    val = c / w
-    return val, -dw * (val / w)[:, None]
-
-
-def _div_second(val, v, dv, hv, w, dw, hw):
-    # val * w = v, differentiated once and twice.
-    inv = 1.0 / w
-    der = (dv - dw * val[:, None]) * inv[:, None]
-    return der, (hv - hw * val[:, None, None] - _sym_outer(der, dw)) * inv[:, None, None]
+def _div_hess(val, der, v, dv, hv, w, dw, hw):
+    # val * w = v, differentiated twice.
+    return (hv - hw * val[:, None, None] - _sym_outer(der, dw)) * (1.0 / w)[:, None, None]
 
 
 def _div(a, b):
-    return _binary(a, b, _divide, _div_vv, _div_vc, _div_cv, _div_second)
+    return _binary(
+        a, b, _divide, _div_vv,
+        lambda val, v, dv, c: dv / c,
+        lambda val, c, w, dw: -dw * (val / w)[:, None],
+        _div_hess,
+    )
 
 
 def _power(base, expo):
-    """base ^ expo on plain values, with every domain check."""
+    """base ^ expo, with every domain check."""
     b = np.asarray(base, dtype=float)
     e = np.asarray(expo, dtype=float)
     _require(~((b < 0.0) & (e != np.floor(e))), _NEGATIVE_BASE)
@@ -517,38 +500,36 @@ def _power(base, expo):
 
 
 def _power_variable(base, expo):
-    """base ^ expo for an exponent with q: positive bases only, as in the dual."""
+    """base ^ expo for an exponent with q: positive bases only."""
     _require(np.asarray(base) > 0.0, _VARIABLE_EXPONENT)
     return np.power(base, expo)
 
 
-def _pow_vv(v, dv, e, de):
-    # Variable exponent: b^e = exp(e * log(b)), which needs b > 0.
-    _require(v > 0.0, _VARIABLE_EXPONENT)
+def _pow_vv(val, v, dv, e, de):
+    # b^e = exp(e * log(b)); the value rule has checked b > 0.
     log_v = np.log(v)
-    factor = np.exp(e * log_v)
-    return np.power(v, e), (de * log_v[:, None] + dv / v[:, None] * e[:, None]) * factor[:, None]
+    return (de * log_v[:, None] + dv / v[:, None] * e[:, None]) * np.exp(e * log_v)[:, None]
 
 
-def _pow_cv(c, e, de):
-    _require(np.asarray(c) > 0.0, _VARIABLE_EXPONENT)
+def _pow_cv(val, c, e, de):
     log_c = np.log(c)
-    return np.power(c, e), de * log_c * np.exp(e * log_c)[:, None]
+    return de * log_c * np.exp(e * log_c)[:, None]
 
 
-def _pow_second(val, v, dv, hv, e, de, he):
-    # val = exp(g), g = e * log(v); op has checked v > 0.
-    log_v = np.log(v)
-    dlog, hlog = _chain(1.0 / v, -1.0 / (v * v), dv, hv)
-    dg, hg = _mul_second(None, e, de, he, log_v, dlog, hlog)
-    return _chain(val, val, dg, hg)
+def _pow_hess(val, der, v, dv, hv, e, de, he):
+    # val = exp(g), g = e * log(v); the value rule has checked v > 0.
+    inv = 1.0 / v
+    log_v, dlog = np.log(v), dv * inv[:, None]
+    hlog = _chain(inv, -1.0 / (v * v), dv, hv)
+    dg = _mul_vv(None, e, de, log_v, dlog)
+    return _chain(val, val, dg, _mul_hess(None, None, e, de, he, log_v, dlog, hlog))
 
 
 def _pow_folded(a: _Code, k) -> _Code:
     """``a ^ k`` for a folded exponent k and a base with q.  The base checks
     that k rules out are dropped here, once; ``v * v`` has the bits of
     ``np.power(v, 2.0)`` and ``k * v`` those of ``k * np.power(v, 1.0)``."""
-    f, d, d2 = a.plain, a.dual, a.second
+    f = a.run
     fractional = k != np.floor(k)  # math.floor raises on inf and nan
     negative = k < 0.0
     square = k == 2.0
@@ -561,28 +542,24 @@ def _pow_folded(a: _Code, k) -> _Code:
             _require(v != 0.0, _ZERO_BASE)
         return v * v if square else np.power(v, k)
 
-    def plain(points):
-        return power(f(points))
-
-    def dual(points):
-        v, dv = d(points)
+    def run(points, order):
+        if order == 0:
+            return power(f(points, 0))
+        x = f(points, order)
+        v, dv = x[0], x[1]
         val = power(v)
         dcoef = k * v if square else k * np.power(v, k1)
         _require(np.isfinite(dcoef), "power not differentiable here")
-        return val, dv * dcoef[:, None]
-
-    def second(points):
-        v, dv, hv = d2(points)
-        val = power(v)
-        dcoef = k * v if square else k * np.power(v, k1)
-        _require(np.isfinite(dcoef), "power not differentiable here")
+        der = dv * dcoef[:, None]
+        if order == 1:
+            return val, der
         # k (k - 1) v^(k - 2), a constant for k = 1 and 2 (where v^(k - 2)
         # could be 0^-1).
         d2coef = k * k1 if k in (1.0, 2.0) else k * k1 * np.power(v, k - 2.0)
         _require(np.isfinite(d2coef), "power not twice differentiable here")
-        return (val, *_chain(dcoef, d2coef, dv, hv))
+        return val, der, _chain(dcoef, d2coef, dv, x[2])
 
-    return _Code(plain, dual, second, False)
+    return _Code(run, False)
 
 
 def _pow(a, b):
@@ -592,7 +569,7 @@ def _pow(a, b):
     if b.folded is not None and not a.constant:
         return _pow_folded(a, b.folded)
     op = _power if b.constant else _power_variable
-    return _binary(a, b, op, _pow_vv, None, _pow_cv, _pow_second)
+    return _binary(a, b, op, _pow_vv, None, _pow_cv, _pow_hess)
 
 
 def _log(v):
@@ -600,82 +577,36 @@ def _log(v):
     return np.log(v)
 
 
-def _log_dual(v, dv):
-    _require(v > 0.0, "log of a non-positive value")
-    return np.log(v), dv / v[:, None]
-
-
-def _log_second(v):
-    _require(v > 0.0, "log of a non-positive value")
-    return np.log(v), 1.0 / v, -1.0 / (v * v)
-
-
 def _sqrt(v):
     _require(np.asarray(v) >= 0.0, "sqrt of a negative value")
     return np.sqrt(v)
 
 
-def _sqrt_dual(v, dv):
-    _require(v >= 0.0, "sqrt of a negative value")
+def _sqrt_grad(val, v, dv):
     _require(v > 0.0, "sqrt not differentiable at zero")
-    r = np.sqrt(v)
-    return r, dv * (0.5 / r)[:, None]
+    return dv * (0.5 / val)[:, None]
 
 
-def _sqrt_second(v):
-    _require(v >= 0.0, "sqrt of a negative value")
-    _require(v > 0.0, "sqrt not differentiable at zero")
-    r = np.sqrt(v)
-    return r, 0.5 / r, -0.25 / (r * v)
-
-
-def _exp_dual(v, dv):
-    e = np.exp(v)
-    return e, dv * e[:, None]
-
-
-def _exp_second(v):
-    e = np.exp(v)
-    return e, e, e
-
-
-def _abs_second(v):
+def _abs_second(val, v):
     _require(v != 0.0, "abs not twice differentiable at zero")
-    return np.abs(v), np.sign(v), 0.0
+    return np.sign(v), 0.0
 
 
-# name: (plain function, dual function of (val, der), second-order function
-# of val giving (phi, phi', phi''))
+# name: (value rule, gradient rule of (val, v, dv), (phi', phi'') of (val, v))
 _FUNCS = {
-    "exp": (np.exp, _exp_dual, _exp_second),
-    "log": (_log, _log_dual, _log_second),
-    "sin": (np.sin, lambda v, dv: (np.sin(v), dv * np.cos(v)[:, None]),
-            lambda v: (np.sin(v), np.cos(v), -np.sin(v))),
-    "cos": (np.cos, lambda v, dv: (np.cos(v), -dv * np.sin(v)[:, None]),
-            lambda v: (np.cos(v), -np.sin(v), -np.cos(v))),
-    "sqrt": (_sqrt, _sqrt_dual, _sqrt_second),
-    "abs": (np.abs, lambda v, dv: (np.abs(v), dv * np.sign(v)[:, None]), _abs_second),
+    "exp": (np.exp, lambda val, v, dv: dv * val[:, None], lambda val, v: (val, val)),
+    "log": (_log, lambda val, v, dv: dv / v[:, None], lambda val, v: (1.0 / v, -1.0 / (v * v))),
+    "sin": (np.sin, lambda val, v, dv: dv * np.cos(v)[:, None], lambda val, v: (np.cos(v), -val)),
+    "cos": (np.cos, lambda val, v, dv: -dv * np.sin(v)[:, None],
+            lambda val, v: (-np.sin(v), -val)),
+    "sqrt": (_sqrt, _sqrt_grad, lambda val, v: (0.5 / val, -0.25 / (val * v))),
+    "abs": (np.abs, lambda val, v, dv: dv * np.sign(v)[:, None], _abs_second),
 }
 
 
 def _call(func: str, a: _Code) -> _Code:
-    fn, fn_dual, fn_second = _FUNCS[func]
-    f, d, d2 = a.plain, a.dual, a.second
-
-    def plain(points):
-        return fn(f(points))
-
-    def dual(points):
-        return fn_dual(*d(points))
-
-    def second(points):
-        v, dv, hv = d2(points)
-        val, d1coef, d2coef = fn_second(v)
-        return (val, *_chain(d1coef, d2coef, dv, hv))
-
-    if a.constant:
-        return _Code(plain, plain, plain, True)
-    return _Code(plain, dual, second, False)
+    fn, grad, second = _FUNCS[func]
+    return _unary(a, fn, grad, lambda val, v, dv, hv: _chain(*second(val, v), dv, hv))
 
 
 _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
@@ -683,7 +614,7 @@ _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
 
 def evaluate(program: Program, points: np.ndarray) -> np.ndarray:
     """Values at a (M, n) batch of points, returning shape (M,)."""
-    out = program.value(points)
+    out = program.run(points, 0)
     if not np.isfinite(out).all():
         raise DomainError("expression evaluated to a non-finite value")
     return out
@@ -691,17 +622,17 @@ def evaluate(program: Program, points: np.ndarray) -> np.ndarray:
 
 def evaluate_gradient(program: Program, points: np.ndarray) -> np.ndarray:
     """Forward-mode gradient at a (M, n) batch of points, returning (M, n)."""
-    grad = program.value_and_gradient(points)[1]
+    grad = program.run(points, 1)[1]
     if not np.isfinite(grad).all():
         raise DomainError("gradient evaluated to a non-finite value")
     return grad
 
 
 def evaluate_hessian(program: Program, points: np.ndarray) -> np.ndarray:
-    """Second-order forward-mode Hessian blocks at a (M, n) batch of points,
+    """Forward-mode Hessian blocks at a (M, n) batch of points,
     returning (M, n, n).  A point where the source is not twice
     differentiable raises :class:`DomainError`."""
-    hess = program.hessian(points)
+    hess = program.run(points, 2)[2]
     if not np.isfinite(hess).all():
         raise DomainError("hessian evaluated to a non-finite value")
     return hess
@@ -710,11 +641,11 @@ def evaluate_hessian(program: Program, points: np.ndarray) -> np.ndarray:
 def evaluate_value_and_gradient(program: Program, points: np.ndarray):
     """Values (M,) and gradient (M, n) at a (M, n) batch of points from one
     pass, with the bits of :func:`evaluate` and :func:`evaluate_gradient`.
-    It raises where those two, called in that order, would: the dual pass
-    checks the derivatives along with the values, so when it fails the
-    plain pass is rerun to raise the values' own error, if they have one."""
+    It raises where those two, called in that order, would: the order-1
+    pass checks the derivatives along with the values, so when it fails the
+    order-0 pass is rerun to raise the values' own error, if they have one."""
     try:
-        val, grad = program.value_and_gradient(points)
+        val, grad = program.run(points, 1)
     except DomainError:
         evaluate(program, points)
         raise

@@ -8,10 +8,11 @@ grad V(q).q >= mu1 V(q) - mu2 that a problem takes unless told otherwise.
 Both evaluate value and gradient on batches of points, and both give the pair
 from one pass, ``value_and_gradient``, with the bits of the two separate
 calls: the power law takes |q| once, and the expression kind takes the
-values that its forward dual-number pass already carries.  A model that
+values that its first-order forward pass already carries.  A model that
 defines only ``value`` and ``gradient`` inherits a pair entry that calls
 the two.  Both kinds also give exact Hessian blocks, ``hessian``: the power
-law in closed form, the expression kind from a second-order forward pass;
+law in closed form, the expression kind from the same forward pass run to
+order 2, whose values and gradient are the pair's;
 :func:`hessian_ray` and check B4 rest on it.
 
 The hypothesis checkers are sampling-based: "pass" means no counterexample

@@ -428,6 +428,41 @@ def test_check_report_writes_the_hypotheses(tmp_path, capsys):
     assert all(v.startswith("pass residual=") for v in doc["hypotheses"].values())
 
 
+# Each source's [hypotheses] lines, B4 from the exact Hessian blocks.
+CHECK_REPORTS = [
+    ("0.5*|q|^2 + 0.1*q1^4", 0, [
+        "B1 = pass residual=2.8421709430404007e-14",
+        "B2 = pass residual=1.2406121427943617e-06",
+        "B3 = pass residual=0.015593031225680898",
+        "B4 = pass residual=0.10208366740467657",
+        "B5 = pass residual=0.99989584720536684",
+    ]),
+    ("exp(0.5*|q|^2) - 1", 0, [
+        "B1 = pass residual=0",
+        "B2 = pass residual=0.00017007061219758562",
+        "B3 = pass residual=0.03326689886412737",
+        "B4 = pass residual=0.10323788866350707",
+        "B5 = pass residual=0.99989584459313408",
+    ]),
+    ("1/(1 + |q|^2) + 0.5*|q|^2", 1, [
+        "B1 = pass residual=0",
+        "B2 = fail residual=-1.998718587839341",
+        "B3 = pass residual=0.018657972138474754",
+        "B4 = pass residual=0.08625768423597889",
+        "B5 = pass residual=0.022739965463384117",
+    ]),
+]
+
+
+@pytest.mark.parametrize("source,code,lines", CHECK_REPORTS)
+def test_check_report_pins_the_hypothesis_lines(tmp_path, capsys, source, code, lines):
+    rep = tmp_path / "r.txt"
+    assert run("check", "--potential", source, "--n", "2", "--energy", "1",
+               "--no-timestamp", "--report", str(rep)) == code
+    text = rep.read_text().split("[hypotheses]\n")[1]
+    assert text.splitlines() == lines
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -138,14 +138,18 @@ def test_gradient_of_constant_expression_is_zero():
 
 
 PINNED = [
-    ("0.5*|q|^2 + 0.1*q1^4", "0x1.4b62d74a6d621p+5", "0x1.3338f43a038ddp+3"),
-    ("|q|^3 - 0.25*|q|^4 + q1*q2", "0x1.e3b6de9cd7877p+5", "0x1.60c158a924edcp+4"),
-    ("exp(q1)*sin(q2) + log(2 + |q|)", "0x1.b02c89a8e27a0p+5", "0x1.b7ed041321db6p+5"),
-    ("1/(1 + |q|^2)", "0x1.7eba4d887647ep+4", "-0x1.a24093354b95ep+1"),
-    ("2^q1", "0x1.01a4067dd4d7bp+6", "0x1.652a774e12626p+5"),
+    ("0.5*|q|^2 + 0.1*q1^4", "0x1.4b62d74a6d621p+5", "0x1.3338f43a038ddp+3",
+     "0x1.233d2f3469ec3p+7"),
+    ("|q|^3 - 0.25*|q|^4 + q1*q2", "0x1.e3b6de9cd7877p+5", "0x1.60c158a924edcp+4",
+     "0x1.43b0f873aec4ap+8"),
+    ("exp(q1)*sin(q2) + log(2 + |q|)", "0x1.b02c89a8e27a0p+5", "0x1.b7ed041321db6p+5",
+     "0x1.ede760b425150p+6"),
+    ("1/(1 + |q|^2)", "0x1.7eba4d887647ep+4", "-0x1.a24093354b95ep+1",
+     "-0x1.7226cb7bdf119p+3"),
+    ("2^q1", "0x1.01a4067dd4d7bp+6", "0x1.652a774e12626p+5", "0x1.ef2315ad59c8ep+4"),
 ]
 
-# One tree per dual rule and operand kind.
+# One tree per gradient rule and operand kind.
 EXACT_DUALS = [
     "-q1 + 2", "2 - q2", "3 - |q|", "q1*q2 + q1*3 + 3*q2", "q1/3 + 3/(1 + q2^2)",
     "|q|^2.5 + q1^3 + q2^-2", "sin(q1) + cos(q2) + exp(q1)", "log(1 + |q|) + sqrt(1 + q1^2)",
@@ -153,13 +157,15 @@ EXACT_DUALS = [
 ]
 
 
-@pytest.mark.parametrize("src,value_sum,gradient_sum", PINNED)
-def test_compiled_bits_are_pinned(src, value_sum, gradient_sum):
-    # Sums of the tree-walking evaluator's values and gradients, to the bit.
+@pytest.mark.parametrize("src,value_sum,gradient_sum,hessian_sum", PINNED)
+def test_compiled_bits_are_pinned(src, value_sum, gradient_sum, hessian_sum):
+    # Sums of the tree-walking evaluator's values and gradients, to the bit,
+    # and of the Hessian blocks whose rules read those gradients.
     pot = parse_potential(src, 2)
     pts = np.random.default_rng(31).uniform(-1.5, 1.5, size=(50, 2))
     assert float.hex(math.fsum(pot.value(pts))) == value_sum
     assert float.hex(math.fsum(pot.gradient(pts).ravel())) == gradient_sum
+    assert float.hex(math.fsum(pot.hessian(pts).ravel())) == hessian_sum
 
 
 @pytest.mark.parametrize(
@@ -240,32 +246,37 @@ def test_expression_compiles_once(monkeypatch):
 
 # Trees whose rules compute their derivatives from intermediates of their
 # own: a division with q on both sides (1/w) and powers with q in the
-# exponent (exp(e * log(b))).  Their values are still the plain rules'.
+# exponent (exp(e * log(b))).  Their values are still the value rules'.
 INEXACT_DUALS = ["q1/(2 + q2^2)", "2^q1", "(2 + q1^2)^(0.5*q2)"]
 
 
 @pytest.mark.parametrize("src", list(dict.fromkeys(
-    EXACT_DUALS + INEXACT_DUALS + [src for src, _, _ in PINNED])))
+    EXACT_DUALS + INEXACT_DUALS + [src for src, *_ in PINNED])))
 def test_other_dual_rules_give_the_plain_values(src):
     program = parse_expression(src, 2)
     pts = np.random.default_rng(34).uniform(0.1, 1.5, size=(5000, 2))
     pts[::2] *= -1.0
     assert program.value_and_gradient(pts)[0].tobytes() == program.value(pts).tobytes()
+    # Order 2 carries the values and the gradient of order 1, bit for bit.
+    pair = program.run(pts, 1)
+    assert [x.tobytes() for x in program.run(pts, 2)[:2]] == [x.tobytes() for x in pair]
 
 
 def test_value_and_gradient_makes_no_plain_pass(monkeypatch):
+    # Every entry runs each node's value rule once: no entry makes a second
+    # pass for its values.
     divisions = count_calls(monkeypatch, expressions, "_divide")
     powers = count_calls(monkeypatch, expressions, "_power_variable")
     pot = parse_potential("q1/(2 + q2^2) + 2^q1", 2)
     pts = np.random.default_rng(36).uniform(-1.5, 1.5, size=(8, 2))
-    pot.value_and_gradient(pts)
-    assert (len(divisions), len(powers)) == (0, 0)
-    pot.value(pts)
-    assert (len(divisions), len(powers)) == (1, 1)
+    for entry in (pot.value, pot.gradient, pot.value_and_gradient, pot.hessian):
+        del divisions[:], powers[:]
+        entry(pts)
+        assert (len(divisions), len(powers)) == (1, 1), entry.__name__
 
 
 @pytest.mark.parametrize("src", list(dict.fromkeys(
-    [src for src, _, _ in PINNED] + INEXACT_DUALS + EXACT_DUALS
+    [src for src, *_ in PINNED] + INEXACT_DUALS + EXACT_DUALS
     + ["exp(q1/(2 + q2^2))", "2^q1*q2 + |q|^2"])))
 def test_value_and_gradient_has_the_bits_of_value_and_gradient(src):
     pot = parse_potential(src, 2)
@@ -295,7 +306,7 @@ def test_value_and_gradient_does_not_alias_the_points():
         ("exp(q1^2)", (30.0, 0.5), "expression evaluated to a non-finite value"),
         ("sqrt(q1^2 + q2^2)", (0.0, 0.0), "sqrt not differentiable at zero"),
         ("|q|^0.5", (0.0, 0.0), "power not differentiable here"),
-        # the dual pass meets the sqrt first, the plain one fails at the log
+        # the order-1 pass meets the sqrt first, order 0 fails at the log
         ("sqrt(q1^2) + log(q2)", (0.0, -1.0), "log of a non-positive value"),
         ("q1/q2", (1.0, 0.0), "division by zero"),
         ("q1^q2", (-1.0, 1.0), "power with variable exponent needs positive base"),

@@ -134,7 +134,7 @@ def _central_hessian(p, pts, step=1e-6):
     return out
 
 
-# One source per rule of the second-order pass: + - * / with q on either
+# One source per Hessian rule: + - * / with q on either
 # side or both, a folded power (square, integer, fractional, 1), a variable
 # exponent over q and over a constant, each function, and |q|.
 HESSIAN_SOURCES = [
