@@ -14,7 +14,7 @@ sqrt, abs.
 
 The parser compiles as it reads (syntax-directed translation): each node's
 closure is built when the node has been read, so no syntax tree is kept,
-:func:`parse_expression` returns the :class:`Program`, and evaluation never
+:func:`parse_expression` returns the root's closure, and evaluation never
 dispatches on node type.  Every node has one closure, ``run(points,
 order)``, which propagates truncated Taylor series forward on a (M, n) batch
 of points to the order the caller needs: order 0 gives the values, order 1
@@ -143,7 +143,7 @@ class _Parser:
             )
         return self.advance()
 
-    def parse(self) -> Program:
+    def parse(self) -> Callable:
         code = self.expr()
         if self.cur.kind != "end":
             raise ExpressionParseError(
@@ -155,15 +155,15 @@ class _Parser:
                 blocks = _lift(run(points, 0), points)
                 return blocks[0] if order == 0 else blocks[:order + 1]
 
-            return Program(root)
+            return root
         if code is not self.var:
-            return Program(run)
+            return run
 
         def root(points, order):  # a bare column would alias the points
             out = run(points, order)
             return out.copy() if order == 0 else (out[0].copy(), *out[1:])
 
-        return Program(root)
+        return root
 
     def expr(self) -> _Code:
         code = self.term()
@@ -238,8 +238,9 @@ class _Parser:
         )
 
 
-def parse_expression(src: str, dim: int) -> Program:
-    """Compile potential source text over q1..q<dim> into the program that
+def parse_expression(src: str, dim: int) -> Callable:
+    """Compile potential source text over q1..q<dim> into the root's
+    ``run(points, order)`` at a (M, n) batch of points, the program that
     :func:`evaluate`, :func:`evaluate_gradient`,
     :func:`evaluate_value_and_gradient` and :func:`evaluate_hessian` run."""
     if not src or not src.strip():
@@ -256,25 +257,6 @@ _NEGATIVE_BASE = "negative base with non-integer exponent"
 _ZERO_BASE = "zero base with negative exponent"
 _VARIABLE_EXPONENT = "power with variable exponent needs positive base"
 _DIVISION = "division by zero"
-
-
-class Program(NamedTuple):
-    """A compiled expression: the root's ``run(points, order)`` at a (M, n)
-    batch of points.  ``value(points)`` gives shape (M,) from order 0,
-    ``value_and_gradient(points)`` the pair of shapes (M,) and (M, n) from
-    order 1, with the same value bits, and ``hessian(points)`` the (M, n, n)
-    blocks from order 2."""
-
-    run: Callable
-
-    def value(self, points):
-        return self.run(points, 0)
-
-    def value_and_gradient(self, points):
-        return self.run(points, 1)
-
-    def hessian(self, points):
-        return self.run(points, 2)[2]
 
 
 class _Code(NamedTuple):
@@ -612,40 +594,40 @@ def _call(func: str, a: _Code) -> _Code:
 _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
 
 
-def evaluate(program: Program, points: np.ndarray) -> np.ndarray:
+def evaluate(program: Callable, points: np.ndarray) -> np.ndarray:
     """Values at a (M, n) batch of points, returning shape (M,)."""
-    out = program.run(points, 0)
+    out = program(points, 0)
     if not np.isfinite(out).all():
         raise DomainError("expression evaluated to a non-finite value")
     return out
 
 
-def evaluate_gradient(program: Program, points: np.ndarray) -> np.ndarray:
+def evaluate_gradient(program: Callable, points: np.ndarray) -> np.ndarray:
     """Forward-mode gradient at a (M, n) batch of points, returning (M, n)."""
-    grad = program.run(points, 1)[1]
+    grad = program(points, 1)[1]
     if not np.isfinite(grad).all():
         raise DomainError("gradient evaluated to a non-finite value")
     return grad
 
 
-def evaluate_hessian(program: Program, points: np.ndarray) -> np.ndarray:
+def evaluate_hessian(program: Callable, points: np.ndarray) -> np.ndarray:
     """Forward-mode Hessian blocks at a (M, n) batch of points,
     returning (M, n, n).  A point where the source is not twice
     differentiable raises :class:`DomainError`."""
-    hess = program.run(points, 2)[2]
+    hess = program(points, 2)[2]
     if not np.isfinite(hess).all():
         raise DomainError("hessian evaluated to a non-finite value")
     return hess
 
 
-def evaluate_value_and_gradient(program: Program, points: np.ndarray):
+def evaluate_value_and_gradient(program: Callable, points: np.ndarray):
     """Values (M,) and gradient (M, n) at a (M, n) batch of points from one
     pass, with the bits of :func:`evaluate` and :func:`evaluate_gradient`.
     It raises where those two, called in that order, would: the order-1
     pass checks the derivatives along with the values, so when it fails the
     order-0 pass is rerun to raise the values' own error, if they have one."""
     try:
-        val, grad = program.run(points, 1)
+        val, grad = program(points, 1)
     except DomainError:
         evaluate(program, points)
         raise

@@ -35,10 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoBracketError, ZeroLoopError
+from .errors import DomainError, NoBracketError, ZeroLoopError
 from .loopspace import (
     LoopPath,
     check_symmetry,
+    exact_sums,
     h1_norm,
     integrate,
     periodic_shift,
@@ -96,8 +97,7 @@ def _factors(loops: np.ndarray, spec: ProblemSpec, values=None):
     L, N, n = loops.shape
     if values is None:
         values = spec.potential.value(loops.reshape(L * N, n))
-    gaps = spec.h - values.reshape(L, N)
-    return stacked_dirichlet_energy(loops), np.array([integrate(gk) for gk in gaps])
+    return stacked_dirichlet_energy(loops), exact_sums(spec.h - values.reshape(L, N)) / N
 
 
 def stacked_action(loops: np.ndarray, spec: ProblemSpec, values=None) -> np.ndarray:
@@ -344,7 +344,7 @@ def gradient_dual_norm(grad: np.ndarray) -> float:
     the same thing at every resolution.
     """
     g = np.asarray(grad, dtype=float)
-    return math.sqrt(g.shape[0] * math.fsum((g * g).ravel().tolist()))
+    return math.sqrt(g.shape[0] * exact_sums((g * g).ravel()))
 
 
 def weighted_gradient(grad: np.ndarray, loop_norm: float) -> float:
@@ -369,7 +369,7 @@ class CpsRecord:
         vals = (self.f_value, self.loop_norm, self.weighted_gradient,
                 self.distance_proxy, self.constraint_residual)
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError("diagnostic record has non-finite entries")
+            raise DomainError("diagnostic record has non-finite entries")
 
 
 def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, radius: float | None,

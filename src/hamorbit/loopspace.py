@@ -8,18 +8,20 @@ is the periodic three-point Laplacian, so descent steps see a derivative that
 is consistent with the discretized objective, not just with its continuum
 limit.
 
-This module is the one home of two rules that the rest of the package
+This module is the one home of three rules that the rest of the package
 applies to loops and to (L, N, n) stacks of them.  Nodes run along axis -2,
 and :func:`periodic_shift` is the one circular shift, x_{k+j} with k + j
 taken mod N; the time-shifted loop u(t + j/N) is
 ``LoopPath(periodic_shift(u.nodes, j))``.  :func:`stacked_dirichlet_energy` is the one Dirichlet sum:
 (N/2) * sum |x_{k+1} - x_k|^2 per loop, exactly rounded.
 
-Sums that feed invariant checks (quadrature, Dirichlet energy) use
-``math.fsum`` so they are exactly rounded and therefore invariant under
-circular shifts of the samples.  They pass it Python floats (``tolist``):
-iterating a numpy array would build one numpy scalar per element, for the
-same bits.
+:func:`exact_sums` is the one exactly rounded sum (``math.fsum``), and every
+sum that feeds an invariant (quadrature, Dirichlet energy, norms) goes
+through it, a whole stack of rows per call.  An exactly rounded sum does not
+depend on the order of its terms, so these quantities are invariant to the
+bit under circular shifts and reversal of the samples.  It hands ``fsum``
+Python floats from one ``tolist`` per call: iterating a numpy array would
+build one numpy scalar per element, for the same bits.
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ def periodic_shift(x: np.ndarray, j: int) -> np.ndarray:
     return np.concatenate((x[..., j:, :], x[..., :j, :]), axis=-2)
 
 
+def exact_sums(rows: np.ndarray):
+    """The exactly rounded sum (``math.fsum``) of each row of a 2-D float
+    array, shape (L,); a 1-D array is one row, and gives a float."""
+    if rows.ndim == 1:
+        return math.fsum(rows.tolist())
+    return np.array(list(map(math.fsum, rows.tolist())))
+
+
 def integrate(samples) -> float:
     """Rectangle-rule integral of scalar samples over one period (their mean).
 
@@ -92,7 +102,7 @@ def integrate(samples) -> float:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1:
         raise ValueError("integrate expects a flat sequence of scalars")
-    return math.fsum(arr.tolist()) / arr.shape[0]
+    return exact_sums(arr) / len(arr)
 
 
 def stacked_dirichlet_energy(loops: np.ndarray) -> np.ndarray:
@@ -104,7 +114,7 @@ def stacked_dirichlet_energy(loops: np.ndarray) -> np.ndarray:
     """
     L, N, _ = loops.shape
     d = periodic_shift(loops, 1) - loops
-    return np.array([0.5 * N * math.fsum(dk) for dk in (d * d).reshape(L, -1).tolist()])
+    return 0.5 * N * exact_sums((d * d).reshape(L, -1))
 
 
 def dirichlet_energy(u: LoopPath) -> float:
@@ -129,8 +139,8 @@ def stacked_h1_norm(loops: np.ndarray, speeds=None) -> np.ndarray:
     """:func:`h1_norm` of each loop in an (L, N, n) stack, shape (L,), each
     with the bits of the single-loop call; the means are exactly rounded.
     ``speeds``, the loops' :func:`speed`, spares the Dirichlet sums."""
-    columns = np.swapaxes(loops, 1, 2).tolist()
-    means = np.array([[math.fsum(c) for c in lk] for lk in columns]) / loops.shape[1]
+    L, N, n = loops.shape
+    means = exact_sums(np.swapaxes(loops, 1, 2).reshape(L * n, N)).reshape(L, n) / N
     if speeds is None:
         speeds = np.sqrt(2.0 * stacked_dirichlet_energy(loops))
     return np.asarray(speeds, dtype=float) + [np.linalg.norm(m) for m in means]

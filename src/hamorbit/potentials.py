@@ -39,7 +39,7 @@ import numpy as np
 
 from . import expressions
 from .errors import DomainError
-from .loopspace import integrate, random_loop, speed
+from .loopspace import exact_sums, random_loop, stacked_dirichlet_energy
 
 
 class PotentialModel:
@@ -370,19 +370,17 @@ def _check_loop_sphere(p, h, rng, cfg):
     """
     margin = cfg.tolerance * (1.0 + abs(h))
     radii = np.linspace(cfg.r_min, cfg.r_max, SPHERE_RADII)
-    base_loops = []
-    for _ in range(cfg.samples):
-        u = random_loop(LOOP_NODES, p.n, rng)
-        s = speed(u)
-        if s > 0.0:
-            base_loops.append(u.nodes / s)
-    loops = radii[:, None, None, None] * np.reshape(base_loops, (-1, LOOP_NODES, p.n))
+    drawn = np.array([random_loop(LOOP_NODES, p.n, rng).nodes for _ in range(cfg.samples)])
+    speeds = np.sqrt(2.0 * stacked_dirichlet_energy(drawn))
+    moving = speeds > 0.0
+    base_loops = drawn[moving] / speeds[moving, None, None]
+    loops = radii[:, None, None, None] * base_loops
     values = p.value(loops.reshape(-1, p.n))
-    gaps = (h - values).reshape(SPHERE_RADII, len(base_loops), LOOP_NODES)
+    means = exact_sums((h - values).reshape(-1, LOOP_NODES)) / LOOP_NODES
     best_r, best_est = None, -np.inf
     worst_overall = np.inf
-    for r, row in zip(radii, gaps):
-        est = min((integrate(gap) for gap in row), default=np.inf)
+    for r, row in zip(radii, means.reshape(SPHERE_RADII, len(base_loops)).tolist()):
+        est = min(row, default=np.inf)
         if est > best_est:
             best_r, best_est = float(r), est
         worst_overall = min(worst_overall, est)

@@ -511,7 +511,9 @@ def test_solve_potential_that_overflows_far_out(tmp_path):
      ("E_NO_BRACKET",)),
     (["--potential", "log(q1)", "--n", "2", "--energy", "1"], ("E_DOMAIN",)),
     ([*HARMONIC, "--route", "mountain_pass", "--mp-radius", "50"], ("E_COLLAPSE",)),
-], ids=["no_bracket", "domain_error", "collapse"])
+    (["--potential", "power_law(a=0.5,mu1=700)", "--n", "2", "--energy", "1",
+      "--init", "random_bandlimited", "--seed", "3"], ("E_DOMAIN",)),
+], ids=["no_bracket", "domain_error", "collapse", "non_finite_record"])
 def test_solve_failure_names_every_cause(tmp_path, capsys, argv, codes):
     rep = tmp_path / "r.txt"
     assert run("solve", *argv, "--nodes", "64", "--no-timestamp", "--report", str(rep)) == 1

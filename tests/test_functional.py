@@ -365,6 +365,20 @@ def test_shift_equivariance_exact(harmonic_spec):
                               np.roll(g0, -j, axis=0))
 
 
+def test_stacked_forms_are_the_single_loop_calls_bit_for_bit(expression_spec):
+    rng = np.random.default_rng(47)
+    stack = rng.standard_normal((6, 24, 2)) + rng.standard_normal((6, 1, 2))
+    stack[2] = 0.0
+    levels = functional.stacked_action(stack, expression_spec)
+    grads = functional.stacked_action_gradient(stack, expression_spec)
+    assert levels.tolist() == [action(LoopPath(x), expression_spec) for x in stack]
+    for x, level, grad in zip(stack, levels, grads):
+        assert grad.tobytes() == action_gradient(LoopPath(x), expression_spec).tobytes()
+        # Reference form: the loop's own Dirichlet energy and mean gap.
+        gap = loopspace.integrate(expression_spec.h - expression_spec.potential.value(x))
+        assert level == dirichlet_energy(LoopPath(x)) * gap
+
+
 def test_action_even_under_reflection(harmonic_spec):
     rng = np.random.default_rng(41)
     u = random_loop(24, 2, rng)

@@ -72,6 +72,24 @@ def test_modules_import_only_what_they_use():
     assert unused == []
 
 
+def _fsum_reads(tree) -> int:
+    """Names, attributes and string constants ``fsum`` under an AST node."""
+    return sum(1 for node in ast.walk(tree) if "fsum" in (
+        getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "value", None)))
+
+
+def test_only_exact_sums_calls_fsum():
+    # loopspace.exact_sums is the one home of the exactly rounded sum: every
+    # read of math.fsum in the package is in its body.
+    reads, home = 0, 0
+    for path in sorted(Path(hamorbit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads += _fsum_reads(tree)
+        home += sum(_fsum_reads(stmt) for stmt in tree.body if path.stem == "loopspace"
+                    and isinstance(stmt, ast.FunctionDef) and stmt.name == "exact_sums")
+    assert reads == home > 0
+
+
 # The top-level definitions that nothing else in the package reads, and why
 # each stays.  A name whose last reader goes must go too, or gain a reason here.
 UNREFERENCED = {
