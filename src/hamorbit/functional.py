@@ -268,6 +268,9 @@ def ray_landing(u: LoopPath, spec: ProblemSpec) -> PotentialPass:
         a, fa, b = b, fb, b * direction
 
     _illinois(phi, a, fa, b, fb, tol=tol)  # its b is the last scale phi took
+    residual = abs(landing.g - spec.h)
+    if not residual <= tol:
+        raise DomainError(f"ray landing ended off the constraint: |g - h| = {residual:.3g}")
     return landing
 
 

@@ -26,6 +26,7 @@ build one numpy scalar per element, for the same bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -191,9 +192,18 @@ def sobolev_precondition(g: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     N = g.shape[0]
-    lam = 1.0 + 4.0 * N * N * np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
-    lam = lam.reshape((-1,) + (1,) * (g.ndim - 1))
+    lam = _sobolev_symbol(N).reshape((-1,) + (1,) * (g.ndim - 1))
     return np.fft.irfft(np.fft.rfft(g, axis=0) / lam, n=N, axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _sobolev_symbol(N: int) -> np.ndarray:
+    """The eigenvalues 1 + 4 N^2 sin^2(pi m / N), m = 0 .. N/2, of the
+    operator :func:`sobolev_precondition` inverts, made once per N and
+    read-only."""
+    lam = 1.0 + 4.0 * N * N * np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
+    lam.flags.writeable = False
+    return lam
 
 
 def resample(u: LoopPath, new_n_nodes: int) -> LoopPath:

@@ -90,9 +90,10 @@ def write_orbit_table(path, positions, period: float) -> None:
     q = np.asarray(positions, dtype=float)
     N, n = q.shape
     times = np.append(np.arange(N) * (period / N), period)
+    template = ",".join(["%.17g"] * (n + 1))  # "%.17g" writes format(x, ".17g")'s bytes
+    table = np.column_stack((times, np.vstack((q, q[:1])))).tolist()
     rows = ["t," + ",".join(f"q{i + 1}" for i in range(n))]
-    for t, qk in zip(times, np.vstack((q, q[:1]))):
-        rows.append(",".join(format(x, ".17g") for x in (t, *qk)))
+    rows += [template % tuple(values) for values in table]
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
 

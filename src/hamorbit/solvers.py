@@ -1,7 +1,9 @@
 """The two critical-point routes, which share one Armijo search
 (:func:`_trials`): its direction, backtracking sequence, acceptance bound
 and step rule.  Each route keeps only how it evaluates a trial and how it
-reports a search that fails.
+reports a search that fails.  They also share one safeguarded Newton step
+(:func:`_newton_step`), which ends both: each route passes its own
+retraction and acceptance window.
 
 Constrained minimization: preconditioned descent of the loop functional on
 the ray constraint inside a symmetry subspace.  The ray constraint is the
@@ -11,7 +13,10 @@ rescaled back onto the set along its ray (a retraction).  The rescaling
 hands back the potential pass at the point it lands on, and the trial's
 functional value, the next gradient and the record's constraint residual
 all come from that pass: a trial costs one potential pass per root
-evaluation and nothing more.
+evaluation and nothing more.  The Nehari set is a natural constraint, so a
+critical point on it is a free critical point of the functional, and once
+the weighted gradient is small the route finishes with Newton steps on the
+gradient, each landed back on the set along its ray.
 
 Mountain pass: deform a discrete path between two low points separated by
 the derivative sphere {||u'||_{L2} = r}, which is passed as its radius r.
@@ -32,11 +37,12 @@ tested on its three segments around the top first, and most candidates are
 rejected there, without evaluating the others; the decisions, and so every
 result, are those of evaluating each candidate in full.
 
-Before its descent step, each sweep tries a safeguarded Newton step from
-the path's top (Deuflhard 2004) on the exact Hessian, solved by MINRES
-(Paige & Saunders 1975) with the Sobolev map as preconditioner.  Kept steps
-go on as iterations of their own; a rejected one changes nothing, since
-Newton never touches the path.
+Before its descent step, each sweep tries a Newton step from the path's
+top.  The Newton step of both routes (Deuflhard 2004) is taken on the exact
+Hessian, solved by MINRES (Paige & Saunders 1975) with the Sobolev map as
+preconditioner, and kept only when it at least halves the weighted
+gradient with the level inside the route's window.  Kept steps go on as
+iterations of their own; a rejected one changes nothing.
 """
 
 from __future__ import annotations
@@ -90,6 +96,8 @@ _ARMIJO = 1e-4  # sufficient-decrease constant
 _CLASS_RTOL = 1e-12  # sup |z - P z| over sup |z| of an endpoint in its class
 _NEWTON_RTOL = 1e-6  # MINRES stops at this share of the gradient's dual norm
 _NEWTON_MAXITER = 50  # at most this many Hessian-vector products per Newton step
+_NEWTON_START = 0.1  # the Nehari route tries Newton at this weighted gradient and below
+_NEWTON_RISE = 1e-12  # a Nehari Newton step may raise the level by this share of it
 
 INITIAL_LOOPS = ("circle", "random_bandlimited")
 
@@ -199,6 +207,14 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     starts at the Barzilai-Borwein step when s.y > 0, else at twice the last
     accepted step.  Each iterate goes through the stationarity gate
     :func:`_stop`.
+
+    Once an iterate's weighted gradient is at most ``_NEWTON_START``, a
+    Newton step from it is tried first (:func:`_newton_step`), retracted by
+    :func:`ray_landing` and kept only with its level in
+    (0, f (1 + ``_NEWTON_RISE``)], f the iterate's.  A kept step is the next
+    iterate, an iteration of its own through the gate.  A rejected try, and
+    a model without ``hessian``, leave the descent step and everything
+    after it as they would be without the try.
     """
     opts = opts or SolveOptions()
     if spec.symmetry not in ("e1", "e2"):
@@ -221,15 +237,22 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     except NoBracketError as err:
         return report(u, action(u, spec), 0, "hypothesis_violation", err.reason())
 
-    f_cur = here.action(spec)
+    f_cur, grad = here.action(spec), here.action_gradient(spec)
     step = 1.0
     prev_nodes = prev_grad = None
     for it in range(opts.max_iterations + 1):
         u = here.loop
-        grad = here.action_gradient(spec)
-        end = _stop(cps_append(trace, u, spec, None, grad, f_cur, here.g), u, f_cur, it, opts)
+        rec = cps_append(trace, u, spec, None, grad, f_cur, here.g)
+        end = _stop(rec, u, f_cur, it, opts)
         if end:
             return report(u, f_cur, it, *end)
+
+        # Near the set's critical point, a Newton step is an iteration of its own.
+        if rec.weighted_gradient <= _NEWTON_START and (newton := _newton_step(
+                spec, here, grad, rec.weighted_gradient, ray_landing,
+                0.0, f_cur * (1.0 + _NEWTON_RISE))):
+            here, grad, f_cur = newton
+            continue
 
         if prev_nodes is not None:
             s = u.nodes - prev_nodes
@@ -258,6 +281,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
                 return report(u, f_cur, it, "hypothesis_violation", bracket_failure.reason())
             return report(u, f_cur, it, "max_iter", "line search stalled below machine step")
         here, f_cur, step = landing, f_new, next_step
+        grad = here.action_gradient(spec)
 
 
 def build_endpoint(spec: ProblemSpec, base: LoopPath) -> LoopPath:
@@ -488,25 +512,29 @@ def _minres(apply, b: np.ndarray, precondition, rtol: float, maxiter: int) -> np
 
 
 def _newton_step(spec: ProblemSpec, here: PotentialPass, grad: np.ndarray, wg: float,
-                 floor: float, ceiling: float):
-    """A safeguarded Newton step from the pass ``here``, whose gradient is
-    ``grad`` and weighted gradient ``wg``: H delta = -grad solved by MINRES
-    with the Sobolev preconditioner, on the exact Hessian
-    (:meth:`~hamorbit.functional.PotentialPass.action_hessian`).  Returns
-    (pass, gradient, level) at the loop u + delta projected into the class,
-    or None, unless the pass and the solve are finite, the weighted gradient
-    at least halves and the level lies in (floor, ceiling].  A model without
-    ``hessian``, or a point where it is undefined, gives None."""
+                 retract, floor: float, ceiling: float):
+    """The one safeguarded Newton step of both routes, from the pass
+    ``here``, whose gradient is ``grad`` and weighted gradient ``wg``:
+    H delta = -grad solved by MINRES with the Sobolev preconditioner, on the
+    exact Hessian (:meth:`~hamorbit.functional.PotentialPass.action_hessian`).
+    The loop u + delta is projected into the class and handed to
+    ``retract(loop, spec)``, which returns the pass the step ends at:
+    :func:`~hamorbit.functional.potential_pass` for the mountain pass,
+    :func:`~hamorbit.functional.ray_landing` for the Nehari route.  Returns
+    (pass, gradient, level) there, or None, unless the pass and the solve are
+    finite, the weighted gradient at least halves and the level lies in
+    (floor, ceiling].  A model without ``hessian``, a point where it is
+    undefined, or a retraction that raises, gives None."""
     try:
         with np.errstate(all="ignore"):  # a non-finite outcome is rejected below
             product = here.action_hessian(spec)
             delta = _minres(product, -grad, sobolev_precondition, _NEWTON_RTOL, _NEWTON_MAXITER)
             loop = project_symmetric(LoopPath(here.loop.nodes + delta), spec.symmetry)
-            there = potential_pass(loop, spec)
+            there = retract(loop, spec)
             f_value, g = there.action(spec), there.action_gradient(spec)
             kept = floor < f_value <= ceiling and \
-                weighted_gradient(g, h1_norm(loop)) <= 0.5 * wg
-    except (NotImplementedError, DomainError, ValueError):
+                weighted_gradient(g, h1_norm(there.loop)) <= 0.5 * wg
+    except (NotImplementedError, DomainError, NoBracketError, ZeroLoopError, ValueError):
         return None
     return (there, g, f_value) if kept else None
 
@@ -539,7 +567,8 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
     evaluating every candidate in full, bit for bit.
 
     Before the descent step, a Newton step from the top is tried
-    (:func:`_newton_step`), with the endpoints' level plus the collapse
+    (:func:`_newton_step`), retracted by :func:`potential_pass` at the
+    projected loop itself, with the endpoints' level plus the collapse
     tolerance as its floor and the path maximum as its ceiling.  Each kept
     step is an iteration through the gate, and the steps go on until one is
     rejected; the sweep then takes its descent step from the path's top, as
@@ -599,7 +628,7 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
 
         # Newton steps from the top, each an iteration; the path stays as it is.
         there, g = here, grad
-        while newton := _newton_step(spec, there, g, rec.weighted_gradient,
+        while newton := _newton_step(spec, there, g, rec.weighted_gradient, potential_pass,
                                      base + collapse_tol, gamma):
             there, g, f_value = newton
             it += 1

@@ -5,6 +5,7 @@ import pytest
 
 from hamorbit import functional, loopspace
 from hamorbit import (
+    DomainError,
     LoopPath,
     NoBracketError,
     PowerLawPotential,
@@ -227,6 +228,17 @@ def test_ray_landing_probes_the_doubling_where_the_model_does_not_apply(
     landing = functional.ray_landing(u, spec)
     assert _scales(calls)[:2] == [1.0, first]
     assert abs(landing.g - h) <= functional.root_tolerance(spec)
+
+
+def test_ray_landing_that_ends_off_the_set_raises():
+    # g is inf at scale 1 on this start, so the bracket halves to 0.5
+    # (g = 8.9e184) and 0.25 (g = 1.7e-26); regula falsi's first point
+    # rounds onto the end 0.25, where the landing is far off the set.
+    spec = ProblemSpec(PowerLawPotential(0.5, 700, n=2), 2, 1.0, symmetry="e1")
+    u = project_symmetric(random_loop(64, 2, np.random.default_rng(3)), "e1")
+    message = r"ray landing ended off the constraint: \|g - h\| = 1$"
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match=message):
+        functional.ray_landing(u, spec)
 
 
 def test_scaling_root_stays_below_overflow():
