@@ -25,13 +25,19 @@ constraint value there come from that pass, with the bits of
 :func:`action`, :func:`action_gradient` and :func:`constraint_value`; so a
 solver on the ray constraint makes one pass per root evaluation and no
 other.
+
+A pass is also the solvers' iterate.  It measures its loop once, on first
+read: its factors, level, gradient, loop norm and Cerami-weighted gradient.
+The diagnostic record (:func:`cps_append`), the stationarity gate and the
+Newton step all read those, so an iterate takes one Dirichlet sum however
+many of them read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -100,30 +106,30 @@ def _factors(loops: np.ndarray, spec: ProblemSpec, values=None):
     return stacked_dirichlet_energy(loops), exact_sums(spec.h - values.reshape(L, N)) / N
 
 
-def stacked_action(loops: np.ndarray, spec: ProblemSpec, values=None) -> np.ndarray:
+def _gradient(x: np.ndarray, A, B, grads: np.ndarray) -> np.ndarray:
+    """grad_k = B * N (2x_k - x_{k+1} - x_{k-1}) - (A/N) grad V(x_k) for a
+    loop x with Dirichlet energy A and mean energy gap B, or for an
+    (L, N, n) stack with A and B of shape (L,); ``grads`` holds grad V at
+    the nodes."""
+    N = x.shape[-2]
+    A, B = np.asarray(A)[..., None, None], np.asarray(B)[..., None, None]
+    return B * N * _laplacian(x) - A / N * grads.reshape(x.shape)
+
+
+def stacked_action(loops: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """:func:`action` of each loop in an (L, N, n) stack, shape (L,), with
-    one potential call, or none given ``values`` (V at the L * N nodes);
-    each entry has the bits of the single-loop call."""
-    A, B = _factors(loops, spec, values)
+    one potential call; each entry has the bits of the single-loop call."""
+    A, B = _factors(loops, spec)
     return A * B
 
 
-def stacked_action_gradient(loops: np.ndarray, spec: ProblemSpec,
-                            values=None, grads=None) -> np.ndarray:
+def stacked_action_gradient(loops: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """:func:`action_gradient` of each loop in an (L, N, n) stack, shape
-    (L, N, n), with one ``value_and_gradient`` call of the potential, or
-    none given ``values`` and ``grads`` (V and grad V at the L * N nodes);
-    each entry has the bits of the single-loop call.
-
-    grad_k = B * N (2u_k - u_{k+1} - u_{k-1}) - (A/N) grad V(u_k), with
-    A the Dirichlet energy and B the mean energy gap.
-    """
+    (L, N, n), with one ``value_and_gradient`` call of the potential (see
+    :func:`_gradient`); each entry has the bits of the single-loop call."""
     L, N, n = loops.shape
-    if values is None:
-        values, grads = spec.potential.value_and_gradient(loops.reshape(L * N, n))
-    A, B = _factors(loops, spec, values)
-    lap = _laplacian(loops)
-    return (B * N)[:, None, None] * lap - (A / N)[:, None, None] * grads.reshape(L, N, n)
+    values, grads = spec.potential.value_and_gradient(loops.reshape(L * N, n))
+    return _gradient(loops, *_factors(loops, spec, values), grads)
 
 
 def _laplacian(x: np.ndarray) -> np.ndarray:
@@ -142,26 +148,58 @@ def action_gradient(u: LoopPath, spec: ProblemSpec) -> np.ndarray:
     return stacked_action_gradient(u.nodes[None], spec)[0]
 
 
-class PotentialPass(NamedTuple):
-    """The loop ``scale * u`` with the one potential pass made at its nodes:
-    V (``values``), grad V (``grads``) and the constraint value ``g``."""
+@dataclass(frozen=True, eq=False)
+class PotentialPass:
+    """The loop ``scale * u`` with the one potential pass made at its nodes,
+    V (``values``), grad V (``grads``) and the constraint value ``g``: an
+    iterate of either route.
 
+    What the solvers read of the iterate is measured from the pass on first
+    read and kept: its Dirichlet energy and mean energy gap (``factors``,
+    one :func:`_factors` call), then its level ``action``, its gradient
+    ``action_gradient``, its ``speed`` and its ``loop_norm``, with the bits
+    of :func:`action`, :func:`action_gradient`,
+    :func:`~hamorbit.loopspace.speed` and :func:`~hamorbit.loopspace.h1_norm`,
+    and its ``weighted_gradient``.  So an iterate takes one Dirichlet sum,
+    whoever reads it."""
+
+    spec: ProblemSpec
     scale: float
     loop: LoopPath
     values: np.ndarray
     grads: np.ndarray
     g: float
 
-    def action(self, spec: ProblemSpec) -> float:
-        """:func:`action` of the loop, from the pass."""
-        return float(stacked_action(self.loop.nodes[None], spec, self.values)[0])
+    @cached_property
+    def factors(self) -> tuple[float, float]:
+        A, B = _factors(self.loop.nodes[None], self.spec, self.values)
+        return float(A[0]), float(B[0])
 
-    def action_gradient(self, spec: ProblemSpec) -> np.ndarray:
-        """:func:`action_gradient` of the loop, from the pass."""
-        return stacked_action_gradient(self.loop.nodes[None], spec,
-                                       self.values, self.grads)[0]
+    @cached_property
+    def action(self) -> float:
+        A, B = self.factors
+        return A * B
 
-    def action_hessian(self, spec: ProblemSpec):
+    @cached_property
+    def action_gradient(self) -> np.ndarray:
+        return _gradient(self.loop.nodes, *self.factors, self.grads)
+
+    @cached_property
+    def speed(self) -> float:
+        return math.sqrt(2.0 * self.factors[0])
+
+    @cached_property
+    def loop_norm(self) -> float:
+        return h1_norm(self.loop, self.speed)
+
+    @cached_property
+    def weighted_gradient(self) -> float:
+        """Cerami's weighted gradient (1 + ``loop_norm``) times the
+        :func:`gradient_dual_norm` of the gradient: what the stationarity
+        gate reads."""
+        return (1.0 + self.loop_norm) * gradient_dual_norm(self.action_gradient)
+
+    def action_hessian(self):
         """The Hessian of :func:`action` at the loop as a map v -> H v on
         (N, n) directions, from the pass and one ``hessian`` call of the
         potential (which a model without one raises from):
@@ -172,8 +210,8 @@ class PotentialPass(NamedTuple):
         with grad A = N lap(u) and grad B = -grad V(u_k) / N."""
         nodes = self.loop.nodes
         N = len(nodes)
-        hess = spec.potential.hessian(nodes)
-        A, B = (float(x[0]) for x in _factors(nodes[None], spec, self.values))
+        hess = self.spec.potential.hessian(nodes)
+        A, B = self.factors
         dA, dB = N * _laplacian(nodes), -self.grads / N
 
         def product(v):
@@ -188,7 +226,7 @@ def potential_pass(u: LoopPath, spec: ProblemSpec, scale: float = 1.0) -> Potent
     loop = u if scale == 1.0 else LoopPath(scale * u.nodes)
     values, grads = spec.potential.value_and_gradient(loop.nodes)
     g = integrate(values + 0.5 * np.sum(grads * loop.nodes, axis=1))
-    return PotentialPass(scale, loop, values, grads, g)
+    return PotentialPass(spec, scale, loop, values, grads, g)
 
 
 def constraint_value(u: LoopPath, spec: ProblemSpec) -> float:
@@ -350,13 +388,6 @@ def gradient_dual_norm(grad: np.ndarray) -> float:
     return math.sqrt(g.shape[0] * exact_sums((g * g).ravel()))
 
 
-def weighted_gradient(grad: np.ndarray, loop_norm: float) -> float:
-    """Cerami's weighted gradient (1 + loop_norm) * gradient_dual_norm(grad),
-    loop_norm being the iterate's ``h1_norm``: what the stationarity gate
-    reads."""
-    return (1.0 + loop_norm) * gradient_dual_norm(grad)
-
-
 @dataclass(frozen=True)
 class CpsRecord:
     """One diagnostic snapshot along a solve."""
@@ -364,7 +395,7 @@ class CpsRecord:
     iteration: int
     f_value: float
     loop_norm: float
-    weighted_gradient: float  # see weighted_gradient(): Cerami's weight
+    weighted_gradient: float  # see PotentialPass.weighted_gradient: Cerami's weight
     distance_proxy: float
     constraint_residual: float
 
@@ -375,34 +406,27 @@ class CpsRecord:
             raise DomainError("diagnostic record has non-finite entries")
 
 
-def cps_append(trace: list, u: LoopPath, spec: ProblemSpec, radius: float | None,
-               grad: np.ndarray, f_value: float, g: float) -> CpsRecord:
-    """Append a diagnostic record for the current iterate and return it.
+def cps_append(trace: list, here: PotentialPass, radius: float | None = None) -> CpsRecord:
+    """Append a diagnostic record for the iterate ``here`` and return it.
 
-    The record's iteration is its index in ``trace``.  ``radius`` is the
-    derivative sphere's, or None for the ray constraint (see
-    :func:`constraint_distance`); ``grad`` is the iterate's
-    :func:`action_gradient`, ``f_value`` its :func:`action` and ``g`` its
-    :func:`constraint_value`, all of which the solver holds.  The record
-    takes one Dirichlet sum, for the loop norm and the distance proxy both.
+    The record's iteration is its index in ``trace``; its level, loop norm
+    and weighted gradient are the pass's own, and its constraint residual is
+    |g - h| from the pass's constraint value.  ``radius`` is the derivative
+    sphere's, or None for the ray constraint (see
+    :func:`constraint_distance`).  The distance proxy reads the pass's
+    speed, so the record takes no Dirichlet sum of its own.
     """
-    residual = abs(g - spec.h)
-    loop_speed = speed(u)
+    spec, u = here.spec, here.loop
+    residual = abs(here.g - spec.h)
     if radius is None and residual <= root_tolerance(spec) and np.any(u.nodes):
         proxy = 0.0  # on the set already: scaling_root would return 1
     else:
         try:
-            proxy = constraint_distance(u, radius, spec, loop_speed)
+            proxy = constraint_distance(u, radius, spec, here.speed)
         except ZeroLoopError:
             proxy = residual  # ray projection undefined at 0; fall back
-    loop_norm = h1_norm(u, loop_speed)  # once, for the record and its Cerami weight
-    rec = CpsRecord(
-        iteration=len(trace),
-        f_value=f_value,
-        loop_norm=loop_norm,
-        weighted_gradient=weighted_gradient(grad, loop_norm),
-        distance_proxy=proxy,
-        constraint_residual=residual,
-    )
+    rec = CpsRecord(iteration=len(trace), f_value=here.action, loop_norm=here.loop_norm,
+                    weighted_gradient=here.weighted_gradient, distance_proxy=proxy,
+                    constraint_residual=residual)
     trace.append(rec)
     return rec

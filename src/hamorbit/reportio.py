@@ -43,7 +43,7 @@ def render_report(sections, trace=None, gamma_history=None) -> str:
             lines.append(f"{key} = {fmt(value)}")
     if gamma_history is not None:
         lines.append("[gamma_history]")
-        lines.append(" ".join(format(g, ".17g") for g in gamma_history))
+        lines.append(" ".join(map(fmt, gamma_history)))
     if trace is not None:
         lines.append("[cps_trace]")
         lines.append("# " + " ".join(TRACE_COLUMNS))
@@ -66,12 +66,7 @@ def parse_report(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
-            if current == "cps_trace":
-                sections[current] = []
-            elif current == "gamma_history":
-                sections[current] = []
-            else:
-                sections[current] = {}
+            sections[current] = [] if current in ("cps_trace", "gamma_history") else {}
             continue
         if current == "cps_trace":
             parts = line.split()

@@ -3,7 +3,10 @@
 and step rule.  Each route keeps only how it evaluates a trial and how it
 reports a search that fails.  They also share one safeguarded Newton step
 (:func:`_newton_step`), which ends both: each route passes its own
-retraction and acceptance window.
+retraction and acceptance window.  An iterate of either route is a
+:class:`~hamorbit.functional.PotentialPass`, which measures its loop once;
+the routes, the Newton step, the record and the gate all read it, and none
+of them hands a level or a gradient to another.
 
 Constrained minimization: preconditioned descent of the loop functional on
 the ray constraint inside a symmetry subspace.  The ray constraint is the
@@ -73,13 +76,11 @@ from .functional import (
     scaling_root,  # noqa: F401  (a binding perfbench's tracer test expects)
     stacked_action,
     stacked_action_gradient,
-    weighted_gradient,
 )
 from .loopspace import (
     LoopPath,
     check_grid,
     circle_loop,
-    h1_norm,
     integrate,
     is_nonconstant,
     project_symmetric,
@@ -151,10 +152,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
 
 
-def _stop(rec: CpsRecord, u: LoopPath, f_value: float, it: int, opts: SolveOptions):
+def _stop(rec: CpsRecord, u: LoopPath, opts: SolveOptions):
     """The one stationarity gate of both routes: how a solve ends at the
-    iterate ``u`` of level ``f_value`` and record ``rec``, at iteration
-    ``it``, as (termination, message), or None while the solve goes on.
+    iterate ``u`` whose record is ``rec``, as (termination, message), or
+    None while the solve goes on; the record carries the level and the
+    iteration.
 
     The iterate is stationary when its Cerami-weighted gradient is at most
     the tolerance.  A stationary iterate is ``converged`` only when it is a
@@ -164,10 +166,10 @@ def _stop(rec: CpsRecord, u: LoopPath, f_value: float, it: int, opts: SolveOptio
     budget is used up.
     """
     if rec.weighted_gradient <= opts.gradient_tolerance:
-        if f_value <= 0.0 or not is_nonconstant(u.nodes):
+        if rec.f_value <= 0.0 or not is_nonconstant(u.nodes):
             return "hypothesis_violation", "stationary point is constant or has nonpositive level"
         return "converged", ""
-    if it == opts.max_iterations:
+    if rec.iteration == opts.max_iterations:
         return "max_iter", "iteration budget exhausted"
     return None
 
@@ -237,21 +239,19 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     except NoBracketError as err:
         return report(u, action(u, spec), 0, "hypothesis_violation", err.reason())
 
-    f_cur, grad = here.action(spec), here.action_gradient(spec)
     step = 1.0
     prev_nodes = prev_grad = None
-    for it in range(opts.max_iterations + 1):
-        u = here.loop
-        rec = cps_append(trace, u, spec, None, grad, f_cur, here.g)
-        end = _stop(rec, u, f_cur, it, opts)
+    while True:
+        u, f_cur, grad = here.loop, here.action, here.action_gradient
+        rec = cps_append(trace, here)
+        end = _stop(rec, u, opts)
         if end:
-            return report(u, f_cur, it, *end)
+            return report(u, f_cur, rec.iteration, *end)
 
         # Near the set's critical point, a Newton step is an iteration of its own.
-        if rec.weighted_gradient <= _NEWTON_START and (newton := _newton_step(
-                spec, here, grad, rec.weighted_gradient, ray_landing,
-                0.0, f_cur * (1.0 + _NEWTON_RISE))):
-            here, grad, f_cur = newton
+        if rec.weighted_gradient <= _NEWTON_START and (there := _newton_step(
+                here, ray_landing, 0.0, f_cur * (1.0 + _NEWTON_RISE))):
+            here = there
             continue
 
         if prev_nodes is not None:
@@ -268,7 +268,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
         for next_step, trial, bound in _trials(u.nodes, grad, step, spec.symmetry, f_cur):
             try:
                 landing = ray_landing(trial, spec)
-                f_new = landing.action(spec)
+                f_new = landing.action
             except NoBracketError as err:
                 bracket_failure = err
                 continue
@@ -278,10 +278,11 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
                 break
         else:
             if bracket_failure is not None:
-                return report(u, f_cur, it, "hypothesis_violation", bracket_failure.reason())
-            return report(u, f_cur, it, "max_iter", "line search stalled below machine step")
-        here, f_cur, step = landing, f_new, next_step
-        grad = here.action_gradient(spec)
+                return report(u, f_cur, rec.iteration, "hypothesis_violation",
+                              bracket_failure.reason())
+            return report(u, f_cur, rec.iteration, "max_iter",
+                          "line search stalled below machine step")
+        here, step = landing, next_step
 
 
 def build_endpoint(spec: ProblemSpec, base: LoopPath) -> LoopPath:
@@ -511,32 +512,30 @@ def _minres(apply, b: np.ndarray, precondition, rtol: float, maxiter: int) -> np
     return x
 
 
-def _newton_step(spec: ProblemSpec, here: PotentialPass, grad: np.ndarray, wg: float,
-                 retract, floor: float, ceiling: float):
-    """The one safeguarded Newton step of both routes, from the pass
-    ``here``, whose gradient is ``grad`` and weighted gradient ``wg``:
-    H delta = -grad solved by MINRES with the Sobolev preconditioner, on the
-    exact Hessian (:meth:`~hamorbit.functional.PotentialPass.action_hessian`).
-    The loop u + delta is projected into the class and handed to
+def _newton_step(here: PotentialPass, retract, floor: float, ceiling: float):
+    """The one safeguarded Newton step of both routes, from the iterate
+    ``here``: H delta = -grad solved by MINRES with the Sobolev
+    preconditioner, on the exact Hessian
+    (:meth:`~hamorbit.functional.PotentialPass.action_hessian`).  The loop
+    u + delta is projected into the class and handed to
     ``retract(loop, spec)``, which returns the pass the step ends at:
     :func:`~hamorbit.functional.potential_pass` for the mountain pass,
     :func:`~hamorbit.functional.ray_landing` for the Nehari route.  Returns
-    (pass, gradient, level) there, or None, unless the pass and the solve are
-    finite, the weighted gradient at least halves and the level lies in
+    that pass, or None unless the pass and the solve are finite, the
+    weighted gradient at least halves and the level lies in
     (floor, ceiling].  A model without ``hessian``, a point where it is
     undefined, or a retraction that raises, gives None."""
     try:
         with np.errstate(all="ignore"):  # a non-finite outcome is rejected below
-            product = here.action_hessian(spec)
-            delta = _minres(product, -grad, sobolev_precondition, _NEWTON_RTOL, _NEWTON_MAXITER)
-            loop = project_symmetric(LoopPath(here.loop.nodes + delta), spec.symmetry)
-            there = retract(loop, spec)
-            f_value, g = there.action(spec), there.action_gradient(spec)
-            kept = floor < f_value <= ceiling and \
-                weighted_gradient(g, h1_norm(there.loop)) <= 0.5 * wg
+            delta = _minres(here.action_hessian(), -here.action_gradient, sobolev_precondition,
+                            _NEWTON_RTOL, _NEWTON_MAXITER)
+            loop = project_symmetric(LoopPath(here.loop.nodes + delta), here.spec.symmetry)
+            there = retract(loop, here.spec)
+            kept = floor < there.action <= ceiling and \
+                there.weighted_gradient <= 0.5 * here.weighted_gradient
     except (NotImplementedError, DomainError, NoBracketError, ZeroLoopError, ValueError):
         return None
-    return (there, g, f_value) if kept else None
+    return there if kept else None
 
 
 def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
@@ -608,7 +607,6 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         return SolveReport(loop, f_value, termination, trace, iterations, message,
                            gamma_history=gammas)
 
-    it = 0
     while True:
         i = int(np.argmax(seg_vals))
         gamma = float(seg_vals[i])
@@ -617,41 +615,38 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         top = (1.0 - tau) * path[i] + tau * path[i + 1]
         u = LoopPath(top)
         if gamma <= base + collapse_tol:
-            return report(u, gamma, it, "hypothesis_violation", PathCollapseError(
+            return report(u, gamma, len(trace), "hypothesis_violation", PathCollapseError(
                 "path maximum fell to the endpoint level; separation failed numerically").reason())
         here = potential_pass(u, spec)
-        grad = here.action_gradient(spec)
-        rec = cps_append(trace, u, spec, radius, grad, gamma, here.g)
-        end = _stop(rec, u, gamma, it, opts)
+        rec = cps_append(trace, here, radius)
+        end = _stop(rec, u, opts)
         if end:
-            return report(u, gamma, it, *end)
+            return report(u, gamma, rec.iteration, *end)
 
         # Newton steps from the top, each an iteration; the path stays as it is.
-        there, g = here, grad
-        while newton := _newton_step(spec, there, g, rec.weighted_gradient, potential_pass,
-                                     base + collapse_tol, gamma):
-            there, g, f_value = newton
-            it += 1
-            rec = cps_append(trace, there.loop, spec, radius, g, f_value, there.g)
-            end = _stop(rec, there.loop, f_value, it, opts)
+        there = here
+        while there := _newton_step(there, potential_pass, base + collapse_tol, gamma):
+            rec = cps_append(trace, there, radius)
+            end = _stop(rec, there.loop, opts)
             if end:
-                return report(there.loop, f_value, it, *end)
+                return report(there.loop, there.action, rec.iteration, *end)
 
         # The path maximum becomes a node: replace the nearest interior one.
         j = i if tau < 0.5 else i + 1
         j = min(max(j, 1), m - 1)
 
-        for next_step, trial, bound in _trials(top, grad, step, spec.symmetry, gamma):
+        trials = _trials(top, here.action_gradient, step, spec.symmetry, gamma)
+        for next_step, trial, bound in trials:
             vals, taus = pmax.segment_max([path[j - 1], trial.nodes, path[j + 1]])
             hi = vals.max()
             if math.isfinite(hi) and hi <= bound:
                 break
         else:
-            return report(u, gamma, it, "max_iter", "line search stalled at the path maximum")
+            return report(u, gamma, rec.iteration, "max_iter",
+                          "line search stalled at the path maximum")
         path[j] = trial.nodes
         seg_vals[j - 1:j + 1], seg_taus[j - 1:j + 1] = vals, taus
         step = next_step
-        it += 1
 
         # Arc-length re-equidistribution, skipped if it would raise the max.
         candidate = _redistribute(path)

@@ -126,7 +126,7 @@ def test_action_hessian_matches_differences_of_the_gradient():
         spec = random_admissible_spec(rng)
         u = random_loop_with_mean(16, spec.n, rng, 0.3)
         v, w = rng.standard_normal((2, 16, spec.n))
-        product = functional.potential_pass(u, spec).action_hessian(spec)
+        product = functional.potential_pass(u, spec).action_hessian()
         hv = product(v)
         step = 1e-6
         fd = (action_gradient(LoopPath(u.nodes + step * v), spec)
@@ -241,6 +241,16 @@ def test_ray_landing_that_ends_off_the_set_raises():
         functional.ray_landing(u, spec)
 
 
+def test_illinois_stops_where_phi_has_no_value():
+    # The first secant point 0.5 has a value, the next one (0.357...) none:
+    # the search returns the last point that had one.
+    def phi(x):
+        return x - 0.3 if x > 0.45 else None
+
+    assert functional._illinois(phi, 0.0, -1.0, 1.0, 1.0) == 0.5
+    assert functional._illinois(lambda x: None, 0.0, -1.0, 1.0, 1.0) == 1.0
+
+
 def test_scaling_root_stays_below_overflow():
     # g(u) > h on the unit circle, and exp overflows far out on the ray: the
     # bracket shrinks the scale and never probes out there.
@@ -286,8 +296,7 @@ def test_constraint_distance(harmonic_spec):
 
 def test_cps_records(harmonic_spec):
     def record(trace, u):
-        return cps_append(trace, u, harmonic_spec, None, action_gradient(u, harmonic_spec),
-                          action(u, harmonic_spec), constraint_value(u, harmonic_spec))
+        return cps_append(trace, functional.potential_pass(u, harmonic_spec))
 
     trace = []
     rec = record(trace, zero_loop(16, 2))
@@ -306,9 +315,9 @@ def test_cps_records(harmonic_spec):
 def test_cps_record_takes_the_loop_norm_once(monkeypatch, expression_spec):
     u = random_loop(64, 2, np.random.default_rng(5))
     grad = action_gradient(u, expression_spec)
-    g = constraint_value(u, expression_spec)
+    here = functional.potential_pass(u, expression_spec)
     norms = count_calls(monkeypatch, functional, "h1_norm")
-    rec = cps_append([], u, expression_spec, 1.0, grad, action(u, expression_spec), g)
+    rec = cps_append([], here, 1.0)
     assert len(norms) == 1
     assert rec.loop_norm == h1_norm(u)
     assert rec.weighted_gradient == (1.0 + h1_norm(u)) * gradient_dual_norm(grad)  # bit for bit
@@ -321,11 +330,12 @@ def test_cps_record_takes_one_dirichlet_sum(monkeypatch, harmonic_spec, radius, 
     # the bits of the separate calls.
     base = random_loop(64, 2, np.random.default_rng(5))
     u = LoopPath(lam * scaling_root(base, harmonic_spec) * base.nodes)
-    grad, g = action_gradient(u, harmonic_spec), constraint_value(u, harmonic_spec)
+    here = functional.potential_pass(u, harmonic_spec)
     proxy = constraint_distance(u, radius, harmonic_spec)
-    sums = count_calls(monkeypatch, loopspace, "stacked_dirichlet_energy")
-    rec = cps_append([], u, harmonic_spec, radius, grad, 1.0, g)
-    assert len(sums) == 1
+    sums = [count_calls(monkeypatch, module, "stacked_dirichlet_energy")
+            for module in (loopspace, functional)]
+    rec = cps_append([], here, radius)
+    assert sum(map(len, sums)) == 1
     assert rec.loop_norm == h1_norm(u)
     assert rec.distance_proxy == proxy
 
@@ -338,19 +348,41 @@ def test_cps_record_on_the_set_needs_no_root(monkeypatch, harmonic_spec):
     on_set = LoopPath(scaling_root(u, harmonic_spec) * u.nodes)
     off_set = LoopPath(1.5 * on_set.nodes)
     loops = (on_set, off_set)
-    grads = [action_gradient(v, harmonic_spec) for v in loops]
-    levels = [action(v, harmonic_spec) for v in loops]
+    here = [functional.potential_pass(v, harmonic_spec) for v in loops]
     gs = [constraint_value(v, harmonic_spec) for v in loops]
     roots = count_calls(monkeypatch, functional, "scaling_root")
     passes = count_calls(monkeypatch, functional, "potential_pass")
-    rec = cps_append([], on_set, harmonic_spec, None, grads[0], levels[0], gs[0])
+    rec = cps_append([], here[0])
     assert rec.distance_proxy == 0.0
     assert rec.constraint_residual <= functional.root_tolerance(harmonic_spec)
     assert (len(roots), len(passes)) == (0, 0)
-    rec = cps_append([], off_set, harmonic_spec, None, grads[1], levels[1], gs[1])
+    rec = cps_append([], here[1])
     assert rec.constraint_residual == abs(gs[1] - harmonic_spec.h)
     assert len(roots) == 1
     assert rec.distance_proxy == constraint_distance(off_set, None, harmonic_spec) > 0.0
+
+
+@pytest.mark.parametrize("field", range(1, 6))
+def test_record_with_a_non_finite_entry_raises(field):
+    entries = [0, 1.0, 1.0, 1.0, 0.0, 0.0]
+    functional.CpsRecord(*entries)
+    entries[field] = math.nan if field % 2 else math.inf
+    with pytest.raises(DomainError, match="non-finite"):
+        functional.CpsRecord(*entries)
+
+
+def test_pass_measures_its_loop_once_with_the_bits_of_the_functions(monkeypatch,
+                                                                   expression_spec):
+    u = random_loop(64, 2, np.random.default_rng(11))
+    level, grad, norm = action(u, expression_spec), action_gradient(u, expression_spec), h1_norm(u)
+    here = functional.potential_pass(u, expression_spec)
+    factored = count_calls(monkeypatch, functional, "_factors")
+    assert here.action == level
+    assert here.action_gradient.tobytes() == grad.tobytes()
+    assert here.loop_norm == norm
+    assert here.weighted_gradient == (1.0 + norm) * gradient_dual_norm(grad)
+    here.action_hessian()
+    assert len(factored) == 1
 
 
 @pytest.mark.parametrize("sym", ["e1", "e2"])

@@ -90,6 +90,27 @@ def test_only_exact_sums_calls_fsum():
     assert reads == home > 0
 
 
+def _readers(name) -> set:
+    """The top-level statements of the package, as "module.name", that read
+    ``name`` as a name or an attribute; imports do not count."""
+    readers = set()
+    for path in sorted(Path(hamorbit.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if any(name in (getattr(node, "id", None), getattr(node, "attr", None))
+                   for node in ast.walk(stmt)):
+                readers.add(f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}")
+    return readers
+
+
+def test_a_pass_is_the_one_home_of_its_measurements():
+    # functional.PotentialPass measures an iterate once: it alone takes the
+    # dual norm of the Cerami weight, and only it, the stacked forms and the
+    # orbit's period take the factors A and B.
+    assert _readers("gradient_dual_norm") == {"functional.PotentialPass"}
+    assert _readers("_factors") == {"functional.PotentialPass", "functional.stacked_action",
+                                    "functional.stacked_action_gradient", "orbit.orbit_period"}
+
+
 # The top-level definitions that nothing else in the package reads, and why
 # each stays.  A name whose last reader goes must go too, or gain a reason here.
 UNREFERENCED = {

@@ -28,7 +28,7 @@ from hamorbit import (
     synthesize,
     zero_loop,
 )
-from hamorbit import functional, solvers
+from hamorbit import functional, loopspace, solvers
 from hamorbit.solvers import _PathMax, _redistribute
 from conftest import count_calls, mode_one_loop, random_loop_with_mean
 
@@ -195,8 +195,8 @@ def test_minimize_max_iter(harmonic_spec):
     assert rep.iterations == 2
 
 
-def _record(weighted_gradient):
-    return functional.CpsRecord(0, 1.0, 1.0, weighted_gradient, 0.0, 0.0)
+def _record(weighted_gradient, f_value, it):
+    return functional.CpsRecord(it, f_value, 1.0, weighted_gradient, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("weighted_gradient, loop, f_value, it, end", [
@@ -211,7 +211,7 @@ def _record(weighted_gradient):
 ])
 def test_stationarity_gate(weighted_gradient, loop, f_value, it, end):
     opts = SolveOptions(max_iterations=5, gradient_tolerance=1e-6)
-    assert solvers._stop(_record(weighted_gradient), loop, f_value, it, opts) == end
+    assert solvers._stop(_record(weighted_gradient, f_value, it), loop, opts) == end
 
 
 def _failing_nehari(monkeypatch, spec, error):
@@ -429,9 +429,9 @@ def test_trace_levels_are_the_action_of_each_iterate(monkeypatch, expression_spe
     loops = []
     real = solvers.cps_append
 
-    def recorded(trace, u, *args):
-        loops.append(u)
-        return real(trace, u, *args)
+    def recorded(trace, here, *args):
+        loops.append(here.loop)
+        return real(trace, here, *args)
 
     monkeypatch.setattr(solvers, "cps_append", recorded)
     opts = SolveOptions(initial_loop="random_bandlimited", seed=2, max_iterations=6)
@@ -880,6 +880,41 @@ def test_newton_steps_are_iterations_and_leave_gamma_history_to_the_path(express
     assert all(r.f_value <= rep.gamma_history[-1] for r in newton)
     assert all(b.weighted_gradient <= 0.5 * a.weighted_gradient
                for a, b in zip(newton, newton[1:]))
+
+
+@pytest.mark.parametrize("case, n_nodes, dirichlet_sums", [("cubic", 1024, 8),
+                                                            ("expression", 64, 17)])
+def test_each_iterate_is_measured_once(monkeypatch, cubic_spec, expression_spec, case,
+                                      n_nodes, dirichlet_sums):
+    # Each pass takes its factors once, however often the solve, the record
+    # and the Newton step read its level, gradient or weighted gradient, and
+    # the record takes no Dirichlet sum of its own: 8 and 17 sums in all,
+    # one per pass whose level is read and the nonconstant checks at the
+    # start and at the gate.
+    spec = cubic_spec if case == "cubic" else expression_spec
+    factored = count_calls(monkeypatch, functional, "_factors")
+    sums = [count_calls(monkeypatch, module, "stacked_dirichlet_energy")
+            for module in (loopspace, functional)]
+    rep = minimize_on_nehari(spec, SolveOptions(), n_nodes=n_nodes)
+    assert rep.converged
+    passes = [args[2] for args in factored]  # the V each call was handed
+    assert len({id(values) for values in passes}) == len(passes) > rep.iterations
+    assert sum(map(len, sums)) <= dirichlet_sums
+
+
+def test_line_search_skips_a_trial_that_is_no_loop():
+    # The first three steps overflow the nodes, so they are no loop; the
+    # search yields the fourth, 1e308 / 8.
+    x, grad = circle_loop(16, 2).nodes, np.full((16, 2), 10.0)
+    with np.errstate(over="ignore"):
+        _, trial, _ = next(solvers._trials(x, grad, 1e308, "none", 0.0))
+    direction = solvers.sobolev_precondition(grad)
+    assert trial.nodes.tobytes() == (x - 1e308 * 0.5**3 * direction).tobytes()
+
+
+def test_redistribute_leaves_a_path_of_zero_length():
+    path = np.ones((9, 16, 2))
+    assert _redistribute(path) is path
 
 
 def test_minres_matches_a_dense_solve_on_a_symmetric_indefinite_system():
