@@ -277,14 +277,15 @@ def ray_landing(u: LoopPath, spec: ProblemSpec) -> PotentialPass:
         raise ZeroLoopError("ray scaling is undefined for the zero loop")
     tol = root_tolerance(spec)
     landing = None
+    samples = []
 
     def phi(a: float) -> float:
         nonlocal landing
         landing = potential_pass(u, spec, a)
+        samples.append((a, landing.g))
         return landing.g - spec.h
 
     f1 = phi(1.0)
-    samples = [(1.0, f1 + spec.h)]
     if abs(f1) <= tol:
         return landing
 
@@ -298,7 +299,6 @@ def ray_landing(u: LoopPath, spec: ProblemSpec) -> PotentialPass:
                 samples,
             )
         fb = phi(b)
-        samples.append((b, fb + spec.h))
         if abs(fb) <= tol:
             return landing
         if (fb < 0.0) != (f1 < 0.0):

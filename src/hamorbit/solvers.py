@@ -26,9 +26,9 @@ the derivative sphere {||u'||_{L2} = r}, which is passed as its radius r.
 The path is one (m+1, N, n) array from the first sweep to the last.  Each
 sweep locates the path maximum over segment interiors (node-only
 evaluation could tunnel through the barrier): every segment's grid in one
-potential call, the bracket ends of all segments in at most two
-batched derivative passes, and each bracketed top by Illinois regula falsi
-on the tangential derivative.  It relaxes the maximum one preconditioned
+potential call, both bracket ends of every segment in one batched
+derivative pass, and each bracketed top by Illinois regula falsi on the
+tangential derivative.  It relaxes the maximum one preconditioned
 descent step accepted on the modified segments' maxima, and
 re-equidistributes the interior points in loop-space arc length when that
 does not raise the maximum, which keeps the level estimates monotone.  The
@@ -36,9 +36,10 @@ re-spacing measures every segment in one stacked pass
 (:func:`~hamorbit.loopspace.stacked_h1_norm`, built on the periodic shift
 and Dirichlet sum whose one home is :mod:`hamorbit.loopspace`) and moves
 every interior point in one expression.  A re-equidistributed candidate is
-tested on its three segments around the top first, and most candidates are
-rejected there, without evaluating the others; the decisions, and so every
-result, are those of evaluating each candidate in full.
+tested in slices of its node list, the three segments around the top first,
+and most candidates are rejected there, without evaluating the others; the
+decisions, and so every result, are those of evaluating each candidate in
+full.
 
 Before its descent step, each sweep tries a Newton step from the path's
 top.  The Newton step of both routes (Deuflhard 2004) is taken on the exact
@@ -339,13 +340,6 @@ def _redistribute(path: np.ndarray) -> np.ndarray:
     return np.concatenate((path[:1], (1.0 - t) * path[i] + t * path[i + 1], path[m:]))
 
 
-def _segment_ends(nodes, segments=slice(None)):
-    """Stacks (a, b) of the ends of the segments [a, b] of a node list that
-    ``segments`` indexes (all of them by default)."""
-    nodes = np.asarray(nodes)
-    return nodes[:-1][segments], nodes[1:][segments]
-
-
 class _PathMax:
     """Continuous maximization of the functional along a piecewise-linear path.
 
@@ -357,17 +351,16 @@ class _PathMax:
 
     :meth:`segment_max` treats a whole node list at once.  A coarse grid on
     every segment, all in one potential call, localizes each maximum.  One
-    batched derivative pass then evaluates, for every segment, the bracket
-    end beside its grid maximum, and a second one the other end, only where
-    the first left an interior top possible.  When the exact tangential
-    derivative changes sign across the bracket, Illinois regula falsi on it
-    (the loop of :func:`scaling_root`), one top at a time, pins the interior
-    maximum to machine precision in about ten derivative evaluations
-    (value-only refinement could not get closer than the square root of
-    rounding near a flat maximum, which would leave a spurious gradient floor
-    at the located top).  Otherwise the grid maximum itself is the answer:
-    any other grid point is already in the grid and no higher.  Every value
-    and derivative has the bits of the single-loop :func:`action` and
+    batched derivative pass then evaluates both ends of the bracket around
+    every segment's grid maximum.  When the exact tangential derivative
+    changes sign across the bracket, Illinois regula falsi on it (the loop of
+    :func:`scaling_root`), one top at a time, pins the interior maximum to
+    machine precision in about ten derivative evaluations (value-only
+    refinement could not get closer than the square root of rounding near a
+    flat maximum, which would leave a spurious gradient floor at the located
+    top).  Otherwise the grid maximum itself is the answer: any other grid
+    point is already in the grid and no higher.  Every value and derivative
+    has the bits of the single-loop :func:`action` and
     :func:`action_gradient`, so a segment's maximum does not depend on the
     other segments it is evaluated with.
 
@@ -399,45 +392,38 @@ class _PathMax:
         return np.array([-np.inf if v is None else v
                          for v in self._each(stacked_action, loops)])
 
-    def grids(self, nodes, segments=slice(None)) -> np.ndarray:
+    def grids(self, nodes) -> np.ndarray:
         """The functional at the grid points (1-t) a + t b of every segment
-        [a, b] of a node list, or of the segments indexed by ``segments``,
-        shape (segments, len(GRID))."""
-        a, b = _segment_ends(nodes, segments)
+        [a, b] of a node list, shape (segments, len(GRID))."""
+        nodes = np.asarray(nodes)
         t = self.GRID[:, None, None]
-        points = (1.0 - t) * a[:, None] + t * b[:, None]
-        return self._values(points).reshape(len(a), -1)
+        points = (1.0 - t) * nodes[:-1, None] + t * nodes[1:, None]
+        return self._values(points).reshape(len(nodes) - 1, -1)
 
     def _slopes(self, a, b, t) -> list:
         """Tangential derivatives d/dt f((1-t) a + t b) for stacks of segment
         ends a, b and one t each; None outside the domain."""
-        if not len(t):
-            return []
         tt = t[:, None, None]
         grads = self._each(stacked_action_gradient, (1.0 - tt) * a + tt * b)
         return [None if g is None else float(np.vdot(g, bk - ak))
                 for g, ak, bk in zip(grads, a, b)]
 
-    def segment_max(self, nodes, segments=slice(None)):
+    def segment_max(self, nodes):
         """(values, taus) of the max of the functional on each segment
-        [nodes[i], nodes[i+1]] of a node list, or on the segments i indexed
-        by ``segments``, tau locating it at (1 - tau) nodes[i] + tau nodes[i+1]."""
-        a, b = _segment_ends(nodes, segments)
-        coarse = self.grids(nodes, segments)
+        [nodes[i], nodes[i+1]] of a node list, tau locating it at
+        (1 - tau) nodes[i] + tau nodes[i+1]."""
+        nodes = np.asarray(nodes)
+        a, b = nodes[:-1], nodes[1:]
+        coarse = self.grids(nodes)
         k = np.argmax(coarse, axis=1)
         values, taus = coarse[np.arange(len(k)), k], self.GRID[k]
-        last = len(self.GRID) - 1
-        lo, hi = self.GRID[np.maximum(k - 1, 0)], self.GRID[np.minimum(k + 1, last)]
-        # The end beside the grid maximum first (hi only when that is t = 1):
-        # f falling from lo, or rising into hi, rules out an interior top.
-        at_end = k == last
-        d_near = self._slopes(a, b, np.where(at_end, hi, lo))
-        open_ = [s for s, d in enumerate(d_near)
-                 if d is not None and (d < 0.0 if at_end[s] else d > 0.0)]
-        d_far = self._slopes(a[open_], b[open_], np.where(at_end, lo, hi)[open_])
-        for s, d in zip(open_, d_far):
-            dlo, dhi = (d, d_near[s]) if at_end[s] else (d_near[s], d)
-            if d is None or not dlo > 0.0 > dhi:
+        lo = self.GRID[np.maximum(k - 1, 0)]
+        hi = self.GRID[np.minimum(k + 1, len(self.GRID) - 1)]
+        # f rising from lo and falling into hi bracket an interior top.
+        ends = self._slopes(np.concatenate((a, a)), np.concatenate((b, b)),
+                            np.concatenate((lo, hi)))
+        for s, (dlo, dhi) in enumerate(zip(ends[:len(k)], ends[len(k):])):
+            if dlo is None or dhi is None or not dlo > 0.0 > dhi:
                 continue
 
             def dval(t, s=s):
@@ -453,21 +439,22 @@ class _PathMax:
         """Per-segment maxima (values, taus) of a candidate path that must
         not raise the maximum above ``ceiling``; None rejects it.
 
-        The segments top - 1, top and top + 1 (those on the path) go first,
-        and a maximum above the ceiling there rejects the candidate without
-        evaluating the others; the rest then go in one more :meth:`segment_max`
-        call, and the whole set is held to the same rule.  A segment's maximum
-        depends only on its two ends, so the order decides how many segments
-        are evaluated, never a value or the outcome.
+        The node list goes in three slices: first the window
+        path[lo:hi+1] of the segments top - 1, top and top + 1 (those on the
+        path), then path[:lo+1] before it, then path[hi:] after it.  A
+        maximum above the ceiling in a slice rejects the candidate without
+        evaluating the slices after it.  A segment's maximum depends only on
+        its two ends, so the order decides how many segments are evaluated,
+        never a value or the outcome.
         """
         m = len(path) - 1
-        near = np.zeros(m, dtype=bool)
-        near[max(top - 1, 0):top + 2] = True
+        lo, hi = max(top - 1, 0), min(top + 2, m)
         values, taus = np.empty(m), np.empty(m)
-        for part in (near, ~near):
-            values[part], taus[part] = self.segment_max(path, part)
-            if not values[part].max() <= ceiling:
-                return None
+        for i, j in ((lo, hi), (0, lo), (hi, m)):  # the segments i to j - 1
+            if i < j:
+                values[i:j], taus[i:j] = self.segment_max(path[i:j + 1])
+                if not values[i:j].max() <= ceiling:
+                    return None
         return values, taus
 
 
@@ -617,19 +604,15 @@ def mountain_pass(spec: ProblemSpec, z0: LoopPath, z1: LoopPath,
         if gamma <= base + collapse_tol:
             return report(u, gamma, len(trace), "hypothesis_violation", PathCollapseError(
                 "path maximum fell to the endpoint level; separation failed numerically").reason())
-        here = potential_pass(u, spec)
-        rec = cps_append(trace, here, radius)
-        end = _stop(rec, u, opts)
-        if end:
-            return report(u, gamma, rec.iteration, *end)
-
-        # Newton steps from the top, each an iteration; the path stays as it is.
-        there = here
-        while there := _newton_step(there, potential_pass, base + collapse_tol, gamma):
+        # The top, then the Newton steps kept from it, each an iteration; the
+        # path stays as it is.
+        here = there = potential_pass(u, spec)
+        while there:
             rec = cps_append(trace, there, radius)
             end = _stop(rec, there.loop, opts)
             if end:
                 return report(there.loop, there.action, rec.iteration, *end)
+            there = _newton_step(there, potential_pass, base + collapse_tol, gamma)
 
         # The path maximum becomes a node: replace the nearest interior one.
         j = i if tau < 0.5 else i + 1

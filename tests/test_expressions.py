@@ -8,6 +8,7 @@ from hamorbit import BadIndexError, DomainError, ExpressionParseError, expressio
 from hamorbit.expressions import (
     evaluate,
     evaluate_gradient,
+    evaluate_hessian,
     parse_expression,
 )
 
@@ -337,3 +338,20 @@ def test_non_finite_gradient_at_a_finite_value_raises():
             with pytest.raises(DomainError) as err:
                 evaluate_both(q)
             assert str(err.value) == "gradient evaluated to a non-finite value"
+
+
+def test_parse_expression_needs_a_dimension():
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        parse_expression("q1", 0)
+
+
+def test_hessian_gate_rejects_a_non_finite_hessian():
+    # At q1 = 1e-300, sqrt has a finite value and gradient, and its second
+    # derivative overflows to -inf.
+    program = parse_expression("sqrt(q1)", 1)
+    q = np.array([[1e-300]])
+    assert np.isfinite(evaluate(program, q)).all()
+    assert np.isfinite(evaluate_gradient(program, q)).all()
+    with np.errstate(all="ignore"), pytest.raises(
+            DomainError, match="hessian evaluated to a non-finite value"):
+        evaluate_hessian(program, q)

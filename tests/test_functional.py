@@ -39,6 +39,9 @@ def test_admissibility_is_strict(harmonic_spec):
     ProblemSpec(pot, 2, 1.0 + 1e-12, 2.0, 2.0)
     with pytest.raises(ValueError):
         ProblemSpec(pot, 3, 2.0, 2.0, 2.0)  # dimension mismatch
+    for mu1, mu2 in ((0.0, 0.0), (-2.0, 0.0), (2.0, -0.5)):
+        with pytest.raises(ValueError, match="growth parameters need mu1 > 0 and mu2 >= 0"):
+            ProblemSpec(pot, 2, 1.0, mu1, mu2)
 
 
 def test_spec_takes_the_potentials_growth_parameters_unless_given():
@@ -271,6 +274,20 @@ def test_scaling_root_on_a_decreasing_ray():
     assert all(a < b for a, b in zip(scales, scales[1:]))
 
 
+def test_no_bracket_samples_are_the_probed_constraint_values():
+    # Each sample holds the g computed at its scale, bit for bit, not
+    # (g - h) + h, which rounds differently at some of these probes.
+    spec = ProblemSpec(parse_potential("0.3 - 0.1*|q|^2", 2), 2, 1.1, 2.0, 0.0)
+    u = circle_loop(16, 2)
+    with pytest.raises(NoBracketError) as err:
+        scaling_root(u, spec)
+    samples = err.value.samples
+    assert samples[0][0] == 1.0 and len(samples) > 3
+    assert [g for _, g in samples] == [
+        constraint_value(LoopPath(a * u.nodes), spec) for a, _ in samples]
+    assert any((g - spec.h) + spec.h != g for _, g in samples)
+
+
 def test_scaling_root_homogeneity():
     rng = np.random.default_rng(7)
     spec = ProblemSpec(PowerLawPotential(0.6, 3, 0, n=2), 2, 1.3, 3.0, 0.0)
@@ -442,3 +459,4 @@ def test_constrained_level_positive_on_random_loops():
         on_set = LoopPath(scaling_root(u, spec) * u.nodes)
         assert action(on_set, spec) > 0.0
         count += 1
+

@@ -35,6 +35,18 @@ def test_loop_validation():
     bad[3, 1] = np.nan
     with pytest.raises(ValueError):
         LoopPath(bad)
+    with pytest.raises(ValueError, match="spatial dimension must be >= 1"):
+        LoopPath(np.zeros((16, 0)))
+
+
+def test_unknown_symmetry_class_is_refused():
+    with pytest.raises(ValueError, match="unknown symmetry class 'e3'; use one of"):
+        project_symmetric(circle_loop(16, 2), "e3")
+
+
+def test_integrate_takes_only_a_flat_sequence():
+    with pytest.raises(ValueError, match="integrate expects a flat sequence of scalars"):
+        integrate(np.ones((16, 2)))
 
 
 def test_fewest_nodes_a_loop_may_have():

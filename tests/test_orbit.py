@@ -625,3 +625,10 @@ def test_nan_closure_err_never_stops_the_ladder(monkeypatch):
         reached.clear()
         assert residuals(verify_orbit(q, T, stiff, 0.5, tol)) == full
         assert reached == [8, 12, 16, 32, 64, 128]
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0])
+def test_closure_gap_needs_a_positive_period(period):
+    p = parse_potential("0.5*|q|^2", 2)
+    with pytest.raises(ValueError, match="period must be positive"):
+        closure_gap((1.0, 0.0), (0.0, 1.0), period, p, steps=64)

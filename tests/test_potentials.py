@@ -290,3 +290,34 @@ def test_coercivity_fails_for_bounded_potential():
     p = parse_potential("1/(1 + |q|^2)", 2)
     reports = {r.hypothesis: r for r in check_hypotheses(p, 1.0, 2.0, 0.0, _cfg())}
     assert reports["B3"].verdict == "fail"
+
+
+@pytest.mark.parametrize("method, args", [("value", (np.zeros(2),)),
+                                          ("gradient", (np.zeros(2),)), ("describe", ())])
+def test_the_base_model_leaves_each_method_to_its_models(method, args):
+    with pytest.raises(NotImplementedError):
+        getattr(PotentialModel(), method)(*args)
+
+
+def test_models_check_the_shape_of_their_points():
+    p = PowerLawPotential(0.5, 2, 0, n=2)
+    with pytest.raises(ValueError, match="point has dimension 3, potential expects 2"):
+        p.value(np.zeros(3))
+    for shape in ((4, 3), (2, 4, 2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected points of dimension 2, got shape {shape}")):
+            p.value(np.zeros(shape))
+
+
+COUNTS = "sampler counts must be positive (radii >= 2)"
+RADII = "need 0 < r_min < r_max"
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(samples=0), COUNTS), (dict(radii=1), COUNTS),
+    (dict(r_min=0.0, r_max=1.0), RADII), (dict(r_min=-1.0, r_max=1.0), RADII),
+    (dict(r_min=2.0, r_max=2.0), RADII), (dict(r_min=3.0, r_max=2.0), RADII),
+])
+def test_sampler_config_refuses_bad_counts_and_radii(kw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _cfg(**kw)

@@ -83,3 +83,12 @@ def test_reader_takes_the_fewest_nodes_a_loop_may_have(tmp_path):
     path.write_text("".join(row + "\n" for row in good_rows(MIN_NODES)))
     positions, period = read_orbit_table(path)
     assert positions.shape == (MIN_NODES, 2) and period == 1.0
+
+
+def test_reader_drops_trailing_blank_lines(tmp_path):
+    rows = good_rows()
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    plain.write_text("".join(row + "\n" for row in rows))
+    padded.write_text("".join(row + "\n" for row in rows) + "\n  \n\n")
+    (q, T), (q_padded, T_padded) = read_orbit_table(plain), read_orbit_table(padded)
+    assert np.array_equal(q_padded, q) and T_padded == T

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -38,6 +39,8 @@ def test_options_validation():
         SolveOptions(path_points=4)
     with pytest.raises(ValueError):
         SolveOptions(initial_loop="spiral")
+    with pytest.raises(ValueError, match="max_iterations must be positive"):
+        SolveOptions(max_iterations=0)
 
 
 def test_minimize_requires_symmetry(harmonic_spec):
@@ -314,10 +317,10 @@ def test_segment_max_grid_or_root(harmonic_spec, monkeypatch):
     circle = circle_loop(64, 2).nodes
     zero = np.zeros_like(circle)
     # Rising to the far end: the grid is one potential call and its maximum
-    # is the answer; past the grid only the far bracket end is evaluated, in
-    # one fused pass.
+    # is the answer; past the grid both bracket ends are evaluated, in one
+    # fused pass.
     (value,), (tau,) = pmax.segment_max([zero, 0.5 * circle])
-    assert tau == 1.0 and sizes == [9 * 64] and gradients == [64]
+    assert tau == 1.0 and sizes == [9 * 64] and gradients == [2 * 64]
     assert value == action(LoopPath(0.5 * circle), harmonic_spec)
     # An interior top at radius sqrt(h) = 1 is a root of the derivative.
     del gradients[:]
@@ -350,8 +353,8 @@ def test_refresh_makes_one_grid_call(monkeypatch, cubic_spec):
     sizes = _point_counts(monkeypatch, PowerLawPotential, "value")
     path = _random_path(cubic_spec, np.random.default_rng(4), np.linspace(0.2, 2.5, 17))
     _PathMax(cubic_spec).segment_max(path)
-    # The grids, then the ends beside the grid maxima, then the other ends
-    # where needed, then the tops one loop at a time.
+    # The grids, then both bracket ends of every segment in one derivative
+    # pass, then the tops one loop at a time.
     assert sizes[0] == 16 * 9 * 64 and max(sizes[1:]) <= 16 * 64
 
 
@@ -376,6 +379,22 @@ def test_refresh_holds_a_candidate_to_its_ceiling(monkeypatch, cubic_spec):
     del sizes[:]
     assert pmax.refresh(path, 0, values[:2].max() - 1.0) is None
     assert sizes[0] == 2 * 9 * 64 and all(c <= 2 * 64 for c in sizes[1:])
+
+
+def test_refresh_rejected_by_the_left_slice_skips_the_right(monkeypatch, cubic_spec):
+    path = np.array(_random_path(cubic_spec, np.random.default_rng(4),
+                                 np.linspace(0.2, 2.5, 17)))
+    pmax = _PathMax(cubic_spec)
+    values, _ = pmax.segment_max(path)
+    top = 12  # window: segments 11 to 13; left: 0 to 10; right: 14 and 15
+    window = values[11:14].max()
+    assert values[:11].max() > window >= values[14:].max()
+    sizes = _point_counts(monkeypatch, PowerLawPotential, "value")
+    assert pmax.refresh(path, top, window) is None
+    # The window's grids, then the left slice's; the tops come one loop at a
+    # time, and the right slice's grids never come.
+    assert [c for c in sizes if c > 64] == [3 * 9 * 64, 11 * 9 * 64]
+    assert all(c == 64 for c in sizes if c <= 64)
 
 
 def test_segment_grid_matches_pointwise_action(expression_spec, cubic_spec):
@@ -485,6 +504,32 @@ def test_mountain_pass_descends_on_the_expression(expression_spec):
     assert abs(rep.f_value - 7.9861812435587654) <= 1e-9
     gs = rep.gamma_history
     assert all(a >= b for a, b in zip(gs, gs[1:]))
+
+
+# Exact mountain-pass results on the expression: the level's bits, the
+# iterations and a sha256 of the hex gamma history, one line per sweep.
+PINNED_PASSES = [
+    (32, 16, "0x1.fdde6f77d67bbp+2", 13,
+     "7cdf5604cbedcba1a92c8300bc120f7366e89d7d973e72d930592c62ca9106e0"),
+    (48, 15, "0x1.fecaccfb3fcf9p+2", 18,
+     "4dd32e1f34b7d1ddd856a21bde8f198b23db1d10d97a3959c4c0ad37c3e550b9"),
+    (64, 20, "0x1.ff1d97ef40dd5p+2", 15,
+     "7011956c93e84d3164e77afe7cd5d72e4b683c54e11ce50ed08ebbc51758a4f0"),
+    (128, 16, "0x1.ff6d761fc81a2p+2", 16,
+     "f3a45872e08f61531231166fdf4fb2bc7bb69358d7756389168ab0d857a5d019"),
+]
+
+
+@pytest.mark.parametrize("n_nodes, path_points, level, iterations, gammas", PINNED_PASSES)
+def test_mountain_pass_results_are_pinned_bit_for_bit(expression_spec, n_nodes, path_points,
+                                                      level, iterations, gammas):
+    z1 = build_endpoint(expression_spec, circle_loop(n_nodes, 2))
+    rep = mountain_pass(expression_spec, zero_loop(n_nodes, 2), z1,
+                        SolveOptions(path_points=path_points, max_iterations=300))
+    assert rep.converged
+    assert (float.hex(rep.f_value), rep.iterations) == (level, iterations)
+    history = "\n".join(float.hex(g) for g in rep.gamma_history)
+    assert hashlib.sha256(history.encode()).hexdigest() == gammas
 
 
 def _expression_pass(spec):
@@ -618,12 +663,12 @@ def test_mountain_pass_stalls_with_no_finite_trial_maximum(monkeypatch, expressi
     trials = []
     real = _PathMax.segment_max
 
-    def no_finite_trial(self, nodes, segments=slice(None)):
+    def no_finite_trial(self, nodes):
         if isinstance(nodes, list):
             trials.append(nodes)
             if len(trials) > 2:
                 return np.full(2, -np.inf), np.zeros(2)
-        return real(self, nodes, segments)
+        return real(self, nodes)
 
     monkeypatch.setattr(_PathMax, "segment_max", no_finite_trial)
     rep = _expression_pass(expression_spec)
@@ -946,7 +991,7 @@ def test_mountain_pass_collapse_to_the_endpoint_level(monkeypatch, expression_sp
     # Every segment maximum of the start path at the endpoints' level 0: no
     # barrier is left, and the pass ends before any other evaluation.
     monkeypatch.setattr(_PathMax, "segment_max",
-                        lambda self, nodes, segments=slice(None):
+                        lambda self, nodes:
                         (np.zeros(len(nodes) - 1), np.zeros(len(nodes) - 1)))
     rep = _expression_pass(expression_spec)
     assert rep.termination == "hypothesis_violation"
