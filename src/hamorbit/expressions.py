@@ -613,8 +613,11 @@ def evaluate_gradient(program: Callable, points: np.ndarray) -> np.ndarray:
 def evaluate_hessian(program: Callable, points: np.ndarray) -> np.ndarray:
     """Forward-mode Hessian blocks at a (M, n) batch of points,
     returning (M, n, n).  A point where the source is not twice
-    differentiable raises :class:`DomainError`."""
-    hess = program(points, 2)[2]
+    differentiable raises :class:`DomainError`: the pass runs without
+    floating-point warnings, so an overflow or a division by zero reaches
+    the non-finite gate below and raises there."""
+    with np.errstate(all="ignore"):
+        hess = program(points, 2)[2]
     if not np.isfinite(hess).all():
         raise DomainError("hessian evaluated to a non-finite value")
     return hess

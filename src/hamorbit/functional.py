@@ -13,9 +13,11 @@ line searches hold to rounding, not just asymptotically.
 The ray constraint fixes mean_k (V(u_k) + grad V(u_k).u_k / 2) = h; under the
 radial nondegeneracy hypothesis every open ray {a u : a > 0} crosses it
 exactly once, so projection is a one-dimensional root find (Illinois regula
-falsi on a one-way bracket).  The bracket's first probe is the root of the
-growth model g(s u) - c = s^mu1 (g(u) - c), c = mu2/mu1, which is exact for
-the power law: a power-law landing takes two passes, at u and at the root.
+falsi on a one-way bracket).  Each probe of the bracket is the root of the
+growth model g(s u) - c = s^mu1 (g(u) - c), c = mu2/mu1, from the probe
+before, within one doubling of it.  The model is exact for the power law: a
+power-law landing takes two passes, at u and at the root, plus one per
+doubling past the first.
 
 Each constraint evaluation is one fused potential pass (V and grad V at
 every node, :meth:`PotentialModel.value_and_gradient`), kept as a
@@ -263,12 +265,15 @@ def ray_landing(u: LoopPath, spec: ProblemSpec) -> PotentialPass:
     (r^3 dV/dr)' / (2 r^2), B4 makes r^3 dV/dr strictly monotone from 0, and
     were it to fall, grad V.q < 0 and B2 would give V < mu2/mu1 < h on the
     whole ray, which B3 rules out.  So the sign of g(u) - h picks the
-    direction: the bracket doubles a while g < h and halves it while g > h,
-    within [1e-8, 1e8].  Its first probe is the growth model's root where
-    that lies strictly between 1 and 2 (or 1/2), else 2 (or 1/2); see
-    :func:`_model_probe`.  The model is exact for the power law, so a
-    power-law landing costs two passes.  The doubling or halving goes on
-    from the first probe.  Regula falsi then runs until
+    direction: the bracket grows a while g < h and shrinks it while g > h,
+    within [1e-8, 1e8].  Each probe b is aimed from the pass just made, at
+    scale a with constraint value g: b is a times the growth model's root
+    from g where that lies strictly between 1 and 2 (or 1/2), else 2a (or
+    a/2); see :func:`_model_probe`.  So each probe lies within one doubling
+    (halving) of the last, and the k-th no farther out than 2^k (or in than
+    2^-k).  The model is exact for the power law, so a power-law landing costs
+    two passes once the root lies within one doubling, and one more per
+    doubling past the first.  Regula falsi then runs until
     |g(a u) - h| <= :func:`root_tolerance` or its next point is not strictly
     inside the bracket.  :class:`NoBracketError` holds the probes of the one
     direction searched.
@@ -290,7 +295,7 @@ def ray_landing(u: LoopPath, spec: ProblemSpec) -> PotentialPass:
         return landing
 
     direction = 2.0 if f1 < 0.0 else 0.5
-    a, fa, b = 1.0, f1, _model_probe(f1 + spec.h, spec, direction)
+    a, fa, b = 1.0, f1, _model_probe(landing.g, spec, direction)
     while True:
         if not ROOT_SCALE_MIN <= b <= ROOT_SCALE_MAX:
             raise NoBracketError(
@@ -303,7 +308,7 @@ def ray_landing(u: LoopPath, spec: ProblemSpec) -> PotentialPass:
             return landing
         if (fb < 0.0) != (f1 < 0.0):
             break
-        a, fa, b = b, fb, b * direction
+        a, fa, b = b, fb, b * _model_probe(landing.g, spec, direction)
 
     _illinois(phi, a, fa, b, fb, tol=tol)  # its b is the last scale phi took
     residual = abs(landing.g - spec.h)
@@ -313,13 +318,14 @@ def ray_landing(u: LoopPath, spec: ProblemSpec) -> PotentialPass:
 
 
 def _model_probe(g: float, spec: ProblemSpec, direction: float) -> float:
-    """The bracket's first probe from g = g(u): the root
-    s* = ((h - c) / (g - c))^(1/mu1) of the growth model
-    g(s u) - c = s^mu1 (g(u) - c), c = mu2/mu1, when g > c and s* lies
+    """The factor from a probe u, where the constraint value is g = g(u), to
+    the next probe: the root s* = ((h - c) / (g - c))^(1/mu1) of the growth
+    model g(s u) - c = s^mu1 (g(u) - c), c = mu2/mu1, when g > c and s* lies
     strictly between 1 and ``direction`` (2 or 1/2); else ``direction``.
-    The model is exact for the power law a |q|^mu1 + mu2/mu1.  Later probes
-    are s* times powers of ``direction``, so the k-th lies strictly between
-    1 and ``direction``^k, never farther along the ray than doubling from 1."""
+    The model is exact for the power law a |q|^mu1 + mu2/mu1.  Each factor
+    lies between 1 and ``direction``, so the k-th probe of a bracket lies
+    between 1 and ``direction``^k, never farther along the ray than
+    doubling from 1."""
     c = spec.mu2 / spec.mu1
     if g > c:
         try:

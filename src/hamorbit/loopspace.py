@@ -185,8 +185,11 @@ def sobolev_precondition(g: np.ndarray) -> np.ndarray:
 
     L acts componentwise as N^2 (w_{k+1} - 2 w_k + w_{k-1}) with indices mod
     N.  The operator is symmetric positive definite, so the solve is a linear,
-    symmetric, positive-definite map: the Riesz representation of a nodewise
-    gradient in the discrete H^1 inner product.  The operator is circulant,
+    symmetric, positive-definite map.  The package's H^1 inner product
+    (that of :func:`speed` and :func:`h1_norm`) carries the quadrature
+    weight 1/N, (1/N) u.(I - L) v, so w is 1/N of the Riesz representative
+    of a nodewise gradient g there, and a step of N w is the unit step
+    along it.  The operator is circulant,
     so the discrete Fourier modes diagonalize it: mode m is divided by its
     eigenvalue 1 + 4 N^2 sin^2(pi m / N).
     """

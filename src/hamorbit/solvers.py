@@ -1,7 +1,8 @@
 """The two critical-point routes, which share one Armijo search
 (:func:`_trials`): its direction, backtracking sequence, acceptance bound
-and step rule.  Each route keeps only how it evaluates a trial and how it
-reports a search that fails.  They also share one safeguarded Newton step
+and step rule.  Each route keeps only how it evaluates a trial, how it
+reports a search that fails and, for the constrained route, where its
+searches start.  They also share one safeguarded Newton step
 (:func:`_newton_step`), which ends both: each route passes its own
 retraction and acceptance window.  An iterate of either route is a
 :class:`~hamorbit.functional.PotentialPass`, which measures its loop once;
@@ -16,10 +17,17 @@ rescaled back onto the set along its ray (a retraction).  The rescaling
 hands back the potential pass at the point it lands on, and the trial's
 functional value, the next gradient and the record's constraint residual
 all come from that pass: a trial costs one potential pass per root
-evaluation and nothing more.  The Nehari set is a natural constraint, so a
-critical point on it is a free critical point of the functional, and once
-the weighted gradient is small the route finishes with Newton steps on the
-gradient, each landed back on the set along its ray.
+evaluation and nothing more.  The route measures its steps in the H^1
+metric of its direction: the direction d solves (I - L) d = g for the
+nodewise gradient g, and the package's H^1 inner product is
+(1/N) u.(I - L) v, so the gradient's Riesz representative is N d and the
+first search starts at its unit step t = N.  Each later search starts at
+the long Barzilai-Borwein step in that metric,
+<s, (I - L) s> / s.y, whose curvature estimate is that of the last step
+itself.  The Nehari set is a natural constraint, so a critical point on it
+is a free critical point of the functional, and once the weighted gradient
+is small the route finishes with Newton steps on the gradient, each landed
+back on the set along its ray.
 
 Mountain pass: deform a discrete path between two low points separated by
 the derivative sphere {||u'||_{L2} = r}, which is passed as its radius r.
@@ -84,6 +92,7 @@ from .loopspace import (
     circle_loop,
     integrate,
     is_nonconstant,
+    periodic_shift,
     project_symmetric,
     random_loop,
     sobolev_precondition,
@@ -182,8 +191,11 @@ def _trials(x: np.ndarray, grad: np.ndarray, step: float, symmetry: str, level: 
     x - t * d projected onto the symmetry class, d the preconditioned
     gradient.  The caller accepts the trial when its level is at most
     bound = level - _ARMIJO * t * slope, slope being grad . d, and starts its
-    next search at next_step = min(2 t, _MAX_STEP), or at the
-    Barzilai-Borwein step where the constrained route has one.  A trial that is no loop is skipped.
+    next search at next_step = min(2 t, _MAX_STEP), unless the constrained
+    route has a Barzilai-Borwein step.  d is 1/N of the gradient's Riesz
+    representative in the H^1 metric (:func:`sobolev_precondition`), so
+    t = N is the unit step there: the constrained route starts at it, the
+    mountain pass at 1.  A trial that is no loop is skipped.
     """
     direction = sobolev_precondition(grad)
     slope = _dot(grad, direction)
@@ -206,9 +218,17 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     constraint set, which is what makes the minimal level positive.  The ray
     constraint is the Nehari set of the functional (grad f(u).u vanishes on
     it), so each step descends along the preconditioned full gradient and
-    the ray projection retracts each trial back onto the set.  A search
-    starts at the Barzilai-Borwein step when s.y > 0, else at twice the last
-    accepted step.  Each iterate goes through the stationarity gate
+    the ray projection retracts each trial back onto the set.  The first
+    search starts at t = N, the unit step in the H^1 metric of the direction
+    (see :func:`_trials`).  Each later one starts at the long
+    Barzilai-Borwein step in that metric,
+    <s, (I - L) s> / s.y = (sum |s_k|^2 + N^2 sum |s_{k+1} - s_k|^2) / s.y,
+    s and y the last changes of the nodes and of the gradient, clamped to
+    [1e-8, ``_MAX_STEP``], when s.y > 0, and else at twice the last accepted
+    step.  The long step takes the curvature along s itself; the short one,
+    s.y / y.(I - L)^-1 y, falls short of the step the search accepts and
+    needs a Sobolev solve of its own, where this one needs only the
+    direction's.  Each iterate goes through the stationarity gate
     :func:`_stop`.
 
     Once an iterate's weighted gradient is at most ``_NEWTON_START``, a
@@ -240,7 +260,7 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
     except NoBracketError as err:
         return report(u, action(u, spec), 0, "hypothesis_violation", err.reason())
 
-    step = 1.0
+    step = float(u.N)  # the unit step in the H^1 metric of the direction
     prev_nodes = prev_grad = None
     while True:
         u, f_cur, grad = here.loop, here.action, here.action_gradient
@@ -257,12 +277,10 @@ def minimize_on_nehari(spec: ProblemSpec, opts: SolveOptions | None = None,
 
         if prev_nodes is not None:
             s = u.nodes - prev_nodes
-            y = grad - prev_grad
-            sy = _dot(s, y)
-            if sy > 0.0:
-                y_my = _dot(y, sobolev_precondition(y))
-                if y_my > 0.0:
-                    step = min(max(sy / y_my, 1e-8), _MAX_STEP)
+            sy = _dot(s, grad - prev_grad)
+            if sy > 0.0:  # the long Barzilai-Borwein step <s, (I - L) s> / s.y
+                ds = periodic_shift(s, 1) - s
+                step = min(max((_dot(s, s) + u.N**2 * _dot(ds, ds)) / sy, 1e-8), _MAX_STEP)
         prev_nodes, prev_grad = u.nodes, grad
 
         bracket_failure = None

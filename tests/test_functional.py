@@ -233,11 +233,42 @@ def test_ray_landing_probes_the_doubling_where_the_model_does_not_apply(
     assert abs(landing.g - h) <= functional.root_tolerance(spec)
 
 
+@pytest.mark.parametrize("lam, passes", [(3.0, 3), (1.0 / 3.0, 3), (10.0, 5)])
+def test_power_law_landing_from_afar_takes_the_model_at_each_probe(monkeypatch, cubic_spec,
+                                                                  lam, passes):
+    # Each probe past the first is the model's root from the probe before,
+    # within one doubling of it: from 3 and 1/3 times the on-set loop the
+    # second probe is the halving (doubling) and the third lands; from 10
+    # times, three halvings come before the landing.
+    u = project_symmetric(random_loop(256, 3, np.random.default_rng(0)), "e2")
+    on_set = functional.ray_landing(u, cubic_spec).loop
+    calls = count_calls(monkeypatch, functional, "potential_pass")
+    landing = functional.ray_landing(LoopPath(lam * on_set.nodes), cubic_spec)
+    assert landing.scale == pytest.approx(1.0 / lam, rel=1e-12)
+    assert len(calls) == passes
+    steps = np.array(_scales(calls))
+    assert np.all((steps[1:] / steps[:-1] >= 0.5) & (steps[1:] / steps[:-1] <= 2.0))
+
+
+def test_ray_landing_aims_its_first_probe_from_the_pass_it_made(monkeypatch, harmonic_spec):
+    # On this loop (g - h) + h rounds away from g, and the model's root moves
+    # with it; the probe is the root from g itself.
+    u = LoopPath(math.sqrt(0.32) * circle_loop(64, 2).nodes)
+    g = functional.potential_pass(u, harmonic_spec).g
+    aimed = functional._model_probe(g, harmonic_spec, 2.0)
+    assert aimed != functional._model_probe((g - 1.0) + 1.0, harmonic_spec, 2.0)
+    calls = count_calls(monkeypatch, functional, "potential_pass")
+    functional.ray_landing(u, harmonic_spec)
+    assert _scales(calls) == [1.0, aimed]
+
+
 def test_ray_landing_that_ends_off_the_set_raises():
-    # g is inf at scale 1 on this start, so the bracket halves to 0.5
-    # (g = 8.9e184) and 0.25 (g = 1.7e-26); regula falsi's first point
-    # rounds onto the end 0.25, where the landing is far off the set.
-    spec = ProblemSpec(PowerLawPotential(0.5, 700, n=2), 2, 1.0, symmetry="e1")
+    # g is inf at scale 1 on this start.  The problem's mu1 = 2 is far below
+    # the power's 700, so the model's roots lie past each halving, and the
+    # bracket halves to 0.5 (g = 8.9e184) and 0.25 (g = 1.7e-26); regula
+    # falsi's first point rounds onto the end 0.25, where the landing is far
+    # off the set.
+    spec = ProblemSpec(PowerLawPotential(0.5, 700, n=2), 2, 1.0, mu1=2.0, symmetry="e1")
     u = project_symmetric(random_loop(64, 2, np.random.default_rng(3)), "e1")
     message = r"ray landing ended off the constraint: \|g - h\| = 1$"
     with np.errstate(over="ignore"), pytest.raises(DomainError, match=message):
