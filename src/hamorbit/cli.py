@@ -177,7 +177,16 @@ def cmd_check(args) -> int:
     opts = _merged(args)
     spec = _build_problem(opts)
     cfg = _build_options(SamplerConfig, CHECK_KEYS, opts)
-    reports = check_hypotheses(spec.potential, spec.h, spec.mu1, spec.mu2, cfg)
+    run_items = _run_section(opts, [("command", "check")])
+    sections = [("run", run_items), ("problem", _problem_section(spec))]
+    try:
+        reports = check_hypotheses(spec.potential, spec.h, spec.mu1, spec.mu2, cfg)
+    except HamorbitError as err:
+        # A check that raised still writes its report: the error, no verdicts.
+        run_items.append(("message", err.reason()))
+        if opts["report"]:
+            _emit(render_report(sections), opts["report"])
+        raise
     for rep in reports:
         print(rep.line())
     failed = [r.hypothesis for r in reports if r.verdict == "fail"]
@@ -185,12 +194,8 @@ def cmd_check(args) -> int:
     if inconclusive:
         print(f"warning: inconclusive checks: {', '.join(inconclusive)}", file=sys.stderr)
     if opts["report"]:
-        sections = [
-            ("run", _run_section(opts, [("command", "check")])),
-            ("problem", _problem_section(spec)),
-            ("hypotheses", [(r.hypothesis, f"{r.verdict} residual={r.residual:.17g}")
-                            for r in reports]),
-        ]
+        sections.append(("hypotheses", [(r.hypothesis, f"{r.verdict} residual={r.residual:.17g}")
+                                        for r in reports]))
         _emit(render_report(sections), opts["report"])
     return 1 if failed else 0
 

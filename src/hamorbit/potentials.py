@@ -27,6 +27,14 @@ each check, so loosening it loosens only some of them:
   wider tolerance can only turn pass into fail;
 - B5 (loop sphere): a dead band of tolerance * (1 + |h|) around zero, so a
   wider tolerance can only turn pass or fail into inconclusive.
+
+B1, B2 and B4 read one point sample: one value-and-gradient pass, the
+values at the mirrored points -q, and the Hessian ray, and one verdict rule
+picks each one's worst sample.  B3 samples spheres and B5 loops.  Every
+potential call of the checker goes through one batch rule: a batch that
+raises :class:`DomainError` is halved down to its first point that raises
+alone, and the error names that point, so a failure at a mirror -q names
+-q.
 """
 
 from __future__ import annotations
@@ -304,59 +312,54 @@ def _unit_directions(rng, count, dim):
     return dirs / norms[:, None]
 
 
-def _sample_points(rng, count, dim, r_min, r_max):
-    dirs = _unit_directions(rng, count, dim)
-    return dirs * rng.uniform(r_min, r_max, size=count)[:, None]
+def _sampled(evaluate, pts):
+    """``evaluate(pts)``: the checker's one way to call the potential.  On a
+    :class:`DomainError` it halves the batch down to the first point that
+    raises alone, at most ceil(log2 M) more calls, and raises the batch's
+    error at that point."""
+    try:
+        return evaluate(pts)
+    except DomainError as err:
+        lo, hi = 0, len(pts)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                evaluate(pts[lo:mid])
+                lo = mid
+            except DomainError:
+                hi = mid
+        coords = ",".join(format(x, ".6g") for x in pts[lo])
+        raise DomainError(f"{err} at sample ({coords})") from err
 
 
-def _check_evenness(p, pts, tol):
-    gap = np.abs(p.value(pts) - p.value(-pts))
-    worst = int(np.argmax(gap))
-    verdict = "pass" if gap[worst] <= tol else "fail"
-    return HypothesisReport("B1", verdict, float(gap[worst]), len(pts), tol, pts[worst])
-
-
-def _check_superlinearity(pts, vals, grads, mu1, mu2, tol):
-    resid = np.sum(grads * pts, axis=1) - mu1 * vals + mu2
-    worst = int(np.argmin(resid))
-    verdict = "pass" if resid[worst] >= -tol else "fail"
-    return HypothesisReport("B2", verdict, float(resid[worst]), len(pts), tol, pts[worst])
+def _worst_sample(name, resid, sense, floor, pts, tol, raw=None):
+    """B1, B2 and B4's one verdict rule: the worst sample is the one where
+    ``sense * resid`` is least, and the check passes if that reaches
+    ``floor``.  The report gives the residual and the sample."""
+    worst = int(np.argmin(sense * resid))
+    verdict = "pass" if sense * resid[worst] >= floor else "fail"
+    return HypothesisReport(name, verdict, float(resid[worst]), len(pts), tol, pts[worst],
+                            detail="" if raw is None else f"raw={raw[worst]:.6g}")
 
 
 def _check_coercivity(p, h, rng, cfg):
     radii = np.linspace(cfg.r_min, cfg.r_max, cfg.radii)
     dirs = _unit_directions(rng, cfg.radii * cfg.samples, p.n)
     pts = dirs.reshape(cfg.radii, cfg.samples, p.n) * radii[:, None, None]
-    vals = p.value(pts.reshape(-1, p.n)).reshape(cfg.radii, cfg.samples)
+    vals = _sampled(p.value, pts.reshape(-1, p.n)).reshape(cfg.radii, cfg.samples)
     rows = np.arange(cfg.radii)
     j = np.argmin(vals, axis=1)
     minima, worst_pts = vals[rows, j], pts[rows, j]
     ok = minima >= h
-    # Smallest tested radius beyond which every sampled sphere stays >= h.
+    # The smallest tested radius beyond which every sampled sphere stays >= h;
+    # the largest tested radius (index -1) when no such radius exists.
     suffix_ok = np.flip(np.logical_and.accumulate(np.flip(ok)))
-    if not suffix_ok.any():
-        return HypothesisReport(
-            "B3", "fail", float(minima[-1] - h), cfg.radii * cfg.samples,
-            cfg.tolerance, worst_pts[-1], radius=float(radii[-1]),
-            detail="min V below h at the largest tested radius",
-        )
-    i0 = int(np.argmax(suffix_ok))
+    i = int(np.argmax(suffix_ok)) if ok[-1] else -1
     return HypothesisReport(
-        "B3", "pass", float(minima[i0] - h), cfg.radii * cfg.samples,
-        cfg.tolerance, worst_pts[i0], radius=float(radii[i0]),
-        detail="threshold radius; not certified beyond r_max",
-    )
-
-
-def _check_radial_nondegeneracy(p, pts, grads, mu1, tol):
-    raw = 3.0 * np.sum(grads * pts, axis=1) + np.sum(hessian_ray(p, pts) * pts, axis=1)
-    scale = 1.0 + expressions.point_norms(pts) ** mu1
-    scaled = np.abs(raw) / scale
-    worst = int(np.argmin(scaled))
-    verdict = "pass" if scaled[worst] >= tol else "fail"
-    return HypothesisReport(
-        "B4", verdict, float(scaled[worst]), len(pts), tol, pts[worst],
-        detail=f"raw={raw[worst]:.6g}",
+        "B3", "pass" if ok[-1] else "fail", float(minima[i] - h), cfg.radii * cfg.samples,
+        cfg.tolerance, worst_pts[i], radius=float(radii[i]),
+        detail="threshold radius; not certified beyond r_max" if ok[-1]
+        else "min V below h at the largest tested radius",
     )
 
 
@@ -375,58 +378,37 @@ def _check_loop_sphere(p, h, rng, cfg):
     moving = speeds > 0.0
     base_loops = drawn[moving] / speeds[moving, None, None]
     loops = radii[:, None, None, None] * base_loops
-    values = p.value(loops.reshape(-1, p.n))
+    values = _sampled(p.value, loops.reshape(-1, p.n))
     means = exact_sums((h - values).reshape(-1, LOOP_NODES)) / LOOP_NODES
-    best_r, best_est = None, -np.inf
-    worst_overall = np.inf
-    for r, row in zip(radii, means.reshape(SPHERE_RADII, len(base_loops)).tolist()):
-        est = min(row, default=np.inf)
-        if est > best_est:
-            best_r, best_est = float(r), est
-        worst_overall = min(worst_overall, est)
-    if best_est > margin:
-        verdict = "pass"
-    elif best_est < -margin:
-        verdict = "fail"
-    else:
-        verdict = "inconclusive"
+    minima = means.reshape(SPHERE_RADII, len(base_loops)).min(axis=1)
+    best = int(np.argmax(minima))
+    best_est = float(minima[best])
+    verdict = "pass" if best_est > margin else "fail" if best_est < -margin else "inconclusive"
     return HypothesisReport(
-        "B5", verdict, float(best_est), len(base_loops) * len(radii),
-        cfg.tolerance, None, radius=best_r,
-        detail=f"worst_over_r={worst_overall:.6g}",
+        "B5", verdict, best_est, len(base_loops) * len(radii), cfg.tolerance, None,
+        radius=float(radii[best]), detail=f"worst_over_r={minima.min():.6g}",
     )
-
-
-def _first_offending_sample(p, pts):
-    for q in pts:
-        try:
-            p.value(q)
-            p.value(-q)
-            p.gradient(q)
-        except DomainError:
-            return q
-    return None
 
 
 def check_hypotheses(p: PotentialModel, h: float, mu1: float, mu2: float,
                      cfg: SamplerConfig | None = None) -> list[HypothesisReport]:
-    """Run the five sampling-based hypothesis checks, in order B1..B5."""
+    """Run the five sampling-based hypothesis checks, in order B1..B5.  B1,
+    B2 and B4 share one sample and its value-and-gradient pass."""
     cfg = cfg or SamplerConfig()
+    tol = cfg.tolerance
     rng = np.random.default_rng(cfg.seed)
-    pts = _sample_points(rng, cfg.samples, p.n, cfg.r_min, cfg.r_max)
-    try:
-        evenness = _check_evenness(p, pts, cfg.tolerance)
-        vals, grads = p.value_and_gradient(pts)  # shared by B2 and B4
-        return [
-            evenness,
-            _check_superlinearity(pts, vals, grads, mu1, mu2, cfg.tolerance),
-            _check_coercivity(p, h, rng, cfg),
-            _check_radial_nondegeneracy(p, pts, grads, mu1, cfg.tolerance),
-            _check_loop_sphere(p, h, rng, cfg),
-        ]
-    except DomainError as err:
-        offender = _first_offending_sample(p, pts)
-        if offender is not None:
-            coords = ",".join(format(x, ".6g") for x in offender)
-            raise DomainError(f"{err} at sample ({coords})") from err
-        raise
+    pts = _unit_directions(rng, cfg.samples, p.n) \
+        * rng.uniform(cfg.r_min, cfg.r_max, size=cfg.samples)[:, None]
+    vals, grads = _sampled(p.value_and_gradient, pts)
+    gap = np.abs(vals - _sampled(p.value, -pts))
+    radial = np.sum(grads * pts, axis=1)
+    coercivity = _check_coercivity(p, h, rng, cfg)
+    raw = 3.0 * radial + np.sum(_sampled(lambda x: hessian_ray(p, x), pts) * pts, axis=1)
+    scaled = np.abs(raw) / (1.0 + expressions.point_norms(pts) ** mu1)
+    return [
+        _worst_sample("B1", gap, -1.0, -tol, pts, tol),
+        _worst_sample("B2", radial - mu1 * vals + mu2, 1.0, -tol, pts, tol),
+        coercivity,
+        _worst_sample("B4", scaled, 1.0, tol, pts, tol, raw),
+        _check_loop_sphere(p, h, rng, cfg),
+    ]

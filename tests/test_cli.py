@@ -451,6 +451,20 @@ CHECK_REPORTS = [
         "B4 = pass residual=0.08625768423597889",
         "B5 = pass residual=0.022739965463384117",
     ]),
+    ("power_law(a=0.5,mu1=3)", 0, [
+        "B1 = pass residual=0",
+        "B2 = pass residual=-4.5474735088646412e-13",
+        "B3 = pass residual=0.0224779565149682",
+        "B4 = pass residual=0.031256716428294425",
+        "B5 = pass residual=0.999998272876781",
+    ]),
+    ("q1^3 + |q|^2", 1, [
+        "B1 = fail residual=1959.2928822692747",
+        "B2 = fail residual=-938.81833488716711",
+        "B3 = fail residual=-900.97278416609663",
+        "B4 = pass residual=0.16453048018199046",
+        "B5 = pass residual=0.99979192101808378",
+    ]),
 ]
 
 
@@ -766,6 +780,52 @@ def test_check_names_the_first_offending_sample(capsys):
     assert run("check", *argv) == 1
     assert capsys.readouterr().err == ("error: E_DOMAIN: expression evaluated to a non-finite "
                                        "value at sample (-7.94708,5.36455)\n")
+
+
+def test_check_report_names_the_domain_error_and_has_no_verdicts(tmp_path, capsys):
+    rep = tmp_path / "r.txt"
+    assert run("check", "--potential", "q1^2.5 + q2^2", "--n", "2", "--energy", "1",
+               "--no-timestamp", "--report", str(rep)) == 1
+    reason = "E_DOMAIN: negative base with non-integer exponent at sample (-7.94708,5.36455)"
+    assert capsys.readouterr() == ("", f"error: {reason}\n")
+    assert rep.read_text() == (
+        "# hamorbit report v1\n[run]\ncommand = check\n"
+        f"message = {reason}\n"
+        "[problem]\npotential = q1^2.5 + q2^2\nn = 2\nenergy = 1\nmu1 = 2\nmu2 = 0\n")
+
+
+def test_solved_orbit_scales_with_the_energy(tmp_path):
+    # V = |q|^3 / 2 at h = 1 and at h = 8 = 2^3: the orbit table scales by 2
+    # in q and by 2^(-1/2) in time, and the level by 8^(5/3) = 32.  The
+    # energy residual scales with h, and so does the tolerance given here.
+    solved = []
+    for h in (1, 8):
+        rep, orb = tmp_path / f"r{h}.txt", tmp_path / f"o{h}.txt"
+        assert run("solve", "--potential", "power_law(a=0.5,mu1=3)", "--n", "3",
+                   "--energy", str(h), "--energy-tol", str(0.01 * h), "--symmetry", "e2",
+                   "--nodes", "64", "--no-timestamp", "--report", str(rep),
+                   "--orbit", str(orb)) == 0
+        doc = parse_report(rep.read_text())
+        solved.append((float(doc["run"]["f_star"]), *read_orbit_table(orb)))
+    (f1, q1, t1), (f8, q8, t8) = solved
+    assert abs(f8 / (32.0 * f1) - 1.0) <= 4 * np.finfo(float).eps
+    assert t8 / t1 * math.sqrt(2.0) == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert np.max(np.abs(q8 - 2.0 * q1)) <= 1e-12 * np.max(np.abs(2.0 * q1))
+
+
+def test_mountain_pass_without_growth_reports_b3_fail(tmp_path, capsys):
+    # V stays below 1/2, so no inflation of the circle reaches the level h = 1.
+    rep = tmp_path / "r.txt"
+    assert run("solve", "--route", "mountain_pass", "--potential", "0.5*(1 - exp(-|q|^2))",
+               "--n", "2", "--energy", "1", "--nodes", "16", "--no-timestamp",
+               "--report", str(rep)) == 1
+    message = ("E_B3_FAIL: no scale up to 2^60 drives the mean energy gap nonpositive; "
+               "the potential does not dominate the energy level at infinity")
+    assert capsys.readouterr().err == f"failed: {message}\n"
+    doc = parse_report(rep.read_text())
+    assert doc["run"]["termination"] == "hypothesis_violation"
+    assert doc["run"]["message"] == message
+    assert doc["run"]["f_star"] == "nan"
 
 
 CONFIG_PROBLEM = {"potential": "power_law(a=0.5,mu1=2,mu2=0)", "n": 2, "energy": 1, "nodes": 64}

@@ -13,6 +13,7 @@ from hamorbit import (
     check_hypotheses,
     hessian_ray,
     parse_potential,
+    potentials,
 )
 
 
@@ -321,3 +322,87 @@ RADII = "need 0 < r_min < r_max"
 def test_sampler_config_refuses_bad_counts_and_radii(kw, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         _cfg(**kw)
+
+
+def _named_point(err):
+    coords = re.search(r" at sample \((.*)\)\Z", str(err)).group(1)
+    return np.array([float(x) for x in coords.split(",")])
+
+
+def _raises_at(p, q):
+    for evaluate in (p.value, p.value_and_gradient, lambda x: hessian_ray(p, x)):
+        try:
+            with np.errstate(all="ignore"):
+                evaluate(q[None, :])
+        except DomainError:
+            return True
+    return False
+
+
+NON_FINITE = "expression evaluated to a non-finite value"
+
+
+@pytest.mark.parametrize("source, n, message", [
+    # B1's sample, where q1 < 0
+    ("q1^2.5 + q2^2", 2, "negative base with non-integer exponent at sample (-7.94708,5.36455)"),
+    # B1's mirror -q of the sample (-9.9704)
+    ("exp(1000*(q1 - 9.24)) + |q|^2", 1, f"{NON_FINITE} at sample (9.9704)"),
+    # a point on one of B3's spheres
+    ("exp(1000*(q1 - 9.24)) + |q|^2", 2, f"{NON_FINITE} at sample (9.99792,-0.203874)"),
+    # a node of one of B5's loops
+    ("log(|q| - 0.05) + |q|^2", 2, "log of a non-positive value at sample (-0.00100774,-0.0109534)"),
+])
+def test_checker_names_the_point_where_the_potential_raises(source, n, message):
+    p = parse_potential(source, n)
+    with np.errstate(all="ignore"), pytest.raises(DomainError) as info:
+        check_hypotheses(p, 1.0, p.mu1, p.mu2, _cfg())
+    assert str(info.value) == message
+    assert _raises_at(p, _named_point(info.value))
+
+
+class _HessianFailsPastFive(PowerLawPotential):
+    """The harmonic power law, whose Hessian raises where q1 > 5."""
+
+    def __init__(self):
+        super().__init__(0.5, 2, 0, n=2)
+        self.batches = []
+
+    def hessian(self, q):
+        self.batches.append(q)
+        if np.any(q[:, 0] > 5.0):
+            raise DomainError("no hessian past q1 = 5")
+        return super().hessian(q)
+
+
+def test_checker_names_the_first_sample_where_b4s_hessian_raises():
+    p = _HessianFailsPastFive()
+    with pytest.raises(DomainError, match=r"^no hessian past q1 = 5 at sample \(") as info:
+        check_hypotheses(p, 1.0, 2.0, 0.0, _cfg())
+    sample = p.batches[0]
+    first = sample[np.argmax(sample[:, 0] > 5.0)]
+    coords = ",".join(format(x, ".6g") for x in first)
+    assert str(info.value).endswith(f"at sample ({coords})")
+    assert _raises_at(p, _named_point(info.value))
+
+
+@pytest.mark.parametrize("size, bad", [
+    (1, [0]), (2, [1]), (3, [2]), (200, [0]), (200, [199]), (200, [57, 58, 120]),
+    (25600, [3, 20000]), (25600, [25599]), (204800, [131071]),
+])
+def test_the_batch_rule_halves_down_to_the_first_failing_point(size, bad):
+    pts = np.arange(size, dtype=float)[:, None]
+    calls = []
+
+    def evaluate(batch):
+        calls.append(len(batch))
+        if np.isin(batch[:, 0], bad).any():
+            raise DomainError("undefined")
+        return batch[:, 0]
+
+    with pytest.raises(DomainError, match=re.escape(f"undefined at sample ({bad[0]})")):
+        potentials._sampled(evaluate, pts)
+    assert calls[0] == size
+    assert len(calls) - 1 <= math.ceil(math.log2(size)) + 1
+    calls.clear()
+    assert potentials._sampled(evaluate, pts[:bad[0]]).tolist() == list(range(bad[0]))
+    assert calls == [bad[0]]

@@ -30,6 +30,7 @@ from hamorbit import (
     zero_loop,
 )
 from hamorbit import functional, loopspace, solvers
+from hamorbit.orbit import orbit_period
 from hamorbit.solvers import _PathMax, _redistribute
 from conftest import count_calls, mode_one_loop, random_loop_with_mean
 
@@ -72,6 +73,31 @@ def test_constrained_iterations_do_not_grow_with_n(cubic_spec, expression_spec):
             for n_nodes in sizes:
                 rep = minimize_on_nehari(spec, opts, n_nodes=n_nodes)
                 assert rep.converged and rep.iterations <= bound, (seed, n_nodes)
+
+
+def _cubic_at(h):
+    return ProblemSpec(PowerLawPotential(0.5, 3, 0, n=3), 3, h, 3.0, 0.0, "e2")
+
+
+@pytest.mark.parametrize("n_nodes", [64, 256])
+@pytest.mark.parametrize("init, seed", [("circle", 0), ("random_bandlimited", 0),
+                                        ("random_bandlimited", 1), ("random_bandlimited", 2)])
+def test_constrained_solution_scales_with_the_energy(n_nodes, init, seed):
+    # V = a|q|^mu and h = lambda^mu give f_h(lambda u) = lambda^2 h f_1(u)
+    # exactly, so at h = 8, lambda = 2: f*_8 = 32 f*_1, the period scales by
+    # lambda^(1 - mu/2) = 2^(-1/2) and the loop by 2.  Random starts land on
+    # other rotations of the degenerate e2 orbit, so only the circle start
+    # compares positions.  Measured: levels within 1 ulp, periods within
+    # 8.3e-13, the circle's loop within 5.1e-13.
+    opts = SolveOptions(initial_loop=init, seed=seed)
+    one, eight = (minimize_on_nehari(_cubic_at(h), opts, n_nodes=n_nodes) for h in (1.0, 8.0))
+    assert one.converged and eight.converged
+    assert abs(eight.f_value / (32.0 * one.f_value) - 1.0) <= 4 * np.finfo(float).eps
+    periods = [orbit_period(rep.loop, _cubic_at(h)) for rep, h in ((one, 1.0), (eight, 8.0))]
+    assert periods[1] / periods[0] * math.sqrt(2.0) == pytest.approx(1.0, rel=0, abs=1e-11)
+    if init == "circle":
+        twice = 2.0 * one.loop.nodes
+        assert np.max(np.abs(eight.loop.nodes - twice)) <= 1e-12 * np.max(np.abs(twice))
 
 
 def test_nehari_descent_preconditions_once_per_iteration(monkeypatch, expression_spec):
