@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OddNodeCountError
+from .errors import DomainError, OddNodeCountError
 
 SYMMETRY_CLASSES = ("none", "e1", "e2")
 NONCONSTANT_SPEED = 1e-6  # acceptance gate on ||u'||_{L2}
@@ -88,10 +88,15 @@ def periodic_shift(x: np.ndarray, j: int) -> np.ndarray:
 
 def exact_sums(rows: np.ndarray):
     """The exactly rounded sum (``math.fsum``) of each row of a 2-D float
-    array, shape (L,); a 1-D array is one row, and gives a float."""
-    if rows.ndim == 1:
-        return math.fsum(rows.tolist())
-    return np.array(list(map(math.fsum, rows.tolist())))
+    array, shape (L,); a 1-D array is one row, and gives a float.  Finite
+    terms whose partial sums leave the float range raise
+    :class:`DomainError`."""
+    try:
+        if rows.ndim == 1:
+            return math.fsum(rows.tolist())
+        return np.array(list(map(math.fsum, rows.tolist())))
+    except OverflowError as err:
+        raise DomainError(f"exact sum out of the float range ({err})") from None
 
 
 def integrate(samples) -> float:

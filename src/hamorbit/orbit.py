@@ -12,17 +12,19 @@ samples come from a solve (:func:`synthesize`) or from an orbit table.
 The return map is integrated at a fixed step by the 12-stage 8th-order
 formula of Prince & Dormand (DOP853; Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I*, II.5) in :func:`closure_gap`, on a ladder
-of step counts 8, 12, 16, 32, 64, ... that climbs until two successive rungs
-agree.  Since q'' = -grad V(q) is of second order, the formula runs in its
-Nystrom form (ibid. II.14): the same method as on the first-order system
+of step counts 6, 8, 12, 16, 32, 64, ... that climbs until two successive
+rungs agree.  Since q'' = -grad V(q) is of second order, the formula runs in
+its Nystrom form (ibid. II.14): the same method as on the first-order system
 (q, v)' = (v, -grad V(q)), with coefficients c, A^2, bA and b derived from
 the tableau, and no stage sums for v.  The difference of two rungs over
 (s/s')^4 - 1, for a rung of s steps above one of s', estimates the error of
-the finer closure (Richardson extrapolation, ibid. II.4): 65/16 for 12
-against 8, 175/81 for 16 against 12 and 15 for a doubling.  The ladder
-stops once that estimate is at most 1e-3 of the closure, once it settles
-which side of a given closure tolerance the closure lies on, or at the cap
-of 2 steps per node.  The estimate assumes 4th order, not the tableau's
+the finer closure (Richardson extrapolation, ibid. II.4): 175/81 for 8
+against 6, 65/16 for 12 against 8, 175/81 for 16 against 12 and 15 for a
+doubling.  The ladder stops once that estimate is at most 1e-3 of the
+closure, once it settles which side of a given closure tolerance the closure
+lies on, or at the cap of 2 steps per node.  The 6-step rung is never the
+stop, since it has no estimate: it is there only to give rung 8 one, at no
+extra ``gradient`` call.  The estimate assumes 4th order, not the tableau's
 8th: potentials need only be C^2 at the origin, and on orbits through it
 the error falls far slower than h^8, so an 8th-order divisor would
 understate it.  All rungs are integrated together, each as a row of one
@@ -32,7 +34,8 @@ they finish, the stop rules are applied to each, and the rows above the
 stopping rung are dropped.  Every value is bit for bit the one a rung
 integrated alone would give.  One fault rule serves every row: a row whose
 gradient raises or whose phase point escapes is frozen with its first
-error, which counts only when its rung is reached.
+error, which counts only when its rung is reached, and never on the bottom
+rung, whose closure only feeds an estimate.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .potentials import PotentialModel
 
 BLOWUP_LIMIT = 1e8
 RK_STEPS_PER_NODE = 2  # the ladder's cap: its finest rung
-RK_LOW_RUNGS = (8, 12, 16)  # the ladder's first rungs; above them it doubles
+RK_LOW_RUNGS = (6, 8, 12, 16)  # the ladder's first rungs; above them it doubles
 RK_ESTIMATE_ORDER = 4  # the order the Richardson estimate assumes
 CLOSURE_REL_ERR = 1e-3  # the ladder stops at closure_err <= this * closure
 
@@ -200,8 +203,9 @@ def orbit_residuals(positions: np.ndarray, period: float, potential: PotentialMo
 
 
 def _rungs(cap: int) -> list[int]:
-    """Step counts of the closure ladder below a cap of at least 16: 8, 12,
-    16, then doubling, ending on the cap."""
+    """Step counts of the closure ladder below a cap of at least 16: 6, 8,
+    12, 16, then doubling, ending on the cap.  Each rung's estimate divides
+    by (s/s')^4 - 1 against the rung below: 175/81, 65/16, 175/81, then 15."""
     rungs = [s for s in RK_LOW_RUNGS if s < cap]
     while rungs[-1] < cap:
         rungs.append(min(2 * rungs[-1], cap))
@@ -230,8 +234,9 @@ def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
     in ``faults`` and is frozen at the start (its step set to 0, so it never
     moves); a batched ``gradient`` call that raises is redone row by row to
     find the failing rows.  When a faulted row's rung is reached, a blowup
-    below the last rung yields nan and any other fault is raised, so an
-    error surfaces only when its own rung is reached.
+    below the last rung yields nan, and so does any fault on the first of
+    several rungs, which the ladder never reports; any other fault is raised,
+    so an error surfaces only when its own rung is reached.
     """
     if period <= 0.0:
         raise ValueError("period must be positive")
@@ -272,7 +277,7 @@ def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
             fault = faults.pop(lo, None)
             if fault is None:  # never frozen, so dt > 0
                 closure = float(np.linalg.norm(q[0] - q0) + np.linalg.norm(w[0] / dt[0] - v0))
-            elif isinstance(fault, BlowupError) and lo < len(rungs) - 1:
+            elif lo < len(rungs) - 1 and (lo == 0 or isinstance(fault, BlowupError)):
                 closure = math.nan
             else:
                 raise fault
@@ -305,23 +310,26 @@ def verify_orbit(positions: np.ndarray, period: float, potential: PotentialModel
     least ``MIN_NODES`` rows (``ValueError`` otherwise).
 
     The closure test starts from (q_0, central-difference velocity at q_0).
-    Its rungs (:func:`_rungs`) run 8, 12 and 16 steps and then double, never
-    past the cap of 2N steps; all of them are integrated together, as the
-    rows of one batch, and read in rung order.  After each rung with a finite
-    predecessor, closure_err = |c(s) - c(s')| / ((s/s')^4 - 1), which is
-    over 65/16, 175/81 and then 15, estimates the integrator error of c(s):
-    the exponent is ``RK_ESTIMATE_ORDER``, below the tableau's 8, so that the
-    estimate still bounds the error where the potential is only C^2.  The
-    ladder stops when closure_err <= 1e-3 c(s), or at the cap, and the rows
-    above stop with it.  Given ``closure_tol``, it also stops once
-    |c(s) - closure_tol| >= closure_err: the verdict c <= closure_tol of
-    :meth:`OrbitResult.accepts` is then the same anywhere within the
-    estimate.  ``verify`` passes its tolerance; ``solve`` passes none, so its
-    report keeps the relative rule.  Below the cap, a nan closure_err stops
-    neither rule.  A blowup below the cap moves on to the next rung; one at
-    the cap, and a gradient error at any reached rung, propagates.  A nan
-    closure never passes :meth:`OrbitResult.accepts`, and closure_err is nan
-    when the cap rung has no finite predecessor.  Values and errors are
+    Its rungs (:func:`_rungs`) run 6, 8, 12 and 16 steps and then double,
+    never past the cap of 2N steps; all of them are integrated together, as
+    the rows of one batch, and read in rung order.  After each rung with a
+    finite predecessor, closure_err = |c(s) - c(s')| / ((s/s')^4 - 1), which
+    is over 175/81, 65/16, 175/81 and then 15, estimates the integrator
+    error of c(s): the exponent is ``RK_ESTIMATE_ORDER``, below the
+    tableau's 8, so that the estimate still bounds the error where the
+    potential is only C^2.  The ladder stops when closure_err <= 1e-3 c(s),
+    or at the cap, and the rows above stop with it.  Given ``closure_tol``,
+    it also stops once |c(s) - closure_tol| >= closure_err: the verdict
+    c <= closure_tol of :meth:`OrbitResult.accepts` is then the same
+    anywhere within the estimate.  ``verify`` passes its tolerance;
+    ``solve`` passes none, so its report keeps the relative rule.  Below the
+    cap, a nan closure_err stops neither rule, so the 6-step rung, which has
+    none, is never the stop.  A blowup below the cap moves on to the next
+    rung; one at the cap, and a gradient error at any reached rung above 6,
+    propagates.  Any fault at 6 only leaves rung 8 without an estimate, and
+    the ladder climbs as if it began at 8.  A nan closure never passes
+    :meth:`OrbitResult.accepts`, and closure_err is nan when the cap rung
+    has no finite predecessor.  Above the 6-step rung, values and errors are
     those of running :func:`closure_gap` at each rung in turn.
     """
     q = np.asarray(positions, dtype=float)

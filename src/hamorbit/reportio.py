@@ -100,6 +100,31 @@ def _reject_rows(bad, message):
         raise OrbitFileError(message, line=int(np.argmax(bad)) + 2)
 
 
+def _table_body(body, n):
+    """The data lines as one float array, one row per line: one conversion
+    of the whole body when every line holds n commas and every field
+    parses.  Otherwise the lines are read one by one, which raises
+    :class:`OrbitFileError` at the first line with a bad field count or an
+    unparsable number."""
+    if all(line.count(",") == n for line in body):
+        try:
+            return np.array(",".join(body).split(","), dtype=float).reshape(len(body), n + 1)
+        except ValueError:
+            pass
+    data = []
+    for lineno, line in enumerate(body, start=2):
+        parts = line.split(",")
+        if len(parts) != n + 1:
+            raise OrbitFileError(
+                f"expected {n + 1} fields, got {len(parts)}", line=lineno
+            )
+        try:
+            data.append([float(p) for p in parts])
+        except ValueError:
+            raise OrbitFileError("unparsable number", line=lineno) from None
+    return np.array(data)
+
+
 def read_orbit_table(path):
     """Read an orbit table back as (positions (N, n), period).
 
@@ -122,23 +147,11 @@ def read_orbit_table(path):
     for i, name in enumerate(header[1:], start=1):
         if name != f"q{i}":
             raise OrbitFileError(f"bad column name {name!r}", line=1)
-    n = len(header) - 1
-    data = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != n + 1:
-            raise OrbitFileError(
-                f"expected {n + 1} fields, got {len(parts)}", line=lineno
-            )
-        try:
-            data.append([float(p) for p in parts])
-        except ValueError:
-            raise OrbitFileError("unparsable number", line=lineno) from None
-    if len(data) < MIN_NODES + 1:
+    arr = _table_body(lines[1:], len(header) - 1)
+    if len(arr) < MIN_NODES + 1:
         raise OrbitFileError(f"need at least {MIN_NODES + 1} sample rows "
                              f"({MIN_NODES} nodes + closing row)",
                              line=len(lines))
-    arr = np.array(data)
     times, positions = arr[:-1, 0], arr[:-1, 1:]
     period = arr[-1, 0]
     _reject_rows(~np.isfinite(arr).all(axis=1), "non-finite entries in orbit table")

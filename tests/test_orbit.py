@@ -260,8 +260,9 @@ def sequential_ladder(q, T, potential):
         reached.append(steps)
         try:
             closure = single_point_dop853(q0, v0, T, potential, steps)
-        except BlowupError:
-            if steps >= cap:
+        except (BlowupError, DomainError) as err:
+            # a blowup below the cap, or any fault on the unreported bottom rung
+            if steps >= cap or (isinstance(err, DomainError) and steps > orbit.RK_LOW_RUNGS[0]):
                 raise
             closure = math.nan
         closure_err = math.nan
@@ -304,7 +305,7 @@ def solved_orbit(spec, N, init="circle", seed=0):
     return rep.loop.nodes, orbit_period(rep.loop, spec)
 
 
-def test_closure_ladder_estimate_bounds_the_error(cubic_spec, expression_spec):
+def test_closure_ladder_estimate_bounds_the_error(monkeypatch, cubic_spec, expression_spec):
     # The estimate divides by (s/s')^4 - 1 although the tableau is of order
     # 8: on the expression the lowest rungs are still pre-asymptotic, and
     # cubic e2 orbits pass through the origin, where the potential is only C^2.
@@ -322,12 +323,28 @@ def test_closure_ladder_estimate_bounds_the_error(cubic_spec, expression_spec):
         # agrees with 8N steps to 1e-14, far below every closure_err here.
         fine = closure_gap(q0, v0, T, spec.potential, steps=1024)
         assert abs(closure - fine) <= 2.0 * closure_err
+    # The 8-step stop: at the benchmark's gate 50/N^2 these ladders settle
+    # at rung 8, whose estimate against rung 6 bounds its error outright (at
+    # most 0.33 of it over a 40-orbit survey), and the verdict there is the
+    # 1024-step closure's.
+    aniso = ProblemSpec(parse_potential("0.5*q1^2 + 2*q2^2 + 0.05*|q|^4", 2),
+                        2, 1.0, 2.0, 0.0, "e1")
+    reached = record_rungs(monkeypatch)
+    for spec, N in [(expression_spec, 32), (expression_spec, 64), (aniso, 64), (cubic_spec, 64)]:
+        for init, seed in (("circle", 0), ("random_bandlimited", 0), ("random_bandlimited", 1)):
+            q, T = solved_orbit(spec, N, init, seed)
+            fine = closure_gap(*ladder_start(q, T), T, spec.potential, steps=1024)
+            reached.clear()
+            settled = verify_orbit(q, T, spec.potential, spec.h, 50.0 / N**2)
+            assert reached == [6, 8]
+            assert abs(settled.closure - fine) <= settled.closure_err
+            assert (settled.closure <= 50.0 / N**2) == (fine <= 50.0 / N**2)
 
 
 def stiff_case(N=64):
     """A stiff second mode (frequency 40) that DOP853 cannot hold at T/32 or
     coarser (|40 dt| > 7.8) but holds at T/64 (|40 dt| = 3.9): samples,
-    period and potential.  The rungs 8, 12, 16 and 32 blow up."""
+    period and potential.  The rungs 6, 8, 12, 16 and 32 blow up."""
     stiff = parse_potential("0.5*q1^2 + 800*q2^2", 2)
     T = 2 * math.pi
     q = np.stack([np.cos(T * np.arange(N) / N), np.full(N, 1e-6)], axis=1)
@@ -337,13 +354,13 @@ def stiff_case(N=64):
 def test_closure_ladder_climbs_past_coarse_blowups(monkeypatch):
     q, T, stiff = stiff_case()
     q0, v0 = ladder_start(q, T)
-    for steps in (8, 12, 16, 32):
+    for steps in (6, 8, 12, 16, 32):
         with pytest.raises(BlowupError):
             closure_gap(q0, v0, T, stiff, steps=steps)
     assert math.isfinite(closure_gap(q0, v0, T, stiff, steps=64))
     reached = record_rungs(monkeypatch)
     *_, closure, closure_err = residuals(verify_orbit(q, T, stiff, 0.5))
-    assert reached == [8, 12, 16, 32, 64, 128]
+    assert reached == [6, 8, 12, 16, 32, 64, 128]
     assert math.isfinite(closure) and math.isfinite(closure_err)
     assert (closure, closure_err) == sequential_ladder(q, T, stiff)[:2]
 
@@ -367,7 +384,7 @@ def test_closure_ladder_ends_on_the_cap(monkeypatch):
     monkeypatch.setattr(orbit, "_rung_closures", model)
     *_, closure, closure_err = residuals(verify_orbit(exact_harmonic_samples(40), 2 * math.pi,
                                                       parse_potential("0.5*|q|^2", 2), 1.0))
-    assert rungs == [8, 12, 16, 32, 64, 80]
+    assert rungs == [6, 8, 12, 16, 32, 64, 80]
     assert closure_err == pytest.approx(closure - 1.0, rel=1e-9)
 
 
@@ -456,7 +473,7 @@ def stopping_case(spec, N=256):
     q, T = cubic_circle_orbit(spec, N)
     clean = residuals(verify_orbit(q, T, spec.potential, spec.h))
     reached = sequential_ladder(q, T, spec.potential)[2]
-    assert reached == [8, 12]
+    assert reached == [6, 8, 12]
     return q, T, clean, reached
 
 
@@ -493,9 +510,31 @@ def test_nan_phase_point_is_a_blowup_of_its_own_row(cubic_spec):
     nan_at_12 = Faulty(cubic_spec.potential, q, T, [12], "nan")
     faulty = Faulty(nan_at_12, q, T, [8], "blowup")
     closure, closure_err, later = sequential_ladder(q, T, faulty)
-    assert later[:3] == [8, 12, 16] and math.isfinite(closure)
+    assert later[:4] == [6, 8, 12, 16] and math.isfinite(closure)
     assert residuals(verify_orbit(q, T, faulty, cubic_spec.h))[2:] == (closure, closure_err)
     assert nan_at_12.hits > 0 and faulty.hits > 0
+
+
+@pytest.mark.parametrize("fault", ["domain", "blowup"])
+def test_fault_on_the_six_step_row_leaves_the_ladder_without_it(monkeypatch, cubic_spec, fault):
+    # The 6-step closure only gives rung 8 an estimate, so a fault on its row
+    # leaves rung 8 without one: the ladder then stops where the ladder that
+    # begins at 8 stops, with the same closure bits and verdict.
+    q, T, clean, _ = stopping_case(cubic_spec)
+    faulty = Faulty(cubic_spec.potential, q, T, [6], fault)
+    reached = record_rungs(monkeypatch)
+    for closure_tol in (None, 50.0 / 256**2, 0.5 * clean[2], 2.0 * clean[2]):
+        with monkeypatch.context() as without_six:
+            without_six.setattr(orbit, "RK_LOW_RUNGS", (8, 12, 16))
+            reached.clear()
+            from_eight = verify_orbit(q, T, cubic_spec.potential, cubic_spec.h, closure_tol)
+            from_eight_reached = list(reached)
+        reached.clear()
+        res = verify_orbit(q, T, faulty, cubic_spec.h, closure_tol)
+        assert reached == [6] + from_eight_reached
+        assert residuals(res) == residuals(from_eight)
+        assert res.accepts(1.0, 1.0, closure_tol) == from_eight.accepts(1.0, 1.0, closure_tol)
+    assert faulty.hits > 0
 
 
 @pytest.mark.parametrize("fault,error", [("domain", DomainError), ("blowup", BlowupError)])
@@ -532,7 +571,7 @@ def test_ladder_that_ends_on_the_cap_makes_the_worst_case_calls(monkeypatch):
 def test_rungs_climb_to_the_cap_at_most_doubling():
     for cap in range(16, 8193):
         rungs = orbit._rungs(cap)
-        assert rungs[:3] == [8, 12, 16] and rungs[-1] == cap
+        assert rungs[:4] == [6, 8, 12, 16] and rungs[-1] == cap
         assert all(a < b <= 2 * a for a, b in zip(rungs, rungs[1:]))
 
 
@@ -570,16 +609,18 @@ def verify_recorded(reached, calls, q, T, spec, closure_tol=None):
     return res, list(reached), len(calls)
 
 
-@pytest.mark.parametrize("case,N,init,stop", [
-    ("expression", 64, "circle", 12),
-    ("cubic", 256, "random_bandlimited", 16),
-    ("cubic", 1024, "circle", 32),
-])
+@pytest.mark.parametrize("case,N,init,stop,settled_rungs", [
+    ("expression", 64, "circle", 12, [6, 8]),
+    ("cubic", 256, "random_bandlimited", 16, [6, 8]),
+    ("cubic", 1024, "circle", 32, [6, 8, 12]),
+], ids=["expression-64-circle-12", "cubic-256-random_bandlimited-16", "cubic-1024-circle-32"])
 def test_closure_tol_stops_the_ladder_once_the_verdict_is_settled(
-        monkeypatch, expression_spec, cubic_spec, case, N, init, stop):
-    # At the benchmark's gate 50/N^2 every ladder settles at 12 steps, where
-    # without a tolerance it climbs to ``stop``; the verdict is the same, and
-    # the same as a 1024-step integration's, on either side of the closure.
+        monkeypatch, expression_spec, cubic_spec, case, N, init, stop, settled_rungs):
+    # At the benchmark's gate 50/N^2 a ladder settles on ``settled_rungs``,
+    # where without a tolerance it climbs to ``stop``; the verdict is the
+    # same, and the same as a 1024-step integration's, on either side of the
+    # closure.  At N=1024 the closure is below the 8-step estimate, so the
+    # cubic needs rung 12 as it did before the 6-step rung.
     spec = expression_spec if case == "expression" else cubic_spec
     q, T = solved_orbit(spec, N, init, 0)
     reached = record_rungs(monkeypatch)
@@ -588,7 +629,7 @@ def test_closure_tol_stops_the_ladder_once_the_verdict_is_settled(
     assert (full_reached[-1], full_calls) == (stop, 12 * stop)
     settled, settled_reached, settled_calls = verify_recorded(reached, calls, q, T, spec,
                                                               50.0 / N**2)
-    assert (settled_reached, settled_calls) == ([8, 12], 12 * 12)
+    assert (settled_reached, settled_calls) == (settled_rungs, 12 * settled_rungs[-1])
     fine = closure_gap(*ladder_start(q, T), T, spec.potential, steps=1024)
     assert abs(settled.closure - fine) <= 2.0 * settled.closure_err
     for tol in (0.5 * full.closure, 2.0 * full.closure, 50.0 / N**2):
@@ -624,7 +665,7 @@ def test_nan_closure_err_never_stops_the_ladder(monkeypatch):
     for tol in (1e-300, 1.0, 1e300):
         reached.clear()
         assert residuals(verify_orbit(q, T, stiff, 0.5, tol)) == full
-        assert reached == [8, 12, 16, 32, 64, 128]
+        assert reached == [6, 8, 12, 16, 32, 64, 128]
 
 
 @pytest.mark.parametrize("period", [0.0, -1.0])

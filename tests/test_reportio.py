@@ -92,3 +92,33 @@ def test_reader_drops_trailing_blank_lines(tmp_path):
     padded.write_text("".join(row + "\n" for row in rows) + "\n  \n\n")
     (q, T), (q_padded, T_padded) = read_orbit_table(plain), read_orbit_table(padded)
     assert np.array_equal(q_padded, q) and T_padded == T
+
+
+@pytest.mark.parametrize("token", ["1_0", "infinity", " 1.5 ", "1.5\r", "0x10", "1e", ""])
+def test_whole_table_conversion_reads_a_field_as_float_does(tmp_path, token):
+    # The reader converts the whole table in one numpy cast and falls back to
+    # float() line by line only to name a bad line; the two must accept the
+    # same tokens with the same value, or the fast read could pass a table
+    # the line-by-line read rejects, or the reverse.
+    try:
+        expected = float(token)
+    except ValueError:
+        expected = None
+    try:
+        cast = float(np.array([token], dtype=float)[0])
+    except ValueError:
+        cast = None
+    assert cast == expected
+    rows = good_rows()
+    rows[4] = rows[4].rsplit(",", 1)[0] + "," + token  # row 3's q2, on line 5
+    path = tmp_path / "orbit.csv"
+    path.write_bytes("".join(row + "\n" for row in rows).encode())
+    if expected is None:
+        with pytest.raises(OrbitFileError, match="^line 5: unparsable number$"):
+            read_orbit_table(path)
+    elif not math.isfinite(expected):
+        with pytest.raises(OrbitFileError, match="^line 5: non-finite entries in orbit table$"):
+            read_orbit_table(path)
+    else:
+        positions, _ = read_orbit_table(path)
+        assert positions[3, 1] == expected
