@@ -102,10 +102,17 @@ def _factors(loops: np.ndarray, spec: ProblemSpec, values=None):
     nodes; each pair has the bits of
     :func:`~hamorbit.loopspace.dirichlet_energy` and ``integrate(h - V)`` on
     that loop alone."""
+    return stacked_dirichlet_energy(loops), _gaps(loops, spec, values)
+
+
+def _gaps(loops: np.ndarray, spec: ProblemSpec, values=None) -> np.ndarray:
+    """The mean energy gaps B = mean_k (h - V) of an (L, N, n) stack, shape
+    (L,), exactly rounded per loop, with one potential call unless
+    ``values`` holds V at its L * N nodes."""
     L, N, n = loops.shape
     if values is None:
         values = spec.potential.value(loops.reshape(L * N, n))
-    return stacked_dirichlet_energy(loops), exact_sums(spec.h - values.reshape(L, N)) / N
+    return exact_sums(spec.h - values.reshape(L, N)) / N
 
 
 def _gradient(x: np.ndarray, A, B, grads: np.ndarray) -> np.ndarray:

@@ -13,15 +13,18 @@ applies to loops and to (L, N, n) stacks of them.  Nodes run along axis -2,
 and :func:`periodic_shift` is the one circular shift, x_{k+j} with k + j
 taken mod N; the time-shifted loop u(t + j/N) is
 ``LoopPath(periodic_shift(u.nodes, j))``.  :func:`stacked_dirichlet_energy` is the one Dirichlet sum:
-(N/2) * sum |x_{k+1} - x_k|^2 per loop, exactly rounded.
+(N/2) * sum |x_{k+1} - x_k|^2 per loop, exactly rounded; beside it,
+:func:`stacked_dirichlet_cross` is its bilinear form on two loops, which
+gives the Dirichlet energy along a whole segment between them.
 
 :func:`exact_sums` is the one exactly rounded sum (``math.fsum``), and every
 sum that feeds an invariant (quadrature, Dirichlet energy, norms) goes
 through it, a whole stack of rows per call.  An exactly rounded sum does not
 depend on the order of its terms, so these quantities are invariant to the
 bit under circular shifts and reversal of the samples.  It hands ``fsum``
-Python floats from one ``tolist`` per call: iterating a numpy array would
-build one numpy scalar per element, for the same bits.
+each row as a ``memoryview``, which yields Python floats straight from the
+buffer: iterating a numpy array would build one numpy scalar per element,
+and ``tolist`` a list of them, for the same bits.
 """
 
 from __future__ import annotations
@@ -93,8 +96,8 @@ def exact_sums(rows: np.ndarray):
     :class:`DomainError`."""
     try:
         if rows.ndim == 1:
-            return math.fsum(rows.tolist())
-        return np.array(list(map(math.fsum, rows.tolist())))
+            return math.fsum(memoryview(rows))
+        return np.fromiter(map(math.fsum, map(memoryview, rows)), float, len(rows))
     except OverflowError as err:
         raise DomainError(f"exact sum out of the float range ({err})") from None
 
@@ -121,6 +124,16 @@ def stacked_dirichlet_energy(loops: np.ndarray) -> np.ndarray:
     L, N, _ = loops.shape
     d = periodic_shift(loops, 1) - loops
     return 0.5 * N * exact_sums((d * d).reshape(L, -1))
+
+
+def stacked_dirichlet_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Dirichlet cross term (N/2) * sum (a_{k+1} - a_k).(b_{k+1} - b_k)
+    of each pair of loops in two (L, N, n) stacks, shape (L,), exactly
+    rounded per pair; on a segment (1-t) a + t b the Dirichlet energy is
+    (1-t)^2 A(a) + 2 t (1-t) D(a, b) + t^2 A(b)."""
+    L, N, _ = a.shape
+    da, db = periodic_shift(a, 1) - a, periodic_shift(b, 1) - b
+    return 0.5 * N * exact_sums((da * db).reshape(L, -1))
 
 
 def dirichlet_energy(u: LoopPath) -> float:

@@ -379,7 +379,17 @@ def _check_loop_sphere(p, h, rng, cfg):
     base_loops = drawn[moving] / speeds[moving, None, None]
     loops = radii[:, None, None, None] * base_loops
     values = _sampled(p.value, loops.reshape(-1, p.n))
-    means = exact_sums((h - values).reshape(-1, LOOP_NODES)) / LOOP_NODES
+    gaps = (h - values).reshape(-1, LOOP_NODES)
+    try:
+        means = exact_sums(gaps) / LOOP_NODES
+    except DomainError as err:  # name the first loop whose sum overflows
+        for i, row in enumerate(gaps):
+            try:
+                exact_sums(row)
+            except DomainError:
+                r, j = divmod(i, len(base_loops))
+                raise DomainError(f"{err} at sample (radius {radii[r]:.6g}, "
+                                  f"draw {np.flatnonzero(moving)[j]})") from err
     minima = means.reshape(SPHERE_RADII, len(base_loops)).min(axis=1)
     best = int(np.argmax(minima))
     best_est = float(minima[best])

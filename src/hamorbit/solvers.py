@@ -33,11 +33,14 @@ Mountain pass: deform a discrete path between two low points separated by
 the derivative sphere {||u'||_{L2} = r}, which is passed as its radius r.
 The path is one (m+1, N, n) array from the first sweep to the last.  Each
 sweep locates the path maximum over segment interiors (node-only
-evaluation could tunnel through the barrier): every segment's grid in one
-potential call, both bracket ends of every segment in one batched
-derivative pass, and each bracketed top by Illinois regula falsi on the
-tangential derivative.  It relaxes the maximum one preconditioned
-descent step accepted on the modified segments' maxima, and
+evaluation could tunnel through the barrier).  On a segment the Dirichlet
+energy is a quadratic in closed form, so only the mean energy gap needs
+the potential: every segment's grid takes one potential call, both bracket
+ends of every segment one batched value-and-gradient pass, and each
+bracketed top is located by Illinois regula falsi on the closed-form
+slope.  The closed forms steer; each segment's maximum is the exact
+functional at its located top.  The sweep relaxes the maximum one
+preconditioned descent step accepted on the modified segments' maxima, and
 re-equidistributes the interior points in loop-space arc length when that
 does not raise the maximum, which keeps the level estimates monotone.  The
 re-spacing measures every segment in one stacked pass
@@ -77,14 +80,13 @@ from .functional import (
     CpsRecord,
     PotentialPass,
     ProblemSpec,
+    _gaps,
     _illinois,
     action,
     cps_append,
     potential_pass,
     ray_landing,
     scaling_root,  # noqa: F401  (a binding perfbench's tracer test expects)
-    stacked_action,
-    stacked_action_gradient,
 )
 from .loopspace import (
     LoopPath,
@@ -97,6 +99,8 @@ from .loopspace import (
     random_loop,
     sobolev_precondition,
     speed,
+    stacked_dirichlet_cross,
+    stacked_dirichlet_energy,
     stacked_h1_norm,
 )
 
@@ -358,6 +362,35 @@ def _redistribute(path: np.ndarray) -> np.ndarray:
     return np.concatenate((path[:1], (1.0 - t) * path[i] + t * path[i + 1], path[m:]))
 
 
+def _bernstein(A0, D, A1, t):
+    """The Dirichlet energy (1-t)^2 A0 + 2 t (1-t) D + t^2 A1 of the loop
+    (1-t) a + t b, from A0 = A(a), A1 = A(b) and the cross term D of a and
+    b; t = 0 and t = 1 give A0 and A1 to the bit."""
+    s = 1.0 - t
+    return s * s * A0 + 2.0 * t * s * D + t * t * A1
+
+
+def _bernstein_slope(A0, D, A1, t):
+    """d/dt of :func:`_bernstein`: 2 ((t-1) A0 + (1-2t) D + t A1)."""
+    return 2.0 * ((t - 1.0) * A0 + (1.0 - 2.0 * t) * D + t * A1)
+
+
+def _coefficients(nodes: np.ndarray):
+    """(A(a), D(a, b), A(b)) of every segment [a, b] of an (m+1, N, n) node
+    list, each of shape (m,): one Dirichlet sum per node and one cross-term
+    sum per segment."""
+    A = stacked_dirichlet_energy(nodes)
+    return A[:-1], stacked_dirichlet_cross(nodes[:-1], nodes[1:]), A[1:]
+
+
+def _gap_pass(loops: np.ndarray, spec: ProblemSpec):
+    """(B, grad V) of each loop of an (L, N, n) stack, B its mean energy gap,
+    from one ``value_and_gradient`` call of the potential."""
+    L, N, n = loops.shape
+    values, grads = spec.potential.value_and_gradient(loops.reshape(L * N, n))
+    return zip(_gaps(loops, spec, values), grads.reshape(L, N, n))
+
+
 class _PathMax:
     """Continuous maximization of the functional along a piecewise-linear path.
 
@@ -367,20 +400,33 @@ class _PathMax:
     sees every barrier crossing, so the level estimate cannot collapse while
     the endpoints stay separated.
 
+    On a segment (1-t) a + t b the functional is f(t) = A(t) B(t), and its
+    Dirichlet energy A(t) is a quadratic in closed form (:func:`_bernstein`)
+    from the node energies and the segment's cross term
+    (:func:`~hamorbit.loopspace.stacked_dirichlet_cross`), taken once per
+    node list.  Only the mean energy gap B(t) needs the potential.
+
     :meth:`segment_max` treats a whole node list at once.  A coarse grid on
-    every segment, all in one potential call, localizes each maximum.  One
-    batched derivative pass then evaluates both ends of the bracket around
-    every segment's grid maximum.  When the exact tangential derivative
-    changes sign across the bracket, Illinois regula falsi on it (the loop of
-    :func:`scaling_root`), one top at a time, pins the interior maximum to
-    machine precision in about ten derivative evaluations (value-only
-    refinement could not get closer than the square root of rounding near a
-    flat maximum, which would leave a spurious gradient floor at the located
+    every segment, with V once per node and once per interior point, all in
+    one potential call, localizes each maximum.  One batched
+    ``value_and_gradient`` pass then gives the slope
+    f'(t) = A'(t) B(t) + A(t) B'(t), B'(t) = -mean grad V . (b - a), at both
+    ends of the bracket around every segment's grid maximum.  When the slope
+    changes sign across the bracket, Illinois regula falsi on it (the loop
+    of :func:`scaling_root`), one top at a time, pins the interior maximum
+    to machine precision in about ten slope passes (value-only refinement
+    could not get closer than the square root of rounding near a flat
+    maximum, which would leave a spurious gradient floor at the located
     top).  Otherwise the grid maximum itself is the answer: any other grid
-    point is already in the grid and no higher.  Every value and derivative
-    has the bits of the single-loop :func:`action` and
-    :func:`action_gradient`, so a segment's maximum does not depend on the
-    other segments it is evaluated with.
+    point is already in the grid and no higher.
+
+    The closed forms steer the search: the grid's values and the slopes
+    agree with :func:`action` and with the tangential component of
+    :func:`action_gradient` to a few ulp.  Each value returned is exact: one
+    Dirichlet sum over the located tops, times the B of the pass that
+    located each top, has the bits of :func:`action` there.  Every value and
+    slope of a segment depends only on its two ends, not on the other
+    segments it is evaluated with.
 
     :meth:`refresh` tests a candidate path against a ceiling on the
     segments around the top before the rest.
@@ -405,53 +451,88 @@ class _PathMax:
                 return [None]
             return [x for part in loops for x in self._each(form, part)]
 
-    def _values(self, loops) -> np.ndarray:
-        """The functional at each loop of ``loops``; -inf outside the domain."""
-        return np.array([-np.inf if v is None else v
-                         for v in self._each(stacked_action, loops)])
+    def _grid(self, nodes, coefficients):
+        """(f, B) at the grid points (1-t) a + t b of every segment [a, b] of
+        a node list whose ``coefficients`` are (A(a), D(a, b), A(b)), each
+        of shape (segments, len(GRID)): V once at each node and once at each
+        interior point, in one call.  Outside the domain f is -inf and B
+        nan."""
+        m = len(nodes) - 1
+        t = self.GRID[1:-1, None, None]
+        inner = (1.0 - t) * nodes[:-1, None] + t * nodes[1:, None]
+        gaps = self._each(_gaps, np.concatenate((nodes, inner.reshape(-1, *nodes.shape[1:]))))
+        gaps = np.array([np.nan if g is None else g for g in gaps])
+        B = np.column_stack((gaps[:m], gaps[m + 1:].reshape(m, -1), gaps[1:m + 1]))
+        f = _bernstein(*(c[:, None] for c in coefficients), self.GRID) * B
+        return np.where(np.isnan(B), -np.inf, f), B
 
     def grids(self, nodes) -> np.ndarray:
-        """The functional at the grid points (1-t) a + t b of every segment
-        [a, b] of a node list, shape (segments, len(GRID))."""
+        """The closed-form functional at the grid points of every segment of
+        a node list, shape (segments, len(GRID)); -inf outside the domain."""
         nodes = np.asarray(nodes)
-        t = self.GRID[:, None, None]
-        points = (1.0 - t) * nodes[:-1, None] + t * nodes[1:, None]
-        return self._values(points).reshape(len(nodes) - 1, -1)
+        return self._grid(nodes, _coefficients(nodes))[0]
 
-    def _slopes(self, a, b, t) -> list:
-        """Tangential derivatives d/dt f((1-t) a + t b) for stacks of segment
-        ends a, b and one t each; None outside the domain."""
+    def _slopes(self, a, b, coefficients, s, t) -> list:
+        """(f'(t), B(t)) at (1-t) a[s] + t b[s] for the segments s of a node
+        list with ends a, b and ``coefficients``, one t each, from one
+        ``value_and_gradient`` pass; None outside the domain."""
         tt = t[:, None, None]
-        grads = self._each(stacked_action_gradient, (1.0 - tt) * a + tt * b)
-        return [None if g is None else float(np.vdot(g, bk - ak))
-                for g, ak, bk in zip(grads, a, b)]
+        passes = self._each(_gap_pass, (1.0 - tt) * a[s] + tt * b[s])
+        A0, D, A1 = (c[s] for c in coefficients)
+        energy, rate = _bernstein(A0, D, A1, t), _bernstein_slope(A0, D, A1, t)
+        N = a.shape[-2]
+        return [None if p is None else
+                (rate[i] * p[0] + energy[i] * (-_dot(p[1], b[j] - a[j]) / N), p[0])
+                for i, (j, p) in enumerate(zip(s, passes))]
 
     def segment_max(self, nodes):
         """(values, taus) of the max of the functional on each segment
         [nodes[i], nodes[i+1]] of a node list, tau locating it at
-        (1 - tau) nodes[i] + tau nodes[i+1]."""
+        (1 - tau) nodes[i] + tau nodes[i+1].  A segment whose Dirichlet sums
+        leave the float range has maximum -inf at tau 0."""
         nodes = np.asarray(nodes)
+        try:
+            return self._closed_form_max(nodes)
+        except DomainError:  # a Dirichlet sum out of the float range
+            if len(nodes) == 2:
+                return np.array([-np.inf]), np.zeros(1)
+            values, taus = zip(*(self.segment_max(nodes[i:i + 2])
+                                 for i in range(len(nodes) - 1)))
+            return np.concatenate(values), np.concatenate(taus)
+
+    def _closed_form_max(self, nodes):
+        """:meth:`segment_max` of a node list; a Dirichlet sum out of the
+        float range raises :class:`DomainError`."""
         a, b = nodes[:-1], nodes[1:]
-        coarse = self.grids(nodes)
+        coefficients = _coefficients(nodes)
+        coarse, gaps = self._grid(nodes, coefficients)
+        segments = np.arange(len(a))
         k = np.argmax(coarse, axis=1)
-        values, taus = coarse[np.arange(len(k)), k], self.GRID[k]
+        best, taus, gap = coarse[segments, k], self.GRID[k], gaps[segments, k]
         lo = self.GRID[np.maximum(k - 1, 0)]
         hi = self.GRID[np.minimum(k + 1, len(self.GRID) - 1)]
         # f rising from lo and falling into hi bracket an interior top.
-        ends = self._slopes(np.concatenate((a, a)), np.concatenate((b, b)),
+        ends = self._slopes(a, b, coefficients, np.concatenate((segments, segments)),
                             np.concatenate((lo, hi)))
-        for s, (dlo, dhi) in enumerate(zip(ends[:len(k)], ends[len(k):])):
-            if dlo is None or dhi is None or not dlo > 0.0 > dhi:
+        for s, (elo, ehi) in enumerate(zip(ends[:len(a)], ends[len(a):])):
+            if elo is None or ehi is None or not elo[0] > 0.0 > ehi[0]:
                 continue
+            located = {hi[s]: ehi[1]}  # B at each point the search made a pass
 
             def dval(t, s=s):
-                return self._slopes(a[s:s + 1], b[s:s + 1], np.array([t]))[0]
+                end = self._slopes(a, b, coefficients, [s], np.array([t]))[0]
+                if end is None:
+                    return None
+                located[t] = end[1]
+                return end[0]
 
-            tau = _illinois(dval, lo[s], dlo, hi[s], dhi, min_step=1e-14)
-            value = self._values((1.0 - tau) * a[s] + tau * b[s])[0]
-            if not coarse[s, k[s]] > value:
-                values[s], taus[s] = value, tau
-        return values, taus
+            tau = _illinois(dval, lo[s], elo[0], hi[s], ehi[0], min_step=1e-14)
+            if not best[s] > _bernstein(*(c[s] for c in coefficients), tau) * located[tau]:
+                taus[s], gap[s] = tau, located[tau]
+        # The exact action at each top: its Dirichlet sum times its pass's B.
+        t = taus[:, None, None]
+        values = stacked_dirichlet_energy((1.0 - t) * a + t * b) * gap
+        return np.where(np.isnan(gap), -np.inf, values), taus
 
     def refresh(self, path, top, ceiling):
         """Per-segment maxima (values, taus) of a candidate path that must

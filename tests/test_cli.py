@@ -796,13 +796,17 @@ def test_check_report_names_the_domain_error_and_has_no_verdicts(tmp_path, capsy
 
 def test_check_on_a_huge_finite_potential_is_a_domain_error(tmp_path, capsys):
     # Every sampled V is finite, but B5's exactly rounded mean of h - V
-    # overflows: an error line and a report that names it, no traceback.
-    rep = tmp_path / "r.txt"
-    assert run("check", "--potential", "power_law(a=1e308,mu1=2)", "--n", "2", "--energy", "1",
-               "--r-min", "2", "--r-max", "3", "--no-timestamp", "--report", str(rep)) == 1
-    reason = "E_DOMAIN: exact sum out of the float range (intermediate overflow in fsum)"
-    assert capsys.readouterr() == ("", f"error: {reason}\n")
-    assert parse_report(rep.read_text())["run"]["message"] == reason
+    # overflows: an error line and a report that name the first loop where
+    # it does, by its sphere radius and draw index, and no traceback.
+    overflow = "E_DOMAIN: exact sum out of the float range (intermediate overflow in fsum)"
+    for a, loop in (("1e308", "radius 2, draw 0"), ("2e307", "radius 2.6, draw 156")):
+        rep = tmp_path / f"r{a}.txt"
+        assert run("check", "--potential", f"power_law(a={a},mu1=2)", "--n", "2", "--energy",
+                   "1", "--r-min", "2", "--r-max", "3", "--no-timestamp",
+                   "--report", str(rep)) == 1
+        reason = f"{overflow} at sample ({loop})"
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
+        assert parse_report(rep.read_text())["run"]["message"] == reason
 
 
 def test_solved_orbit_scales_with_the_energy(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hamorbit import (
+    DomainError,
     LoopPath,
     OddNodeCountError,
     circle_loop,
@@ -18,9 +19,11 @@ from hamorbit import orbit, solvers
 from hamorbit.loopspace import (
     MIN_NODES,
     NONCONSTANT_SPEED,
+    exact_sums,
     is_nonconstant,
     periodic_shift,
     speed,
+    stacked_dirichlet_cross,
     stacked_dirichlet_energy,
     stacked_h1_norm,
 )
@@ -130,6 +133,44 @@ def test_stacked_forms_are_the_single_loop_calls_bit_for_bit():
         assert energy == 0.5 * len(x) * math.fsum((d * d).ravel().tolist())
         mean = np.array([math.fsum(c) for c in x.T.tolist()]) / len(x)
         assert norm == math.sqrt(2.0 * energy) + float(np.linalg.norm(mean))
+
+
+def test_exact_sums_are_fsum_of_each_row_bit_for_bit():
+    rng = np.random.default_rng(21)
+    stack = rng.standard_normal((7, 96)) * 10.0 ** rng.integers(-8, 9, (7, 96))
+    special = np.ones((3, 16))
+    special[0, 3], special[1, 5], special[2, 7] = np.inf, -np.inf, np.nan
+    cases = [stack, stack[:, ::3], stack[::-1, ::-1], stack.T, stack[:1], special]
+    for rows in cases:
+        sums = exact_sums(rows)
+        assert sums.shape == (len(rows),)
+        assert sums.tobytes() == np.array([math.fsum(r.tolist()) for r in rows]).tobytes()
+        for row in rows:  # one row, as a strided or reversed view too
+            one = exact_sums(row)
+            assert type(one) is float
+            assert np.float64(one).tobytes() == np.float64(math.fsum(row.tolist())).tobytes()
+    # Finite terms whose partial sums leave the float range.
+    with pytest.raises(DomainError, match="out of the float range"):
+        exact_sums(np.full(4, 1e308))
+    with pytest.raises(DomainError, match="out of the float range"):
+        exact_sums(np.array([[1.0, 2.0], [1e308, 1e308]]))
+
+
+def test_dirichlet_cross_term_is_the_bilinear_form_of_the_energy():
+    rng = np.random.default_rng(22)
+    a, b = rng.standard_normal((2, 5, 24, 2))
+    cross = stacked_dirichlet_cross(a, b)
+    assert cross.tolist() == stacked_dirichlet_cross(b, a).tolist()
+    assert stacked_dirichlet_cross(a, a).tolist() == stacked_dirichlet_energy(a).tolist()
+    for x, y, c in zip(a, b, cross):
+        dx, dy = np.roll(x, -1, axis=0) - x, np.roll(y, -1, axis=0) - y
+        assert c == 0.5 * len(x) * math.fsum((dx * dy).ravel().tolist())
+    # Along a segment the energy is the quadratic in Bernstein form.
+    ea, eb = stacked_dirichlet_energy(a), stacked_dirichlet_energy(b)
+    for t in (0.25, 0.5, 0.875):
+        along = stacked_dirichlet_energy((1.0 - t) * a + t * b)
+        closed = (1.0 - t) ** 2 * ea + 2.0 * t * (1.0 - t) * cross + t**2 * eb
+        assert np.allclose(closed, along, rtol=1e-14, atol=0.0)
 
 
 def test_dirichlet_energy_convergence_order():

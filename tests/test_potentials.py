@@ -7,6 +7,7 @@ import pytest
 
 from hamorbit import (
     DomainError,
+    LoopPath,
     PotentialModel,
     PowerLawPotential,
     SamplerConfig,
@@ -14,7 +15,9 @@ from hamorbit import (
     hessian_ray,
     parse_potential,
     potentials,
+    random_loop,
 )
+from hamorbit.loopspace import speed
 
 
 def test_power_law_parameter_validation():
@@ -358,6 +361,33 @@ def test_checker_names_the_point_where_the_potential_raises(source, n, message):
         check_hypotheses(p, 1.0, p.mu1, p.mu2, _cfg())
     assert str(info.value) == message
     assert _raises_at(p, _named_point(info.value))
+
+
+def _sum_overflows(row) -> bool:
+    try:
+        math.fsum(row.tolist())
+    except OverflowError:
+        return True
+    return False
+
+
+def test_loop_sphere_names_the_first_loop_whose_mean_overflows():
+    # V = 3e307 |q|^2 is finite on every loop, but on some the exact sum of
+    # h - V leaves the float range.  The error names the first of them in
+    # the checker's order (radius, then draw) by its radius and draw index.
+    p, rng = PowerLawPotential(3e307, 2, 0, n=2), np.random.default_rng(0)
+    cfg = SamplerConfig(r_min=2.0, r_max=3.0)
+    with pytest.raises(DomainError) as info:
+        potentials._check_loop_sphere(p, 1.0, rng, cfg)
+    rng = np.random.default_rng(0)
+    drawn = [random_loop(potentials.LOOP_NODES, 2, rng).nodes for _ in range(cfg.samples)]
+    radius, draw = next(
+        (r, j) for r in np.linspace(2.0, 3.0, potentials.SPHERE_RADII)
+        for j, x in enumerate(drawn)
+        if _sum_overflows(1.0 - p.value(r * (x / speed(LoopPath(x))))))
+    assert draw > 0 and radius > 2.0
+    assert str(info.value) == ("exact sum out of the float range (intermediate overflow in "
+                               f"fsum) at sample (radius {radius:.6g}, draw {draw})")
 
 
 class _HessianFailsPastFive(PowerLawPotential):
