@@ -35,9 +35,11 @@ value: a division with q on both sides returns ``v / w`` and takes ``1/w``
 for its derivative, and a power with q in its exponent returns
 ``np.power(b, e)`` and takes ``exp(e * log(b))`` as its derivative's factor.
 
-A binary node's Hessian rule lifts a constant operand to zero derivative
+A binary node's Hessian rule takes a constant operand as zero derivative
 blocks, so each operator has one, and each function gives phi' and phi''
-to one chain rule.  Where the source is not twice differentiable, order 2
+to one chain rule.  ``+``, ``-`` and ``*`` skip building those blocks with
+a rule of their own for a constant operand, which has the bits of the
+general rule on them, signed zeros included; ``/`` and ``^`` build them.  Where the source is not twice differentiable, order 2
 raises a :class:`DomainError`: ``|q|`` at the origin, abs at zero, and a
 power whose second derivative is not finite, besides every check of orders
 0 and 1.
@@ -379,12 +381,15 @@ def _neg(a: _Code) -> _Code:
     return _unary(a, np.negative, lambda val, v, dv: -dv, lambda val, v, dv, hv: -hv)
 
 
-def _binary(a: _Code, b: _Code, op, vv, vc, cv, hess) -> _Code:
+def _binary(a: _Code, b: _Code, op, vv, vc, cv, hess, hc=None) -> _Code:
     """Node ``op(a, b)``: the value rule ``op`` carries its domain checks,
     the gradient is ``vv(val, v, dv, w, dw)``, ``vc(val, v, dv, c)`` or
     ``cv(val, c, w, dw)`` by which operands hold q, and the Hessian
-    ``hess(val, der, v, dv, hv, w, dw, hw)``, a constant operand lifted to
-    zero blocks.  The left operand is always evaluated first."""
+    ``hess(val, der, v, dv, hv, w, dw, hw)``.  With a constant operand c the
+    Hessian is ``hc(v, dv, hv, c, left)``, (v, dv, hv) the other operand and
+    ``left`` whether c is the left one, with the bits of ``hess`` on c lifted
+    to zero blocks, signed zeros included; an operator without ``hc`` lifts
+    c.  The left operand is always evaluated first."""
     fa, fb, a_const, b_const = a.run, b.run, a.constant, b.constant
 
     def run(points, order):
@@ -404,6 +409,8 @@ def _binary(a: _Code, b: _Code, op, vv, vc, cv, hess) -> _Code:
             der = vv(val, x[0], x[1], y[0], y[1])
         if order == 1:
             return val, der
+        if hc and (a_const or b_const):
+            return val, der, hc(*(y if a_const else x), y if b_const else x, a_const)
         x = _lift(x, points) if a_const else x
         y = _lift(y, points) if b_const else y
         return val, der, hess(val, der, *x, *y)
@@ -418,6 +425,7 @@ def _add(a, b):
         lambda val, v, dv, c: dv,
         lambda val, c, w, dw: dw,
         lambda val, der, v, dv, hv, w, dw, hw: hv + hw,
+        lambda v, dv, hv, c, left: hv + 0.0,
     )
 
 
@@ -428,6 +436,7 @@ def _sub(a, b):
         lambda val, v, dv, c: dv,
         lambda val, c, w, dw: -dw,
         lambda val, der, v, dv, hv, w, dw, hw: hv - hw,
+        lambda v, dv, hv, c, left: 0.0 - hv if left else hv - 0.0,
     )
 
 
@@ -439,12 +448,21 @@ def _mul_hess(val, der, v, dv, hv, w, dw, hw):
     return hv * w[:, None, None] + hw * v[:, None, None] + _sym_outer(dv, dw)
 
 
+def _mul_hess_c(v, dv, hv, c, left):
+    # The lifted rule adds 0 v and 0 dv_i + 0 dv_j to hv * c: signed zeros,
+    # or nan where v or dv is not finite.  Such terms sum to the same bits
+    # in any order, so this is the lifted rule's result.
+    z = dv * 0.0
+    return hv * c + (((v * 0.0)[:, None] + z)[:, :, None] + z[:, None, :])
+
+
 def _mul(a, b):
     return _binary(
         a, b, operator.mul, _mul_vv,
         lambda val, v, dv, c: dv * c,
         lambda val, c, w, dw: dw * c,
         _mul_hess,
+        _mul_hess_c,
     )
 
 

@@ -344,27 +344,24 @@ def _model_probe(g: float, spec: ProblemSpec, direction: float) -> float:
     return direction
 
 
-def _illinois(phi, a, fa, b, fb, tol=0.0, min_step=0.0):
-    """Illinois regula falsi (Dowell & Jarratt 1971) on a bracket [a, b] of
-    a sign change of phi, b being the newest point: the value stored at an
-    end kept twice in a row is halved.  At most ROOT_MAX_STEPS steps; stops
-    once |phi(b)| <= tol, a step moves b by less than min_step, the next
-    point is not strictly inside the bracket, or phi returns None (no value
-    there).  Returns b, the last point at which phi gave a value."""
+def _illinois(phi, a, fa, b, fb, tol):
+    """Illinois regula falsi (Dowell & Jarratt 1971), the root search of
+    :func:`ray_landing`, on a bracket [a, b] of a sign change of phi, b
+    being the newest point: the value stored at an end kept twice in a row
+    is halved.  At most ROOT_MAX_STEPS steps; stops once |phi(b)| <= tol or
+    the next point is not strictly inside the bracket.  Returns b, the last
+    point phi took."""
     for _ in range(ROOT_MAX_STEPS):
         c = b - fb * (b - a) / (fb - fa)
         if not min(a, b) < c < max(a, b):
             break
         fc = phi(c)
-        if fc is None:
-            break
         if (fc < 0.0) != (fb < 0.0):
             a, fa = b, fb
         else:
             fa *= 0.5
-        step = abs(c - b)
         b, fb = c, fc
-        if abs(fb) <= tol or step < min_step:
+        if abs(fb) <= tol:
             break
     return b
 

@@ -37,8 +37,10 @@ evaluation could tunnel through the barrier).  On a segment the Dirichlet
 energy is a quadratic in closed form, so only the mean energy gap needs
 the potential: every segment's grid takes one potential call, both bracket
 ends of every segment one batched value-and-gradient pass, and each
-bracketed top is located by Illinois regula falsi on the closed-form
-slope.  The closed forms steer; each segment's maximum is the exact
+bracketed top is located on the closed-form slope by a search of its own
+(:func:`_top_search`): from the vertex of the grid's parabola, by
+Anderson-Bjorck regula falsi steps, stopping before a step below
+rounding.  The closed forms steer; each segment's maximum is the exact
 functional at its located top.  The sweep relaxes the maximum one
 preconditioned descent step accepted on the modified segments' maxima, and
 re-equidistributes the interior points in loop-space arc length when that
@@ -77,11 +79,11 @@ from .errors import (
 )
 from .expressions import point_norms
 from .functional import (
+    ROOT_MAX_STEPS,
     CpsRecord,
     PotentialPass,
     ProblemSpec,
     _gaps,
-    _illinois,
     action,
     cps_append,
     potential_pass,
@@ -113,6 +115,7 @@ _NEWTON_RTOL = 1e-6  # MINRES stops at this share of the gradient's dual norm
 _NEWTON_MAXITER = 50  # at most this many Hessian-vector products per Newton step
 _NEWTON_START = 0.1  # the Nehari route tries Newton at this weighted gradient and below
 _NEWTON_RISE = 1e-12  # a Nehari Newton step may raise the level by this share of it
+_TOP_STEP = 1e-14  # a path-top search stops before a step shorter than this
 
 INITIAL_LOOPS = ("circle", "random_bandlimited")
 
@@ -391,6 +394,38 @@ def _gap_pass(loops: np.ndarray, spec: ProblemSpec):
     return zip(_gaps(loops, spec, values), grads.reshape(L, N, n))
 
 
+def _top_search(slope, a, fa, b, fb, gap, c):
+    """The top of f in a bracket [a, b] across which its slope falls from
+    fa > 0 to fb < 0, ``gap`` being B at b: (t, B(t)) at the last point where
+    ``slope(t)`` gave the pair (f'(t), B(t)); it gives None where f has no
+    value.
+
+    The first probe is c when it lies strictly inside the bracket, else the
+    secant point.  Each later probe is an Anderson-Bjorck regula falsi step
+    (BIT 13, 1973) from the newest point b: when the probe falls on b's side,
+    the value kept at the other end is scaled by 1 - f(c)/f(b), or by 1/2
+    when that is not positive.  The search stops before a step shorter than
+    ``_TOP_STEP`` or a point not strictly inside the bracket, and after
+    ROOT_MAX_STEPS probes."""
+    if not min(a, b) < c < max(a, b):
+        c = b - fb * (b - a) / (fb - fa)
+    for _ in range(ROOT_MAX_STEPS):
+        if not min(a, b) < c < max(a, b) or abs(c - b) < _TOP_STEP:
+            break
+        probe = slope(c)
+        if probe is None:
+            break
+        fc, gc = probe
+        if (fc < 0.0) != (fb < 0.0):
+            a, fa = b, fb
+        else:
+            scale = 1.0 - fc / fb
+            fa *= scale if scale > 0.0 else 0.5
+        b, fb, gap = c, fc, gc
+        c = b - fb * (b - a) / (fb - fa)
+    return b, gap
+
+
 class _PathMax:
     """Continuous maximization of the functional along a piecewise-linear path.
 
@@ -412,13 +447,15 @@ class _PathMax:
     ``value_and_gradient`` pass then gives the slope
     f'(t) = A'(t) B(t) + A(t) B'(t), B'(t) = -mean grad V . (b - a), at both
     ends of the bracket around every segment's grid maximum.  When the slope
-    changes sign across the bracket, Illinois regula falsi on it (the loop
-    of :func:`scaling_root`), one top at a time, pins the interior maximum
-    to machine precision in about ten slope passes (value-only refinement
-    could not get closer than the square root of rounding near a flat
-    maximum, which would leave a spurious gradient floor at the located
-    top).  Otherwise the grid maximum itself is the answer: any other grid
-    point is already in the grid and no higher.
+    changes sign across the bracket, :func:`_top_search` on it, one top at a
+    time with the Bernstein forms on floats, pins the interior maximum to
+    machine precision: its first probe is the vertex of the parabola
+    through the grid values at the bracket ends and the grid maximum, and
+    the benchmark case's 29 tops take 123 slope passes, 4.2 each (value-only
+    refinement could not get closer than the square root of rounding near
+    a flat maximum, which would leave a spurious gradient floor at the
+    located top).  Otherwise the grid maximum itself is the answer: any
+    other grid point is already in the grid and no higher.
 
     The closed forms steer the search: the grid's values and the slopes
     agree with :func:`action` and with the tangential component of
@@ -438,18 +475,17 @@ class _PathMax:
         self.spec = spec
 
     def _each(self, form, loops) -> list:
-        """``form(stack, spec)`` for the loops in ``loops`` (shape (..., N, n)),
-        one entry per loop in one call.  A batch that raises is redone one
-        leading index at a time, down to single loops, so only the loops
-        outside the domain give None."""
-        while loops.ndim > 2 and len(loops) == 1:
-            loops = loops[0]
+        """``form(stack, spec)`` for an (L, N, n) stack of loops, one entry
+        per loop in one call.  A batch that raises is halved, down to single
+        loops, as :func:`~hamorbit.potentials._sampled` halves a sample
+        batch, so only the loops outside the domain give None."""
         try:
-            return list(form(loops.reshape(-1, *loops.shape[-2:]), self.spec))
+            return list(form(loops, self.spec))
         except (DomainError, ValueError):
-            if loops.ndim == 2:
+            if len(loops) == 1:
                 return [None]
-            return [x for part in loops for x in self._each(form, part)]
+            half = len(loops) // 2
+            return self._each(form, loops[:half]) + self._each(form, loops[half:])
 
     def _grid(self, nodes, coefficients):
         """(f, B) at the grid points (1-t) a + t b of every segment [a, b] of
@@ -509,26 +545,38 @@ class _PathMax:
         segments = np.arange(len(a))
         k = np.argmax(coarse, axis=1)
         best, taus, gap = coarse[segments, k], self.GRID[k], gaps[segments, k]
-        lo = self.GRID[np.maximum(k - 1, 0)]
-        hi = self.GRID[np.minimum(k + 1, len(self.GRID) - 1)]
+        klo, khi = np.maximum(k - 1, 0), np.minimum(k + 1, len(self.GRID) - 1)
+        lo, hi = self.GRID[klo], self.GRID[khi]
+        # Each search's first probe: the vertex of the parabola through the
+        # grid values at lo, k and hi.  At an end of the grid, k is lo or hi
+        # and the vertex lies half a spacing outside, so the search starts
+        # from the secant point.
+        flo, fhi = coarse[segments, klo], coarse[segments, khi]
+        with np.errstate(all="ignore"):
+            vertex = self.GRID[k] + 0.5 * self.GRID[1] * (flo - fhi) / (flo - 2.0 * best + fhi)
         # f rising from lo and falling into hi bracket an interior top.
         ends = self._slopes(a, b, coefficients, np.concatenate((segments, segments)),
                             np.concatenate((lo, hi)))
         for s, (elo, ehi) in enumerate(zip(ends[:len(a)], ends[len(a):])):
             if elo is None or ehi is None or not elo[0] > 0.0 > ehi[0]:
                 continue
-            located = {hi[s]: ehi[1]}  # B at each point the search made a pass
+            # One top's slope on floats: (f'(t), B(t)) from one pass, None
+            # outside the domain.
+            A0, D, A1 = (float(c[s]) for c in coefficients)
+            d = b[s] - a[s]
 
-            def dval(t, s=s):
-                end = self._slopes(a, b, coefficients, [s], np.array([t]))[0]
+            def slope(t):
+                (end,) = self._each(_gap_pass, ((1.0 - t) * a[s] + t * b[s])[None])
                 if end is None:
                     return None
-                located[t] = end[1]
-                return end[0]
+                B = float(end[0])
+                return (_bernstein_slope(A0, D, A1, t) * B
+                        + _bernstein(A0, D, A1, t) * (-_dot(end[1], d) / len(d)), B)
 
-            tau = _illinois(dval, lo[s], elo[0], hi[s], ehi[0], min_step=1e-14)
-            if not best[s] > _bernstein(*(c[s] for c in coefficients), tau) * located[tau]:
-                taus[s], gap[s] = tau, located[tau]
+            tau, located = _top_search(slope, float(lo[s]), float(elo[0]), float(hi[s]),
+                                       float(ehi[0]), ehi[1], float(vertex[s]))
+            if not best[s] > _bernstein(A0, D, A1, tau) * located:
+                taus[s], gap[s] = tau, located
         # The exact action at each top: its Dirichlet sum times its pass's B.
         t = taus[:, None, None]
         values = stacked_dirichlet_energy((1.0 - t) * a + t * b) * gap

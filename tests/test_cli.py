@@ -330,7 +330,7 @@ def test_mountain_pass_without_symmetry(tmp_path, monkeypatch):
     expression = ["--potential", "0.5*|q|^2 + 0.1*q1^4", "--n", "2", "--energy", "1"]
     assert run("solve", *expression, *argv) == 0
     run_section = parse_report(rep.read_text())["run"]
-    assert (run_section["termination"], run_section["iterations"]) == ("converged", "13")
+    assert (run_section["termination"], run_section["iterations"]) == ("converged", "14")
     assert float(run_section["f_star"]) == pytest.approx(7.966701380757451, rel=1e-12)
     monkeypatch.setattr(hamorbit.solvers, "_newton_step", lambda *args: None)
     assert run("solve", *expression, *argv) == 1

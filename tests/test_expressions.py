@@ -360,3 +360,26 @@ def test_hessian_gate_rejects_a_non_finite_hessian():
     model = parse_potential("sqrt(q1) + 0*q2", 2)
     with pytest.raises(DomainError, match="hessian evaluated to a non-finite value"):
         model.hessian(np.array([1e-300, 0.0]))
+
+
+@pytest.mark.parametrize("form", ["{c}*({x})", "({x})*{c}", "{c} + ({x})", "({x}) + {c}",
+                                  "{c} - ({x})", "({x}) - {c}"])
+@pytest.mark.parametrize("c", ["2", "(-2)", "0"])
+def test_constant_operand_hessians_have_the_lifted_bits(form, c):
+    # A constant operand takes a Hessian rule of its own.  (0*q1 + c) is the
+    # same constant in a node with q, which the general rule takes with
+    # zero derivative blocks: the Hessians agree to the byte, signed zeros
+    # included, and so does the overflow of q1*1e308 to a non-finite one.
+    vals = [0.0, -0.0, 1.5, -1.5, -3.0]
+    pts = np.array([(a, b) for a in vals for b in vals])
+    for x in ["q1*q2", "-(q1*q2)", "0 - q1^3", "q1^2*q2 + q2", "q1*1e308*q2"]:
+        own = parse_potential(form.format(c=c, x=x), 2)
+        lifted = parse_potential(form.format(c=f"(0*q1 + {c})", x=x), 2)
+        for q in [pts, *pts[:, None]]:
+            try:
+                expected = lifted.hessian(q).tobytes()
+            except DomainError as err:
+                with pytest.raises(DomainError, match=str(err)):
+                    own.hessian(q)
+            else:
+                assert own.hessian(q).tobytes() == expected

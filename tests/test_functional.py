@@ -275,16 +275,6 @@ def test_ray_landing_that_ends_off_the_set_raises():
         functional.ray_landing(u, spec)
 
 
-def test_illinois_stops_where_phi_has_no_value():
-    # The first secant point 0.5 has a value, the next one (0.357...) none:
-    # the search returns the last point that had one.
-    def phi(x):
-        return x - 0.3 if x > 0.45 else None
-
-    assert functional._illinois(phi, 0.0, -1.0, 1.0, 1.0) == 0.5
-    assert functional._illinois(lambda x: None, 0.0, -1.0, 1.0, 1.0) == 1.0
-
-
 def test_scaling_root_stays_below_overflow():
     # g(u) > h on the unit circle, and exp overflows far out on the ray: the
     # bracket shrinks the scale and never probes out there.
