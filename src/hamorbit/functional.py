@@ -115,30 +115,12 @@ def _gaps(loops: np.ndarray, spec: ProblemSpec, values=None) -> np.ndarray:
     return exact_sums(spec.h - values.reshape(L, N)) / N
 
 
-def _gradient(x: np.ndarray, A, B, grads: np.ndarray) -> np.ndarray:
-    """grad_k = B * N (2x_k - x_{k+1} - x_{k-1}) - (A/N) grad V(x_k) for a
-    loop x with Dirichlet energy A and mean energy gap B, or for an
-    (L, N, n) stack with A and B of shape (L,); ``grads`` holds grad V at
-    the nodes."""
+def _gradient(x: np.ndarray, A: float, B: float, grads: np.ndarray) -> np.ndarray:
+    """grad_k = B * N (2x_k - x_{k+1} - x_{k-1}) - (A/N) grad V(x_k) for an
+    (N, n) loop x with Dirichlet energy A and mean energy gap B; ``grads``
+    holds grad V at the nodes."""
     N = x.shape[-2]
-    A, B = np.asarray(A)[..., None, None], np.asarray(B)[..., None, None]
-    return B * N * _laplacian(x) - A / N * grads.reshape(x.shape)
-
-
-def stacked_action(loops: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """:func:`action` of each loop in an (L, N, n) stack, shape (L,), with
-    one potential call; each entry has the bits of the single-loop call."""
-    A, B = _factors(loops, spec)
-    return A * B
-
-
-def stacked_action_gradient(loops: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """:func:`action_gradient` of each loop in an (L, N, n) stack, shape
-    (L, N, n), with one ``value_and_gradient`` call of the potential (see
-    :func:`_gradient`); each entry has the bits of the single-loop call."""
-    L, N, n = loops.shape
-    values, grads = spec.potential.value_and_gradient(loops.reshape(L * N, n))
-    return _gradient(loops, *_factors(loops, spec, values), grads)
+    return B * N * _laplacian(x) - A / N * grads
 
 
 def _laplacian(x: np.ndarray) -> np.ndarray:
@@ -148,13 +130,15 @@ def _laplacian(x: np.ndarray) -> np.ndarray:
 
 def action(u: LoopPath, spec: ProblemSpec) -> float:
     """dirichlet_energy(u) times the mean energy gap mean(h - V(u))."""
-    return float(stacked_action(u.nodes[None], spec)[0])
+    (A,), (B,) = _factors(u.nodes[None], spec)
+    return float(A * B)
 
 
 def action_gradient(u: LoopPath, spec: ProblemSpec) -> np.ndarray:
-    """Exact nodewise gradient of :func:`action` as an (N, n) array; see
-    :func:`stacked_action_gradient`."""
-    return stacked_action_gradient(u.nodes[None], spec)[0]
+    """Exact nodewise gradient of :func:`action` as an (N, n) array, from
+    one ``value_and_gradient`` call of the potential (see
+    :func:`_gradient`)."""
+    return potential_pass(u, spec).action_gradient
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ is the periodic three-point Laplacian, so descent steps see a derivative that
 is consistent with the discretized objective, not just with its continuum
 limit.
 
-This module is the one home of three rules that the rest of the package
+This module is the one home of four rules that the rest of the package
 applies to loops and to (L, N, n) stacks of them.  Nodes run along axis -2,
 and :func:`periodic_shift` is the one circular shift, x_{k+j} with k + j
 taken mod N; the time-shifted loop u(t + j/N) is
@@ -25,6 +25,10 @@ bit under circular shifts and reversal of the samples.  It hands ``fsum``
 each row as a ``memoryview``, which yields Python floats straight from the
 buffer: iterating a numpy array would build one numpy scalar per element,
 and ``tolist`` a list of them, for the same bits.
+
+:func:`split_rows` is the one batch-fault rule: it finds the rows of a
+batched call that raise, for the checker's samples, the mountain pass's
+segments and grid loops, and the closure ladder's rows.
 """
 
 from __future__ import annotations
@@ -100,6 +104,32 @@ def exact_sums(rows: np.ndarray):
         return np.fromiter(map(math.fsum, map(memoryview, rows)), float, len(rows))
     except OverflowError as err:
         raise DomainError(f"exact sum out of the float range ({err})") from None
+
+
+def split_rows(evaluate, rows, failed=None):
+    """One entry per row of ``rows``, in order: that row's part of
+    ``evaluate(rows)``, or the :class:`DomainError` or ``ValueError`` the row
+    raises alone; a row must raise or not whatever batch it is in.
+    ``failed``, the error ``evaluate(rows)`` raised, spares that call.  A
+    batch is one call, and a batch that raises is halved, down to single
+    rows.  A right half whose left half came back clean holds its parent's
+    failure, so it inherits the parent's error without a call of its own:
+    a caller that stops at the first error makes at most ceil(log2 M) + 1
+    more calls on M rows.  The generator returns True when its batch came
+    back clean."""
+    if failed is None:
+        try:
+            entries = evaluate(rows)
+        except (DomainError, ValueError) as err:
+            failed = err
+        else:
+            yield from entries
+            return True
+    if len(rows) == 1:
+        yield failed
+    else:
+        clean = yield from split_rows(evaluate, rows[:len(rows) // 2])
+        yield from split_rows(evaluate, rows[len(rows) // 2:], failed if clean else None)
 
 
 def integrate(samples) -> float:

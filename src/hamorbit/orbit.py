@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import BlowupError, DomainError, NonpositiveActionError
 from .functional import ProblemSpec, _factors
-from .loopspace import MIN_NODES, LoopPath, is_nonconstant, periodic_shift
+from .loopspace import MIN_NODES, LoopPath, is_nonconstant, periodic_shift, split_rows
 from .potentials import PotentialModel
 
 BLOWUP_LIMIT = 1e8
@@ -232,8 +232,9 @@ def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
     ``DomainError`` or ``ValueError`` at a stage, or whose phase point passes
     norm 1e8 or stops being finite after a step, keeps its first such error
     in ``faults`` and is frozen at the start (its step set to 0, so it never
-    moves); a batched ``gradient`` call that raises is redone row by row to
-    find the failing rows.  When a faulted row's rung is reached, a blowup
+    moves); a batched ``gradient`` call that raises goes to
+    :func:`~hamorbit.loopspace.split_rows`, which finds the failing rows, each
+    with the error it raises alone.  When a faulted row's rung is reached, a blowup
     below the last rung yields nan, and so does any fault on the first of
     several rungs, which the ladder never reports; any other fault is raised,
     so an error surfaces only when its own rung is reached.
@@ -248,16 +249,16 @@ def _rung_closures(q0, v0, period: float, potential: PotentialModel, rungs):
     faults = {}  # the first error of each faulted running row, by index into ``rungs``
     lo = 0  # rows lo: are still running; q, w, dt and scale hold only them
 
-    def scaled_acceleration(x):  # dt^2 q'' = -dt^2 grad V(x), row by row if the batch raises
+    def scaled_acceleration(x):  # dt^2 q'' = -dt^2 grad V(x)
         try:
             g = potential.gradient(x)
-        except (DomainError, ValueError):
+        except (DomainError, ValueError) as err:
             g = np.zeros((len(x), n))
-            for j in range(len(x)):
-                try:
-                    g[j] = potential.gradient(x[j:j + 1])[0]
-                except (DomainError, ValueError) as err:
-                    faults.setdefault(lo + j, err)
+            for j, row in enumerate(split_rows(potential.gradient, x, err)):
+                if isinstance(row, Exception):
+                    faults.setdefault(lo + j, row)
+                else:
+                    g[j] = row
         return scale * g
 
     for it in range(1, rungs[-1] + 1):

@@ -31,10 +31,12 @@ each check, so loosening it loosens only some of them:
 B1, B2 and B4 read one point sample: one value-and-gradient pass, the
 values at the mirrored points -q, and the Hessian ray, and one verdict rule
 picks each one's worst sample.  B3 samples spheres and B5 loops.  Every
-potential call of the checker goes through one batch rule: a batch that
-raises :class:`DomainError` is halved down to its first point that raises
-alone, and the error names that point, so a failure at a mirror -q names
--q.
+potential call of the checker is one batch; a batch that raises
+:class:`DomainError` goes to the package's one batch-fault rule,
+:func:`~hamorbit.loopspace.split_rows`, which halves it down to its first
+point that raises alone, and the error names that point, so a failure at a
+mirror -q names -q.  B5's exact sums go the same way, and a sum that leaves
+the float range names its loop.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from . import expressions
 from .errors import DomainError
-from .loopspace import exact_sums, random_loop, stacked_dirichlet_energy
+from .loopspace import exact_sums, random_loop, split_rows, stacked_dirichlet_energy
 
 
 class PotentialModel:
@@ -314,21 +316,19 @@ def _unit_directions(rng, count, dim):
 
 def _sampled(evaluate, pts):
     """``evaluate(pts)``: the checker's one way to call the potential.  On a
-    :class:`DomainError` it halves the batch down to the first point that
-    raises alone, at most ceil(log2 M) more calls, and raises the batch's
-    error at that point."""
+    :class:`DomainError`, :func:`~hamorbit.loopspace.split_rows` finds the
+    first point that raises alone, in at most ceil(log2 M) + 1 more calls,
+    and the batch's error is raised at that point."""
     try:
         return evaluate(pts)
     except DomainError as err:
-        lo, hi = 0, len(pts)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                evaluate(pts[lo:mid])
-                lo = mid
-            except DomainError:
-                hi = mid
-        coords = ",".join(format(x, ".6g") for x in pts[lo])
+        def points(batch):  # one entry per point, whatever evaluate returns
+            evaluate(batch)
+            return batch
+
+        rows = split_rows(points, pts, err)
+        first = next(i for i, row in enumerate(rows) if isinstance(row, Exception))
+        coords = ",".join(format(x, ".6g") for x in pts[first])
         raise DomainError(f"{err} at sample ({coords})") from err
 
 
@@ -383,13 +383,11 @@ def _check_loop_sphere(p, h, rng, cfg):
     try:
         means = exact_sums(gaps) / LOOP_NODES
     except DomainError as err:  # name the first loop whose sum overflows
-        for i, row in enumerate(gaps):
-            try:
-                exact_sums(row)
-            except DomainError:
-                r, j = divmod(i, len(base_loops))
-                raise DomainError(f"{err} at sample (radius {radii[r]:.6g}, "
-                                  f"draw {np.flatnonzero(moving)[j]})") from err
+        sums = split_rows(exact_sums, gaps, err)
+        first = next(i for i, row in enumerate(sums) if isinstance(row, Exception))
+        r, j = divmod(first, len(base_loops))
+        raise DomainError(f"{err} at sample (radius {radii[r]:.6g}, "
+                          f"draw {np.flatnonzero(moving)[j]})") from err
     minima = means.reshape(SPHERE_RADII, len(base_loops)).min(axis=1)
     best = int(np.argmax(minima))
     best_est = float(minima[best])

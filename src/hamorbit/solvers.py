@@ -101,6 +101,7 @@ from .loopspace import (
     random_loop,
     sobolev_precondition,
     speed,
+    split_rows,
     stacked_dirichlet_cross,
     stacked_dirichlet_energy,
     stacked_h1_norm,
@@ -476,16 +477,14 @@ class _PathMax:
 
     def _each(self, form, loops) -> list:
         """``form(stack, spec)`` for an (L, N, n) stack of loops, one entry
-        per loop in one call.  A batch that raises is halved, down to single
-        loops, as :func:`~hamorbit.potentials._sampled` halves a sample
-        batch, so only the loops outside the domain give None."""
+        per loop in one call.  A batch that raises goes to
+        :func:`~hamorbit.loopspace.split_rows`, and only the loops outside
+        the domain give None."""
         try:
             return list(form(loops, self.spec))
-        except (DomainError, ValueError):
-            if len(loops) == 1:
-                return [None]
-            half = len(loops) // 2
-            return self._each(form, loops[:half]) + self._each(form, loops[half:])
+        except (DomainError, ValueError) as err:
+            rows = split_rows(lambda stack: form(stack, self.spec), loops, err)
+            return [None if isinstance(row, Exception) else row for row in rows]
 
     def _grid(self, nodes, coefficients):
         """(f, B) at the grid points (1-t) a + t b of every segment [a, b] of
@@ -525,16 +524,17 @@ class _PathMax:
         """(values, taus) of the max of the functional on each segment
         [nodes[i], nodes[i+1]] of a node list, tau locating it at
         (1 - tau) nodes[i] + tau nodes[i+1].  A segment whose Dirichlet sums
-        leave the float range has maximum -inf at tau 0."""
+        leave the float range has maximum -inf at tau 0: when they do,
+        :func:`~hamorbit.loopspace.split_rows` splits the segments, each
+        sublist s taking the nodes nodes[s[0]:s[-1] + 2]."""
         nodes = np.asarray(nodes)
         try:
             return self._closed_form_max(nodes)
-        except DomainError:  # a Dirichlet sum out of the float range
-            if len(nodes) == 2:
-                return np.array([-np.inf]), np.zeros(1)
-            values, taus = zip(*(self.segment_max(nodes[i:i + 2])
-                                 for i in range(len(nodes) - 1)))
-            return np.concatenate(values), np.concatenate(taus)
+        except DomainError as err:  # a Dirichlet sum out of the float range
+            tops = split_rows(lambda s: zip(*self._closed_form_max(nodes[s[0]:s[-1] + 2])),
+                              np.arange(len(nodes) - 1), err)
+            return tuple(np.array([(-np.inf, 0.0) if isinstance(top, Exception) else top
+                                   for top in tops]).T)
 
     def _closed_form_max(self, nodes):
         """:meth:`segment_max` of a node list; a Dirichlet sum out of the

@@ -23,6 +23,7 @@ from hamorbit.loopspace import (
     is_nonconstant,
     periodic_shift,
     speed,
+    split_rows,
     stacked_dirichlet_cross,
     stacked_dirichlet_energy,
     stacked_h1_norm,
@@ -154,6 +155,69 @@ def test_exact_sums_are_fsum_of_each_row_bit_for_bit():
         exact_sums(np.full(4, 1e308))
     with pytest.raises(DomainError, match="out of the float range"):
         exact_sums(np.array([[1.0, 2.0], [1e308, 1e308]]))
+
+
+def _failure_masks():
+    """(M, failing rows): hand-picked masks with failures at both ends and
+    on adjacent rows, then seeded random ones."""
+    masks = [(1, [0]), (2, [0]), (2, [1]), (2, [0, 1]), (3, [2]), (5, [0, 4]),
+             (8, [3, 4]), (9, [0, 1, 7, 8]), (16, [15]), (17, [0]), (33, [10, 11, 12])]
+    rng = np.random.default_rng(53)
+    for _ in range(24):
+        size = int(rng.integers(1, 70))
+        bad = np.flatnonzero(rng.random(size) < rng.uniform(0.02, 0.6))
+        masks.append((size, bad.tolist() or [int(rng.integers(size))]))
+    return masks
+
+
+@pytest.mark.parametrize("size, bad", _failure_masks())
+def test_split_rows_gives_each_row_what_it_gives_alone(size, bad):
+    rows = np.arange(size, dtype=float)[:, None]
+    calls = []
+
+    def evaluate(batch):
+        # Each failing row raises its own error, named after the row; a
+        # batch raises the error of its first failing row.
+        calls.append(len(batch))
+        failing = [int(x) for x in batch[:, 0] if x in bad]
+        if failing:
+            kind = ValueError if failing[0] % 3 == 0 else DomainError
+            raise kind(f"row {failing[0]} is outside")
+        return 2.0 * batch[:, 0] + 1.0
+
+    entries = list(split_rows(evaluate, rows))
+    assert len(entries) == size
+    for row, entry in zip(rows, entries):
+        try:
+            alone = evaluate(row[None])[0]
+        except (DomainError, ValueError) as err:
+            assert type(entry) is type(err) and str(entry) == str(err)
+        else:
+            assert entry == alone
+    messages = [str(entry) for entry in entries if isinstance(entry, Exception)]
+    assert messages == [f"row {i} is outside" for i in bad]
+
+    # A caller that stops at the first error, after its own whole-batch call.
+    calls.clear()
+    with pytest.raises((DomainError, ValueError)) as caught:
+        evaluate(rows)
+    first = next(entry for entry in split_rows(evaluate, rows, caught.value)
+                 if isinstance(entry, Exception))
+    assert str(first) == f"row {bad[0]} is outside"
+    assert calls[0] == size
+    assert len(calls) - 1 <= math.ceil(math.log2(size)) + 1
+
+
+def test_split_rows_makes_one_call_on_a_clean_batch():
+    calls = []
+
+    def evaluate(batch):
+        calls.append(len(batch))
+        return batch[:, 0] * 3.0
+
+    rows = np.arange(12, dtype=float)[:, None]
+    assert list(split_rows(evaluate, rows)) == (3.0 * np.arange(12)).tolist()
+    assert calls == [12]
 
 
 def test_dirichlet_cross_term_is_the_bilinear_form_of_the_energy():

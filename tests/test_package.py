@@ -104,11 +104,20 @@ def _readers(name) -> set:
 
 def test_a_pass_is_the_one_home_of_its_measurements():
     # functional.PotentialPass measures an iterate once: it alone takes the
-    # dual norm of the Cerami weight, and only it, the stacked forms and the
+    # dual norm of the Cerami weight, and only it, the action and the
     # orbit's period take the factors A and B.
     assert _readers("gradient_dual_norm") == {"functional.PotentialPass"}
-    assert _readers("_factors") == {"functional.PotentialPass", "functional.stacked_action",
-                                    "functional.stacked_action_gradient", "orbit.orbit_period"}
+    assert _readers("_factors") == {"functional.PotentialPass", "functional.action",
+                                    "orbit.orbit_period"}
+
+
+def test_split_rows_is_the_one_batch_fault_rule():
+    # loopspace.split_rows is the one home of the rule that finds the rows
+    # of a batch that raises: each site keeps its whole-batch call and hands
+    # the error to it, and no other code splits a raising batch.
+    assert _readers("split_rows") == {"loopspace.split_rows", "orbit._rung_closures",
+                                      "potentials._check_loop_sphere", "potentials._sampled",
+                                      "solvers._PathMax"}
 
 
 # The top-level definitions that nothing else in the package reads, and why

@@ -594,12 +594,13 @@ def test_only_the_segment_leaving_the_domain_falls_back(monkeypatch):
     batched = pmax.grids(path)
     sizes = _point_counts(monkeypatch, type(spec.potential), "value")
     values, taus = pmax.segment_max(path)
-    # The whole grid batch (4 nodes, 3 * 7 interior points), then the halves
-    # of each batch that raises, down to the five loops outside the domain:
-    # node 3 and the last four interior points of segment 2 (indices 21-24).
-    # The slopes and tops take no value call.
-    assert sizes == [k * 64 for k in (25, 12, 6, 3, 3, 1, 2, 6, 13, 6, 7, 3, 4, 2, 1, 1, 2,
-                                      1, 1)]
+    # The whole grid batch (4 nodes, 3 * 7 interior points), then the left
+    # halves of each batch that raises, down to the five loops outside the
+    # domain: node 3 and the last four interior points of segment 2
+    # (indices 21-24).  A right half whose left half came back clean takes
+    # its parent's error without a call.  The slopes and tops take no value
+    # call.
+    assert sizes == [k * 64 for k in (25, 12, 6, 3, 1, 2, 6, 13, 6, 3, 2, 1, 1, 2, 1, 1)]
     # Radius 1.2 + 1.8 t crosses 2 at t = 4/9.
     assert np.isneginf(batched[2]).tolist() == [False] * 4 + [True] * 5
     assert np.isfinite(batched[:2]).all()
