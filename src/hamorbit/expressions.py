@@ -35,11 +35,9 @@ value: a division with q on both sides returns ``v / w`` and takes ``1/w``
 for its derivative, and a power with q in its exponent returns
 ``np.power(b, e)`` and takes ``exp(e * log(b))`` as its derivative's factor.
 
-A binary node's Hessian rule takes a constant operand as zero derivative
-blocks, so each operator has one, and each function gives phi' and phi''
-to one chain rule.  ``+``, ``-`` and ``*`` skip building those blocks with
-a rule of their own for a constant operand, which has the bits of the
-general rule on them, signed zeros included; ``/`` and ``^`` build them.  Where the source is not twice differentiable, order 2
+Each operator has one Hessian rule, which takes a constant operand as
+zero derivative blocks, and each function gives phi' and phi'' to one
+chain rule.  Where the source is not twice differentiable, order 2
 raises a :class:`DomainError`: ``|q|`` at the origin, abs at zero, and a
 power whose second derivative is not finite, besides every check of orders
 0 and 1.
@@ -53,11 +51,10 @@ one the zero-base check; ``x^2`` is one multiply, with the bits of
 ``np.power``.  Kept at every evaluation: the zero-divisor, log, sqrt and
 variable-exponent checks (an exponent with q needs a positive base, in
 values and gradients alike), the finiteness of the power rule's coefficient,
-and the final finiteness gates of :func:`evaluate` and
-:func:`evaluate_gradient`.  No rewrite changes rounding: operands keep
-their order and every other power goes through ``np.power``, so values are
-bit-identical to evaluating the source node by node, and so is each rule's
-derivative given its operands.
+and the one finiteness gate of every ``evaluate*`` function.  No rewrite
+changes rounding: operands keep their order and every other power goes
+through ``np.power``, so values are bit-identical to evaluating the source
+node by node, and so is each rule's derivative given its operands.
 """
 
 from __future__ import annotations
@@ -138,19 +135,13 @@ class _Parser:
 
     def expect(self, kind: str, expected: set) -> Token:
         if self.cur.kind != kind:
-            raise ExpressionParseError(
-                f"unexpected {self.cur.text!r}" if self.cur.kind != "end" else "unexpected end of input",
-                self.cur.pos,
-                expected,
-            )
+            raise _unexpected(self.cur, expected)
         return self.advance()
 
     def parse(self) -> Callable:
         code = self.expr()
         if self.cur.kind != "end":
-            raise ExpressionParseError(
-                f"unexpected {self.cur.text!r}", self.cur.pos, {"operator", "end of input"}
-            )
+            raise _unexpected(self.cur, {"operator", "end of input"})
         run = code.run
         if code.constant:
             def root(points, order):  # an unfolded constant fails here at every order
@@ -168,17 +159,17 @@ class _Parser:
         return root
 
     def expr(self) -> _Code:
-        code = self.term()
-        while self.cur.kind in ("+", "-"):
-            op = _BINARY[self.advance().kind]
-            code = _fold(op(code, self.term()))
-        return code
+        return self.left(self.term, ("+", "-"))
 
     def term(self) -> _Code:
-        code = self.unary()
-        while self.cur.kind in ("*", "/"):
+        return self.left(self.unary, ("*", "/"))
+
+    def left(self, operand, ops) -> _Code:
+        """``operand (op operand)*`` for the operators ``ops``, left-associative."""
+        code = operand()
+        while self.cur.kind in ops:
             op = _BINARY[self.advance().kind]
-            code = _fold(op(code, self.unary()))
+            code = _fold(op(code, operand()))
         return code
 
     def unary(self) -> _Code:
@@ -206,7 +197,7 @@ class _Parser:
             self.advance()
             name = self.expect("name", {"'q'"})
             if name.text != "q":
-                raise ExpressionParseError(f"unexpected {name.text!r}", name.pos, {"'q'"})
+                raise _unexpected(name, {"'q'"})
             self.expect("|", {"'|'"})
             return _Code(_norm, False)
         if tok.kind == "name":
@@ -233,11 +224,13 @@ class _Parser:
             code = self.expr()
             self.expect(")", {"')'"})
             return code
-        raise ExpressionParseError(
-            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-            tok.pos,
-            {"number", "q<index>", "'|q|'", "function", "'('"},
-        )
+        raise _unexpected(tok, {"number", "q<index>", "'|q|'", "function", "'('"})
+
+
+def _unexpected(tok: Token, expected: set) -> ExpressionParseError:
+    """The parse error for a token where the grammar expects ``expected``."""
+    what = "end of input" if tok.kind == "end" else repr(tok.text)
+    return ExpressionParseError(f"unexpected {what}", tok.pos, expected)
 
 
 def parse_expression(src: str, dim: int) -> Callable:
@@ -381,15 +374,12 @@ def _neg(a: _Code) -> _Code:
     return _unary(a, np.negative, lambda val, v, dv: -dv, lambda val, v, dv, hv: -hv)
 
 
-def _binary(a: _Code, b: _Code, op, vv, vc, cv, hess, hc=None) -> _Code:
+def _binary(a: _Code, b: _Code, op, vv, vc, cv, hess) -> _Code:
     """Node ``op(a, b)``: the value rule ``op`` carries its domain checks,
     the gradient is ``vv(val, v, dv, w, dw)``, ``vc(val, v, dv, c)`` or
     ``cv(val, c, w, dw)`` by which operands hold q, and the Hessian
-    ``hess(val, der, v, dv, hv, w, dw, hw)``.  With a constant operand c the
-    Hessian is ``hc(v, dv, hv, c, left)``, (v, dv, hv) the other operand and
-    ``left`` whether c is the left one, with the bits of ``hess`` on c lifted
-    to zero blocks, signed zeros included; an operator without ``hc`` lifts
-    c.  The left operand is always evaluated first."""
+    ``hess(val, der, v, dv, hv, w, dw, hw)``, which takes a constant operand
+    c lifted to zero blocks.  The left operand is always evaluated first."""
     fa, fb, a_const, b_const = a.run, b.run, a.constant, b.constant
 
     def run(points, order):
@@ -409,8 +399,6 @@ def _binary(a: _Code, b: _Code, op, vv, vc, cv, hess, hc=None) -> _Code:
             der = vv(val, x[0], x[1], y[0], y[1])
         if order == 1:
             return val, der
-        if hc and (a_const or b_const):
-            return val, der, hc(*(y if a_const else x), y if b_const else x, a_const)
         x = _lift(x, points) if a_const else x
         y = _lift(y, points) if b_const else y
         return val, der, hess(val, der, *x, *y)
@@ -425,7 +413,6 @@ def _add(a, b):
         lambda val, v, dv, c: dv,
         lambda val, c, w, dw: dw,
         lambda val, der, v, dv, hv, w, dw, hw: hv + hw,
-        lambda v, dv, hv, c, left: hv + 0.0,
     )
 
 
@@ -436,7 +423,6 @@ def _sub(a, b):
         lambda val, v, dv, c: dv,
         lambda val, c, w, dw: -dw,
         lambda val, der, v, dv, hv, w, dw, hw: hv - hw,
-        lambda v, dv, hv, c, left: 0.0 - hv if left else hv - 0.0,
     )
 
 
@@ -448,21 +434,12 @@ def _mul_hess(val, der, v, dv, hv, w, dw, hw):
     return hv * w[:, None, None] + hw * v[:, None, None] + _sym_outer(dv, dw)
 
 
-def _mul_hess_c(v, dv, hv, c, left):
-    # The lifted rule adds 0 v and 0 dv_i + 0 dv_j to hv * c: signed zeros,
-    # or nan where v or dv is not finite.  Such terms sum to the same bits
-    # in any order, so this is the lifted rule's result.
-    z = dv * 0.0
-    return hv * c + (((v * 0.0)[:, None] + z)[:, :, None] + z[:, None, :])
-
-
 def _mul(a, b):
     return _binary(
         a, b, operator.mul, _mul_vv,
         lambda val, v, dv, c: dv * c,
         lambda val, c, w, dw: dw * c,
         _mul_hess,
-        _mul_hess_c,
     )
 
 
@@ -612,20 +589,22 @@ def _call(func: str, a: _Code) -> _Code:
 _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
 
 
+def _finite(out, what: str):
+    """``out``, once every entry is finite; else the :class:`DomainError`
+    that ``what`` evaluated to a non-finite value."""
+    if not np.isfinite(out).all():
+        raise DomainError(f"{what} evaluated to a non-finite value")
+    return out
+
+
 def evaluate(program: Callable, points: np.ndarray) -> np.ndarray:
     """Values at a (M, n) batch of points, returning shape (M,)."""
-    out = program(points, 0)
-    if not np.isfinite(out).all():
-        raise DomainError("expression evaluated to a non-finite value")
-    return out
+    return _finite(program(points, 0), "expression")
 
 
 def evaluate_gradient(program: Callable, points: np.ndarray) -> np.ndarray:
     """Forward-mode gradient at a (M, n) batch of points, returning (M, n)."""
-    grad = program(points, 1)[1]
-    if not np.isfinite(grad).all():
-        raise DomainError("gradient evaluated to a non-finite value")
-    return grad
+    return _finite(program(points, 1)[1], "gradient")
 
 
 def evaluate_hessian(program: Callable, points: np.ndarray) -> np.ndarray:
@@ -633,12 +612,10 @@ def evaluate_hessian(program: Callable, points: np.ndarray) -> np.ndarray:
     returning (M, n, n).  A point where the source is not twice
     differentiable raises :class:`DomainError`: the pass runs without
     floating-point warnings, so an overflow or a division by zero reaches
-    the non-finite gate below and raises there."""
+    the non-finite gate and raises there."""
     with np.errstate(all="ignore"):
         hess = program(points, 2)[2]
-    if not np.isfinite(hess).all():
-        raise DomainError("hessian evaluated to a non-finite value")
-    return hess
+    return _finite(hess, "hessian")
 
 
 def evaluate_value_and_gradient(program: Callable, points: np.ndarray):
@@ -652,8 +629,4 @@ def evaluate_value_and_gradient(program: Callable, points: np.ndarray):
     except DomainError:
         evaluate(program, points)
         raise
-    if not np.isfinite(val).all():
-        raise DomainError("expression evaluated to a non-finite value")
-    if not np.isfinite(grad).all():
-        raise DomainError("gradient evaluated to a non-finite value")
-    return val, grad
+    return _finite(val, "expression"), _finite(grad, "gradient")

@@ -94,7 +94,6 @@ from .loopspace import (
     LoopPath,
     check_grid,
     circle_loop,
-    integrate,
     is_nonconstant,
     periodic_shift,
     project_symmetric,
@@ -324,7 +323,7 @@ def build_endpoint(spec: ProblemSpec, base: LoopPath) -> LoopPath:
         raise BaseThroughOriginError("base loop passes through the origin")
     R = 1.0
     for _ in range(61):
-        gap = integrate(spec.h - spec.potential.value(R * base.nodes))
+        gap = _gaps((R * base.nodes)[None], spec)[0]
         if gap <= 0.0:
             return LoopPath(R * base.nodes)
         R *= 2.0

@@ -120,6 +120,16 @@ def test_split_rows_is_the_one_batch_fault_rule():
                                       "solvers._PathMax"}
 
 
+def test_the_expression_compiler_keeps_one_parse_error_and_one_finite_gate():
+    # expressions._unexpected builds every "unexpected ..." parse error of
+    # the parser, and expressions._finite is the non-finite gate of each
+    # evaluate* function; no other code builds either.
+    assert _readers("_unexpected") == {"expressions._Parser"}
+    assert _readers("_finite") == {"expressions.evaluate", "expressions.evaluate_gradient",
+                                   "expressions.evaluate_hessian",
+                                   "expressions.evaluate_value_and_gradient"}
+
+
 # The top-level definitions that nothing else in the package reads, and why
 # each stays.  A name whose last reader goes must go too, or gain a reason here.
 UNREFERENCED = {

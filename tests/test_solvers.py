@@ -424,6 +424,39 @@ def _recorded_searches(monkeypatch):
     return searches
 
 
+def test_a_top_search_slope_has_the_bits_of_the_batched_slopes(monkeypatch, expression_spec,
+                                                              cubic_spec):
+    # Each top search takes f' = A'B + AB' from its own slope(t) on floats,
+    # and _PathMax._slopes takes it at the bracket ends of every segment in
+    # one vectorised pass: the two forms agree to the bit at every probe of
+    # a one-segment node list.  They stay apart for speed: searching all
+    # tops together through _slopes cut the benchmark case's slope passes
+    # from 123 to 104, but made mountain-pass-expr's solve_s about 14%
+    # slower (6 pairs: 0.0423 -> 0.0482 s).
+    probes = []
+    real = solvers._top_search
+
+    def recorded(slope, *args):
+        def probe(t):
+            probes.append((t, slope(t)))
+            return probes[-1][1]
+
+        return real(probe, *args)
+
+    monkeypatch.setattr(solvers, "_top_search", recorded)
+    for spec in (expression_spec, cubic_spec):
+        probes.clear()
+        pmax = _PathMax(spec)
+        nodes = np.array(_random_path(spec, np.random.default_rng(3), [0.2, 2.5]))
+        pmax.segment_max(nodes)
+        assert len(probes) >= 5
+        coefficients = solvers._coefficients(nodes)
+        for t, got in probes:
+            want = pmax._slopes(nodes[:1], nodes[1:], coefficients, np.array([0]),
+                                np.array([t]))[0]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("amplitudes", [(2.0, 1.0), (1.5, 1.0), (3.0, 1.0), (1.2, 0.7)])
 @pytest.mark.parametrize("path_points", [15, 16, 20])
 def test_harmonic_top_is_the_root_of_the_slope(monkeypatch, harmonic_spec, amplitudes,
